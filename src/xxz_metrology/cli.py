@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .model import ChainParams, DENSE_CAP, eta_from_delta
-from .mpo import hs_norm_sq_via_transfer, validity_threshold
+from .mpo import _log_threshold, hs_norm_sq_via_transfer
 from .fisher import qfi_parametric
 from .transfer import (bracket_series, chi_coefficient, defect_series,
                        f0_x, isotropic_bracket_series, isotropic_f_delta,
@@ -52,7 +52,6 @@ class ScanSpec:
     options: dict = field(default_factory=dict)
     out: str = "scan.csv"
     fmt: str = "csv"
-    log_domain: str = "auto"
     workers: int = 1
 
 
@@ -83,30 +82,18 @@ def _log10_cols(sign: float, log_e: float) -> tuple[str, str, str]:
 
 # --- grid-point evaluators (top level so a process pool can pickle them) ---
 
-def _eval_chi_rational(point):
-    p, q, delta = point
-    chi, chi1 = chi_coefficient(delta, rational_eta=(p, q))
-    return {"route": "rational", "p": p, "q": q, "delta": delta,
-            "d": abs(p) - 1, "chi": chi, "chi1": chi1}
-
-
-def _eval_chi_irrational(point):
-    delta, d_max = point
-    chi, chi1 = chi_coefficient(delta, d_max=d_max)
-    return {"route": "irrational", "p": "", "q": "", "delta": delta,
-            "d": d_max, "chi": chi, "chi1": chi1}
-
-
-def _eval_chi_tagged(tagged):
-    tag, point = tagged
-    if tag == "rat":
-        return _eval_chi_rational(point)
-    return _eval_chi_irrational(point)
+def _eval_chi(point):
+    route, p, q, delta, d = point
+    if route == "rational":
+        chi, chi1 = chi_coefficient(delta, rational_eta=(p, q))
+    else:
+        chi, chi1 = chi_coefficient(delta, d_max=d)
+    return {"route": route, "p": p, "q": q, "delta": delta, "d": d,
+            "chi": chi, "chi1": chi1}
 
 
 def _eval_xi_rational(point):
-    p, q, delta, n_window = point
-    n = n_window if n_window else max(100, 20 * (p - 1))
+    p, q, delta, n = point
     xi, diag = xi_coefficient(delta, n, rational_eta=(p, q),
                               return_diagnostics=True)
     return {"p": p, "q": q, "eta_over_pi": q / p, "delta": delta,
@@ -146,8 +133,8 @@ def _eval_flambda(point):
 def _eval_validity(point):
     delta, n, mu = point
     eta = eta_from_delta(delta)
-    log_thr = validity_threshold(n, eta, mu, log=True)
     log_norm = hs_norm_sq_via_transfer(n, eta, log=True)
+    log_thr = _log_threshold(n, mu, log_norm)
     thr_lin, thr_sign, thr_l10 = _log10_cols(1.0, log_thr)
     return {"n": n, "delta": delta, "mu": mu,
             "threshold": thr_lin, "threshold_log10": thr_l10,
@@ -191,18 +178,31 @@ _HEADERS = {
 }
 
 
+# the columns that name a grid point, in the order of its tuple
+_POINT_COLUMNS = {
+    "chi-vs-delta": ["route", "p", "q", "delta", "d"],
+    "xi-vs-eta-rational": ["p", "q", "delta", "window_start"],
+    "xi-n-vs-n": ["delta", "n"],
+    "f-lambda-nonpert": ["delta", "lambda_over_j", "n"],
+    "validity-report": ["delta", "n", "mu"],
+    "isotropic-check": ["n"],
+}
+
+
 def _grid_for(spec: ScanSpec):
     """(evaluator, list of grid points) for a scan spec."""
     o = spec.options
     kind = spec.kind
     if kind == "chi-vs-delta":
-        pts = [("rat", pt) for pt in rational_grid(o["p_max"], o.get("q_max"))]
+        pts = [("rational", p, q, dl, abs(p) - 1)
+               for p, q, dl in rational_grid(o["p_max"], o.get("q_max"))]
         deltas = np.linspace(-1.0, 1.0, o.get("delta_points", 199) + 2)[1:-1]
-        pts += [("irr", (float(dl), o.get("d_max", 400))) for dl in deltas]
-        return _eval_chi_tagged, pts
+        pts += [("irrational", "", "", float(dl), o.get("d_max", 400)) for dl in deltas]
+        return _eval_chi, pts
     if kind == "xi-vs-eta-rational":
         grid = rational_grid(o["p_max"], o.get("q_max"))
-        return _eval_xi_rational, [(p, q, dl, o.get("n_window")) for p, q, dl in grid]
+        return _eval_xi_rational, [(p, q, dl, o.get("n_window") or max(100, 20 * (p - 1)))
+                                   for p, q, dl in grid]
     if kind == "xi-n-vs-n":
         ns = o["n_grid"]
         return _eval_xi_n, [(dl, int(n)) for dl in o["deltas"] for n in ns]
@@ -227,13 +227,12 @@ def run_scan(spec: ScanSpec) -> dict:
     evaluator, points = _grid_for(spec)
     t0 = time.monotonic()
     results: list[dict] = [None] * len(points)
+    guarded = _guard(evaluator, _POINT_COLUMNS[spec.kind])
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            for i, res in enumerate(pool.map(_guard(evaluator), points,
-                                             chunksize=8)):
+            for i, res in enumerate(pool.map(guarded, points, chunksize=8)):
                 results[i] = res
     else:
-        guarded = _guard(evaluator)
         for i, pt in enumerate(points):
             results[i] = guarded(pt)
     failures = sum(1 for r in results if r.get("error"))
@@ -247,10 +246,11 @@ def run_scan(spec: ScanSpec) -> dict:
 
 
 class _guard:
-    """Wrap an evaluator so grid-point failures become error rows."""
+    """Wrap an evaluator so grid-point failures become rows naming the point."""
 
-    def __init__(self, fn):
+    def __init__(self, fn, columns):
         self.fn = fn
+        self.columns = columns
 
     def __call__(self, point):
         try:
@@ -258,7 +258,9 @@ class _guard:
             row.setdefault("error", "")
             return row
         except Exception as exc:  # noqa: BLE001 - failure markers by design
-            return {"error": f"{type(exc).__name__}: {exc}", "point": repr(point)}
+            row = dict(zip(self.columns, point))
+            row["error"] = f"{type(exc).__name__}: {exc}"
+            return row
 
 
 def _format_cell(value) -> str:
@@ -303,8 +305,7 @@ def emit_manifest(spec: ScanSpec, digest: str, rows: int, failures: int,
         "version": __version__,
         "scan": spec.kind,
         "spec": {"options": _jsonable(spec.options), "out": spec.out,
-                 "format": spec.fmt, "log_domain": spec.log_domain,
-                 "workers": spec.workers},
+                 "format": spec.fmt, "workers": spec.workers},
         "rows": rows,
         "failures": failures,
         "data_sha256": digest,
@@ -350,8 +351,6 @@ def _build_parser() -> _Parser:
                            "points over [10, 10^4])")
     scan.add_argument("--delta", type=float, action="append", default=None,
                       help="anisotropy value; repeatable (irrational pathway)")
-    scan.add_argument("--eta-rational", nargs=2, type=int, metavar=("P", "Q"),
-                      help="rational eta/pi = q/p")
     scan.add_argument("--lambda-over-j", type=float, nargs="+", default=None,
                       help="coupling ratios; 0 selects the leading order")
     scan.add_argument("--mu", type=float, default=1.0)
@@ -365,8 +364,6 @@ def _build_parser() -> _Parser:
                       help="window start for rational xi slope fits")
     scan.add_argument("--format", choices=("csv", "json"), default=None)
     scan.add_argument("--out", default=None)
-    scan.add_argument("--log-domain", choices=("auto", "on", "off"),
-                      default=None)
     scan.add_argument("--workers", type=int, default=None)
     return parser
 
@@ -374,7 +371,7 @@ def _build_parser() -> _Parser:
 _CONFIG_KEYS = {
     "p_max": int, "q_max": int, "d_max": int, "delta_points": int,
     "n_window": int, "workers": int, "mu": float, "format": str, "out": str,
-    "log_domain": str, "n_log_points": int,
+    "n_log_points": int,
 }
 
 
@@ -453,14 +450,9 @@ def _spec_from_args(args) -> ScanSpec:
         options["n_grid"] = list(range(int(nr[0]), int(nr[1]) + 1, int(nr[2])))
     else:
         raise UsageError(f"unknown scan kind {kind!r}")
-    if getattr(args, "eta_rational", None):
-        p, q = args.eta_rational
-        options["eta_rational"] = (int(p), int(q))
-        options.setdefault("deltas", [math.cos(q * math.pi / p)])
     out = pick("out") or f"{kind}.{pick('format') or 'csv'}"
     return ScanSpec(kind=kind, options=options, out=out,
                     fmt=pick("format") or "csv",
-                    log_domain=pick("log_domain") or "auto",
                     workers=int(pick("workers") or 1))
 
 

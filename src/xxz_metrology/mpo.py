@@ -182,17 +182,21 @@ def hs_norm_sq_via_transfer(n: int, eta: complex, log: bool = False) -> float:
     return math.exp(log_norm) if log_norm < math.log(np.finfo(float).max) else math.inf
 
 
+def _log_threshold(n: int, mu: float, log_norm_sq: float) -> float:
+    """log of the validity threshold from log ||Z||_HS^2 (see validity_threshold)."""
+    if mu == 0:
+        raise ValueError("validity condition is vacuous at mu = 0 "
+                         "(first order vanishes identically)")
+    return 0.5 * (n + 1) * math.log(2.0) - math.log(abs(mu)) - 0.5 * log_norm_sq
+
+
 def validity_threshold(n: int, eta: complex, mu: float, log: bool = False) -> float:
     """Largest lambda/J for which the perturbative expansion is controlled.
 
     sqrt(2**(n+1)) / (mu ||Z||_HS); above it the first order overtakes
     the identity.  Vacuous at mu = 0.
     """
-    if mu == 0:
-        raise ValueError("validity condition is vacuous at mu = 0 "
-                         "(first order vanishes identically)")
-    log_thr = (0.5 * (n + 1) * math.log(2.0) - math.log(abs(mu))
-               - 0.5 * hs_norm_sq_via_transfer(n, eta, log=True))
+    log_thr = _log_threshold(n, mu, hs_norm_sq_via_transfer(n, eta, log=True))
     if log:
         return log_thr
     return math.exp(log_thr)

@@ -13,13 +13,17 @@ with cos^2/sin^2 understood as analytic squares, so for |Delta| > 1
 (imaginary eta) the diagonal holds cosh^2 and the off-diagonals hold
 -sinh^2/2.  Every R -> L path carries equally many climbs and descents,
 hence all path amplitudes -- and every quantity computed here -- stay
-positive; powers may therefore be taken with |T| elementwise, which is
-what the log-domain mode exploits.
+positive; powers may therefore be taken with |T| elementwise.
 
-Internally the matrix is stored as a tridiagonal system over the
-ordering [L, 1, 2, ..., d] plus the source column R (R never receives
-amplitude, it only feeds |1> with weight 1/2), which makes an n-step
-propagation O(n d) time and O(d) memory.
+All propagation goes through one jet propagator: the Taylor
+coefficients (v_0, ..., v_k) in s of (A_0 + s A_1 + ... + s^k A_k)^m |R>
+obey v_j -> sum_i A_{j-i} v_i per step, and R (which never receives
+amplitude) feeds |1> of v_0 with weight 1/2.  With A_0 = |T| the jets
+(|T|), (|T|, D) and (|T|, d|T|/dt, d^2|T|/dt^2 / 2) give the bracket,
+the defect sum and half the second t-derivative of the bracket.  The
+bands are tridiagonal over [L, 1, ..., d], so n steps cost O(n d) time
+and O(d) memory, in floats or in (sign, log) pairs whose bands are the
+logs of the same float entries.
 """
 
 from __future__ import annotations
@@ -100,19 +104,28 @@ class TransferSystem:
         return 1 + int(label)
 
 
-def _bulk_entries(d: int, eta: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(diag[k], climb[k] = <k+1|T|k>, descent[k] = <k|T|k+1>) for k = 1..d."""
+def _entries(name: str, d: int, eta: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Bulk entries (diag[j], off[j]), j = 1..d, of one banded matrix.
+
+    off[j] weighs both moves out of |j>: the climb <j+1|.|j> and the
+    descent <j-1|.|j>.  'T' is |T|, 'dT' its t-derivative, 'd2T/2' half
+    its second t-derivative (t as in :func:`_split_eta`) and 'D' the
+    vertex matrix, which carries sign(1 - Delta^2) on its diagonal.
+    """
     t, easy_axis = _split_eta(eta)
-    k = np.arange(1, d + 1, dtype=float)
-    if easy_axis:
-        diag = np.cosh(t * k) ** 2
-        s2 = -np.sinh(t * k) ** 2
-        s2next = -np.sinh(t * (k + 1)) ** 2
-    else:
-        diag = np.cos(t * k) ** 2
-        s2 = np.sin(t * k) ** 2
-        s2next = np.sin(t * (k + 1)) ** 2
-    return diag, s2 / 2, s2next / 2
+    j = np.arange(1, d + 1, dtype=float)
+    c, s = (np.cosh, np.sinh) if easy_axis else (np.cos, np.sin)
+    sigma = 1.0 if easy_axis else -1.0  # d/dx c(x)^2 = sigma s(2x)
+    if name == "T":
+        return c(t * j) ** 2, s(t * j) ** 2 / 2
+    if name == "dT":
+        return sigma * j * s(2 * t * j), j / 2 * s(2 * t * j)
+    if name == "d2T/2":
+        return sigma * j ** 2 * c(2 * t * j), j ** 2 / 2 * c(2 * t * j)
+    if name == "D":
+        sgn = math.copysign(1.0, 1.0 - _delta_from_eta(eta) ** 2)
+        return sgn * j ** 2 / 2, j ** 2 / 4
+    raise ValueError(f"unknown band {name!r}")
 
 
 def build_transfer(d: int, eta: complex) -> TransferSystem:
@@ -121,253 +134,150 @@ def build_transfer(d: int, eta: complex) -> TransferSystem:
         raise ValueError(f"truncation index must be >= 1, got d={d}")
     dim = d + 2
     T = np.zeros((dim, dim))
-    L, R = 0, 1
-    ix = lambda k: 1 + k
-    T[L, L] = 1.0
-    T[R, R] = 1.0
-    T[L, ix(1)] = 0.5
-    T[ix(1), R] = 0.5
-    diag, climb, desc = _bulk_entries(d, eta)
-    for k in range(1, d + 1):
-        T[ix(k), ix(k)] = diag[k - 1]
-        if k + 1 <= d:
-            T[ix(k + 1), ix(k)] = climb[k - 1]
-            T[ix(k), ix(k + 1)] = desc[k - 1]
     D = np.zeros((dim, dim))
-    sgn = math.copysign(1.0, 1.0 - _delta_from_eta(eta) ** 2)
-    for k in range(1, d + 1):
-        D[ix(k), ix(k)] = sgn * k ** 2 / 2
-        if k + 1 <= d:
-            D[ix(k + 1), ix(k)] = k ** 2 / 4
-            D[ix(k), ix(k + 1)] = (k + 1) ** 2 / 4
+    T[0, 0] = T[1, 1] = 1.0  # <L|T|L>, <R|T|R>
+    T[0, 2] = T[2, 1] = 0.5  # <L|T|1>, <1|T|R>
+    _, easy_axis = _split_eta(eta)
+    bulk = np.arange(2, dim)
+    for M, name, off_sign in ((T, "T", -1.0 if easy_axis else 1.0), (D, "D", 1.0)):
+        diag, off = _entries(name, d, eta)
+        M[bulk, bulk] = diag
+        M[bulk[1:], bulk[:-1]] = off_sign * off[:-1]
+        M[bulk[:-1], bulk[1:]] = off_sign * off[1:]
     return TransferSystem(d=d, eta=eta, T=T, D=D)
 
 
 # ---------------------------------------------------------------------------
-# banded propagation engine over the ordering [L, 1, ..., d] + source R
+# jet propagator over the ordering [L, 1, ..., d] + source R
 # ---------------------------------------------------------------------------
 
-class _Bands:
-    """|T| over [L, 1..d] as three diagonals; R is a unit source into |1>."""
+def _bands(names: tuple[str, ...], n: int, d: int | None,
+           eta: complex) -> list[np.ndarray]:
+    """The jet matrices A_0, A_1, ... as (3, d + 1) bands over [L, 1..d].
 
-    def __init__(self, d: int, eta: complex):
-        self.d = d
-        self.t, self.easy_axis = _split_eta(eta)
-        diag_bulk, climb, desc = _bulk_entries(d, eta)
-        dim = d + 1  # L plus 1..d
-        self.diag = np.empty(dim)
-        self.diag[0] = 1.0
-        self.diag[1:] = np.abs(diag_bulk)
-        # lower[i] multiplies v[i-1] into v'[i]: climbs k -> k+1
-        self.lower = np.zeros(dim)
-        self.lower[2:] = np.abs(climb[: d - 1])
-        # upper[i] multiplies v[i+1] into v'[i]: descents k+1 -> k and 1 -> L
-        self.upper = np.zeros(dim)
-        self.upper[0] = 0.5
-        self.upper[1:d] = np.abs(desc[: d - 1])
-        self.source = 0.5  # <1|T|R>
+    d defaults to n//2: states above it cannot reach L in n steps.
+    Row 0 is the diagonal, row 1 the lower band (entry i takes v[i-1]
+    into v'[i]: climbs) and row 2 the upper band (entry i takes v[i+1]
+    into v'[i]: descents, and 1 -> L for |T|).  A_0 is always |T|.
+    """
+    d = max(n // 2, 1) if d is None else d
+    if d < 1:
+        raise ValueError(f"truncation index must be >= 1, got d={d}")
+    out = []
+    for name in names:
+        diag, off = _entries(name, d, eta)
+        band = np.zeros((3, d + 1))
+        band[0, 1:] = diag
+        band[1, 2:] = off[:-1]
+        band[2, 1:d] = off[1:]
+        out.append(band)
+    out[0][0, 0] = 1.0  # <L|T|L>
+    out[0][2, 0] = 0.5  # <L|T|1>
+    return out
 
-    def t_derivative_bands(self):
-        """First and second t-derivatives of the band entries.
 
-        Easy plane: d/dt cos^2(tk) = -k sin(2tk), d/dt sin^2(tk)/2 =
-        (k/2) sin(2tk); easy axis: the hyperbolic counterparts of |T|.
-        The boundary entries are constants.
-        """
-        d = self.d
-        dim = d + 1
-        k = np.arange(1, d + 1, dtype=float)
-        kc = k[: d - 1]
-        t = self.t
-        if self.easy_axis:
-            diag1_b = k * np.sinh(2 * t * k)
-            diag2_b = 2 * k ** 2 * np.cosh(2 * t * k)
-            climb1 = kc / 2 * np.sinh(2 * t * kc)
-            climb2 = kc ** 2 * np.cosh(2 * t * kc)
-            desc1 = (kc + 1) / 2 * np.sinh(2 * t * (kc + 1))
-            desc2 = (kc + 1) ** 2 * np.cosh(2 * t * (kc + 1))
-        else:
-            diag1_b = -k * np.sin(2 * t * k)
-            diag2_b = -2 * k ** 2 * np.cos(2 * t * k)
-            climb1 = kc / 2 * np.sin(2 * t * kc)
-            climb2 = kc ** 2 * np.cos(2 * t * kc)
-            desc1 = (kc + 1) / 2 * np.sin(2 * t * (kc + 1))
-            desc2 = (kc + 1) ** 2 * np.cos(2 * t * (kc + 1))
-        d1 = (np.zeros(dim), np.zeros(dim), np.zeros(dim))
-        d2 = (np.zeros(dim), np.zeros(dim), np.zeros(dim))
-        d1[0][1:] = diag1_b
-        d2[0][1:] = diag2_b
-        d1[1][2:] = climb1
-        d2[1][2:] = climb2
-        d1[2][1:d] = desc1
-        d2[2][1:d] = desc2
-        return d1, d2
+def _jet_series(bands: list[np.ndarray], n: int) -> np.ndarray:
+    """<L|v_k> of the jet (v_0..v_k) after m = 0..n steps, in floats."""
+    rows = [(b[0], b[1, 1:], b[2, :-1]) for b in bands]
 
-    @staticmethod
-    def _band_apply(bands, v: np.ndarray) -> np.ndarray:
-        diag, lower, upper = bands
+    def apply(band, v):
+        diag, lower, upper = band
         out = diag * v
-        out[1:] += lower[1:] * v[:-1]
-        out[:-1] += upper[:-1] * v[1:]
+        out[1:] += lower * v[:-1]
+        out[:-1] += upper * v[1:]
         return out
 
-    def matvec(self, v: np.ndarray, r: float) -> np.ndarray:
-        out = self.diag * v
-        out[1:] += self.lower[1:] * v[:-1]
-        out[:-1] += self.upper[:-1] * v[1:]
-        out[1] += self.source * r
-        return out
-
-    def _log_terms(self, lg: np.ndarray, log_r: float) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            terms = np.full((4, lg.size), -np.inf)
-            np.log(self.diag, where=self.diag > 0, out=terms[0])
-            terms[0] += lg
-            lo = np.log(self.lower[1:], where=self.lower[1:] > 0,
-                        out=np.full(lg.size - 1, -np.inf))
-            terms[1, 1:] = lo + lg[:-1]
-            up = np.log(self.upper[:-1], where=self.upper[:-1] > 0,
-                        out=np.full(lg.size - 1, -np.inf))
-            terms[2, :-1] = up + lg[1:]
-            terms[3, 1] = math.log(self.source) + log_r
-        return terms
-
-    def log_matvec(self, lg: np.ndarray, log_r: float) -> np.ndarray:
-        """One |T| step on a nonnegative vector stored as log components."""
-        terms = self._log_terms(lg, log_r)
-        m = terms.max(axis=0)
-        safe = m > -np.inf
-        out = np.full(lg.size, -np.inf)
-        out[safe] = m[safe] + np.log(np.exp(terms[:, safe] - m[safe]).sum(axis=0))
-        return out
-
-    def signed_log_matvec(self, sg: np.ndarray,
-                          lg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One |T| step on a signed vector; entries of |T| are nonnegative."""
-        terms = self._log_terms(lg, -math.inf)
-        signs = np.zeros_like(terms)
-        signs[0] = sg
-        signs[1, 1:] = sg[:-1]
-        signs[2, :-1] = sg[1:]
-        return _signed_lse(signs, terms)
-
-
-class _VertexBands:
-    """The vertex matrix D over [L, 1..d]; carries the sign(1 - Delta^2) diagonal."""
-
-    def __init__(self, d: int, eta: complex):
-        dim = d + 1
-        k = np.arange(1, d + 1, dtype=float)
-        sgn = math.copysign(1.0, 1.0 - _delta_from_eta(eta) ** 2)
-        self.diag = np.zeros(dim)
-        self.diag[1:] = sgn * k ** 2 / 2
-        self.lower = np.zeros(dim)
-        self.lower[2:] = k[: d - 1] ** 2 / 4
-        self.upper = np.zeros(dim)
-        self.upper[1:d] = (k[: d - 1] + 1) ** 2 / 4
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diag * v
-        out[1:] += self.lower[1:] * v[:-1]
-        out[:-1] += self.upper[:-1] * v[1:]
-        return out
-
-    def signed_log_matvec(self, lg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        with np.errstate(divide="ignore"):
-            logs = np.full((3, lg.size), -np.inf)
-            signs = np.zeros((3, lg.size))
-            logs[0] = np.log(np.abs(self.diag), where=self.diag != 0,
-                             out=np.full(lg.size, -np.inf)) + lg
-            signs[0] = np.sign(self.diag)
-            logs[1, 1:] = np.log(self.lower[1:], where=self.lower[1:] > 0,
-                                 out=np.full(lg.size - 1, -np.inf)) + lg[:-1]
-            signs[1, 1:] = (self.lower[1:] > 0).astype(float)
-            logs[2, :-1] = np.log(self.upper[:-1], where=self.upper[:-1] > 0,
-                                  out=np.full(lg.size - 1, -np.inf)) + lg[1:]
-            signs[2, :-1] = (self.upper[:-1] > 0).astype(float)
-        return _signed_lse(signs, logs)
+    jet = [np.zeros(bands[0].shape[1]) for _ in bands]
+    series = np.zeros(n + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, n + 1):
+            new = []
+            for j in range(len(jet)):
+                acc = apply(rows[0], jet[j])
+                for i in range(j - 1, -1, -1):
+                    acc += apply(rows[j - i], jet[i])
+                new.append(acc)
+            new[0][1] += 0.5
+            jet = new
+            series[m] = jet[-1][0]
+    return series
 
 
 def _signed_lse(signs: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column-wise sum of sign*exp(log) terms, returned as (sign, log)."""
+    """Column sums of sign * exp(log) as (sign, log).
+
+    A column with no finite term, or a NaN term, or an exact
+    cancellation gives (0, -inf).
+    """
     m = logs.max(axis=0)
-    out_s = np.zeros(logs.shape[1])
-    out_l = np.full(logs.shape[1], -np.inf)
-    safe = m > -np.inf
-    if np.any(safe):
-        tot = (signs[:, safe] * np.exp(logs[:, safe] - m[safe])).sum(axis=0)
-        nz = tot != 0.0
-        idx = np.flatnonzero(safe)[nz]
-        out_s[idx] = np.sign(tot[nz])
-        out_l[idx] = m[safe][nz] + np.log(np.abs(tot[nz]))
-    return out_s, out_l
+    live = m > -np.inf
+    shift = np.where(live, m, 0.0)
+    tot = (signs * np.exp(logs - shift)).sum(axis=0)
+    live &= tot != 0.0
+    return (np.where(live, np.sign(tot), 0.0),
+            np.where(live, shift + np.log(np.abs(tot)), -np.inf))
 
 
-def _signed_log_add(a: tuple[np.ndarray, np.ndarray],
-                    b: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    return _signed_lse(np.stack([a[0], b[0]]), np.stack([a[1], b[1]]))
+def _jet_log(bands: list[np.ndarray], n: int) -> SignedLog:
+    """<L|v_k> after n steps of :func:`_jet_series`, in (sign, log) pairs.
 
-
-def _resolve_d(n: int, d: int | None) -> int:
-    if d is None:
-        d = max(n // 2, 1)
-    if d < 1:
-        raise ValueError(f"truncation index must be >= 1, got d={d}")
-    return d
+    Each band entry enters as (sign, log|entry|), so values far outside
+    the double range stay representable.
+    """
+    k = len(bands)
+    dim = bands[0].shape[1]
+    with np.errstate(divide="ignore"):
+        band_logs = [np.log(np.abs(b)) for b in bands]
+    band_signs = [np.sign(b) for b in bands]
+    # the terms of v_j': three rows (diag, lower, upper) per product
+    # A_{j-i} v_i, i = j..0, plus the source row <1|T|R> for v_0
+    logs = [np.full((3 * (j + 1) + (j == 0), dim), -np.inf) for j in range(k)]
+    signs = [np.zeros_like(lg) for lg in logs]
+    logs[0][3, 1] = math.log(0.5)
+    signs[0][3, 1] = 1.0
+    sg = [np.zeros(dim) for _ in range(k)]
+    lg = [np.full(dim, -np.inf) for _ in range(k)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(n):
+            new = []
+            for j in range(k):
+                tl, ts = logs[j], signs[j]
+                for r, i in enumerate(range(j, -1, -1)):
+                    bl, bs = band_logs[j - i], band_signs[j - i]
+                    np.add(bl[0], lg[i], out=tl[3 * r])
+                    np.multiply(bs[0], sg[i], out=ts[3 * r])
+                    np.add(bl[1, 1:], lg[i][:-1], out=tl[3 * r + 1, 1:])
+                    np.multiply(bs[1, 1:], sg[i][:-1], out=ts[3 * r + 1, 1:])
+                    np.add(bl[2, :-1], lg[i][1:], out=tl[3 * r + 2, :-1])
+                    np.multiply(bs[2, :-1], sg[i][1:], out=ts[3 * r + 2, :-1])
+                new.append(_signed_lse(ts, tl))
+            sg, lg = zip(*new)
+    return SignedLog(float(sg[-1][0]), float(lg[-1][0]))
 
 
 def bracket_series(n: int, eta: complex, d: int | None = None) -> np.ndarray:
     """<L|T^m|R> for m = 0..n in one linear-domain pass."""
-    d = _resolve_d(n, d)
-    bands = _Bands(d, eta)
-    v = np.zeros(d + 1)
-    out = np.empty(n + 1)
-    out[0] = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(1, n + 1):
-            v = bands.matvec(v, 1.0)
-            out[m] = v[0]
-    return out
+    return _jet_series(_bands(("T",), n, d, eta), n)
 
 
 def defect_series(n: int, eta: complex, d: int | None = None) -> np.ndarray:
     """sum_k <L|T^{k-1} D T^{m-k}|R> for m = 0..n.
 
-    Propagates the pair (v, w) with w' = |T| w + D v, v' = |T| v, which
-    is the first-order expansion of (|T| + s D)^m in s.
+    The first-order coefficient of (|T| + s D)^m in s.
     """
-    d = _resolve_d(n, d)
-    bands = _Bands(d, eta)
-    vertex = _VertexBands(d, eta)
-    v = np.zeros(d + 1)
-    w = np.zeros(d + 1)
-    out = np.empty(n + 1)
-    out[0] = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(1, n + 1):
-            w = bands.matvec(w, 0.0) + vertex.matvec(v)
-            v = bands.matvec(v, 1.0)
-            out[m] = w[0]
-    return out
+    return _jet_series(_bands(("T", "D"), n, d, eta), n)
 
 
 def bracket_LTnR_log(n: int, eta: complex, d: int | None = None) -> SignedLog:
     """<L|T^n|R> as a SignedLog; overflow-safe for |Delta| > 1."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    d = _resolve_d(n, d)
-    bands = _Bands(d, eta)
-    lg = np.full(d + 1, -np.inf)
-    for _ in range(n):
-        lg = bands.log_matvec(lg, 0.0)
-    if lg[0] == -np.inf:
-        return SignedLog(0.0, -math.inf)
-    return SignedLog(1.0, float(lg[0]))
+    return _jet_log(_bands(("T",), n, d, eta), n)
 
 
-def bracket_LTnR(n: int, eta: complex, d: int | None = None,
-                 log_domain: str = "auto") -> float | SignedLog:
-    """<L|T^n|R> by iterated banded matrix-vector products.
+def _float_or_log(series, log_fn, what: str, n: int, eta: complex,
+                  d: int | None, log_domain: str):
+    """The float value of ``series(n, eta, d)[n]``, or ``log_fn``'s SignedLog.
 
     ``log_domain='off'`` returns a float and raises OverflowError when the
     value is not representable; 'on' always returns a SignedLog; 'auto'
@@ -376,47 +286,38 @@ def bracket_LTnR(n: int, eta: complex, d: int | None = None,
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if log_domain == "on":
-        return bracket_LTnR_log(n, eta, d)
-    val = float(bracket_series(n, eta, d)[n])
+        return log_fn(n, eta, d)
+    val = float(series(n, eta, d)[n])
     if math.isfinite(val):
         return val
     if log_domain == "off":
-        raise OverflowError(
-            "<L|T^n|R> overflows a float; use log_domain='on'")
-    return bracket_LTnR_log(n, eta, d)
+        raise OverflowError(f"{what} overflows a float; use log_domain='on'")
+    return log_fn(n, eta, d)
+
+
+def bracket_LTnR(n: int, eta: complex, d: int | None = None,
+                 log_domain: str = "auto") -> float | SignedLog:
+    """<L|T^n|R> by iterated banded matrix-vector products.
+
+    ``log_domain`` is 'auto', 'on' or 'off' as in :func:`_float_or_log`.
+    """
+    return _float_or_log(bracket_series, bracket_LTnR_log, "<L|T^n|R>",
+                         n, eta, d, log_domain)
 
 
 def sum_defect_log(n: int, eta: complex, d: int | None = None) -> SignedLog:
     """Log-domain version of :func:`sum_defect` with exact sign tracking."""
-    d = _resolve_d(n, d)
-    bands = _Bands(d, eta)
-    vertex = _VertexBands(d, eta)
-    v_lg = np.full(d + 1, -np.inf)
-    w_sg = np.zeros(d + 1)
-    w_lg = np.full(d + 1, -np.inf)
-    for _ in range(n):
-        tw_sg, tw_lg = bands.signed_log_matvec(w_sg, w_lg)
-        dv_sg, dv_lg = vertex.signed_log_matvec(v_lg)
-        w_sg, w_lg = _signed_log_add((tw_sg, tw_lg), (dv_sg, dv_lg))
-        v_lg = bands.log_matvec(v_lg, 0.0)
-    if w_sg[0] == 0.0:
-        return SignedLog(0.0, -math.inf)
-    return SignedLog(float(w_sg[0]), float(w_lg[0]))
+    return _jet_log(_bands(("T", "D"), n, d, eta), n)
 
 
 def sum_defect(n: int, eta: complex, d: int | None = None,
                log_domain: str = "auto") -> float | SignedLog:
-    """sum_{k=1}^n <L|T^{k-1} D T^{n-k}|R> in O(n d) time and O(d) memory."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if log_domain == "on":
-        return sum_defect_log(n, eta, d)
-    val = float(defect_series(n, eta, d)[n])
-    if math.isfinite(val):
-        return val
-    if log_domain == "off":
-        raise OverflowError("defect sum overflows a float; use log_domain='on'")
-    return sum_defect_log(n, eta, d)
+    """sum_{k=1}^n <L|T^{k-1} D T^{n-k}|R> in O(n d) time and O(d) memory.
+
+    ``log_domain`` is 'auto', 'on' or 'off' as in :func:`_float_or_log`.
+    """
+    return _float_or_log(defect_series, sum_defect_log, "defect sum",
+                         n, eta, d, log_domain)
 
 
 # ---------------------------------------------------------------------------
@@ -466,24 +367,14 @@ def second_eta_derivative_bracket(n: int, eta: complex, d: int | None = None,
     equals -(d/d eta)^2.
 
     The default differentiates the band entries analytically and
-    propagates (v, dv, d2v) in one pass; this stays exact even where the
-    second derivative nearly cancels against the defect sum (the
-    isotropic limit).  ``method='central'`` is the step-1e-4 stencil
+    propagates the jet (v, dv, d2v/2) in one pass; this stays exact even
+    where the second derivative nearly cancels against the defect sum
+    (the isotropic limit).  ``method='central'`` is the step-1e-4 stencil
     with a Richardson check, kept as an independent cross-check.
     """
     if method == "analytic":
-        d = _resolve_d(n, d)
-        bands = _Bands(d, eta)
-        d1b, d2b = bands.t_derivative_bands()
-        v = np.zeros(d + 1)
-        dv = np.zeros(d + 1)
-        d2v = np.zeros(d + 1)
-        for _ in range(n):
-            d2v = (bands.matvec(d2v, 0.0) + 2 * bands._band_apply(d1b, dv)
-                   + bands._band_apply(d2b, v))
-            dv = bands.matvec(dv, 0.0) + bands._band_apply(d1b, v)
-            v = bands.matvec(v, 1.0)
-        return float(d2v[0])
+        bands = _bands(("T", "dT", "d2T/2"), n, d, eta)
+        return float(2 * _jet_series(bands, n)[n])
     if method != "central":
         raise ValueError(f"unknown method {method!r}")
     t0, easy_axis = _split_eta(eta)
@@ -505,6 +396,16 @@ def second_eta_derivative_bracket(n: int, eta: complex, d: int | None = None,
     return float(richardson)
 
 
+def _f0_delta_bracket_log(n: int, eta: complex, d: int | None) -> SignedLog:
+    """sum_defect + (1/4) d^2/dt^2 <L|T^n|R> from the log-domain jets."""
+    sd = sum_defect_log(n, eta, d)
+    half_d2 = _jet_log(_bands(("T", "dT", "d2T/2"), n, d, eta), n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sign, log = _signed_lse(np.array([[sd.sign], [half_d2.sign]]),
+                                np.array([[sd.log], [half_d2.log - math.log(2.0)]]))
+    return SignedLog(float(sign[0]), float(log[0]))
+
+
 def f0_delta(params, d: int | None = None, method: str = "analytic"):
     """Leading-order Fisher information for the anisotropy Delta.
 
@@ -516,7 +417,9 @@ def f0_delta(params, d: int | None = None, method: str = "analytic"):
     |1 - Delta^2| prefactor together with the sign carried by D keeps
     the expression positive on both sides of the isotropic point.  Near
     eta = 0 the two terms cancel to O(eta^2), which is why the second
-    derivative is analytic by default.
+    derivative is analytic by default.  Where either term overflows a
+    float (|Delta| > 1 at large n), both come from the log-domain jets
+    and the value may only be representable through ``log_value``.
     """
     from .fisher import FisherEstimate
 
@@ -524,12 +427,19 @@ def f0_delta(params, d: int | None = None, method: str = "analytic"):
     if abs(abs(delta) - 1.0) < 1e-12:
         raise ValueError("f0_delta is singular at |Delta| = 1; "
                          "use isotropic_f_delta near the isotropic point")
-    sd = sum_defect(params.n, params.eta, d, log_domain="off")
+    sd = float(defect_series(params.n, params.eta, d)[params.n])
     d2 = second_eta_derivative_bracket(params.n, params.eta, d, method=method)
     pref = params.lam ** 2 * params.mu ** 2 / (
         2 * params.j_coupling ** 2 * abs(1 - delta ** 2))
-    value = pref * (sd + 0.25 * d2)
-    log_value = math.log(value) if value > 0 else -math.inf
+    if math.isfinite(sd) and math.isfinite(d2):
+        value = pref * (sd + 0.25 * d2)
+        log_value = math.log(value) if value > 0 else -math.inf
+    else:
+        total = _f0_delta_bracket_log(params.n, params.eta, d)
+        scaled = (SignedLog(total.sign, total.log + math.log(pref)) if pref > 0
+                  else SignedLog(0.0, -math.inf))
+        value = scaled.value
+        log_value = scaled.log if scaled.sign > 0 else -math.inf
     return FisherEstimate(value=value, log_value=log_value,
                           method="leading-order", parameter="Delta",
                           params=params)

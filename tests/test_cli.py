@@ -105,11 +105,17 @@ def test_partial_failure_exit_code(tmp_path):
     assert sum(1 for e in errors if e) == 2
     assert any("capped" in e for e in errors)
     assert errors[0] == ""  # the n = 4 point succeeded
+    failed = [dict(zip(rows[0], row)) for row in rows[1:] if row[-1]]
+    assert [(r["delta"], r["lambda_over_j"], r["n"]) for r in failed] == [
+        ("2.0", "0.01", "14"), ("2.0", "0.01", "24")]
+    assert all(r["error"].startswith("ValueError: dense route capped") for r in failed)
 
 
 def test_bad_usage_exit_code():
     assert main(["scan", "no-such-kind"]) == EXIT_USAGE
     assert main(["frobnicate"]) == EXIT_USAGE
+    assert main(["scan", "xi-n-vs-n", "--log-domain", "on"]) == EXIT_USAGE
+    assert main(["scan", "xi-n-vs-n", "--eta-rational", "3", "1"]) == EXIT_USAGE
 
 
 def test_flambda_leading_order_column(tmp_path):

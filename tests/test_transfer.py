@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from xxz_metrology.model import ChainParams, eta_from_delta
-from xxz_metrology.transfer import (SignedLog, bracket_LTnR,
+from xxz_metrology.transfer import (SignedLog, _f0_delta_bracket_log,
+                                    bracket_LTnR,
                                     bracket_LTnR_log, bracket_series,
                                     build_transfer, chi_coefficient,
                                     chi_second_derivative,
@@ -204,6 +205,71 @@ def test_f0_delta_positive():
 def test_f0_delta_rejects_isotropic():
     with pytest.raises(ValueError):
         f0_delta(ChainParams(n=4, delta=1.0, lam=0.1))
+
+
+@pytest.mark.parametrize("delta", [1.1, 2.0])
+def test_f0_delta_log_route_matches_float_route(delta):
+    eta = eta_from_delta(delta)
+    for n in range(2, 19):
+        lin = sum_defect(n, eta) + 0.25 * second_eta_derivative_bracket(n, eta)
+        lg = _f0_delta_bracket_log(n, eta, None)
+        assert lg.sign == np.sign(lin)
+        assert math.isclose(lg.value, lin, rel_tol=1e-10)
+
+
+def mp_f0_delta_bracket(n, delta, mp):
+    """sum_defect + (1/4) d^2/dt^2 <L|T^n|R> for Delta > 1, in mpmath.
+
+    |T| and D on [L, 1..d]: <k|T|k> = cosh^2(t k), moves out of |k> weigh
+    sinh^2(t k)/2, <L|T|1> = <1|T|R> = 1/2; <k|D|k> = -k^2/2, moves out
+    of |k> weigh k^2/4.  The second derivative is mpmath's own.
+    """
+    d = n // 2
+
+    def step(vec, diag, off, source):
+        out = [diag[k] * vec[k] for k in range(d + 1)]
+        for k in range(1, d):
+            out[k + 1] += off[k] * vec[k]
+            out[k] += off[k + 1] * vec[k + 1]
+        out[0] += source * vec[1]
+        return out
+
+    def abs_t(t):
+        diag = [mp.mpf(1)] + [mp.cosh(t * k) ** 2 for k in range(1, d + 1)]
+        return diag, [0] + [mp.sinh(t * k) ** 2 / 2 for k in range(1, d + 1)]
+
+    def bracket(t):
+        diag, off = abs_t(t)
+        v = [mp.mpf(0)] * (d + 1)
+        for _ in range(n):
+            v = step(v, diag, off, mp.mpf(1) / 2)
+            v[1] += mp.mpf(1) / 2
+        return v[0]
+
+    t = mp.acosh(mp.mpf(delta))
+    diag, off = abs_t(t)
+    d_diag = [0] + [-mp.mpf(k) ** 2 / 2 for k in range(1, d + 1)]
+    d_off = [0] + [mp.mpf(k) ** 2 / 4 for k in range(1, d + 1)]
+    v = [mp.mpf(0)] * (d + 1)
+    w = [mp.mpf(0)] * (d + 1)
+    for _ in range(n):
+        tw = step(w, diag, off, mp.mpf(1) / 2)
+        dv = step(v, d_diag, d_off, 0)
+        w = [a + b for a, b in zip(tw, dv)]
+        v = step(v, diag, off, mp.mpf(1) / 2)
+        v[1] += mp.mpf(1) / 2
+    return w[0] + mp.diff(bracket, t, 2) / 4
+
+
+def test_f0_delta_log_route_matches_mpmath():
+    mp = pytest.importorskip("mpmath")
+    n, delta = 200, 1.1
+    est = f0_delta(ChainParams(n=n, delta=delta, lam=1.0, mu=1.0))
+    with mp.workdps(30):
+        expected = mp.log(mp_f0_delta_bracket(n, delta, mp) / (2 * (delta ** 2 - 1)))
+    assert est.value == math.inf  # past the double range: only log_value holds it
+    assert est.log_value == pytest.approx(float(expected), rel=1e-13)
+    assert f0_delta(est.params.replace(lam=0.0)).value == 0.0
 
 
 def test_second_derivative_analytic_vs_central():
