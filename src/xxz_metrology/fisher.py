@@ -40,19 +40,13 @@ class FisherEstimate:
             raise ValueError("Fisher information cannot be negative")
 
 
-def _eigensystem(rho: np.ndarray):
-    p, U = np.linalg.eigh(rho)
-    return p, U
+def _in_eigenbasis(rho: np.ndarray, drho: np.ndarray, support_tol: float):
+    """(U, drho_kl, p_k + p_l, supported pairs) in the eigenbasis U of rho.
 
-
-def sld(rho: np.ndarray, drho: np.ndarray, support_tol: float = SUPPORT_TOL) -> np.ndarray:
-    """Symmetric logarithmic derivative L solving drho = (L rho + rho L)/2.
-
-    In the eigenbasis of rho, L_kl = 2 drho_kl / (p_k + p_l) on supported
-    pairs; off-support matrix elements of drho above OFF_SUPPORT_TOL
-    signal a rank pathology and raise.
+    Off-support matrix elements of drho above OFF_SUPPORT_TOL signal a
+    rank pathology and raise: the SLD does not exist there.
     """
-    p, U = _eigensystem(rho)
+    p, U = np.linalg.eigh(rho)
     dr = U.conj().T @ drho @ U
     cutoff = support_tol * max(p.max(), 1e-300)
     denom = p[:, None] + p[None, :]
@@ -62,6 +56,16 @@ def sld(rho: np.ndarray, drho: np.ndarray, support_tol: float = SUPPORT_TOL) -> 
         raise ArithmeticError(
             f"drho has weight {bad.max():.2e} outside the support of rho; "
             "the SLD does not exist there")
+    return U, dr, denom, mask
+
+
+def sld(rho: np.ndarray, drho: np.ndarray, support_tol: float = SUPPORT_TOL) -> np.ndarray:
+    """Symmetric logarithmic derivative L solving drho = (L rho + rho L)/2.
+
+    In the eigenbasis of rho, L_kl = 2 drho_kl / (p_k + p_l) on supported
+    pairs.
+    """
+    U, dr, denom, mask = _in_eigenbasis(rho, drho, support_tol)
     L = np.zeros_like(dr)
     L[mask] = 2 * dr[mask] / denom[mask]
     L = U @ L @ U.conj().T
@@ -71,15 +75,7 @@ def sld(rho: np.ndarray, drho: np.ndarray, support_tol: float = SUPPORT_TOL) -> 
 def qfi_dense(rho: np.ndarray, drho: np.ndarray,
               support_tol: float = SUPPORT_TOL) -> float:
     """F = 2 sum_kl |drho_kl|^2 / (p_k + p_l) over supported pairs."""
-    p, U = _eigensystem(rho)
-    dr = U.conj().T @ drho @ U
-    cutoff = support_tol * max(p.max(), 1e-300)
-    denom = p[:, None] + p[None, :]
-    mask = denom > cutoff
-    bad = np.abs(dr[~mask])
-    if bad.size and bad.max() > OFF_SUPPORT_TOL:
-        raise ArithmeticError(
-            f"drho has weight {bad.max():.2e} outside the support of rho")
+    _, dr, denom, mask = _in_eigenbasis(rho, drho, support_tol)
     return float(2 * np.sum(np.abs(dr[mask]) ** 2 / denom[mask]))
 
 
@@ -90,7 +86,7 @@ def fisher_cross(rho: np.ndarray, drho_x: np.ndarray, drho_y: np.ndarray) -> flo
     return float(np.real(np.trace(rho @ (Lx @ Ly + Ly @ Lx))) / 2)
 
 
-def _state_builder(params: ChainParams, builder: str, epsilon_map):
+def _state_builder(builder: str):
     if builder == "oracle":
         def build(p: ChainParams) -> np.ndarray:
             return lindblad.steady_state_nullspace(lindblad.build_liouvillian(p))
@@ -98,9 +94,8 @@ def _state_builder(params: ChainParams, builder: str, epsilon_map):
         def build(p: ChainParams) -> np.ndarray:
             return lindblad.ness_perturbative(p)
     elif builder == "mu1":
-        emap = epsilon_map or (lambda p: p.lam / p.j_coupling)
         def build(p: ChainParams) -> np.ndarray:
-            return lindblad.ness_mu1(p, emap(p))
+            return lindblad.ness_mu1(p, p.lam / p.j_coupling)
     else:
         raise ValueError(f"unknown state builder {builder!r}")
     return build
@@ -117,23 +112,20 @@ def _param_value(params: ChainParams, parameter: str) -> float:
 
 
 def qfi_parametric(params: ChainParams, parameter: str,
-                   state_builder: str = "perturbative",
-                   step: float | None = None,
-                   epsilon_map=None,
-                   richardson_tol: float = 1e-6) -> FisherEstimate:
+                   state_builder: str = "perturbative") -> FisherEstimate:
     """Exact dense QFI of the steady state with respect to one parameter.
 
-    The state derivative is a central difference with one Richardson
-    level; the two stencil widths must agree to ``richardson_tol``
-    relative, otherwise the derivative has not converged and we raise.
-    For the mu = 1 builder the lambda-derivative is taken through the
-    calibrated epsilon(lambda) map (default: the exact eps = lambda/J).
+    The state derivative is a central difference of step
+    h = 1e-4 max(|x|, 1) with one Richardson level; the two stencil
+    widths must agree to 1e-6 relative, otherwise the derivative has not
+    converged and we raise.  The mu = 1 builder takes the lambda-derivative
+    through the exact eps = lambda/J.
     """
     if parameter not in _PARAMETERS:
         raise ValueError(f"unknown parameter label {parameter!r}")
-    build = _state_builder(params, state_builder, epsilon_map)
+    build = _state_builder(state_builder)
     x0 = _param_value(params, parameter)
-    h = step if step is not None else 1e-4 * max(abs(x0), 1.0)
+    h = 1e-4 * max(abs(x0), 1.0)
     if state_builder == "mu1" and parameter == "mu":
         raise ValueError("the mu = 1 builder cannot be differentiated in mu")
 
@@ -147,7 +139,7 @@ def qfi_parametric(params: ChainParams, parameter: str,
             for coarse, fine in zip(stencils, stencils[1:])]
     drho = rich[-1]
     scale = hs_norm(drho)
-    if scale > 0 and hs_norm(rich[1] - rich[0]) > richardson_tol * scale:
+    if scale > 0 and hs_norm(rich[1] - rich[0]) > 1e-6 * scale:
         raise ArithmeticError(
             "state derivative did not converge: Richardson estimates differ "
             f"by {hs_norm(rich[1] - rich[0]):.2e} vs scale {scale:.2e}")

@@ -358,8 +358,7 @@ def f0_x(params, parameter: str):
 
 
 def second_eta_derivative_bracket(n: int, eta: complex, d: int | None = None,
-                                  method: str = "analytic",
-                                  step: float = 1e-4) -> float:
+                                  method: str = "analytic") -> float:
     """d^2/dt^2 of <L|T^n|R> along the real parametrization of eta.
 
     For |Delta| < 1 the derivative is in eta itself; for |Delta| > 1 it
@@ -386,8 +385,8 @@ def second_eta_derivative_bracket(n: int, eta: complex, d: int | None = None,
         bm = bracket_series(n, reconstruct(abs(t0 - h)), d)[n]
         return (bp - 2 * b0 + bm) / h ** 2
 
-    coarse = d2(step)
-    fine = d2(step / 2)
+    coarse = d2(1e-4)
+    fine = d2(5e-5)
     richardson = (4 * fine - coarse) / 3
     scale = max(abs(richardson), 1e-30)
     if abs(fine - coarse) / 3 > 1e-3 * scale + 1e-12:

@@ -176,8 +176,8 @@ def test_criterion_08_isotropic_formulas():
            "transient tau_1 = 0.9218 has only decayed to 2.9e-4 by n = 100, "
            "so the exact [100, 200] regression slope sits 7.9e-6 from chi; "
            "the slope does converge to chi (1e-13 by [300, 600]), see "
-           "test_transfer.py::test_chi_matches_slope_oracle and "
-           "notes/decisions.md")
+           "test_transfer.py::test_chi_matches_slope_oracle and the README "
+           "paragraph on this xfail")
 def test_criterion_09_chi_slope():
     t0 = time.monotonic()
     details = []
@@ -195,7 +195,8 @@ def test_criterion_09_chi_slope():
     # Known defect for (5, 2): the bulk transient tau_1 = 0.9218 has only
     # decayed to 2.9e-4 by n = 100, so the exact windowed slope differs
     # from chi by 7.9e-6 > 1e-6.  Wider windows converge: see
-    # test_transfer.py::test_chi_matches_slope_oracle and notes/decisions.md.
+    # test_transfer.py::test_chi_matches_slope_oracle and the README paragraph
+    # on this xfail (Install and test).
     report(9, "chi: bracket slope over n in [100, 200] matches "
               "d/(2(d+1))/(1-Delta^2) to 1e-6 for (2,1), (3,1), (5,2)",
            ok, time.monotonic() - t0, detail="; ".join(details), budget=10.0)

@@ -58,8 +58,8 @@ def test_determinism_byte_identical(tmp_path):
     for name in ("a.csv", "b.csv"):
         out = tmp_path / name
         spec = ScanSpec(kind="validity-report",
-                        options={"deltas": [0.5, 2.0], "mu": 1.0,
-                                 "n_grid": [2, 6, 10]},
+                        options={"delta": [0.5, 2.0], "mu": 1.0,
+                                 "n_range": [2, 10, 4]},
                         out=str(out))
         summary = run_scan(spec)
         outs.append((out.read_bytes(), summary["digest"]))
@@ -72,7 +72,7 @@ def test_digest_tracks_content(tmp_path):
     for mu in (1.0, 0.5):
         out = tmp_path / f"v{mu}.csv"
         spec = ScanSpec(kind="validity-report",
-                        options={"deltas": [0.5], "mu": mu, "n_grid": [4]},
+                        options={"delta": [0.5], "mu": mu, "n_range": [4, 4, 1]},
                         out=str(out))
         digests.append(run_scan(spec)["digest"])
     assert digests[0] != digests[1]
@@ -109,13 +109,39 @@ def test_partial_failure_exit_code(tmp_path):
     assert [(r["delta"], r["lambda_over_j"], r["n"]) for r in failed] == [
         ("2.0", "0.01", "14"), ("2.0", "0.01", "24")]
     assert all(r["error"].startswith("ValueError: dense route capped") for r in failed)
+    # mu = 0 is read as given, and the threshold is vacuous there
+    code = main(["scan", "validity-report", "--mu", "0", "--delta", "0.5",
+                 "--n-range", "4", "4", "1", "--out", str(out)])
+    assert code == EXIT_PARTIAL
+    rows = read_csv(out)
+    row = dict(zip(rows[0], rows[1]))
+    assert (row["delta"], row["n"], row["mu"]) == ("0.5", "4", "0.0")
+    assert row["error"].startswith(
+        "ValueError: validity condition is vacuous at mu = 0")
 
 
-def test_bad_usage_exit_code():
+def test_bad_usage_exit_code(tmp_path):
     assert main(["scan", "no-such-kind"]) == EXIT_USAGE
     assert main(["frobnicate"]) == EXIT_USAGE
-    assert main(["scan", "xi-n-vs-n", "--log-domain", "on"]) == EXIT_USAGE
-    assert main(["scan", "xi-n-vs-n", "--eta-rational", "3", "1"]) == EXIT_USAGE
+    out = ["--out", str(tmp_path / "never.csv")]
+    for argv in (["xi-n-vs-n", "--log-domain", "on"],
+                 ["xi-n-vs-n", "--eta-rational", "3", "1"],
+                 ["isotropic-check", "--n-range", "3", "10", "0"],
+                 ["isotropic-check", "--n-range", "10", "3", "1"],
+                 ["f-lambda-nonpert", "--n-range", "10", "2", "1"],
+                 ["xi-n-vs-n", "--n-log-points", "0"],
+                 ["xi-n-vs-n", "--n-log-points", "5", "--n-range", "10", "20", "10"],
+                 ["chi-vs-delta", "--p-max", "1"],
+                 ["xi-vs-eta-rational", "--p-max", "1"],
+                 ["xi-vs-eta-rational", "--q-max", "0"],
+                 ["chi-vs-delta", "--d-max", "0"],
+                 ["chi-vs-delta", "--delta-points", "-1"],
+                 ["isotropic-check", "--workers", "0"],
+                 ["isotropic-check", "--mu", "0.5"],
+                 ["f-lambda-nonpert", "--mu", "0.5"],
+                 ["validity-report", "--p-max", "5"]):
+        assert main(["scan", *argv, *out]) == EXIT_USAGE, argv
+    assert not (tmp_path / "never.csv").exists()
 
 
 def test_flambda_leading_order_column(tmp_path):
@@ -172,32 +198,73 @@ def test_xi_rational_scan_smoke(tmp_path):
     assert math.isclose(float(p3[xi_col]), 0.5596707, rel_tol=1e-5)
 
 
+def test_pool_workers_write_the_same_bytes_and_warnings(tmp_path):
+    manifests = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"xi{workers}.csv"
+        code = main(["scan", "xi-vs-eta-rational", "--p-max", "7", "--n-window", "120",
+                     "--workers", workers, "--out", str(out)])
+        assert code == EXIT_OK
+        manifest = tmp_path / f"xi{workers}.csv.manifest.json"
+        manifests.append(json.loads(manifest.read_text()))
+    assert (tmp_path / "xi1.csv").read_bytes() == (tmp_path / "xi2.csv").read_bytes()
+    assert manifests[0]["warnings"] == manifests[1]["warnings"]
+    r2 = [w for w in manifests[0]["warnings"]
+          if (w["point"]["p"], w["point"]["q"]) == (7, 2)]
+    assert len(r2) == 1
+    assert r2[0]["message"].startswith("defect-sum window fit not linear")
+    assert r2[0]["point"]["window_start"] == 120
+
+
 def test_xi_n_scan_smoke(tmp_path):
     out = tmp_path / "xin.csv"
-    code = main(["scan", "xi-n-vs-n", "--delta", "0.1",
+    code = main(["scan", "xi-n-vs-n", "--delta", "0.1", "--delta", "0.2", "0.3",
                  "--n-range", "20", "60", "20", "--out", str(out)])
     assert code == EXIT_OK
     rows = read_csv(out)
-    assert len(rows) == 4
+    assert [(r[0], r[1]) for r in rows[1:]] == [
+        (dl, n) for dl in ("0.1", "0.2", "0.3") for n in ("20", "40", "60")]
 
 
 def test_config_file_and_override(tmp_path):
     cfg = tmp_path / "scan.ini"
-    cfg.write_text("[validity-report]\n"
+    cfg.write_text("[global]\n"
+                   "p_max = 3\n"
+                   "mu = 2.0\n"
+                   "[validity-report]\n"
                    "delta = 0.5 2.0\n"
-                   "mu = 1.0\n"
+                   "mu = 0.5\n"
                    "n_range = 2 10 4\n"
-                   f"out = {tmp_path / 'from_cfg.csv'}\n")
+                   f"out = {tmp_path / 'from_cfg.csv'}\n"
+                   "[chi-vs-delta]\n"
+                   "d_max = 20\n"
+                   "delta_points = 2\n"
+                   f"out = {tmp_path / 'chi.csv'}\n")
+    # [global] may set options the kind does not read (p_max here)
     code = main(["scan", "validity-report", "--config", str(cfg)])
     assert code == EXIT_OK
     rows = read_csv(tmp_path / "from_cfg.csv")
     assert len(rows) == 1 + 2 * 3
+    assert {row[rows[0].index("mu")] for row in rows[1:]} == {"0.5"}
+    # chi-vs-delta reads p_max from [global], d_max and delta_points from its section
+    assert main(["scan", "chi-vs-delta", "--config", str(cfg)]) == EXIT_OK
+    chi_rows = read_csv(tmp_path / "chi.csv")
+    chi = [dict(zip(chi_rows[0], row)) for row in chi_rows[1:]]
+    assert [(r["route"], r["p"], r["d"]) for r in chi] == [
+        ("rational", "2", "1"), ("rational", "3", "2"), ("rational", "3", "2"),
+        ("irrational", "", "20"), ("irrational", "", "20")]
     # CLI flag wins over the config value
     out2 = tmp_path / "cli_wins.csv"
     code = main(["scan", "validity-report", "--config", str(cfg),
                  "--out", str(out2), "--delta", "0.5"])
     assert code == EXIT_OK
     assert len(read_csv(out2)) == 1 + 3
+    # the [kind] section is read in full: a key the kind does not read is bad
+    # usage, as is a file that INI cannot parse
+    for text in ("[validity-report]\np_max = 3\n", "mu = 0.5\n", "[validity-report]\nmu\n"):
+        cfg.write_text(text)
+        assert main(["scan", "validity-report", "--config", str(cfg),
+                     "--out", str(tmp_path / "never.csv")]) == EXIT_USAGE, text
 
 
 def test_chi_scan_rational_vs_irrational_overlap(tmp_path):
