@@ -4,9 +4,10 @@ Every scan is deterministic: the same spec produces byte-identical data
 files.  Values that may overflow a float are serialized as
 (sign, log10) column pairs next to a linear column that is left empty
 when unrepresentable.  A JSON manifest (spec echo, version, failure
-count, content digest, the warnings raised at each grid point) is
-written next to each output file; wall-clock information lives only in
-the manifest so it never perturbs the data digest.
+count, content digest, the warnings raised at each grid point, the wall
+time of each row) is written next to each output file; wall-clock
+information lives only in the manifest so it never perturbs the data
+digest.
 
 Each scan kind is declared once, in ``_KINDS``: its data columns, its
 evaluator, its grid and the options it reads with their defaults.
@@ -263,7 +264,7 @@ def run_scan(spec: ScanSpec) -> dict:
             outcomes = list(pool.map(guarded, points, chunksize=8))
     else:
         outcomes = [guarded(pt) for pt in points]
-    rows = [row for row, _ in outcomes]
+    rows = [row for row, _, _ in outcomes]
     failures = sum(1 for row in rows if row["error"])
     _write_rows(spec, [*kind.header, "error"], rows)
     digest = _digest_file(spec.out)
@@ -277,8 +278,9 @@ def run_scan(spec: ScanSpec) -> dict:
         "rows": len(rows),
         "failures": failures,
         "warnings": [{"point": point, "message": message}
-                     for point, (_, messages) in zip(points, outcomes)
+                     for point, (_, messages, _) in zip(points, outcomes)
                      for message in messages],
+        "wall_s": [seconds for _, _, seconds in outcomes],
         "data_sha256": digest,
         "wall_time_s": time.monotonic() - t0,
     }
@@ -290,7 +292,8 @@ def run_scan(spec: ScanSpec) -> dict:
 
 
 class _guard:
-    """Evaluate one grid point; returns (row, messages of the warnings raised).
+    """Evaluate one grid point; returns (row, messages of the warnings raised,
+    seconds taken).
 
     A failure becomes a row that names its grid point and carries the
     error.  Warnings are caught here, so pool workers report them too.
@@ -300,13 +303,14 @@ class _guard:
         self.evaluate = evaluate
 
     def __call__(self, point):
+        t0 = time.perf_counter()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("default")  # each message once per place
             try:
                 row = {**point, **self.evaluate(**point), "error": ""}
             except Exception as exc:  # noqa: BLE001 - failure markers by design
                 row = {**point, "error": f"{type(exc).__name__}: {exc}"}
-        return row, [str(w.message) for w in caught]
+        return row, [str(w.message) for w in caught], time.perf_counter() - t0
 
 
 def _format_cell(value) -> str:

@@ -10,6 +10,13 @@ states above n//2 are unreachable from the right boundary in n steps,
 so clamping cannot change any n-site contraction (the test suite widens
 the space and checks this).
 
+The dense contraction writes each auxiliary term into the quadrants of
+its Pauli factor instead of calling np.kron, and keeps only auxiliary
+states that can still reach the left boundary, so its last site builds
+one 2**n x 2**n block.  It adds the same terms in the same order as the
+np.kron loop the test suite keeps as a reference, so the two agree
+entry for entry.
+
 The pairing between auxiliary matrices and Pauli factors is fixed by
 requiring the assembled steady states to actually annihilate the
 Liouvillian: the A family pairs A_+ with sigma^- and A_- with sigma^+
@@ -26,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DENSE_CAP, pauli
+from .model import DENSE_CAP
 from .transfer import bracket_LTnR_log
 
 
@@ -133,9 +140,15 @@ def contract_to_dense(aux: AuxMatrices, n: int) -> np.ndarray:
     """Contract an MPO to the dense 2**n x 2**n operator.
 
     Propagates the right boundary vector through the site loop, carrying
-    a map from reachable auxiliary indices to partial dense operators
-    (never enumerating the 3**n strings): O(n * dim_aux * 4**n) work and
-    O(dim_aux * 4**n) memory.
+    a map from auxiliary indices to partial dense operators (never
+    enumerating the 3**n strings).  A site step writes ``mat[a, b] *
+    block`` straight into the quadrants where its Pauli factor is 1
+    instead of building ``kron(sigma, block)``, and keeps only the
+    auxiliary states inside both light cones: reachable from the right
+    boundary in the steps taken and able to reach the left boundary in
+    the steps left.  The last step builds the one left 2**n x 2**n
+    block; work is O(dim_aux * 4**n) summed over the steps, memory
+    O(dim_aux * 4**(n-1)) plus that block.
     """
     if n > DENSE_CAP:
         raise ValueError(f"dense contraction capped at n <= {DENSE_CAP}, got {n}")
@@ -143,26 +156,32 @@ def contract_to_dense(aux: AuxMatrices, n: int) -> np.ndarray:
     if aux.dim_aux < needed:
         raise ValueError(f"auxiliary space of dim {aux.dim_aux} too small for "
                          f"an {n}-site contraction (need >= {needed})")
+    # the quadrants (row, col) where the paired Pauli factor is 1
+    one, plus, minus = ((0, 0), (1, 1)), ((0, 1),), ((1, 0),)
     if aux.conjugate_paulis:
-        pairs = (("0", aux.a0), ("-", aux.a_plus), ("+", aux.a_minus))
+        pairs = ((aux.a0, one), (aux.a_plus, minus), (aux.a_minus, plus))
     else:
-        pairs = (("0", aux.a0), ("+", aux.a_plus), ("-", aux.a_minus))
-    sigma = {"0": np.eye(2, dtype=complex), "+": pauli("+"), "-": pauli("-")}
+        pairs = ((aux.a0, one), (aux.a_plus, plus), (aux.a_minus, minus))
+    # reaches_left[r]: the states with a path of r steps to the left boundary
+    moves = (aux.a0 != 0) | (aux.a_plus != 0) | (aux.a_minus != 0)
+    reaches_left = [np.arange(aux.dim_aux) == aux.left_index]
+    for _ in range(n - 1):
+        reaches_left.append(moves.T @ reaches_left[-1])
     partial: dict[int, np.ndarray] = {aux.right_index: np.eye(1, dtype=complex)}
-    for _ in range(n):
+    for site in range(n):
+        keep, half = reaches_left[n - 1 - site], 2 ** site
         step: dict[int, np.ndarray] = {}
-        for label, mat in pairs:
-            sig = sigma[label]
+        for mat, quadrants in pairs:
             rows, cols = np.nonzero(mat)
             for a, b in zip(rows, cols):
                 block = partial.get(b)
-                if block is None:
+                if block is None or not keep[a]:
                     continue
-                contrib = mat[a, b] * np.kron(sig, block)
-                if a in step:
-                    step[a] += contrib
-                else:
-                    step[a] = contrib
+                if a not in step:
+                    step[a] = np.zeros((2 * half, 2 * half), dtype=complex)
+                contrib = mat[a, b] * block
+                for i, j in quadrants:
+                    step[a][i * half:(i + 1) * half, j * half:(j + 1) * half] += contrib
         partial = step
     dim = 2 ** n
     return partial.get(aux.left_index, np.zeros((dim, dim), dtype=complex))

@@ -656,15 +656,10 @@ def chi_coefficient(delta: float, rational_eta: tuple[int, int] | None = None,
     return chi, chi1
 
 
-def chi_second_derivative(delta: float, d: int, step: float = 1e-4) -> float:
-    """d^2 chi/d eta^2 of chi(eta) = d/(2(d+1))/sin^2(eta) by central difference.
-
-    Closed form: d/(d+1) * (2 Delta^2 + 1)/(1 - Delta^2)^2.
-    """
-    eta = math.acos(delta)
-    c = d / (2 * (d + 1))
-    chi = lambda e: c / math.sin(e) ** 2
-    return (chi(eta + step) - 2 * chi(eta) + chi(eta - step)) / step ** 2
+def chi_second_derivative(delta: float, d: int) -> float:
+    """d^2 chi/d eta^2 of chi(eta) = d/(2(d+1))/sin^2(eta), in closed form:
+    d/(d+1) * (2 Delta^2 + 1)/(1 - Delta^2)^2."""
+    return d / (d + 1) * (2 * delta ** 2 + 1) / (1 - delta ** 2) ** 2
 
 
 def xi_coefficient(delta: float, n: int,

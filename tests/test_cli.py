@@ -209,11 +209,30 @@ def test_pool_workers_write_the_same_bytes_and_warnings(tmp_path):
         manifests.append(json.loads(manifest.read_text()))
     assert (tmp_path / "xi1.csv").read_bytes() == (tmp_path / "xi2.csv").read_bytes()
     assert manifests[0]["warnings"] == manifests[1]["warnings"]
+    assert [len(m["wall_s"]) for m in manifests] == [m["rows"] for m in manifests]
     r2 = [w for w in manifests[0]["warnings"]
           if (w["point"]["p"], w["point"]["q"]) == (7, 2)]
     assert len(r2) == 1
     assert r2[0]["message"].startswith("defect-sum window fit not linear")
     assert r2[0]["point"]["window_start"] == 120
+
+
+def test_manifest_times_each_row(tmp_path):
+    # one wall time per data row, failed rows (n = 14, 24) included; the
+    # times live in the manifest only, so the data digest stays the same
+    manifests = []
+    for name in ("a.csv", "b.csv"):
+        out = tmp_path / name
+        code = main(["scan", "f-lambda-nonpert", "--delta", "2.0",
+                     "--lambda-over-j", "0.01", "--n-range", "4", "24", "10",
+                     "--out", str(out)])
+        assert code == EXIT_PARTIAL
+        manifests.append(json.loads((tmp_path / f"{name}.manifest.json").read_text()))
+    for manifest in manifests:
+        assert manifest["rows"] == 3
+        assert len(manifest["wall_s"]) == 3
+        assert all(isinstance(t, float) and t >= 0 for t in manifest["wall_s"])
+    assert manifests[0]["data_sha256"] == manifests[1]["data_sha256"]
 
 
 def test_xi_n_scan_smoke(tmp_path):

@@ -16,6 +16,32 @@ def kron_all(*ops):
     return out
 
 
+def contract_by_kron(aux, n):
+    """Reference contraction: every reachable state, one np.kron per term."""
+    if aux.conjugate_paulis:
+        pairs = (("0", aux.a0), ("-", aux.a_plus), ("+", aux.a_minus))
+    else:
+        pairs = (("0", aux.a0), ("+", aux.a_plus), ("-", aux.a_minus))
+    sigma = {"0": np.eye(2, dtype=complex), "+": pauli("+"), "-": pauli("-")}
+    partial = {aux.right_index: np.eye(1, dtype=complex)}
+    for _ in range(n):
+        step = {}
+        for label, mat in pairs:
+            rows, cols = np.nonzero(mat)
+            for a, b in zip(rows, cols):
+                block = partial.get(b)
+                if block is None:
+                    continue
+                contrib = mat[a, b] * np.kron(sigma[label], block)
+                if a in step:
+                    step[a] += contrib
+                else:
+                    step[a] = contrib
+        partial = step
+    dim = 2 ** n
+    return partial.get(aux.left_index, np.zeros((dim, dim), dtype=complex))
+
+
 def test_aux_A_two_site_path():
     aux = build_aux_A(2, eta_from_delta(0.5))
     L, R, one = aux.left_index, aux.right_index, 2
@@ -116,7 +142,25 @@ def test_widening_auxiliary_space_changes_nothing():
                     a_plus=wide.a_plus, a_minus=wide.a_minus,
                     left_index=wide.left_index, right_index=wide.right_index,
                     conjugate_paulis=True), n)
-    assert np.allclose(narrow, via_wide)
+    assert np.array_equal(narrow, via_wide)
+
+
+# the quadrant writes add the same terms in the same order as the kron
+# loop, so every entry is equal (np.array_equal: signed zeros may differ)
+@pytest.mark.parametrize("n", range(2, 10))
+@pytest.mark.parametrize("delta", [0.0, 0.5, -0.8, 2.0, -3.0])
+def test_contract_A_equals_kron_reference(n, delta):
+    aux = build_aux_A(n, eta_from_delta(delta))
+    assert np.array_equal(contract_to_dense(aux, n), contract_by_kron(aux, n))
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+@pytest.mark.parametrize("delta", [0.5, 2.0, 10.0, 100.0])
+def test_contract_B_equals_kron_reference(n, delta):
+    eta = eta_from_delta(delta)
+    for epsilon in (1e-3, 1e-2):
+        aux = build_aux_B(n, eta, solve_s(epsilon, eta))
+        assert np.array_equal(contract_to_dense(aux, n), contract_by_kron(aux, n))
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.5, 1.0, 2.0])

@@ -440,9 +440,15 @@ def test_chi_validates_rational_input():
 
 
 def test_chi_second_derivative_closed_form():
+    step = 1e-4
     for delta, d in ((0.5, 2), (0.0, 1), (0.3, 9)):
         exact = d / (d + 1) * (2 * delta ** 2 + 1) / (1 - delta ** 2) ** 2
-        assert np.isclose(chi_second_derivative(delta, d), exact, rtol=1e-6)
+        assert np.isclose(chi_second_derivative(delta, d), exact, rtol=1e-12)
+        # central-difference oracle on chi(eta) = d/(2(d+1))/sin^2(eta)
+        eta = math.acos(delta)
+        chi = lambda e: d / (2 * (d + 1)) / math.sin(e) ** 2
+        fd = (chi(eta + step) - 2 * chi(eta) + chi(eta - step)) / step ** 2
+        assert np.isclose(chi_second_derivative(delta, d), fd, rtol=1e-6)
 
 
 # --- xi ---------------------------------------------------------------------
