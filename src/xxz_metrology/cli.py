@@ -1,13 +1,13 @@
 """Command-line driver for the parameter scans behind the paper-style figures.
 
 Every scan is deterministic: the same spec produces byte-identical data
-files.  Values that may overflow a float are serialized as
+files.  Values that may leave the double range are serialized as
 (sign, log10) column pairs next to a linear column that is left empty
-when unrepresentable.  A JSON manifest (spec echo, version, failure
-count, content digest, the warnings raised at each grid point, the wall
-time of each row) is written next to each output file; wall-clock
-information lives only in the manifest so it never perturbs the data
-digest.
+when the value is too large or too small to be a normal double.  A JSON
+manifest (spec echo, version, failure count, content digest, the
+warnings raised at each grid point, the wall time of each row) is
+written next to each output file; wall-clock information lives only in
+the manifest so it never perturbs the data digest.
 
 Each scan kind is declared once, in ``_KINDS``: its data columns, its
 evaluator, its grid and the options it reads with their defaults.
@@ -42,6 +42,7 @@ EXIT_OK = 0
 EXIT_PARTIAL = 2
 EXIT_USAGE = 64
 
+_LOG10_MIN = math.log10(sys.float_info.min)
 _LOG10_MAX = math.log10(sys.float_info.max)
 
 
@@ -97,11 +98,14 @@ def rational_grid(p_max: int, q_max: int | None = None) -> list[tuple[int, int, 
 
 
 def _log10_cols(sign: float, log_e: float) -> tuple[str, str, str]:
-    """(linear, sign, log10) serialization of a signed log-domain value."""
+    """(linear, sign, log10) serialization of a signed log-domain value.
+
+    The linear cell is empty unless the value is a normal double.
+    """
     if sign == 0.0:
         return "0", "0", ""
     log10 = log_e / math.log(10.0)
-    linear = repr(sign * 10.0 ** log10) if log10 < _LOG10_MAX else ""
+    linear = repr(sign * 10.0 ** log10) if _LOG10_MIN <= log10 < _LOG10_MAX else ""
     return linear, repr(float(sign)), repr(log10)
 
 
@@ -148,7 +152,7 @@ def _eval_flambda(delta, lambda_over_j, n):
 
 
 def _eval_validity(delta, n, mu):
-    log_norm = hs_norm_sq_via_transfer(n, eta_from_delta(delta), log=True)
+    log_norm = hs_norm_sq_via_transfer(n, eta_from_delta(delta)).log
     log_thr = _log_threshold(n, mu, log_norm)
     thr_lin, thr_sign, thr_l10 = _log10_cols(1.0, log_thr)
     return {"threshold": thr_lin, "threshold_log10": thr_l10,

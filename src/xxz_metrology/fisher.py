@@ -1,8 +1,8 @@
 """Quantum Fisher information: SLDs, exact QFI, parametric derivatives.
 
 All computations diagonalize the state once and work in its eigenbasis,
-skipping eigenvalue pairs below the support tolerance (the defining
-integral of the SLD only converges on the support).
+skipping eigenvalue pairs with p_k + p_l <= SUPPORT_TOL * max(p) (the
+defining integral of the SLD only converges on the support).
 """
 
 from __future__ import annotations
@@ -36,11 +36,11 @@ class FisherEstimate:
             raise ValueError(f"unknown parameter label {self.parameter!r}")
         if self.method not in ("exact-dense", "leading-order"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.value < 0:
-            raise ValueError("Fisher information cannot be negative")
+        if not self.value >= 0:  # also rejects nan
+            raise ValueError(f"Fisher information must be >= 0, got {self.value!r}")
 
 
-def _in_eigenbasis(rho: np.ndarray, drho: np.ndarray, support_tol: float):
+def _in_eigenbasis(rho: np.ndarray, drho: np.ndarray):
     """(U, drho_kl, p_k + p_l, supported pairs) in the eigenbasis U of rho.
 
     Off-support matrix elements of drho above OFF_SUPPORT_TOL signal a
@@ -48,7 +48,7 @@ def _in_eigenbasis(rho: np.ndarray, drho: np.ndarray, support_tol: float):
     """
     p, U = np.linalg.eigh(rho)
     dr = U.conj().T @ drho @ U
-    cutoff = support_tol * max(p.max(), 1e-300)
+    cutoff = SUPPORT_TOL * max(p.max(), 1e-300)
     denom = p[:, None] + p[None, :]
     mask = denom > cutoff
     bad = np.abs(dr[~mask])
@@ -59,23 +59,22 @@ def _in_eigenbasis(rho: np.ndarray, drho: np.ndarray, support_tol: float):
     return U, dr, denom, mask
 
 
-def sld(rho: np.ndarray, drho: np.ndarray, support_tol: float = SUPPORT_TOL) -> np.ndarray:
+def sld(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
     """Symmetric logarithmic derivative L solving drho = (L rho + rho L)/2.
 
     In the eigenbasis of rho, L_kl = 2 drho_kl / (p_k + p_l) on supported
     pairs.
     """
-    U, dr, denom, mask = _in_eigenbasis(rho, drho, support_tol)
+    U, dr, denom, mask = _in_eigenbasis(rho, drho)
     L = np.zeros_like(dr)
     L[mask] = 2 * dr[mask] / denom[mask]
     L = U @ L @ U.conj().T
     return (L + L.conj().T) / 2
 
 
-def qfi_dense(rho: np.ndarray, drho: np.ndarray,
-              support_tol: float = SUPPORT_TOL) -> float:
+def qfi_dense(rho: np.ndarray, drho: np.ndarray) -> float:
     """F = 2 sum_kl |drho_kl|^2 / (p_k + p_l) over supported pairs."""
-    _, dr, denom, mask = _in_eigenbasis(rho, drho, support_tol)
+    _, dr, denom, mask = _in_eigenbasis(rho, drho)
     return float(2 * np.sum(np.abs(dr[mask]) ** 2 / denom[mask]))
 
 

@@ -20,6 +20,7 @@ from .model import (ChainParams, hamiltonian_xxz, hs_norm, lindblad_jump_ops,
 from .mpo import build_aux_A, build_aux_B, contract_to_dense, solve_s, validity_threshold
 
 LIOUVILLIAN_CAP = 6  # 4**6 x 4**6 superoperator is the largest we build densely
+CALIBRATION_TOL = 1e-8  # largest ||L(rho)||_HS calibrate_epsilon accepts
 
 
 @dataclass
@@ -29,23 +30,22 @@ class Liouvillian:
     n: int
     matrix: np.ndarray
     params: ChainParams
-    include_omega: bool = True
 
 
-def _effective_hamiltonian(params: ChainParams, include_omega: bool) -> np.ndarray:
+def _effective_hamiltonian(params: ChainParams) -> np.ndarray:
     H = params.j_coupling * hamiltonian_xxz(params)
-    if include_omega and params.omega != 0.0:
+    if params.omega != 0.0:
         H = H + params.omega / 2 * magnetization_z(params.n)
     return H
 
 
-def build_liouvillian(params: ChainParams, include_omega: bool = True) -> Liouvillian:
+def build_liouvillian(params: ChainParams) -> Liouvillian:
     """Generator of the master equation as a 4**n x 4**n matrix."""
     n = params.n
     if n > LIOUVILLIAN_CAP:
         raise ValueError(f"dense Liouvillian capped at n <= {LIOUVILLIAN_CAP}, got {n}")
     d = 2 ** n
-    H = _effective_hamiltonian(params, include_omega)
+    H = _effective_hamiltonian(params)
     eye = np.eye(d, dtype=complex)
     L = -1j * (np.kron(eye, H) - np.kron(H.T, eye))
     for jump in lindblad_jump_ops(params):
@@ -53,17 +53,16 @@ def build_liouvillian(params: ChainParams, include_omega: bool = True) -> Liouvi
         L += params.lam * (np.kron(jump.conj(), jump)
                            - 0.5 * np.kron(eye, jdj)
                            - 0.5 * np.kron(jdj.T, eye))
-    return Liouvillian(n=n, matrix=L, params=params, include_omega=include_omega)
+    return Liouvillian(n=n, matrix=L, params=params)
 
 
-def apply_liouvillian(rho: np.ndarray, params: ChainParams,
-                      include_omega: bool = True) -> np.ndarray:
+def apply_liouvillian(rho: np.ndarray, params: ChainParams) -> np.ndarray:
     """Action of the generator on a density matrix, without the big matrix.
 
     Usable up to the dense-operator cap, past where the 4**n x 4**n
     matrix stops being practical.
     """
-    H = _effective_hamiltonian(params, include_omega)
+    H = _effective_hamiltonian(params)
     out = -1j * (H @ rho - rho @ H)
     for jump in lindblad_jump_ops(params):
         jdj = jump.conj().T @ jump
@@ -91,7 +90,7 @@ def steady_state_nullspace(liouv: Liouvillian) -> np.ndarray:
     rho = vh[-1].conj().reshape((d, d), order="F")
     rho = (rho + rho.conj().T) / 2
     rho = rho / np.trace(rho).real
-    residual = hs_norm(apply_liouvillian(rho, liouv.params, liouv.include_omega))
+    residual = hs_norm(apply_liouvillian(rho, liouv.params))
     if residual > 1e-10 * scale:
         raise ArithmeticError(f"steady-state residual {residual:.2e} too large")
     return rho
@@ -109,7 +108,7 @@ def ness_perturbative(params: ChainParams, return_diagnostics: bool = False):
     """
     n, J, lam, mu = params.n, params.j_coupling, params.lam, params.mu
     if mu != 0.0 and lam > 0.0:
-        thr_log = validity_threshold(n, params.eta, mu, log=True)
+        thr_log = validity_threshold(n, params.eta, mu).log
         if math.log(lam / J) >= thr_log:
             warnings.warn(
                 f"lambda/J = {lam / J:.3g} exceeds the validity threshold "
@@ -153,14 +152,14 @@ class EpsilonCalibration(NamedTuple):
     seed_residuals: dict[float, float]
 
 
-def calibrate_epsilon(params: ChainParams, tolerance: float = 1e-8) -> EpsilonCalibration:
+def calibrate_epsilon(params: ChainParams) -> EpsilonCalibration:
     """Resolve the undefined coupling epsilon of the mu = 1 solution.
 
     Minimizes ||L(ness_mu1(eps))||_HS over eps, seeding the search with
     the natural candidates {lam/J, lam/2J, 2 lam/J}.  Empirically the
     exact mapping is eps = lam/J (machine-precision residual); the
     calibration keeps that claim honest and raises if nothing reaches
-    ``tolerance``.
+    CALIBRATION_TOL.
     """
     if params.mu != 1.0:
         raise ValueError("epsilon calibration is defined at mu = 1")
@@ -178,17 +177,17 @@ def calibrate_epsilon(params: ChainParams, tolerance: float = 1e-8) -> EpsilonCa
     seed_residuals = {eps: residual(eps) for eps in seeds}
     best_eps = min(seed_residuals, key=seed_residuals.get)
     best_res = seed_residuals[best_eps]
-    if best_res >= tolerance:
+    if best_res >= CALIBRATION_TOL:
         opt = minimize_scalar(residual,
                               bracket=(best_eps / 2, best_eps, best_eps * 2),
                               options={"xtol": 1e-12})
         if opt.fun < best_res:
             best_eps, best_res = float(opt.x), float(opt.fun)
-    if best_res >= tolerance:
+    if best_res >= CALIBRATION_TOL:
         report = ", ".join(f"eps={e:.3g}: {r:.3e}" for e, r in seed_residuals.items())
         raise ArithmeticError(
             "no epsilon reached the fixed-point tolerance "
-            f"{tolerance:g} (best {best_res:.3e} at eps={best_eps:.6g}; "
+            f"{CALIBRATION_TOL:g} (best {best_res:.3e} at eps={best_eps:.6g}; "
             f"seeds: {report}); the mu=1 matrices do not solve this "
             "master equation as transcribed")
     return EpsilonCalibration(epsilon=float(best_eps), residual=float(best_res),

@@ -17,6 +17,10 @@ one 2**n x 2**n block.  It adds the same terms in the same order as the
 np.kron loop the test suite keeps as a reference, so the two agree
 entry for entry.
 
+The norm ||Z||_HS^2 and the validity threshold come from the transfer
+bracket instead, as SignedLogs: both leave the double range for
+|Delta| > 1 at moderate n.
+
 The pairing between auxiliary matrices and Pauli factors is fixed by
 requiring the assembled steady states to actually annihilate the
 Liouvillian: the A family pairs A_+ with sigma^- and A_- with sigma^+
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DENSE_CAP
-from .transfer import bracket_LTnR_log
+from .transfer import SignedLog, bracket_LTnR_log
 
 
 @dataclass
@@ -187,18 +191,15 @@ def contract_to_dense(aux: AuxMatrices, n: int) -> np.ndarray:
     return partial.get(aux.left_index, np.zeros((dim, dim), dtype=complex))
 
 
-def hs_norm_sq_via_transfer(n: int, eta: complex, log: bool = False) -> float:
-    """||Z||_HS^2 = 2**n <L|T^n|R>, overflow-safe when ``log`` is set.
+def hs_norm_sq_via_transfer(n: int, eta: complex) -> SignedLog:
+    """||Z||_HS^2 = 2**n <L|T^n|R> as a SignedLog, overflow-safe.
 
     Identity between the dense contraction of the A family and the
     transfer-matrix bracket; the test suite cross-checks it against
     hs_norm(contract_to_dense(...))**2 wherever the dense form fits.
     """
     val = bracket_LTnR_log(n, eta)
-    log_norm = val.log + n * math.log(2.0)
-    if log:
-        return log_norm
-    return math.exp(log_norm) if log_norm < math.log(np.finfo(float).max) else math.inf
+    return SignedLog(val.sign, val.log + n * math.log(2.0))
 
 
 def _log_threshold(n: int, mu: float, log_norm_sq: float) -> float:
@@ -209,13 +210,10 @@ def _log_threshold(n: int, mu: float, log_norm_sq: float) -> float:
     return 0.5 * (n + 1) * math.log(2.0) - math.log(abs(mu)) - 0.5 * log_norm_sq
 
 
-def validity_threshold(n: int, eta: complex, mu: float, log: bool = False) -> float:
+def validity_threshold(n: int, eta: complex, mu: float) -> SignedLog:
     """Largest lambda/J for which the perturbative expansion is controlled.
 
-    sqrt(2**(n+1)) / (mu ||Z||_HS); above it the first order overtakes
-    the identity.  Vacuous at mu = 0.
+    sqrt(2**(n+1)) / (mu ||Z||_HS), as a SignedLog; above it the first
+    order overtakes the identity.  Vacuous at mu = 0.
     """
-    log_thr = _log_threshold(n, mu, hs_norm_sq_via_transfer(n, eta, log=True))
-    if log:
-        return log_thr
-    return math.exp(log_thr)
+    return SignedLog(1.0, _log_threshold(n, mu, hs_norm_sq_via_transfer(n, eta).log))

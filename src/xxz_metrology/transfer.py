@@ -23,7 +23,9 @@ amplitude) feeds |1> of v_0 with weight 1/2.  With A_0 = |T| the jets
 the defect sum and half the second t-derivative of the bracket.  The
 bands are tridiagonal over [L, 1, ..., d], so n steps cost O(n d) time
 and O(d) memory, in floats or in (sign, log) pairs whose bands are the
-logs of the same float entries.
+logs of the same float entries.  A bracket or defect sum is returned as
+a float where that is finite and as a SignedLog where it leaves the
+double range.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-_LOG_MAX = math.log(np.finfo(float).max) - 8.0
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 class SignedLog(NamedTuple):
@@ -275,34 +277,20 @@ def bracket_LTnR_log(n: int, eta: complex, d: int | None = None) -> SignedLog:
     return _jet_log(_bands(("T",), n, d, eta), n)
 
 
-def _float_or_log(series, log_fn, what: str, n: int, eta: complex,
-                  d: int | None, log_domain: str):
-    """The float value of ``series(n, eta, d)[n]``, or ``log_fn``'s SignedLog.
-
-    ``log_domain='off'`` returns a float and raises OverflowError when the
-    value is not representable; 'on' always returns a SignedLog; 'auto'
-    returns a float but falls back to a SignedLog on overflow.
-    """
+def _float_or_log(series, log_fn, n: int, eta: complex, d: int | None):
+    """The float ``series(n, eta, d)[n]`` where finite, else ``log_fn``'s SignedLog."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if log_domain == "on":
-        return log_fn(n, eta, d)
     val = float(series(n, eta, d)[n])
-    if math.isfinite(val):
-        return val
-    if log_domain == "off":
-        raise OverflowError(f"{what} overflows a float; use log_domain='on'")
-    return log_fn(n, eta, d)
+    return val if math.isfinite(val) else log_fn(n, eta, d)
 
 
-def bracket_LTnR(n: int, eta: complex, d: int | None = None,
-                 log_domain: str = "auto") -> float | SignedLog:
+def bracket_LTnR(n: int, eta: complex, d: int | None = None) -> float | SignedLog:
     """<L|T^n|R> by iterated banded matrix-vector products.
 
-    ``log_domain`` is 'auto', 'on' or 'off' as in :func:`_float_or_log`.
+    A float where it is finite, else a SignedLog (|Delta| > 1, large n).
     """
-    return _float_or_log(bracket_series, bracket_LTnR_log, "<L|T^n|R>",
-                         n, eta, d, log_domain)
+    return _float_or_log(bracket_series, bracket_LTnR_log, n, eta, d)
 
 
 def sum_defect_log(n: int, eta: complex, d: int | None = None) -> SignedLog:
@@ -310,14 +298,12 @@ def sum_defect_log(n: int, eta: complex, d: int | None = None) -> SignedLog:
     return _jet_log(_bands(("T", "D"), n, d, eta), n)
 
 
-def sum_defect(n: int, eta: complex, d: int | None = None,
-               log_domain: str = "auto") -> float | SignedLog:
+def sum_defect(n: int, eta: complex, d: int | None = None) -> float | SignedLog:
     """sum_{k=1}^n <L|T^{k-1} D T^{n-k}|R> in O(n d) time and O(d) memory.
 
-    ``log_domain`` is 'auto', 'on' or 'off' as in :func:`_float_or_log`.
+    A float where it is finite, else a SignedLog (|Delta| > 1, large n).
     """
-    return _float_or_log(defect_series, sum_defect_log, "defect sum",
-                         n, eta, d, log_domain)
+    return _float_or_log(defect_series, sum_defect_log, n, eta, d)
 
 
 # ---------------------------------------------------------------------------
@@ -357,55 +343,33 @@ def f0_x(params, parameter: str):
                           parameter=parameter, params=params)
 
 
-def second_eta_derivative_bracket(n: int, eta: complex, d: int | None = None,
-                                  method: str = "analytic") -> float:
+def second_eta_derivative_bracket(n: int, eta: complex, d: int | None = None) -> float:
     """d^2/dt^2 of <L|T^n|R> along the real parametrization of eta.
 
     For |Delta| < 1 the derivative is in eta itself; for |Delta| > 1 it
     is taken along the imaginary axis, i.e. in t with eta = i t, which
     equals -(d/d eta)^2.
 
-    The default differentiates the band entries analytically and
-    propagates the jet (v, dv, d2v/2) in one pass; this stays exact even
+    The band entries are differentiated analytically and the jet
+    (v, dv, d2v/2) is propagated in one pass; this stays exact even
     where the second derivative nearly cancels against the defect sum
-    (the isotropic limit).  ``method='central'`` is the step-1e-4 stencil
-    with a Richardson check, kept as an independent cross-check.
+    (the isotropic limit).
     """
-    if method == "analytic":
-        bands = _bands(("T", "dT", "d2T/2"), n, d, eta)
-        return float(2 * _jet_series(bands, n)[n])
-    if method != "central":
-        raise ValueError(f"unknown method {method!r}")
-    t0, easy_axis = _split_eta(eta)
-    reconstruct = (lambda t: 1j * t) if easy_axis else (lambda t: complex(t))
-
-    def d2(h):
-        bp = bracket_series(n, reconstruct(t0 + h), d)[n]
-        b0 = bracket_series(n, reconstruct(t0), d)[n]
-        bm = bracket_series(n, reconstruct(abs(t0 - h)), d)[n]
-        return (bp - 2 * b0 + bm) / h ** 2
-
-    coarse = d2(1e-4)
-    fine = d2(5e-5)
-    richardson = (4 * fine - coarse) / 3
-    scale = max(abs(richardson), 1e-30)
-    if abs(fine - coarse) / 3 > 1e-3 * scale + 1e-12:
-        warnings.warn("second eta-derivative stencil poorly converged; "
-                      f"estimates {coarse:.6g} vs {fine:.6g}")
-    return float(richardson)
+    bands = _bands(("T", "dT", "d2T/2"), n, d, eta)
+    return float(2 * _jet_series(bands, n)[n])
 
 
-def _f0_delta_bracket_log(n: int, eta: complex, d: int | None) -> SignedLog:
+def _f0_delta_bracket_log(n: int, eta: complex) -> SignedLog:
     """sum_defect + (1/4) d^2/dt^2 <L|T^n|R> from the log-domain jets."""
-    sd = sum_defect_log(n, eta, d)
-    half_d2 = _jet_log(_bands(("T", "dT", "d2T/2"), n, d, eta), n)
+    sd = sum_defect_log(n, eta)
+    half_d2 = _jet_log(_bands(("T", "dT", "d2T/2"), n, None, eta), n)
     with np.errstate(divide="ignore", invalid="ignore"):
         sign, log = _signed_lse(np.array([[sd.sign], [half_d2.sign]]),
                                 np.array([[sd.log], [half_d2.log - math.log(2.0)]]))
     return SignedLog(float(sign[0]), float(log[0]))
 
 
-def f0_delta(params, d: int | None = None, method: str = "analytic"):
+def f0_delta(params):
     """Leading-order Fisher information for the anisotropy Delta.
 
     F_Delta^(0) = lam^2 mu^2 / (2 J^2 |1 - Delta^2|) *
@@ -416,7 +380,7 @@ def f0_delta(params, d: int | None = None, method: str = "analytic"):
     |1 - Delta^2| prefactor together with the sign carried by D keeps
     the expression positive on both sides of the isotropic point.  Near
     eta = 0 the two terms cancel to O(eta^2), which is why the second
-    derivative is analytic by default.  Where either term overflows a
+    derivative is analytic.  Where either term overflows a
     float (|Delta| > 1 at large n), both come from the log-domain jets
     and the value may only be representable through ``log_value``.
     """
@@ -426,15 +390,15 @@ def f0_delta(params, d: int | None = None, method: str = "analytic"):
     if abs(abs(delta) - 1.0) < 1e-12:
         raise ValueError("f0_delta is singular at |Delta| = 1; "
                          "use isotropic_f_delta near the isotropic point")
-    sd = float(defect_series(params.n, params.eta, d)[params.n])
-    d2 = second_eta_derivative_bracket(params.n, params.eta, d, method=method)
+    sd = float(defect_series(params.n, params.eta)[params.n])
+    d2 = second_eta_derivative_bracket(params.n, params.eta)
     pref = params.lam ** 2 * params.mu ** 2 / (
         2 * params.j_coupling ** 2 * abs(1 - delta ** 2))
     if math.isfinite(sd) and math.isfinite(d2):
         value = pref * (sd + 0.25 * d2)
         log_value = math.log(value) if value > 0 else -math.inf
     else:
-        total = _f0_delta_bracket_log(params.n, params.eta, d)
+        total = _f0_delta_bracket_log(params.n, params.eta)
         scaled = (SignedLog(total.sign, total.log + math.log(pref)) if pref > 0
                   else SignedLog(0.0, -math.inf))
         value = scaled.value
@@ -632,7 +596,9 @@ def chi_coefficient(delta: float, rational_eta: tuple[int, int] | None = None,
 
     chi = d/(2(d+1)) * 1/(1 - Delta^2) with d = |p| - 1 for rational
     eta/pi = q/p and d = d_max on the irrational pathway; chi_1 is the
-    diagnostic constant <L|V^-1|R> from the Jordan similarity.
+    diagnostic constant <L|V^-1|R> from the Jordan similarity.  Where a
+    float Delta puts an eigenvalue 1 into the bulk block (eta/pi = q/p
+    with p <= d_max), chi_1 is nan, with a warning.
     """
     if not abs(delta) < 1:
         raise ValueError("chi is defined for |Delta| < 1")
@@ -646,12 +612,14 @@ def chi_coefficient(delta: float, rational_eta: tuple[int, int] | None = None,
     chi = d / (2 * (d + 1)) / (1 - delta ** 2)
     try:
         chi1 = jordan_decompose(build_transfer(d, eta)).chi1
-    except ValueError:
+    except ValueError as exc:
         if rational_eta is not None:
             raise
         # a float delta can hit a rational eta/pi exactly (delta = 0 say),
         # where the oversized truncation is defective; chi1 is only a
         # diagnostic, so report it as unavailable
+        warnings.warn(f"chi1 is undefined at Delta = {delta!r} with d = {d} "
+                      f"({exc}); reported as nan")
         chi1 = math.nan
     return chi, chi1
 

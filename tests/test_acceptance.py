@@ -66,7 +66,7 @@ def test_criterion_03_norm_identity():
         eta = eta_from_delta(delta)
         for n in range(2, 9):
             dense = hs_norm(contract_to_dense(build_aux_A(n, eta), n)) ** 2
-            transfer = hs_norm_sq_via_transfer(n, eta)
+            transfer = hs_norm_sq_via_transfer(n, eta).value
             worst = max(worst, abs(dense - transfer) / dense)
     report(3, "||Z||_HS^2 = 2^n <L|T^n|R> for n = 2..8, five anisotropies",
            worst < 1e-10, time.monotonic() - t0,
@@ -112,8 +112,8 @@ def test_criterion_06_omega_independence():
     worst = 0.0
     for n in (2, 3, 4):
         params = ChainParams(n=n, delta=0.7, lam=0.3, mu=0.6, omega=2.0)
-        with_o = steady_state_nullspace(build_liouvillian(params, include_omega=True))
-        without = steady_state_nullspace(build_liouvillian(params, include_omega=False))
+        with_o = steady_state_nullspace(build_liouvillian(params))
+        without = steady_state_nullspace(build_liouvillian(params.replace(omega=0.0)))
         worst = max(worst, hs_norm(with_o - without))
     report(6, "steady state independent of the omega/2 M_z generator (n <= 4)",
            worst < 1e-10, time.monotonic() - t0,
@@ -265,7 +265,7 @@ def test_criterion_13_relative_error_claims():
     for delta in (0.5, 1.0):
         eta = eta_from_delta(delta)
         for n in range(2, 51, 4):
-            lam = 0.99 * validity_threshold(n, eta, mu=1.0)
+            lam = 0.99 * validity_threshold(n, eta, mu=1.0).value
             params = ChainParams(n=n, delta=delta, lam=lam, mu=1.0)
             for x, label in ((lam, "lambda"), (1.0, "mu")):
                 val = x * math.sqrt(f0_x(params, label).value)
@@ -277,12 +277,12 @@ def test_criterion_13_relative_error_claims():
     iso_ratio = []
     xi05 = xi_coefficient(0.5, 200, rational_eta=(3, 1))
     for n in range(6, 51, 4):
-        lam = 0.99 * validity_threshold(n, eta_from_delta(1.0), mu=1.0)
+        lam = 0.99 * validity_threshold(n, eta_from_delta(1.0), mu=1.0).value
         p_iso = ChainParams(n=n, delta=1.0, lam=lam, mu=1.0)
         r_iso = 1 / (1.0 * isotropic_f_delta(p_iso))
         ok = ok and r_iso * n ** 2 > 1
         iso_ratio.append(r_iso * n ** 2)
-        lam = 0.99 * validity_threshold(n, eta_from_delta(0.5), mu=1.0)
+        lam = 0.99 * validity_threshold(n, eta_from_delta(0.5), mu=1.0).value
         p_ep = ChainParams(n=n, delta=0.5, lam=lam, mu=1.0)
         r_ep = 1 / (0.5 * f0_delta(p_ep).value)
         ok = ok and r_ep * xi05 * n > 1

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -215,6 +216,41 @@ def test_pool_workers_write_the_same_bytes_and_warnings(tmp_path):
     assert len(r2) == 1
     assert r2[0]["message"].startswith("defect-sum window fit not linear")
     assert r2[0]["point"]["window_start"] == 120
+
+
+def test_linear_column_is_empty_past_the_double_range(tmp_path):
+    # the Delta = 1.1 thresholds lie below the smallest normal double
+    out = tmp_path / "validity.csv"
+    code = main(["scan", "validity-report", "--delta", "0.5", "1.1",
+                 "--n-range", "100", "400", "100", "--out", str(out)])
+    assert code == EXIT_OK
+    rows = read_csv(out)
+    rows = [dict(zip(rows[0], row)) for row in rows[1:]]
+    assert len(rows) == 8
+    for row in rows:
+        log10 = float(row["threshold_log10"])
+        if row["delta"] == "0.5":
+            assert math.isclose(float(row["threshold"]), 10.0 ** log10, rel_tol=1e-12)
+        else:
+            assert log10 < math.log10(sys.float_info.min)
+            assert row["threshold"] == ""
+
+
+def test_chi1_nan_is_a_manifest_warning(tmp_path):
+    # Delta = 0 is eta/pi = 1/2: the d = 4 truncation is defective there
+    out = tmp_path / "chi.csv"
+    code = main(["scan", "chi-vs-delta", "--p-max", "2", "--d-max", "4",
+                 "--delta-points", "1", "--out", str(out)])
+    assert code == EXIT_OK
+    rows = read_csv(out)
+    rows = [dict(zip(rows[0], row)) for row in rows[1:]]
+    assert [(r["route"], r["delta"], r["chi1"]) for r in rows[1:]] == [
+        ("irrational", "0.0", "nan")]
+    manifest = json.loads((tmp_path / "chi.csv.manifest.json").read_text())
+    assert manifest["failures"] == 0
+    assert [w["point"]["delta"] for w in manifest["warnings"]] == [0.0]
+    message = manifest["warnings"][0]["message"]
+    assert "Delta = 0.0" in message and "d = 4" in message
 
 
 def test_manifest_times_each_row(tmp_path):

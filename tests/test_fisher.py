@@ -3,7 +3,8 @@ import pytest
 from scipy.linalg import sqrtm
 
 from xxz_metrology.model import ChainParams, hs_norm, pauli
-from xxz_metrology.fisher import (fisher_cross, optimal_estimator_variance,
+from xxz_metrology.fisher import (FisherEstimate, fisher_cross,
+                                  optimal_estimator_variance,
                                   qfi_dense, qfi_parametric, relative_error,
                                   sld)
 from xxz_metrology.lindblad import ness_perturbative
@@ -136,6 +137,20 @@ def test_relative_error_arithmetic():
     fake100 = est.__class__(value=100.0, method="exact-dense",
                             parameter="lambda", params=est.params)
     assert np.isclose(relative_error(0.5, fake100), 0.2)
+
+
+def test_fisher_estimate_rejects_nan_and_negative_values():
+    params = ChainParams(n=3, delta=0.5, lam=1e-3, mu=1.0)
+    for bad in (float("nan"), -1e-300, -float("inf")):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            FisherEstimate(value=bad, method="exact-dense", parameter="lambda",
+                           params=params)
+    for good in (0.0, 2.5):
+        assert FisherEstimate(value=good, method="exact-dense", parameter="lambda",
+                              params=params).value == good
+    huge = FisherEstimate(value=float("inf"), log_value=2000.0,
+                          method="leading-order", parameter="lambda", params=params)
+    assert huge.log_value == 2000.0
 
 
 def test_relative_error_rejects_degenerate():

@@ -104,8 +104,8 @@ def test_perturbative_warns_above_threshold():
 
 def test_omega_independence():
     base = ChainParams(n=3, delta=0.5, lam=0.2, mu=0.8, omega=2.5)
-    with_omega = steady_state_nullspace(build_liouvillian(base, include_omega=True))
-    without = steady_state_nullspace(build_liouvillian(base, include_omega=False))
+    with_omega = steady_state_nullspace(build_liouvillian(base))
+    without = steady_state_nullspace(build_liouvillian(base.replace(omega=0.0)))
     assert hs_norm(with_omega - without) < 1e-10
 
 

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -168,19 +169,25 @@ def test_norm_identity_dense_vs_transfer(delta):
     eta = eta_from_delta(delta)
     for n in range(3, 9):
         dense = hs_norm(contract_to_dense(build_aux_A(n, eta), n)) ** 2
-        via_transfer = hs_norm_sq_via_transfer(n, eta)
+        via_transfer = hs_norm_sq_via_transfer(n, eta).value
         assert abs(dense - via_transfer) / dense < 1e-10
 
 
 def test_norm_identity_examples():
-    assert np.isclose(hs_norm_sq_via_transfer(2, eta_from_delta(0.5)), 1.0)
-    assert np.isclose(hs_norm_sq_via_transfer(4, 0.0), 24.0)
+    assert np.isclose(hs_norm_sq_via_transfer(2, eta_from_delta(0.5)).value, 1.0)
+    assert np.isclose(hs_norm_sq_via_transfer(4, 0.0).value, 24.0)
+
+
+def test_norm_past_the_double_range_keeps_its_log():
+    norm = hs_norm_sq_via_transfer(1000, eta_from_delta(2.0))
+    assert norm.value == math.inf
+    assert norm.sign == 1.0 and math.isfinite(norm.log)
 
 
 def test_validity_threshold_examples():
-    thr = validity_threshold(2, eta_from_delta(0.5), 1.0)
+    thr = validity_threshold(2, eta_from_delta(0.5), 1.0).value
     assert np.isclose(thr, np.sqrt(8.0))
-    assert np.isclose(validity_threshold(2, eta_from_delta(0.5), 0.5), 2 * thr)
+    assert np.isclose(validity_threshold(2, eta_from_delta(0.5), 0.5).value, 2 * thr)
 
 
 def test_validity_threshold_mu_zero():
@@ -190,7 +197,7 @@ def test_validity_threshold_mu_zero():
 
 def test_validity_threshold_superexponential_decay():
     eta = eta_from_delta(2.0)
-    logs = [validity_threshold(n, eta, 1.0, log=True) for n in range(2, 21)]
+    logs = [validity_threshold(n, eta, 1.0).log for n in range(2, 21)]
     diffs = np.diff(logs)
     assert np.all(diffs < 0)
     # decrements themselves keep growing in magnitude

@@ -6,7 +6,7 @@ import pytest
 
 from xxz_metrology.model import ChainParams, eta_from_delta
 from xxz_metrology.transfer import (SignedLog, _f0_delta_bracket_log,
-                                    bracket_LTnR,
+                                    _split_eta, bracket_LTnR,
                                     bracket_LTnR_log, bracket_series,
                                     build_transfer, chi_coefficient,
                                     chi_second_derivative,
@@ -87,7 +87,7 @@ def test_bracket_log_linear_agreement():
     for delta in (0.5, 2.0):
         eta = eta_from_delta(delta)
         for n in (4, 10, 16):
-            lin = bracket_LTnR(n, eta, log_domain="off")
+            lin = bracket_series(n, eta)[n]
             lg = bracket_LTnR_log(n, eta)
             assert lg.sign == 1.0
             assert np.isclose(math.exp(lg.log), lin, rtol=1e-12)
@@ -96,8 +96,14 @@ def test_bracket_log_linear_agreement():
 def test_bracket_auto_switches_to_log():
     val = bracket_LTnR(200, eta_from_delta(2.0))
     assert isinstance(val, SignedLog)
-    with pytest.raises(OverflowError):
-        bracket_LTnR(200, eta_from_delta(2.0), log_domain="off")
+
+
+def test_signed_log_value_covers_every_finite_double():
+    assert SignedLog(1.0, 705.0).value == math.exp(705.0)
+    top = math.log(np.finfo(float).max)
+    assert SignedLog(-1.0, top).value == -math.exp(top)
+    assert SignedLog(-1.0, math.nextafter(top, math.inf)).value == -math.inf
+    assert SignedLog(0.0, -math.inf).value == 0.0
 
 
 def test_rational_truncation_exactness():
@@ -143,7 +149,7 @@ def test_defect_sum_small_n_values():
 def test_defect_sum_log_domain():
     for delta in (0.5, 2.0):
         eta = eta_from_delta(delta)
-        lin = sum_defect(18, eta, log_domain="off")
+        lin = defect_series(18, eta)[18]
         lg = sum_defect_log(18, eta)
         assert np.isclose(lg.sign * math.exp(lg.log), lin, rtol=1e-10)
     big = sum_defect(80, eta_from_delta(2.0))
@@ -212,7 +218,7 @@ def test_f0_delta_log_route_matches_float_route(delta):
     eta = eta_from_delta(delta)
     for n in range(2, 19):
         lin = sum_defect(n, eta) + 0.25 * second_eta_derivative_bracket(n, eta)
-        lg = _f0_delta_bracket_log(n, eta, None)
+        lg = _f0_delta_bracket_log(n, eta)
         assert lg.sign == np.sign(lin)
         assert math.isclose(lg.value, lin, rel_tol=1e-10)
 
@@ -272,11 +278,30 @@ def test_f0_delta_log_route_matches_mpmath():
     assert f0_delta(est.params.replace(lam=0.0)).value == 0.0
 
 
+def central_second_eta_derivative(n, eta):
+    """d^2/dt^2 <L|T^n|R> by step-1e-4 and 5e-5 central stencils with one
+    Richardson level, t the real parametrization of eta (eta = i t for
+    |Delta| > 1); the two stencils must agree to 1e-3."""
+    t0, easy_axis = _split_eta(eta)
+    reconstruct = (lambda t: 1j * t) if easy_axis else (lambda t: complex(t))
+
+    def d2(h):
+        bp = bracket_series(n, reconstruct(t0 + h))[n]
+        b0 = bracket_series(n, reconstruct(t0))[n]
+        bm = bracket_series(n, reconstruct(abs(t0 - h)))[n]
+        return (bp - 2 * b0 + bm) / h ** 2
+
+    coarse, fine = d2(1e-4), d2(5e-5)
+    richardson = (4 * fine - coarse) / 3
+    assert abs(fine - coarse) / 3 <= 1e-3 * max(abs(richardson), 1e-30) + 1e-12
+    return richardson
+
+
 def test_second_derivative_analytic_vs_central():
     for delta, n in [(0.5, 10), (0.9, 16), (2.0, 8)]:
         eta = eta_from_delta(delta)
-        a = second_eta_derivative_bracket(n, eta, method="analytic")
-        c = second_eta_derivative_bracket(n, eta, method="central")
+        a = second_eta_derivative_bracket(n, eta)
+        c = central_second_eta_derivative(n, eta)
         assert abs(a - c) / abs(a) < 1e-5
 
 
