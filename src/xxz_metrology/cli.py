@@ -34,6 +34,7 @@ from . import __version__
 from .model import ChainParams, DENSE_CAP, eta_from_delta
 from .mpo import _log_threshold, hs_norm_sq_via_transfer
 from .fisher import qfi_parametric
+from .lindblad import ness_mu1
 from .transfer import (bracket_series, chi_coefficient, defect_series,
                        f0_x, isotropic_bracket_series, isotropic_f_delta,
                        second_eta_derivative_bracket, xi_coefficient)
@@ -80,7 +81,8 @@ class ScanSpec:
                 (step <= 0 or b < a, "--n-range needs a <= b and step > 0"),
                 ("n_range" in o and "n_log_points" in o,
                  "--n-log-points and --n-range exclude each other"),
-                (self.workers < 1, "--workers must be >= 1")):
+                (self.workers < 1, "--workers must be >= 1"),
+                (self.fmt not in ("csv", "json"), f"unknown format {self.fmt!r}")):
             if failed:
                 raise UsageError(message)
         self.options = {**_KINDS[self.kind].defaults, **o}
@@ -144,7 +146,8 @@ def _eval_flambda(delta, lambda_over_j, n):
     if n > DENSE_CAP:
         raise ValueError(f"dense route capped at n <= {DENSE_CAP}")
     params = ChainParams(n=n, j_coupling=1.0, delta=delta, lam=lambda_over_j, mu=1.0)
-    est = qfi_parametric(params, "lambda", state_builder="mu1")
+    # ness_mu1 is looked up at each call, so a wrapper installed on it sees the builds
+    est = qfi_parametric(params, "lambda", lambda p: ness_mu1(p, p.lam / p.j_coupling))
     linear, s, l10 = _log10_cols(1.0 if est.value > 0 else 0.0,
                                  est.log_value if est.log_value is not None else -math.inf)
     return {"method": "exact-dense", "epsilon": lambda_over_j,
@@ -330,13 +333,11 @@ def _write_rows(spec: ScanSpec, header: list[str], rows: list[dict]):
             writer.writerow(header)
             for row in rows:
                 writer.writerow([_format_cell(row.get(col, "")) for col in header])
-    elif spec.fmt == "json":
+    else:
         payload = [{col: row.get(col, "") for col in header} for row in rows]
         with open(spec.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=1, default=_format_cell)
             fh.write("\n")
-    else:
-        raise UsageError(f"unknown format {spec.fmt!r}")
 
 
 def _digest_file(path: str) -> str:
@@ -432,3 +433,7 @@ def main(argv=None) -> int:
 
 def cli_entry():  # entry point for the console script
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    cli_entry()

@@ -9,16 +9,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .model import ChainParams, hs_norm
-from . import lindblad
 
 SUPPORT_TOL = 1e-12
 OFF_SUPPORT_TOL = 1e-8
 
-_PARAMETERS = ("J", "Delta", "lambda", "mu")
+# parameter label -> the ChainParams field it names
+_FIELDS = {"J": "j_coupling", "Delta": "delta", "lambda": "lam", "mu": "mu"}
 
 
 @dataclass
@@ -32,7 +33,7 @@ class FisherEstimate:
     log_value: float | None = None
 
     def __post_init__(self):
-        if self.parameter not in _PARAMETERS:
+        if self.parameter not in _FIELDS:
             raise ValueError(f"unknown parameter label {self.parameter!r}")
         if self.method not in ("exact-dense", "leading-order"):
             raise ValueError(f"unknown method {self.method!r}")
@@ -85,52 +86,26 @@ def fisher_cross(rho: np.ndarray, drho_x: np.ndarray, drho_y: np.ndarray) -> flo
     return float(np.real(np.trace(rho @ (Lx @ Ly + Ly @ Lx))) / 2)
 
 
-def _state_builder(builder: str):
-    if builder == "oracle":
-        def build(p: ChainParams) -> np.ndarray:
-            return lindblad.steady_state_nullspace(lindblad.build_liouvillian(p))
-    elif builder == "perturbative":
-        def build(p: ChainParams) -> np.ndarray:
-            return lindblad.ness_perturbative(p)
-    elif builder == "mu1":
-        def build(p: ChainParams) -> np.ndarray:
-            return lindblad.ness_mu1(p, p.lam / p.j_coupling)
-    else:
-        raise ValueError(f"unknown state builder {builder!r}")
-    return build
-
-
-def _shift(params: ChainParams, parameter: str, x: float) -> ChainParams:
-    field = {"J": "j_coupling", "Delta": "delta", "lambda": "lam", "mu": "mu"}[parameter]
-    return params.replace(**{field: x})
-
-
-def _param_value(params: ChainParams, parameter: str) -> float:
-    return {"J": params.j_coupling, "Delta": params.delta,
-            "lambda": params.lam, "mu": params.mu}[parameter]
-
-
 def qfi_parametric(params: ChainParams, parameter: str,
-                   state_builder: str = "perturbative") -> FisherEstimate:
-    """Exact dense QFI of the steady state with respect to one parameter.
+                   build: Callable[[ChainParams], np.ndarray]) -> FisherEstimate:
+    """Exact dense QFI of the state ``build(params)`` with respect to one parameter.
 
-    The state derivative is a central difference of step
-    h = 1e-4 max(|x|, 1) with one Richardson level; the two stencil
-    widths must agree to 1e-6 relative, otherwise the derivative has not
-    converged and we raise.  The mu = 1 builder takes the lambda-derivative
-    through the exact eps = lambda/J.
+    ``build`` maps chain parameters to a density matrix, e.g.
+    ``lindblad.ness_perturbative``.  The state derivative is a central
+    difference of step h = 1e-4 max(|x|, 1) with one Richardson level;
+    the two stencil widths must agree to 1e-6 relative, otherwise the
+    derivative has not converged and we raise.  A shifted point that
+    ChainParams rejects (mu = 1 + h) raises its ValueError.
     """
-    if parameter not in _PARAMETERS:
+    if parameter not in _FIELDS:
         raise ValueError(f"unknown parameter label {parameter!r}")
-    build = _state_builder(state_builder)
-    x0 = _param_value(params, parameter)
+    field = _FIELDS[parameter]
+    x0 = getattr(params, field)
     h = 1e-4 * max(abs(x0), 1.0)
-    if state_builder == "mu1" and parameter == "mu":
-        raise ValueError("the mu = 1 builder cannot be differentiated in mu")
 
     def central(hh: float) -> np.ndarray:
-        rp = build(_shift(params, parameter, x0 + hh))
-        rm = build(_shift(params, parameter, x0 - hh))
+        rp = build(params.replace(**{field: x0 + hh}))
+        rm = build(params.replace(**{field: x0 - hh}))
         return (rp - rm) / (2 * hh)
 
     stencils = [central(h / 2 ** k) for k in range(3)]

@@ -1,5 +1,11 @@
 """Liouvillian superoperator, brute-force steady state, closed-form NESS.
 
+The master equation is written once, through the non-hermitian
+effective Hamiltonian
+
+    K = J H + (omega/2) M_z - (i lam/2) sum_k L_k^dag L_k,
+    L(rho) = -i (K rho - rho K^dag) + lam sum_k L_k rho L_k^dag.
+
 Vectorization is column-stacking throughout: vec(X rho Y) corresponds to
 (Y^T kron X) vec(rho), and vec(rho) = rho.flatten(order='F').
 """
@@ -33,10 +39,13 @@ class Liouvillian:
 
 
 def _effective_hamiltonian(params: ChainParams) -> np.ndarray:
-    H = params.j_coupling * hamiltonian_xxz(params)
+    """K = J H + (omega/2) M_z - (i lam/2) sum_k L_k^dag L_k."""
+    K = params.j_coupling * hamiltonian_xxz(params)
     if params.omega != 0.0:
-        H = H + params.omega / 2 * magnetization_z(params.n)
-    return H
+        K = K + params.omega / 2 * magnetization_z(params.n)
+    for jump in lindblad_jump_ops(params):
+        K = K - 0.5j * params.lam * (jump.conj().T @ jump)
+    return K
 
 
 def build_liouvillian(params: ChainParams) -> Liouvillian:
@@ -44,15 +53,11 @@ def build_liouvillian(params: ChainParams) -> Liouvillian:
     n = params.n
     if n > LIOUVILLIAN_CAP:
         raise ValueError(f"dense Liouvillian capped at n <= {LIOUVILLIAN_CAP}, got {n}")
-    d = 2 ** n
-    H = _effective_hamiltonian(params)
-    eye = np.eye(d, dtype=complex)
-    L = -1j * (np.kron(eye, H) - np.kron(H.T, eye))
+    K = _effective_hamiltonian(params)
+    eye = np.eye(2 ** n, dtype=complex)
+    L = -1j * (np.kron(eye, K) - np.kron(K.conj(), eye))
     for jump in lindblad_jump_ops(params):
-        jdj = jump.conj().T @ jump
-        L += params.lam * (np.kron(jump.conj(), jump)
-                           - 0.5 * np.kron(eye, jdj)
-                           - 0.5 * np.kron(jdj.T, eye))
+        L += params.lam * np.kron(jump.conj(), jump)
     return Liouvillian(n=n, matrix=L, params=params)
 
 
@@ -62,12 +67,10 @@ def apply_liouvillian(rho: np.ndarray, params: ChainParams) -> np.ndarray:
     Usable up to the dense-operator cap, past where the 4**n x 4**n
     matrix stops being practical.
     """
-    H = _effective_hamiltonian(params)
-    out = -1j * (H @ rho - rho @ H)
+    K = _effective_hamiltonian(params)
+    out = -1j * (K @ rho - rho @ K.conj().T)
     for jump in lindblad_jump_ops(params):
-        jdj = jump.conj().T @ jump
-        out += params.lam * (jump @ rho @ jump.conj().T
-                             - 0.5 * (jdj @ rho + rho @ jdj))
+        out += params.lam * (jump @ rho @ jump.conj().T)
     return out
 
 
@@ -96,15 +99,15 @@ def steady_state_nullspace(liouv: Liouvillian) -> np.ndarray:
     return rho
 
 
-def ness_perturbative(params: ChainParams, return_diagnostics: bool = False):
+def ness_perturbative(params: ChainParams) -> np.ndarray:
     """Second-order weak-coupling steady state from the MPO operator Z.
 
     rho = 2^-n [ 1 + i (lam/2J) mu (Z - Z+)
                  + lam^2/(8 J^2) (mu [Z, Z+] - mu^2 (Z - Z+)^2) ],
 
-    renormalized to unit trace afterwards; the pre-normalization trace
-    defect (an O((lam/J)^2) diagnostic) is reported on request.  Emits a
-    warning when lambda/J violates the validity threshold.
+    renormalized to unit trace afterwards (the trace defect is
+    O((lam/J)^2)).  Emits a warning when lambda/J violates the validity
+    threshold.
     """
     n, J, lam, mu = params.n, params.j_coupling, params.lam, params.mu
     if mu != 0.0 and lam > 0.0:
@@ -117,15 +120,10 @@ def ness_perturbative(params: ChainParams, return_diagnostics: bool = False):
     Zd = Z.conj().T
     comm = Z @ Zd - Zd @ Z
     anti = (Z - Zd) @ (Z - Zd)
-    dim = 2 ** n
-    rho = (np.eye(dim, dtype=complex)
+    rho = (np.eye(2 ** n, dtype=complex)
            + 1j * lam / (2 * J) * mu * (Z - Zd)
-           + lam ** 2 / (8 * J ** 2) * (mu * comm - mu ** 2 * anti)) / dim
-    trace = np.trace(rho).real
-    rho = rho / trace
-    if return_diagnostics:
-        return rho, {"trace_defect": trace - 1.0}
-    return rho
+           + lam ** 2 / (8 * J ** 2) * (mu * comm - mu ** 2 * anti))
+    return rho / np.trace(rho).real
 
 
 def ness_mu1(params: ChainParams, epsilon: float) -> np.ndarray:

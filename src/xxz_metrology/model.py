@@ -33,6 +33,8 @@ def eta_from_delta(delta: float) -> complex:
     pi + i*arccosh(-Delta) for Delta < -1, so that cos(eta) = Delta on
     every branch.
     """
+    if not math.isfinite(delta):
+        raise ValueError(f"Delta must be finite, got {delta}")
     if abs(delta) <= 1:
         return complex(math.acos(delta))
     if delta > 1:
@@ -62,10 +64,12 @@ class ChainParams:
             raise ValueError(f"need at least two sites, got n={self.n}")
         if not -1.0 <= self.mu <= 1.0:
             raise ValueError(f"mu must lie in [-1, 1], got {self.mu}")
-        if self.lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
-        if self.j_coupling <= 0:
-            raise ValueError(f"J must be > 0, got {self.j_coupling}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
+        if not 0 < self.j_coupling < math.inf:
+            raise ValueError(f"J must be finite and > 0, got {self.j_coupling}")
+        if not math.isfinite(self.omega):
+            raise ValueError(f"omega must be finite, got {self.omega}")
         eta = eta_from_delta(self.delta)
         if abs(cmath.cos(eta) - self.delta) > 1e-12:
             raise ValueError("eta branch failed cos(eta) = Delta check")
@@ -98,36 +102,28 @@ def _check_dense_cap(n: int):
 
 
 def embed(n: int, site: int, op: np.ndarray) -> np.ndarray:
-    """Tensor-embed a single-site operator at ``site`` (1-based) in an n-site chain."""
+    """Tensor-embed an operator on sites ``site``, ``site + 1``, ... (1-based)
+    in an n-site chain; a 2**k x 2**k ``op`` spans k sites."""
     _check_dense_cap(n)
-    if not 1 <= site <= n:
-        raise ValueError(f"site {site} out of range 1..{n}")
-    left = 2 ** (site - 1)
-    right = 2 ** (n - site)
-    out = np.kron(np.eye(left, dtype=complex), np.asarray(op, dtype=complex))
-    return np.kron(out, np.eye(right, dtype=complex))
+    op = np.asarray(op, dtype=complex)
+    span = op.shape[0].bit_length() - 1
+    if not 1 <= site <= n - span + 1:
+        raise ValueError(f"site {site} out of range 1..{n - span + 1}")
+    out = np.kron(np.eye(2 ** (site - 1), dtype=complex), op)
+    return np.kron(out, np.eye(2 ** (n - site - span + 1), dtype=complex))
 
 
 def hamiltonian_xxz(params: ChainParams) -> np.ndarray:
     """Bare XXZ Hamiltonian sum_j (sx sx + sy sy + Delta sz sz); J multiplies elsewhere."""
-    n = params.n
-    _check_dense_cap(n)
-    d = 2 ** n
-    H = np.zeros((d, d), dtype=complex)
-    for j in range(1, n):
-        for ax in ("x", "y"):
-            H += embed(n, j, pauli(ax)) @ embed(n, j + 1, pauli(ax))
-        H += params.delta * embed(n, j, pauli("z")) @ embed(n, j + 1, pauli("z"))
-    return H
+    bond = sum(np.kron(pauli(ax), pauli(ax)) for ax in "xy")
+    bond = bond + params.delta * np.kron(pauli("z"), pauli("z"))
+    return sum(embed(params.n, j, bond) for j in range(1, params.n))
 
 
 def magnetization_z(n: int) -> np.ndarray:
     """Total magnetization M_z = sum_j sigma_j^z."""
-    _check_dense_cap(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return pauli("z")
     return sum(embed(n, j, pauli("z")) for j in range(1, n + 1))
 
 

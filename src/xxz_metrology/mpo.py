@@ -204,6 +204,8 @@ def hs_norm_sq_via_transfer(n: int, eta: complex) -> SignedLog:
 
 def _log_threshold(n: int, mu: float, log_norm_sq: float) -> float:
     """log of the validity threshold from log ||Z||_HS^2 (see validity_threshold)."""
+    if not -1.0 <= mu <= 1.0:
+        raise ValueError(f"mu must lie in [-1, 1], got {mu}")
     if mu == 0:
         raise ValueError("validity condition is vacuous at mu = 0 "
                          "(first order vanishes identically)")

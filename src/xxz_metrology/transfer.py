@@ -39,6 +39,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .fisher import FisherEstimate
+
 _LOG_MAX = math.log(np.finfo(float).max)
 
 
@@ -325,8 +327,6 @@ def f0_x(params, parameter: str):
     FisherEstimate; for |Delta| > 1 the value may only be representable
     through its ``log_value``.
     """
-    from .fisher import FisherEstimate  # local import to avoid a cycle
-
     if parameter not in _PREFACTOR_DERIVS:
         raise ValueError(
             f"parameter must be one of J, lambda, mu (got {parameter!r}); "
@@ -384,8 +384,6 @@ def f0_delta(params):
     float (|Delta| > 1 at large n), both come from the log-domain jets
     and the value may only be representable through ``log_value``.
     """
-    from .fisher import FisherEstimate
-
     delta = params.delta
     if abs(abs(delta) - 1.0) < 1e-12:
         raise ValueError("f0_delta is singular at |Delta| = 1; "
@@ -704,7 +702,10 @@ def easy_axis_lower_bound(n: int, eta: complex) -> EasyAxisBounds:
 
     The single path climbs |R> -> |1> -> ... -> |n/2| and descends back,
     giving 2^-n prod_{k=1}^{n/2-1} sinh^2(k t) sinh^2((k+1) t); bounding
-    sinh^2(y) >= y^2 yields t^{2(n-2)}/2^n ((n/2)! (n/2-1)!)^2.
+    sinh^2(y) >= y^2 yields t^{2(n-2)}/2^n ((n/2)! (n/2-1)!)^2.  The
+    path is summed from log sinh(y) = y + log(1 - e^{-2y}) - log 2, which
+    does not overflow.  A bracket below the path is the cosh^2 overflow
+    of the log bands and raises ArithmeticError.
     """
     t, easy_axis = _split_eta(eta)
     if not easy_axis or t <= 0:
@@ -714,7 +715,12 @@ def easy_axis_lower_bound(n: int, eta: complex) -> EasyAxisBounds:
     log_bracket = bracket_LTnR_log(n, eta).log
     log_path = -n * math.log(2.0)
     for k in range(1, n // 2):
-        log_path += 2 * (math.log(math.sinh(k * t)) + math.log(math.sinh((k + 1) * t)))
+        for y in (k * t, (k + 1) * t):
+            log_path += 2 * (y + math.log(-math.expm1(-2 * y)) - math.log(2.0))
+    if not log_bracket >= log_path - 1e-12 * abs(log_path):
+        raise ArithmeticError(
+            f"log bracket {log_bracket:.6g} below the single path {log_path:.6g}: "
+            "the log bands lost paths past the cosh^2 overflow")
     log_bound = (2 * (n - 2) * math.log(t) - n * math.log(2.0)
                  + 2 * (math.lgamma(n // 2 + 1) + math.lgamma(n // 2)))
     return EasyAxisBounds(log_bracket=float(log_bracket), log_path=log_path,

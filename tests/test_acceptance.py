@@ -16,8 +16,8 @@ from xxz_metrology.model import ChainParams, eta_from_delta, hs_norm
 from xxz_metrology.mpo import (build_aux_A, contract_to_dense,
                                hs_norm_sq_via_transfer, validity_threshold)
 from xxz_metrology.lindblad import (apply_liouvillian, build_liouvillian,
-                                    calibrate_epsilon, ness_perturbative,
-                                    steady_state_nullspace)
+                                    calibrate_epsilon, ness_mu1,
+                                    ness_perturbative, steady_state_nullspace)
 from xxz_metrology.fisher import fisher_cross, qfi_dense, qfi_parametric, sld
 from xxz_metrology.transfer import (bracket_series, continued_fraction_C,
                                     continued_fraction_C_recurrence,
@@ -129,9 +129,9 @@ def test_criterion_07_leading_order_consistency():
             dev_l, dev_d = [], []
             for lam in lams:
                 params = ChainParams(n=n, delta=delta, lam=float(lam), mu=1.0)
-                rl = (qfi_parametric(params, "lambda").value
+                rl = (qfi_parametric(params, "lambda", ness_perturbative).value
                       / f0_x(params, "lambda").value)
-                rd = (qfi_parametric(params, "Delta").value
+                rd = (qfi_parametric(params, "Delta", ness_perturbative).value
                       / f0_delta(params).value)
                 dev_l.append(abs(rl - 1))
                 dev_d.append(abs(rd - 1))
@@ -240,7 +240,8 @@ def test_criterion_12_fig4_shape():
     dense = []
     for n in range(2, 11):
         params = ChainParams(n=n, delta=2.0, lam=1e-2, mu=1.0)
-        dense.append(qfi_parametric(params, "lambda", state_builder="mu1").value)
+        dense.append(qfi_parametric(
+            params, "lambda", lambda p: ness_mu1(p, p.lam / p.j_coupling)).value)
     dense = np.array(dense)
     rises = np.any(np.diff(dense) > 0)
     peak = int(dense.argmax())

@@ -1,13 +1,17 @@
 import csv
 import json
 import math
+import os
+import pathlib
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import xxz_metrology
 from xxz_metrology.cli import (EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, ScanSpec,
-                               main, rational_grid, run_scan)
+                               UsageError, main, rational_grid, run_scan)
 
 
 def read_csv(path):
@@ -182,6 +186,60 @@ def test_json_format(tmp_path):
     rows = json.loads(out.read_text())
     assert isinstance(rows, list) and len(rows) == 3
     assert rows[0]["n"] == 2
+
+
+def test_scan_spec_rejects_unknown_format(tmp_path):
+    out = tmp_path / "grid.xml"
+    with pytest.raises(UsageError, match="unknown format 'xml'"):
+        ScanSpec(kind="isotropic-check", fmt="xml", out=str(out))
+    assert not out.exists()
+
+
+_F0 = ["--lambda-over-j", "0", "--n-range", "2", "3", "1"]
+
+
+@pytest.mark.parametrize("argv, finite_argv, column", [
+    (["validity-report", "--delta", "0.5", "nan", "inf", "--n-range", "2", "4", "2"],
+     ["validity-report", "--delta", "0.5", "--n-range", "2", "4", "2"], "delta"),
+    (["f-lambda-nonpert", "--delta", "2", "nan", *_F0],
+     ["f-lambda-nonpert", "--delta", "2", *_F0], "delta"),
+    (["validity-report", "--delta", "0.5", "--mu", "nan", "--n-range", "2", "4", "2"],
+     None, "mu"),
+    (["f-lambda-nonpert", "--delta", "2", "--lambda-over-j", "0", "nan",
+      "--n-range", "2", "3", "1"],
+     ["f-lambda-nonpert", "--delta", "2", *_F0], "lambda_over_j"),
+])
+def test_non_finite_inputs_are_error_rows(tmp_path, argv, finite_argv, column):
+    out = tmp_path / "bad.csv"
+    assert main(["scan", *argv, "--out", str(out)]) == EXIT_PARTIAL
+    header, *rows = read_csv(out)
+    rows = [dict(zip(header, row)) for row in rows]
+    bad = [row for row in rows if row["error"]]
+    assert bad
+    for row in bad:
+        assert not math.isfinite(float(row[column]))
+        assert row["n"] and row["delta"]  # the row names its grid point
+        assert row["error"].startswith("ValueError: ")
+    good = [list(row.values()) for row in rows if not row["error"]]
+    if finite_argv is not None:
+        ref = tmp_path / "good.csv"
+        assert main(["scan", *finite_argv, "--out", str(ref)]) == EXIT_OK
+        assert good == read_csv(ref)[1:]
+
+
+def test_module_entry_point_writes_the_scan(tmp_path):
+    out = tmp_path / "iso.csv"
+    src = str(pathlib.Path(xxz_metrology.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "xxz_metrology.cli", "scan", "isotropic-check",
+         "--n-range", "3", "10", "7", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert len(read_csv(out)) == 3
+    manifest = json.loads((tmp_path / "iso.csv.manifest.json").read_text())
+    assert manifest["failures"] == 0
 
 
 @pytest.mark.filterwarnings("ignore:defect-sum window fit")

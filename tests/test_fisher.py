@@ -7,7 +7,8 @@ from xxz_metrology.fisher import (FisherEstimate, fisher_cross,
                                   optimal_estimator_variance,
                                   qfi_dense, qfi_parametric, relative_error,
                                   sld)
-from xxz_metrology.lindblad import ness_perturbative
+from xxz_metrology.lindblad import (build_liouvillian, ness_mu1, ness_perturbative,
+                                    steady_state_nullspace)
 from xxz_metrology.mpo import build_aux_A, contract_to_dense
 from xxz_metrology.transfer import f0_x
 
@@ -130,7 +131,8 @@ def test_zeta_observable_saturates_leading_order():
 
 
 def test_relative_error_arithmetic():
-    est = qfi_parametric(ChainParams(n=3, delta=0.5, lam=1e-3, mu=1.0), "lambda")
+    est = qfi_parametric(ChainParams(n=3, delta=0.5, lam=1e-3, mu=1.0), "lambda",
+                         ness_perturbative)
     fake = est.__class__(value=1.0, method="exact-dense", parameter="lambda",
                          params=est.params)
     assert relative_error(1.0, fake) == 1.0
@@ -155,7 +157,7 @@ def test_fisher_estimate_rejects_nan_and_negative_values():
 
 def test_relative_error_rejects_degenerate():
     params = ChainParams(n=3, delta=0.5, lam=1e-3, mu=1.0)
-    est = qfi_parametric(params, "lambda")
+    est = qfi_parametric(params, "lambda", ness_perturbative)
     with pytest.raises(ValueError):
         relative_error(0.0, est)
 
@@ -163,21 +165,43 @@ def test_relative_error_rejects_degenerate():
 def test_qfi_parametric_perturbative_tracks_leading_order():
     for n in (3, 4):
         params = ChainParams(n=n, delta=0.5, lam=1e-3, mu=1.0)
-        exact = qfi_parametric(params, "lambda").value
+        exact = qfi_parametric(params, "lambda", ness_perturbative).value
         lead = f0_x(params, "lambda").value
         assert abs(exact / lead - 1) < 1e-4
 
 
 def test_qfi_parametric_oracle_builder():
     params = ChainParams(n=2, delta=0.5, lam=1e-2, mu=1.0)
-    a = qfi_parametric(params, "lambda", state_builder="oracle").value
-    b = qfi_parametric(params, "lambda", state_builder="perturbative").value
+    a = qfi_parametric(params, "lambda",
+                       lambda p: steady_state_nullspace(build_liouvillian(p))).value
+    b = qfi_parametric(params, "lambda", ness_perturbative).value
     assert abs(a / b - 1) < 1e-4
+
+
+def test_qfi_parametric_closed_form_qubit_family():
+    # Bloch vector r = lam (cos Delta, 0, sin Delta): F = |r'|^2 + (r.r')^2/(1 - |r|^2),
+    # i.e. 1/(1 - lam^2) along the radius and lam^2 along the rotation angle
+    def build(p):
+        return (np.eye(2) + p.lam * (np.cos(p.delta) * pauli("x")
+                                     + np.sin(p.delta) * pauli("z"))) / 2
+
+    params = ChainParams(n=2, delta=0.3, lam=0.6)
+    assert np.isclose(qfi_parametric(params, "lambda", build).value, 1 / (1 - 0.6 ** 2),
+                      rtol=1e-8, atol=0)
+    assert np.isclose(qfi_parametric(params, "Delta", build).value, 0.6 ** 2,
+                      rtol=1e-8, atol=0)
+    assert qfi_parametric(params, "J", build).value == 0
+
+
+def test_qfi_parametric_rejects_a_shift_past_extreme_driving():
+    params = ChainParams(n=3, delta=2.0, lam=1e-2, mu=1.0)
+    with pytest.raises(ValueError, match="mu must lie"):
+        qfi_parametric(params, "mu", lambda p: ness_mu1(p, p.lam / p.j_coupling))
 
 
 def test_qfi_parametric_mu_at_zero_bias():
     params = ChainParams(n=3, delta=0.5, lam=1e-3, mu=0.0)
-    est = qfi_parametric(params, "mu")
+    est = qfi_parametric(params, "mu", ness_perturbative)
     assert est.value > 0  # state is maximally mixed but d(rho)/d(mu) is not 0
 
 
@@ -185,7 +209,8 @@ def test_qfi_parametric_fig4_nonmonotone():
     vals = []
     for n in (4, 5, 6, 7, 8):
         params = ChainParams(n=n, delta=2.0, lam=1e-2, mu=1.0)
-        vals.append(qfi_parametric(params, "lambda", state_builder="mu1").value)
+        vals.append(qfi_parametric(
+            params, "lambda", lambda p: ness_mu1(p, p.lam / p.j_coupling)).value)
     arr = np.array(vals)
     assert arr[1] > arr[0]          # superexponential rise
     assert arr.argmax() < len(arr) - 1  # then a decay sets in

@@ -1,14 +1,52 @@
 import numpy as np
 import pytest
 
-from xxz_metrology.model import ChainParams, hs_norm, pauli
+from xxz_metrology.model import (ChainParams, hamiltonian_xxz, hs_norm,
+                                 lindblad_jump_ops, magnetization_z, pauli)
 from xxz_metrology.lindblad import (apply_liouvillian, build_liouvillian,
                                     calibrate_epsilon, ness_mu1,
                                     ness_perturbative, steady_state_nullspace)
+from xxz_metrology.mpo import build_aux_A, contract_to_dense
 
 
 def vec(rho):
     return rho.flatten(order="F")
+
+
+def liouvillian_by_terms(params):
+    """The generator term by term: a commutator with the hermitian
+    Hamiltonian and the full dissipator of each jump operator."""
+    d = 2 ** params.n
+    H = params.j_coupling * hamiltonian_xxz(params)
+    if params.omega != 0.0:
+        H = H + params.omega / 2 * magnetization_z(params.n)
+    eye = np.eye(d, dtype=complex)
+    L = -1j * (np.kron(eye, H) - np.kron(H.T, eye))
+    for jump in lindblad_jump_ops(params):
+        jdj = jump.conj().T @ jump
+        L += params.lam * (np.kron(jump.conj(), jump)
+                           - 0.5 * np.kron(eye, jdj)
+                           - 0.5 * np.kron(jdj.T, eye))
+    return L
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_generator_matches_terms_at_extreme_driving(n):
+    for delta in (0.4, 0.9, 1.7, 10.0):
+        for lam in (1e-3, 1e-2, 0.3):
+            params = ChainParams(n=n, delta=delta, lam=lam, mu=1.0)
+            assert np.array_equal(build_liouvillian(params).matrix,
+                                  liouvillian_by_terms(params))
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.3, -0.7])
+def test_generator_matches_terms_off_extreme_driving(mu):
+    for n in (2, 3, 4):
+        for delta, lam, omega in ((0.6, 0.2, 0.0), (2.0, 1e-2, 0.7)):
+            params = ChainParams(n=n, delta=delta, lam=lam, mu=mu, omega=omega)
+            ref = liouvillian_by_terms(params)
+            diff = np.abs(build_liouvillian(params).matrix - ref).max()
+            assert diff <= 1e-15 * np.linalg.norm(ref)
 
 
 def test_trace_functional_is_left_null_vector():
@@ -62,11 +100,21 @@ def test_liouvillian_cap():
 
 def test_perturbative_trace_and_hermiticity():
     params = ChainParams(n=3, delta=0.5, lam=1e-3, mu=0.7)
-    rho, diag = ness_perturbative(params, return_diagnostics=True)
+    rho = ness_perturbative(params)
     assert abs(np.trace(rho) - 1) < 1e-14
     assert hs_norm(rho - rho.conj().T) < 1e-14
-    # trace defect of the raw expansion is O((lam/J)^2)
-    assert abs(diag["trace_defect"]) < 10 * (params.lam / params.j_coupling) ** 2
+    # trace defect of the raw expansion, -lam^2 mu^2/(8 J^2 2^n) tr((Z - Z+)^2),
+    # is O((lam/J)^2); the state is the raw expansion divided by 1 + defect
+    n, lam, mu, J = params.n, params.lam, params.mu, params.j_coupling
+    Z = contract_to_dense(build_aux_A(n, params.eta), n)
+    Zd = Z.conj().T
+    defect = (-lam ** 2 * mu ** 2 / (8 * J ** 2 * 2 ** n)
+              * np.trace((Z - Zd) @ (Z - Zd)).real)
+    assert abs(defect) < 10 * (lam / J) ** 2
+    raw = (np.eye(2 ** n) + 1j * lam / (2 * J) * mu * (Z - Zd)
+           + lam ** 2 / (8 * J ** 2) * (mu * (Z @ Zd - Zd @ Z)
+                                        - mu ** 2 * (Z - Zd) @ (Z - Zd))) / 2 ** n
+    assert hs_norm(rho * (1 + defect) - raw) < 1e-15
 
 
 def test_perturbative_zeroth_order():

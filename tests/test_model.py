@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -40,6 +42,13 @@ def test_embed_site_range():
         embed(3, 0, pauli("x"))
     with pytest.raises(ValueError):
         embed(3, 4, pauli("x"))
+    with pytest.raises(ValueError):
+        embed(3, 3, np.kron(pauli("x"), pauli("x")))
+
+
+def test_embed_two_site_operator_is_product_of_single_sites():
+    xz = np.kron(pauli("x"), pauli("z"))
+    assert np.array_equal(embed(4, 2, xz), embed(4, 2, pauli("x")) @ embed(4, 3, pauli("z")))
 
 
 def test_embed_rejects_oversized_chain():
@@ -66,6 +75,24 @@ def test_hamiltonian_two_site_xx_spectrum():
     H = hamiltonian_xxz(ChainParams(n=2, delta=0.0))
     eigs = np.sort(np.linalg.eigvalsh(H))
     assert np.allclose(eigs, [-2, 0, 0, 2])
+
+
+def hamiltonian_by_embeds(params):
+    """sum_j (sx sx + sy sy + Delta sz sz) as products of single-site embeds."""
+    n = params.n
+    H = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for j in range(1, n):
+        for ax in ("x", "y"):
+            H += embed(n, j, pauli(ax)) @ embed(n, j + 1, pauli(ax))
+        H += params.delta * embed(n, j, pauli("z")) @ embed(n, j + 1, pauli("z"))
+    return H
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_hamiltonian_matches_embed_products(n):
+    for delta in (0.5, -0.8, 2.0, 100.0):
+        params = ChainParams(n=n, delta=delta)
+        assert np.array_equal(hamiltonian_xxz(params), hamiltonian_by_embeds(params))
 
 
 def test_hamiltonian_hermitian():
@@ -128,3 +155,14 @@ def test_params_validation():
         ChainParams(n=2, lam=-0.1)
     with pytest.raises(ValueError):
         ChainParams(n=2, j_coupling=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_raise(bad):
+    with pytest.raises(ValueError, match="Delta must be finite"):
+        eta_from_delta(bad)
+    for name in ("delta", "lam", "j_coupling", "omega"):
+        with pytest.raises(ValueError, match="finite"):
+            ChainParams(n=3, **{name: bad})
+    with pytest.raises(ValueError, match="mu must lie"):
+        ChainParams(n=3, mu=bad)

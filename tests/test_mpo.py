@@ -193,6 +193,9 @@ def test_validity_threshold_examples():
 def test_validity_threshold_mu_zero():
     with pytest.raises(ValueError):
         validity_threshold(4, eta_from_delta(0.5), 0.0)
+    for bad in (float("nan"), 1.5, -1.0 - 1e-12):
+        with pytest.raises(ValueError, match=r"mu must lie in \[-1, 1\]"):
+            validity_threshold(4, eta_from_delta(0.5), bad)
 
 
 def test_validity_threshold_superexponential_decay():

@@ -545,6 +545,30 @@ def test_easy_axis_superexponential():
     assert np.all(second[2:] > 0)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_easy_axis_path_does_not_overflow():
+    # sinh(k t) leaves the double range at these n; the path in logs does not,
+    # and the bracket's cosh^2 overflow is then reported, not an OverflowError
+    for delta, n in ((100.0, 300), (10.0, 480)):
+        with pytest.raises(ArithmeticError, match="cosh\\^2 overflow"):
+            easy_axis_lower_bound(n, eta_from_delta(delta))
+    b = easy_axis_lower_bound(540, eta_from_delta(2.0))
+    assert b.log_bound <= b.log_path <= b.log_bracket
+    t = math.acosh(2.0)
+    direct = -30 * math.log(2.0) + sum(
+        2 * (math.log(math.sinh(k * t)) + math.log(math.sinh((k + 1) * t)))
+        for k in range(1, 15))
+    assert math.isclose(easy_axis_lower_bound(30, eta_from_delta(2.0)).log_path,
+                        direct, rel_tol=1e-14)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_easy_axis_bracket_below_path_raises():
+    # the log bracket silently drops paths here (135219 < 178534)
+    with pytest.raises(ArithmeticError, match="cosh\\^2 overflow"):
+        easy_axis_lower_bound(260, eta_from_delta(100.0))
+
+
 def test_easy_axis_rejects_bad_input():
     with pytest.raises(ValueError):
         easy_axis_lower_bound(7, eta_from_delta(2.0))
