@@ -8,6 +8,14 @@ effective Hamiltonian
 
 Vectorization is column-stacking throughout: vec(X rho Y) corresponds to
 (Y^T kron X) vec(rho), and vec(rho) = rho.flatten(order='F').
+
+The generator conserves q = (M_z(ket) - M_z(bra))/2, a weak U(1)
+symmetry: H commutes with M_z, and every jump operator flips one spin,
+so L_k rho L_k^dag moves ket and bra alike.  The 4**n x 4**n matrix is
+thus exactly block diagonal over q = -n..n, with blocks of size
+C(2n, n+q), and the brute-force steady state is solved block by block:
+one SVD of the q = 0 block (252 of 1024 at n = 5), singular values
+alone elsewhere.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import svd
+from scipy.linalg import svd, svdvals
 from scipy.optimize import minimize_scalar
 
 from .model import (ChainParams, hamiltonian_xxz, hs_norm, lindblad_jump_ops,
@@ -74,23 +82,62 @@ def apply_liouvillian(rho: np.ndarray, params: ChainParams) -> np.ndarray:
     return out
 
 
+def _sector_svd(liouv: Liouvillian) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Singular values of the generator, block by block over q sectors.
+
+    Returns the singular values in descending order, the sector q of
+    each, and the smallest right-singular vector of the q = 0 block
+    embedded in the full column-stacked space.  Raises ArithmeticError
+    if an entry couples two sectors.
+    """
+    n, matrix = liouv.n, liouv.matrix
+    mz = np.diag(magnetization_z(n)).real
+    q = np.rint((mz[:, None] - mz[None, :]) / 2).astype(int).flatten(order="F")
+    rows, cols = np.nonzero(matrix)
+    if np.any(q[rows] != q[cols]):
+        raise ArithmeticError("Liouvillian mixes M_z(ket) - M_z(bra) sectors")
+    values, labels = [], []
+    for sector in range(-n, n + 1):
+        idx = np.flatnonzero(q == sector)
+        block = matrix[np.ix_(idx, idx)]
+        if sector == 0:
+            _, s, vh = svd(block)
+            null = np.zeros(q.size, dtype=complex)
+            null[idx] = vh[-1].conj()
+        else:
+            s = svdvals(block)
+        values.append(s)
+        labels.append(np.full(s.size, sector))
+    s, labels = np.concatenate(values), np.concatenate(labels)
+    order = np.argsort(s)[::-1]
+    return s[order], labels[order], null
+
+
 def steady_state_nullspace(liouv: Liouvillian) -> np.ndarray:
     """Unique unit-trace hermitian null vector of the Liouvillian.
 
-    Extracted as the right-singular vector of the smallest singular
-    value; raises when the null space is not one-dimensional (lambda = 0
-    or numerical degeneracy).
+    Every term of the generator keeps q = (M_z(ket) - M_z(bra))/2: the
+    Hamiltonian conserves M_z, and each dissipator moves ket and bra by
+    the same spin flip.  In column-stacked order the matrix is therefore
+    block diagonal over the sectors q = -n..n, of size C(2n, n+q); the
+    block-diagonal claim is checked, not assumed.  A unit-trace state
+    lives in q = 0, so only that block gets a full SVD, whose smallest
+    right-singular vector is the state; the other blocks give singular
+    values alone.  Their sorted union is the spectrum of singular values
+    of the whole matrix, so the uniqueness check raises on a second
+    null vector in any sector (lambda = 0 or numerical degeneracy).
     """
     if liouv.params.lam <= 0:
         raise ValueError("uniqueness of the steady state needs lambda > 0")
     d = 2 ** liouv.n
-    _, s, vh = svd(liouv.matrix)
+    s, sector_of, null = _sector_svd(liouv)
     scale = s[0]
     if s[-2] < 1e-10 * scale:
         raise ValueError(
             f"null space dimension != 1 (second singular value {s[-2]:.2e} "
+            f"in sector q = {sector_of[-2]}, smallest in q = {sector_of[-1]}, "
             f"vs scale {scale:.2e})")
-    rho = vh[-1].conj().reshape((d, d), order="F")
+    rho = null.reshape((d, d), order="F")
     rho = (rho + rho.conj().T) / 2
     rho = rho / np.trace(rho).real
     residual = hs_norm(apply_liouvillian(rho, liouv.params))

@@ -1,11 +1,16 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
+from scipy.linalg import svd
 
-from xxz_metrology.model import (ChainParams, hamiltonian_xxz, hs_norm,
+from xxz_metrology.model import (ChainParams, embed, hamiltonian_xxz, hs_norm,
                                  lindblad_jump_ops, magnetization_z, pauli)
-from xxz_metrology.lindblad import (apply_liouvillian, build_liouvillian,
-                                    calibrate_epsilon, ness_mu1,
-                                    ness_perturbative, steady_state_nullspace)
+from xxz_metrology.lindblad import (_sector_svd, apply_liouvillian,
+                                    build_liouvillian, calibrate_epsilon,
+                                    ness_mu1, ness_perturbative,
+                                    steady_state_nullspace)
 from xxz_metrology.mpo import build_aux_A, contract_to_dense
 
 
@@ -28,6 +33,63 @@ def liouvillian_by_terms(params):
                            - 0.5 * np.kron(eye, jdj)
                            - 0.5 * np.kron(jdj.T, eye))
     return L
+
+
+def nullspace_by_full_svd(liouv):
+    """One SVD of the whole 4**n x 4**n matrix: the steady state from its
+    smallest right-singular vector, and every singular value."""
+    d = 2 ** liouv.n
+    _, s, vh = svd(liouv.matrix)
+    rho = vh[-1].conj().reshape((d, d), order="F")
+    rho = (rho + rho.conj().T) / 2
+    return rho / np.trace(rho).real, s
+
+
+def trace_distance(a, b):
+    return 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum()
+
+
+_SECTOR_GRID = list(itertools.product((0.5, -0.8, 1.5, 2.0), (1e-3, 0.3),
+                                      (1.0, 0.3, -0.6), (0.0, 0.7)))
+# at n = 5 one full SVD takes ~1 s: four points that still take every
+# value of every parameter
+_SECTOR_GRID_N5 = [(0.5, 1e-3, 1.0, 0.0), (-0.8, 0.3, 0.3, 0.7),
+                   (1.5, 1e-3, -0.6, 0.7), (2.0, 0.3, 1.0, 0.0)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sector_route_matches_full_svd(n):
+    grid = _SECTOR_GRID if n < 5 else _SECTOR_GRID_N5
+    for delta, lam, mu, omega in grid:
+        params = ChainParams(n=n, delta=delta, lam=lam, mu=mu, omega=omega)
+        liouv = build_liouvillian(params)
+        rho_full, s_full = nullspace_by_full_svd(liouv)
+        s_sector, _, _ = _sector_svd(liouv)
+        assert trace_distance(steady_state_nullspace(liouv), rho_full) <= 1e-11
+        assert np.abs(s_sector - s_full).max() <= 1e-12 * s_full[0]
+
+
+def test_nullspace_sees_a_second_null_vector_outside_q_zero():
+    # zero the 1x1 block of the q = n sector, the |up..up><down..down|
+    # coherence: a second null vector that only the q != 0 values show
+    n = 3
+    liouv = build_liouvillian(ChainParams(n=n, delta=0.7, lam=0.2, mu=0.5))
+    d = 2 ** n
+    matrix = liouv.matrix.copy()
+    matrix[d * (d - 1), d * (d - 1)] = 0.0
+    with pytest.raises(ValueError, match=r"null space dimension != 1 .*q = 3"):
+        steady_state_nullspace(dataclasses.replace(liouv, matrix=matrix))
+
+
+def test_nullspace_rejects_sector_mixing():
+    # a sigma^x field on site 1 breaks M_z conservation
+    params = ChainParams(n=3, delta=0.7, lam=0.2, mu=0.5)
+    liouv = build_liouvillian(params)
+    field = 0.3 * embed(3, 1, pauli("x"))
+    eye = np.eye(8, dtype=complex)
+    matrix = liouv.matrix - 1j * (np.kron(eye, field) - np.kron(field.T, eye))
+    with pytest.raises(ArithmeticError, match="mixes"):
+        steady_state_nullspace(dataclasses.replace(liouv, matrix=matrix))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
