@@ -13,11 +13,12 @@ from .fisher import (FisherEstimate, fisher_cross, optimal_estimator_variance,
                      qfi_dense, qfi_parametric, relative_error, sld)
 from .transfer import (JordanData, SignedLog, TransferSystem, bracket_LTnR,
                        bracket_LTnR_log, build_transfer, chi_coefficient,
-                       continued_fraction_C, continued_fraction_C_recurrence,
-                       defective_vector, easy_axis_lower_bound, f0_delta, f0_x,
+                       chi_coefficient_rational, continued_fraction_C,
+                       continued_fraction_C_recurrence, defective_vector,
+                       easy_axis_lower_bound, f0_delta, f0_x,
                        isotropic_bracket_series, isotropic_f_delta,
                        jordan_decompose, sum_defect, toeplitz_eigs_check,
-                       xi_coefficient)
+                       xi_coefficient, xi_coefficient_rational)
 
 __all__ = [
     "ChainParams", "embed", "eta_from_delta", "hamiltonian_xxz", "hs_norm",
@@ -31,8 +32,9 @@ __all__ = [
     "qfi_dense", "qfi_parametric", "relative_error", "sld",
     "JordanData", "SignedLog", "TransferSystem", "bracket_LTnR",
     "bracket_LTnR_log", "build_transfer", "chi_coefficient",
-    "continued_fraction_C", "continued_fraction_C_recurrence",
+    "chi_coefficient_rational", "continued_fraction_C", "continued_fraction_C_recurrence",
     "defective_vector", "easy_axis_lower_bound", "f0_delta", "f0_x",
     "isotropic_bracket_series", "isotropic_f_delta", "jordan_decompose",
     "sum_defect", "toeplitz_eigs_check", "xi_coefficient",
+    "xi_coefficient_rational",
 ]

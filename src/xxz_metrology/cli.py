@@ -35,9 +35,10 @@ from .model import ChainParams, DENSE_CAP, eta_from_delta
 from .mpo import _log_threshold, hs_norm_sq_via_transfer
 from .fisher import qfi_parametric
 from .lindblad import ness_mu1
-from .transfer import (bracket_series, chi_coefficient, defect_series,
-                       f0_x, isotropic_bracket_series, isotropic_f_delta,
-                       second_eta_derivative_bracket, xi_coefficient)
+from .transfer import (bracket_series, chi_coefficient, chi_coefficient_rational,
+                       defect_series, f0_x, isotropic_bracket_series,
+                       isotropic_f_delta, second_eta_derivative_bracket,
+                       xi_coefficient, xi_coefficient_rational)
 
 EXIT_OK = 0
 EXIT_PARTIAL = 2
@@ -115,43 +116,33 @@ def _log10_cols(sign: float, log_e: float) -> tuple[str, str, str]:
 # they return the other columns of its row (top level, so a pool can pickle them)
 
 def _eval_chi(route, p, q, delta, d):
-    if route == "rational":
-        chi, chi1 = chi_coefficient(delta, rational_eta=(p, q))
-    else:
-        chi, chi1 = chi_coefficient(delta, d_max=d)
-    return {"chi": chi, "chi1": chi1}
+    chi = chi_coefficient_rational(p, q) if route == "rational" else chi_coefficient(delta, d)
+    return chi._asdict()
 
 
 def _eval_xi_rational(p, q, delta, window_start):
-    xi, diag = xi_coefficient(delta, window_start, rational_eta=(p, q),
-                              return_diagnostics=True)
-    return {"eta_over_pi": q / p, "d": diag["d"], "xi": xi, "xi1": diag["xi1"],
-            "chi_dd": diag["chi_dd"], "fit_r2": diag["r2"]}
+    del delta  # names the point; xi_coefficient_rational derives it from (p, q)
+    return xi_coefficient_rational(p, q, window_start)._asdict()
 
 
 def _eval_xi_n(delta, n):
-    xi, diag = xi_coefficient(delta, n, return_diagnostics=True)
-    return {"d": diag["d"], "xi": xi, "xi_n": xi * n,
-            "sum_defect": diag["sum_defect"], "d2_bracket": diag["d2_bracket"]}
+    return xi_coefficient(delta, n)._asdict()
 
 
 def _eval_flambda(delta, lambda_over_j, n):
     if lambda_over_j == 0.0:
         params = ChainParams(n=n, j_coupling=1.0, delta=delta, lam=1.0, mu=1.0)
-        est = f0_x(params, "lambda")
-        sign = 1.0 if est.value != 0 or est.log_value != -math.inf else 0.0
-        linear, s, l10 = _log10_cols(sign, est.log_value)
-        return {"method": "leading-order", "epsilon": "",
-                "j2_f_lambda": linear, "f_sign": s, "f_log10": l10}
-    if n > DENSE_CAP:
-        raise ValueError(f"dense route capped at n <= {DENSE_CAP}")
-    params = ChainParams(n=n, j_coupling=1.0, delta=delta, lam=lambda_over_j, mu=1.0)
-    # ness_mu1 is looked up at each call, so a wrapper installed on it sees the builds
-    est = qfi_parametric(params, "lambda", lambda p: ness_mu1(p, p.lam / p.j_coupling))
-    linear, s, l10 = _log10_cols(1.0 if est.value > 0 else 0.0,
-                                 est.log_value if est.log_value is not None else -math.inf)
-    return {"method": "exact-dense", "epsilon": lambda_over_j,
-            "j2_f_lambda": linear, "f_sign": s, "f_log10": l10}
+        est, epsilon = f0_x(params, "lambda"), ""
+    else:
+        if n > DENSE_CAP:
+            raise ValueError(f"dense route capped at n <= {DENSE_CAP}")
+        params = ChainParams(n=n, j_coupling=1.0, delta=delta, lam=lambda_over_j, mu=1.0)
+        # ness_mu1 is looked up at each call, so a wrapper installed on it sees the builds
+        est = qfi_parametric(params, "lambda", lambda p: ness_mu1(p, p.lam / p.j_coupling))
+        epsilon = lambda_over_j
+    linear, sign, log10 = _log10_cols(float(est.log_value > -math.inf), est.log_value)
+    return {"method": est.method, "epsilon": epsilon,
+            "j2_f_lambda": linear, "f_sign": sign, "f_log10": log10}
 
 
 def _eval_validity(delta, n, mu):

@@ -8,6 +8,7 @@ factor, i.e. ``embed(2, 1, op) == kron(op, eye(2))``.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -80,10 +81,8 @@ class ChainParams:
         return 2 ** self.n
 
     def replace(self, **kwargs) -> "ChainParams":
-        fields = dict(n=self.n, j_coupling=self.j_coupling, delta=self.delta,
-                      lam=self.lam, mu=self.mu, omega=self.omega)
-        fields.update(kwargs)
-        return ChainParams(**fields)
+        """A copy with the given fields changed; eta is derived again."""
+        return dataclasses.replace(self, **kwargs)
 
 
 def pauli(axis: str) -> np.ndarray:

@@ -497,10 +497,11 @@ def jordan_decompose(ts: TransferSystem) -> JordanData:
     order = np.argsort(-np.abs(taus))
     taus = taus[order]
     vecs = vecs[:, order]
-    if np.any(np.abs(taus - 1.0) < 1e-10):
+    gap = float(np.min(np.abs(taus - 1.0)))
+    if gap < 1e-10:
         raise ValueError(
-            "bulk transfer block has an eigenvalue 1: for rational eta/pi "
-            "the truncation must satisfy d <= |p| - 1")
+            f"bulk transfer block has an eigenvalue within 1e-10 of 1 (min |tau - 1| = "
+            f"{gap:.2g}): for rational eta/pi the truncation must satisfy d <= |p| - 1")
     dim = d + 2
     V = np.zeros((dim, dim), dtype=taus.dtype)
     V[0, 0] = 1.0
@@ -561,65 +562,71 @@ def continued_fraction_C_recurrence(k: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# growth coefficients chi and xi
+# growth coefficients chi and xi: one function per route, (p, q) or a float Delta
 # ---------------------------------------------------------------------------
 
-def _check_rational(delta: float, rational_eta: tuple[int, int]) -> tuple[int, int]:
-    p, q = rational_eta
-    if p < 2 or not 0 < q < abs(p):
+class Chi(NamedTuple):
+    """<L|T^n|R> = chi n + chi1 + decaying terms; chi1 = <L|V^-1|R> (Jordan)."""
+
+    chi: float
+    chi1: float
+
+
+class RationalXi(NamedTuple):
+    """xi at eta/pi = q/p, d = p - 1, the window's defect-sum slope xi1 and
+    its fit R^2, and chi'' at d."""
+
+    eta_over_pi: float
+    d: int
+    xi: float
+    xi1: float
+    chi_dd: float
+    fit_r2: float
+
+
+class IrrationalXi(NamedTuple):
+    """xi(n) on the d = n//2 matrices, xi n, and the two brackets it sums."""
+
+    d: int
+    xi: float
+    xi_n: float
+    sum_defect: float
+    d2_bracket: float
+
+
+def _rational_point(p: int, q: int) -> tuple[float, float, int]:
+    """(eta, Delta, d) = (q pi/p, cos(q pi/p), p - 1) for coprime 0 < q < p."""
+    if p < 2 or not 0 < q < p:
         raise ValueError(f"need 0 < q < p with p >= 2, got (p, q) = {(p, q)}")
     if math.gcd(p, q) != 1:
         raise ValueError(f"(p, q) = {(p, q)} are not coprime")
-    if abs(math.cos(q * math.pi / p) - delta) > 1e-12:
-        raise ValueError(
-            f"cos(q pi / p) = {math.cos(q * math.pi / p)!r} does not match "
-            f"delta = {delta!r}")
-    return p, q
+    return q * math.pi / p, math.cos(q * math.pi / p), p - 1
 
 
-def _fit_line(ns: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares slope, intercept and R^2 of ys against ns."""
-    A = np.vstack([ns, np.ones_like(ns)]).T
-    coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
-    fit = A @ coef
-    ss_res = float(np.sum((ys - fit) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return float(coef[0]), float(coef[1]), r2
+def chi_coefficient_rational(p: int, q: int) -> Chi:
+    """chi = d/(2(d+1)) * 1/(1 - Delta^2) and chi_1 at eta/pi = q/p, on T
+    truncated at d = p - 1, which is exact: no path descends from |p>."""
+    eta, delta, d = _rational_point(p, q)
+    chi = d / (2 * (d + 1)) / (1 - delta ** 2)
+    return Chi(chi, jordan_decompose(build_transfer(d, eta)).chi1)
 
 
-def chi_coefficient(delta: float, rational_eta: tuple[int, int] | None = None,
-                    d_max: int = 400) -> tuple[float, float]:
-    """(chi, chi_1) for the linear growth <L|T^n|R> = chi n + chi_1.
-
-    chi = d/(2(d+1)) * 1/(1 - Delta^2) with d = |p| - 1 for rational
-    eta/pi = q/p and d = d_max on the irrational pathway; chi_1 is the
-    diagnostic constant <L|V^-1|R> from the Jordan similarity.  Where a
-    float Delta puts an eigenvalue 1 into the bulk block (eta/pi = q/p
-    with p <= d_max), chi_1 is nan, with a warning.
+def chi_coefficient(delta: float, d: int) -> Chi:
+    """chi = d/(2(d+1)) * 1/(1 - Delta^2) and chi_1 at a float Delta, on T
+    truncated at d.  Where Delta puts a bulk eigenvalue within 1e-10 of 1
+    (eta/pi at or next to some q/p with p <= d), chi_1 is nan, with a warning.
     """
     if not abs(delta) < 1:
         raise ValueError("chi is defined for |Delta| < 1")
-    if rational_eta is not None:
-        p, q = _check_rational(delta, rational_eta)
-        d = abs(p) - 1
-        eta = q * math.pi / p
-    else:
-        d = d_max
-        eta = math.acos(delta)
+    ts = build_transfer(d, math.acos(delta))
     chi = d / (2 * (d + 1)) / (1 - delta ** 2)
     try:
-        chi1 = jordan_decompose(build_transfer(d, eta)).chi1
-    except ValueError as exc:
-        if rational_eta is not None:
-            raise
-        # a float delta can hit a rational eta/pi exactly (delta = 0 say),
-        # where the oversized truncation is defective; chi1 is only a
-        # diagnostic, so report it as unavailable
+        chi1 = jordan_decompose(ts).chi1
+    except ValueError as exc:  # chi1 is only a diagnostic: report it as unavailable
         warnings.warn(f"chi1 is undefined at Delta = {delta!r} with d = {d} "
                       f"({exc}); reported as nan")
         chi1 = math.nan
-    return chi, chi1
+    return Chi(chi, chi1)
 
 
 def chi_second_derivative(delta: float, d: int) -> float:
@@ -628,61 +635,52 @@ def chi_second_derivative(delta: float, d: int) -> float:
     return d / (d + 1) * (2 * delta ** 2 + 1) / (1 - delta ** 2) ** 2
 
 
-def xi_coefficient(delta: float, n: int,
-                   rational_eta: tuple[int, int] | None = None,
-                   return_diagnostics: bool = False):
-    """Growth coefficient xi of F_Delta^(0) = (lam mu / J)^2 xi n.
+def xi_coefficient_rational(p: int, q: int, window_start: int) -> RationalXi:
+    """Growth coefficient xi of F_Delta^(0) = (lam mu / J)^2 xi n at eta/pi = q/p.
 
-    Rational eta/pi = q/p: the transfer and vertex matrices are
-    restricted to d = |p| - 1 (the transitions through |p| vanish in
-    T^n), the defect-sum slope xi_1 is fitted over the window [n, 2n],
-    and xi = (xi_1 - chi''/4) / (2 (1 - Delta^2)) with chi'' the closed
-    form above.  The result is n-independent; callers probe several n
-    and assert the spread.  This restricted combination is what the
-    full-matrix quantity [sum_defect - (1/4) d^2 bracket / d eta^2]/n
-    converges to as n grows, which the tests check.
+    T and D are restricted to d = p - 1, the defect-sum slope xi_1 is
+    fitted over n in [window_start, 2 window_start] (R^2 < 1 - 1e-9
+    warns that transients remain), and xi = (xi_1 - chi''/4) /
+    (2 (1 - Delta^2)).  This is the large-n limit of the full-matrix
+    [sum_defect - (1/4) d^2 bracket / d eta^2]/n: at rational eta/pi the
+    full Fisher information keeps a secular n^2 piece fed by paths
+    dwelling on the absorbing state |p>, which the restriction removes.
+    """
+    if window_start < 8:
+        raise ValueError(f"need window_start >= 8 for a meaningful window, "
+                         f"got {window_start}")
+    eta, delta, d = _rational_point(p, q)
+    n = window_start
+    ys = defect_series(2 * n, eta, d)[n:]
+    A = np.vstack([np.arange(n, 2 * n + 1, dtype=float), np.ones(n + 1)]).T
+    coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
+    xi1 = float(coef[0])
+    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum((ys - A @ coef) ** 2)) / ss_tot
+    if r2 < 1 - 1e-9:
+        warnings.warn(f"defect-sum window fit not linear (R^2 = {r2}); "
+                      "transients may not have decayed")
+    cdd = chi_second_derivative(delta, d)
+    xi = (xi1 - 0.25 * cdd) / (2 * (1 - delta ** 2))
+    return RationalXi(eta_over_pi=q / p, d=d, xi=xi, xi1=xi1, chi_dd=cdd, fit_r2=r2)
 
-    Irrational pathway (float delta): the full d = n//2 matrices are
-    used and the n-dependent value
 
-        xi(n) = [sum_defect(n) + (1/4) d^2/dt^2 <L|T^n|R>] / (2 |1-Delta^2| n)
+def xi_coefficient(delta: float, n: int) -> IrrationalXi:
+    """xi(n) = [sum_defect(n) + (1/4) d^2/dt^2 <L|T^n|R>] / (2 |1-Delta^2| n)
+    at a float Delta, on the full d = n//2 matrices: f0_delta / (n (lam mu/J)^2).
 
-    is returned, i.e. exactly f0_delta / (n (lam mu / J)^2).  Its growth
-    (piecewise powers between n^2 and n^5, and an initial n^2 window
-    close to rational points) is the quantity of interest.  The two
-    pathways deliberately differ: at rational eta/pi the full Fisher
-    information keeps a secular n^2 piece fed by paths dwelling on the
-    absorbing state |p|, which the restriction removes; the restricted
-    coefficient is the regularized linear rate, the irrational value is
-    the literal one.
+    Its growth (piecewise powers between n^2 and n^5, and an initial n^2
+    window close to rational points) is the quantity of interest.
     """
     if not abs(delta) < 1:
         raise ValueError("xi is defined for |Delta| < 1")
-    if n < 8:
-        raise ValueError("need n >= 8 for a meaningful window")
-    if rational_eta is not None:
-        p, q = _check_rational(delta, rational_eta)
-        d = abs(p) - 1
-        eta = q * math.pi / p
-        series = defect_series(2 * n, eta, d)
-        ns = np.arange(n, 2 * n + 1)
-        xi1, _, r2 = _fit_line(ns.astype(float), series[n:])
-        if r2 < 1 - 1e-9:
-            warnings.warn(f"defect-sum window fit not linear (R^2 = {r2}); "
-                          "transients may not have decayed")
-        cdd = chi_second_derivative(delta, d)
-        xi = (xi1 - 0.25 * cdd) / (2 * (1 - delta ** 2))
-        diag = {"route": "rational", "d": d, "xi1": xi1, "chi_dd": cdd, "r2": r2}
-    else:
-        eta = math.acos(delta)
-        d = max(n // 2, 1)
-        sd = float(defect_series(n, eta, d)[n])
-        d2 = second_eta_derivative_bracket(n, eta, d)
-        xi = (sd + 0.25 * d2) / (2 * abs(1 - delta ** 2) * n)
-        diag = {"route": "irrational", "d": d, "sum_defect": sd, "d2_bracket": d2}
-    if return_diagnostics:
-        return xi, diag
-    return xi
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    eta, d = math.acos(delta), n // 2
+    sd = float(defect_series(n, eta, d)[n])
+    d2 = second_eta_derivative_bracket(n, eta, d)
+    xi = (sd + 0.25 * d2) / (2 * abs(1 - delta ** 2) * n)
+    return IrrationalXi(d=d, xi=xi, xi_n=xi * n, sum_defect=sd, d2_bracket=d2)
 
 
 # ---------------------------------------------------------------------------

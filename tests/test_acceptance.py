@@ -24,7 +24,8 @@ from xxz_metrology.transfer import (bracket_series, continued_fraction_C,
                                     easy_axis_lower_bound, f0_delta, f0_x,
                                     isotropic_f_delta,
                                     toeplitz_eigs_analytic,
-                                    toeplitz_eigs_check, xi_coefficient)
+                                    toeplitz_eigs_check, xi_coefficient,
+                                    xi_coefficient_rational)
 
 
 def report(num, desc, ok, elapsed, detail="", budget=None):
@@ -204,11 +205,10 @@ def test_criterion_09_chi_slope():
 
 def test_criterion_10_xi_dichotomy():
     t0 = time.monotonic()
-    rational = [xi_coefficient(0.5, n, rational_eta=(3, 1))
-                for n in (200, 400, 800)]
+    rational = [xi_coefficient_rational(3, 1, n).xi for n in (200, 400, 800)]
     spread = np.ptp(rational) / abs(np.mean(rational))
     ns = np.unique(np.round(np.logspace(2, 4, 9)).astype(int))
-    xin = np.array([xi_coefficient(0.1, int(n)) * n for n in ns])
+    xin = np.array([xi_coefficient(0.1, int(n)).xi_n for n in ns])
     expo = np.polyfit(np.log(ns), np.log(xin), 1)[0]
     ok = spread < 1e-4 and 2.0 <= expo <= 5.0
     report(10, "xi dichotomy: rational (p = 3) n-independent, irrational "
@@ -276,7 +276,7 @@ def test_criterion_13_relative_error_claims():
     #  - isotropic: 1/(Delta F) > 1/n^2 with the expected n^-2 trend
     #  - easy plane (rational Delta = 0.5): 1/(Delta F) > O(1/(xi n))
     iso_ratio = []
-    xi05 = xi_coefficient(0.5, 200, rational_eta=(3, 1))
+    xi05 = xi_coefficient_rational(3, 1, 200).xi
     for n in range(6, 51, 4):
         lam = 0.99 * validity_threshold(n, eta_from_delta(1.0), mu=1.0).value
         p_iso = ChainParams(n=n, delta=1.0, lam=lam, mu=1.0)

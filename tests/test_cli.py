@@ -309,6 +309,7 @@ def test_chi1_nan_is_a_manifest_warning(tmp_path):
     assert [w["point"]["delta"] for w in manifest["warnings"]] == [0.0]
     message = manifest["warnings"][0]["message"]
     assert "Delta = 0.0" in message and "d = 4" in message
+    assert "within 1e-10 of 1 (min |tau - 1| = " in message
 
 
 def test_manifest_times_each_row(tmp_path):
@@ -337,6 +338,18 @@ def test_xi_n_scan_smoke(tmp_path):
     rows = read_csv(out)
     assert [(r[0], r[1]) for r in rows[1:]] == [
         (dl, n) for dl in ("0.1", "0.2", "0.3") for n in ("20", "40", "60")]
+
+
+def test_xi_n_scan_takes_short_chains(tmp_path):
+    # the float-Delta route fits no window, so every n >= 2 has a value
+    out = tmp_path / "xin.csv"
+    code = main(["scan", "xi-n-vs-n", "--delta", "0.3", "--n-range", "2", "10", "2",
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    rows = read_csv(out)
+    rows = [dict(zip(rows[0], row)) for row in rows[1:]]
+    assert [(r["n"], r["d"], r["error"]) for r in rows] == [
+        (str(n), str(n // 2), "") for n in range(2, 11, 2)]
 
 
 def test_config_file_and_override(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -155,6 +156,15 @@ def test_params_validation():
         ChainParams(n=2, lam=-0.1)
     with pytest.raises(ValueError):
         ChainParams(n=2, j_coupling=0.0)
+
+
+def test_replace_changes_only_the_named_field():
+    base = ChainParams(n=4, j_coupling=2.0, delta=0.5, lam=0.1, mu=-0.3, omega=0.7)
+    kept = {f.name: getattr(base, f.name) for f in dataclasses.fields(base) if f.init}
+    for name, value in dict(n=5, j_coupling=1.5, delta=2.0, lam=0.2, mu=0.4,
+                            omega=-1.0).items():
+        assert base.replace(**{name: value}) == ChainParams(**{**kept, name: value})
+    assert base.replace(delta=2.0).eta == eta_from_delta(2.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

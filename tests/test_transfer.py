@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from xxz_metrology.transfer import (SignedLog, _f0_delta_bracket_log,
                                     _split_eta, bracket_LTnR,
                                     bracket_LTnR_log, bracket_series,
                                     build_transfer, chi_coefficient,
+                                    chi_coefficient_rational,
                                     chi_second_derivative,
                                     continued_fraction_C,
                                     continued_fraction_C_recurrence,
@@ -18,7 +20,8 @@ from xxz_metrology.transfer import (SignedLog, _f0_delta_bracket_log,
                                     isotropic_f_delta, jordan_decompose,
                                     second_eta_derivative_bracket, sum_defect,
                                     sum_defect_log, toeplitz_eigs_analytic,
-                                    toeplitz_eigs_check, xi_coefficient)
+                                    toeplitz_eigs_check, xi_coefficient,
+                                    xi_coefficient_rational)
 
 
 # --- construction -----------------------------------------------------------
@@ -384,8 +387,18 @@ def test_jordan_power_formula():
 
 def test_jordan_rejects_rational_overtruncation():
     # d >= p puts an absorbing bulk state at eigenvalue 1
-    with pytest.raises(ValueError, match="d <= |p| - 1"):
+    with pytest.raises(ValueError, match=re.escape("d <= |p| - 1")) as info:
         jordan_decompose(build_transfer(3, math.pi / 3))
+    assert "within 1e-10 of 1 (min |tau - 1| = " in str(info.value)
+
+
+def test_jordan_error_states_the_measured_gap():
+    # eta/pi = 0.354978... is 8.3e-8 from 82/231: one bulk eigenvalue lies
+    # below the 1e-10 cut without being exactly 1
+    with pytest.raises(ValueError) as info:
+        jordan_decompose(build_transfer(400, math.acos(0.44)))
+    gap = float(re.search(r"min \|tau - 1\| = (\S+)\)", str(info.value)).group(1))
+    assert 0 < gap < 1e-10
 
 
 def test_defective_vector_residual():
@@ -433,8 +446,7 @@ def slope_oracle(eta, d, n_lo=100, n_hi=200):
 
 @pytest.mark.parametrize("p,q,expected", [(2, 1, 0.25), (3, 1, 4 / 9)])
 def test_chi_closed_form(p, q, expected):
-    delta = math.cos(q * math.pi / p)
-    chi, _ = chi_coefficient(delta, rational_eta=(p, q))
+    chi, _ = chi_coefficient_rational(p, q)
     assert np.isclose(chi, expected)
 
 
@@ -443,25 +455,26 @@ def test_chi_closed_form(p, q, expected):
 # windowed slope still differs from chi by 7.9e-6
 @pytest.mark.parametrize("p,q,n_lo", [(2, 1, 100), (3, 1, 100), (5, 2, 250)])
 def test_chi_matches_slope_oracle(p, q, n_lo):
-    delta = math.cos(q * math.pi / p)
-    chi, _ = chi_coefficient(delta, rational_eta=(p, q))
+    chi, _ = chi_coefficient_rational(p, q)
     slope = slope_oracle(q * math.pi / p, p - 1, n_lo=n_lo, n_hi=2 * n_lo)
     assert abs(slope - chi) / chi < 1e-6
 
 
 def test_chi_positivity_window():
     for delta in (-0.9, -0.3, 0.2, 0.8):
-        chi, _ = chi_coefficient(delta, d_max=300)
+        chi, _ = chi_coefficient(delta, 300)
         scaled = chi * (1 - delta ** 2)
         assert chi > 0
         assert 0.25 <= scaled < 0.5
 
 
 def test_chi_validates_rational_input():
-    with pytest.raises(ValueError):
-        chi_coefficient(0.5, rational_eta=(4, 2))
-    with pytest.raises(ValueError):
-        chi_coefficient(0.4, rational_eta=(3, 1))
+    # not coprime, q outside (0, p), p < 2; the xi route checks the same
+    for p, q in ((4, 2), (3, 3), (5, 0), (1, 1)):
+        with pytest.raises(ValueError):
+            chi_coefficient_rational(p, q)
+        with pytest.raises(ValueError):
+            xi_coefficient_rational(p, q, 100)
 
 
 def test_chi_second_derivative_closed_form():
@@ -479,7 +492,7 @@ def test_chi_second_derivative_closed_form():
 # --- xi ---------------------------------------------------------------------
 
 def test_xi_rational_constant_in_n():
-    vals = [xi_coefficient(0.5, n, rational_eta=(3, 1)) for n in (200, 400, 800)]
+    vals = [xi_coefficient_rational(3, 1, n).xi for n in (200, 400, 800)]
     assert np.ptp(vals) < 1e-4 * abs(np.mean(vals))
 
 
@@ -487,7 +500,7 @@ def test_xi_rational_agrees_with_full_matrix_limit():
     # the restricted-window value equals the large-n limit of the
     # full-matrix combination [sum_defect - d2/4]/n, where the secular
     # n^2 pieces cancel; convergence is O(1/n)
-    xi_restricted = xi_coefficient(0.5, 400, rational_eta=(3, 1))
+    xi_restricted = xi_coefficient_rational(3, 1, 400).xi
     n, eta = 2000, math.acos(0.5)
     sd = float(defect_series(n, eta)[n])
     d2 = second_eta_derivative_bracket(n, eta)
@@ -496,22 +509,23 @@ def test_xi_rational_agrees_with_full_matrix_limit():
 
 
 def test_xi_irrational_route_is_f0_delta_per_site():
-    n, delta = 40, 0.37
-    params = ChainParams(n=n, delta=delta, lam=1.0, mu=1.0)
-    assert np.isclose(xi_coefficient(delta, n) * n, f0_delta(params).value,
-                      rtol=1e-12)
+    delta = 0.37
+    for n in (2, 3, 4, 5, 6, 7, 40):
+        params = ChainParams(n=n, delta=delta, lam=1.0, mu=1.0)
+        assert np.isclose(xi_coefficient(delta, n).xi_n, f0_delta(params).value,
+                          rtol=1e-12)
 
 
 def test_xi_irrational_growth_window():
     ns = [100, 400, 1600]
-    vals = [xi_coefficient(0.1, n) * n for n in ns]
+    vals = [xi_coefficient(0.1, n).xi_n for n in ns]
     expo = np.polyfit(np.log(ns), np.log(np.abs(vals)), 1)[0]
     assert 2.0 <= expo <= 5.0
 
 
 def test_xi_near_rational_initial_slope_two():
     ns = [50, 100, 200, 400]
-    vals = [xi_coefficient(0.4999, n) * n for n in ns]
+    vals = [xi_coefficient(0.4999, n).xi_n for n in ns]
     expo = np.polyfit(np.log(ns), np.log(np.abs(vals)), 1)[0]
     assert 1.7 <= expo <= 2.3
 
@@ -520,9 +534,7 @@ def test_xi_near_rational_initial_slope_two():
 def test_xi_unbounded_in_denominator():
     vals = []
     for p in (3, 5, 8):
-        delta = math.cos(math.pi / p)
-        vals.append(xi_coefficient(delta, max(100, 20 * (p - 1)),
-                                   rational_eta=(p, 1)))
+        vals.append(xi_coefficient_rational(p, 1, max(100, 20 * (p - 1))).xi)
     assert vals[1] > 10 * vals[0]
     assert vals[2] > 10 * vals[1]
 
