@@ -23,18 +23,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import svd, svdvals
-from scipy.optimize import minimize_scalar
 
 from .model import (ChainParams, hamiltonian_xxz, hs_norm, lindblad_jump_ops,
                     magnetization_z)
 from .mpo import build_aux_A, build_aux_B, contract_to_dense, solve_s, validity_threshold
 
 LIOUVILLIAN_CAP = 6  # 4**6 x 4**6 superoperator is the largest we build densely
-CALIBRATION_TOL = 1e-8  # largest ||L(rho)||_HS calibrate_epsilon accepts
 
 
 @dataclass
@@ -101,11 +97,11 @@ def _sector_svd(liouv: Liouvillian) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         idx = np.flatnonzero(q == sector)
         block = matrix[np.ix_(idx, idx)]
         if sector == 0:
-            _, s, vh = svd(block)
+            _, s, vh = np.linalg.svd(block)
             null = np.zeros(q.size, dtype=complex)
             null[idx] = vh[-1].conj()
         else:
-            s = svdvals(block)
+            s = np.linalg.svd(block, compute_uv=False)
         values.append(s)
         labels.append(np.full(s.size, sector))
     s, labels = np.concatenate(values), np.concatenate(labels)
@@ -178,7 +174,8 @@ def ness_mu1(params: ChainParams, epsilon: float) -> np.ndarray:
 
     rho = S S+ / Tr(S S+) with S contracted from the B family at
     s solving cot(s eta) = epsilon/(4 i sin eta).  Positive semidefinite
-    and unit trace by construction.
+    and unit trace by construction.  It is the fixed point of the master
+    equation above at epsilon = lam/J (Prosen, PRL 107, 137201 (2011)).
     """
     if params.mu != 1.0:
         raise ValueError("closed-form non-perturbative NESS requires mu = 1")
@@ -189,51 +186,3 @@ def ness_mu1(params: ChainParams, epsilon: float) -> np.ndarray:
     if tr <= 0:
         raise ArithmeticError("S S+ has non-positive trace; contraction degenerate")
     return rho / tr
-
-
-class EpsilonCalibration(NamedTuple):
-    epsilon: float
-    residual: float
-    seed_residuals: dict[float, float]
-
-
-def calibrate_epsilon(params: ChainParams) -> EpsilonCalibration:
-    """Resolve the undefined coupling epsilon of the mu = 1 solution.
-
-    Minimizes ||L(ness_mu1(eps))||_HS over eps, seeding the search with
-    the natural candidates {lam/J, lam/2J, 2 lam/J}.  Empirically the
-    exact mapping is eps = lam/J (machine-precision residual); the
-    calibration keeps that claim honest and raises if nothing reaches
-    CALIBRATION_TOL.
-    """
-    if params.mu != 1.0:
-        raise ValueError("epsilon calibration is defined at mu = 1")
-    if params.lam <= 0:
-        raise ValueError("epsilon calibration needs lambda > 0")
-    lam, J = params.lam, params.j_coupling
-
-    def residual(eps: float) -> float:
-        if eps <= 0:
-            return math.inf
-        rho = ness_mu1(params, eps)
-        return hs_norm(apply_liouvillian(rho, params))
-
-    seeds = {lam / J: None, lam / (2 * J): None, 2 * lam / J: None}
-    seed_residuals = {eps: residual(eps) for eps in seeds}
-    best_eps = min(seed_residuals, key=seed_residuals.get)
-    best_res = seed_residuals[best_eps]
-    if best_res >= CALIBRATION_TOL:
-        opt = minimize_scalar(residual,
-                              bracket=(best_eps / 2, best_eps, best_eps * 2),
-                              options={"xtol": 1e-12})
-        if opt.fun < best_res:
-            best_eps, best_res = float(opt.x), float(opt.fun)
-    if best_res >= CALIBRATION_TOL:
-        report = ", ".join(f"eps={e:.3g}: {r:.3e}" for e, r in seed_residuals.items())
-        raise ArithmeticError(
-            "no epsilon reached the fixed-point tolerance "
-            f"{CALIBRATION_TOL:g} (best {best_res:.3e} at eps={best_eps:.6g}; "
-            f"seeds: {report}); the mu=1 matrices do not solve this "
-            "master equation as transcribed")
-    return EpsilonCalibration(epsilon=float(best_eps), residual=float(best_res),
-                              seed_residuals=seed_residuals)

@@ -105,7 +105,10 @@ def embed(n: int, site: int, op: np.ndarray) -> np.ndarray:
     in an n-site chain; a 2**k x 2**k ``op`` spans k sites."""
     _check_dense_cap(n)
     op = np.asarray(op, dtype=complex)
-    span = op.shape[0].bit_length() - 1
+    size = op.shape[0] if op.ndim == 2 else 0
+    if op.shape != (size, size) or size < 2 or size & (size - 1):
+        raise ValueError(f"op must be 2**k x 2**k with k >= 1, got shape {op.shape}")
+    span = size.bit_length() - 1
     if not 1 <= site <= n - span + 1:
         raise ValueError(f"site {site} out of range 1..{n - span + 1}")
     out = np.kron(np.eye(2 ** (site - 1), dtype=complex), op)

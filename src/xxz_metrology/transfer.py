@@ -34,7 +34,6 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -78,10 +77,6 @@ def _split_eta(eta: complex) -> tuple[float, bool]:
     return abs(eta.imag), True
 
 
-def _delta_from_eta(eta: complex) -> float:
-    return float(cmath.cos(eta).real)
-
-
 @dataclass
 class TransferSystem:
     """Transfer matrix T and vertex matrix D truncated at index d.
@@ -95,10 +90,6 @@ class TransferSystem:
     eta: complex
     T: np.ndarray
     D: np.ndarray
-
-    @property
-    def delta(self) -> float:
-        return _delta_from_eta(self.eta)
 
     def index(self, label) -> int:
         if label == "L":
@@ -127,7 +118,7 @@ def _entries(name: str, d: int, eta: complex) -> tuple[np.ndarray, np.ndarray]:
     if name == "d2T/2":
         return sigma * j ** 2 * c(2 * t * j), j ** 2 / 2 * c(2 * t * j)
     if name == "D":
-        sgn = math.copysign(1.0, 1.0 - _delta_from_eta(eta) ** 2)
+        sgn = math.copysign(1.0, 1.0 - cmath.cos(eta).real ** 2)
         return sgn * j ** 2 / 2, j ** 2 / 4
     raise ValueError(f"unknown band {name!r}")
 
@@ -410,30 +401,42 @@ def f0_delta(params):
 # isotropic expansions
 # ---------------------------------------------------------------------------
 
-def isotropic_bracket_series(n: int, eta: float) -> float:
+def _isotropic_eta_sq(n: int, eta: complex) -> float:
+    """eta^2 for the isotropic series: t^2 for real eta = t, -t^2 for eta = i t.
+
+    Both series are polynomials in eta^2 about Delta = +1, so eta = pi + i t
+    (Delta < -1) is refused.  Warns outside the window |eta| n < 0.2.
+    """
+    t, easy_axis = _split_eta(eta)
+    if easy_axis and abs(complex(eta).real) > 1e-14:
+        raise ValueError(f"the isotropic series expand about Delta = +1; got eta = {eta}")
+    if abs(t) * n >= 0.2:
+        warnings.warn(f"|eta|*n = {abs(t) * n:.3g} >= 0.2: outside the "
+                      "validity window of the isotropic series")
+    return -t ** 2 if easy_axis else t ** 2
+
+
+def isotropic_bracket_series(n: int, eta: complex) -> float:
     """Small-eta expansion of <L|T^n|R> through eta^6."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    eta = float(np.real_if_close(eta))
-    if abs(eta) * n >= 0.2:
-        warnings.warn(f"|eta|*n = {abs(eta) * n:.3g} >= 0.2: outside the "
-                      "validity window of the isotropic series")
+    e2 = _isotropic_eta_sq(n, eta)
     lead = n * (n - 1) / 8
-    corr = (eta ** 2
-            - eta ** 4 / 6 * (3 * n - 7)
-            + eta ** 6 / 180 * (989 + 3 * n * (36 * n - 217)))
+    corr = (e2
+            - e2 ** 2 / 6 * (3 * n - 7)
+            + e2 ** 3 / 180 * (449 + 21 * n * (3 * n - 16)))
     return lead - n * (n - 1) * (n - 2) / 24 * corr
 
 
 def isotropic_f_delta(params) -> float:
-    """Isotropic-limit F_Delta^(0) = lam^2 mu^2/(96 J^2) n(n-1)(n-2)(3n-7 - ...)."""
+    """Isotropic-limit F_Delta^(0) = lam^2 mu^2/(96 J^2) n(n-1)(n-2)(3n-7 - ...).
+
+    Through eta^2: 3n - 7 - eta^2 (n - 3)(27n - 68)/5.
+    """
     n = params.n
-    eta = float(np.real_if_close(complex(params.eta)))
-    if abs(eta) * n >= 0.2:
-        warnings.warn(f"|eta|*n = {abs(eta) * n:.3g} >= 0.2: outside the "
-                      "validity window of the isotropic series")
+    e2 = _isotropic_eta_sq(n, params.eta)
     pref = params.lam ** 2 * params.mu ** 2 / (96 * params.j_coupling ** 2)
-    poly = 3 * n - 7 - eta ** 2 / 30 * (n - 3) * (261 * n - 799)
+    poly = 3 * n - 7 - e2 * (n - 3) * (27 * n - 68) / 5
     return pref * n * (n - 1) * (n - 2) * poly
 
 
@@ -520,45 +523,6 @@ def jordan_decompose(ts: TransferSystem) -> JordanData:
     chi1 = float(np.real(V_inv[0, 1]))
     return JordanData(taus=taus, V=V, V_inv=V_inv, psi_R=psi_R, psi=psi,
                       chi=chi, chi1=chi1, residual=residual)
-
-
-def toeplitz_eigs_check(d: int) -> np.ndarray:
-    """Numeric eigenvalues (ascending) of A = 1 - (shift + shift^T)/2.
-
-    Analytically these are 1 - cos(j pi / (d+1)), j = 1..d.
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    A = np.eye(d)
-    off = -0.5 * np.ones(d - 1)
-    A += np.diag(off, 1) + np.diag(off, -1)
-    return np.sort(np.linalg.eigvalsh(A))
-
-
-def toeplitz_eigs_analytic(d: int) -> np.ndarray:
-    j = np.arange(1, d + 1)
-    return np.sort(1 - np.cos(j * np.pi / (d + 1)))
-
-
-# ---------------------------------------------------------------------------
-# continued fractions
-# ---------------------------------------------------------------------------
-
-def continued_fraction_C(k: int) -> Fraction:
-    """Closed form C_k = (k+2)/(2k+2), exact."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return Fraction(k + 2, 2 * k + 2)
-
-
-def continued_fraction_C_recurrence(k: int) -> Fraction:
-    """C_0 = 1, C_k = 1 - 1/(4 C_{k-1}), evaluated in exact arithmetic."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    c = Fraction(1)
-    for _ in range(k):
-        c = 1 - Fraction(1, 4) / c
-    return c
 
 
 # ---------------------------------------------------------------------------

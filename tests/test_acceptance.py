@@ -16,15 +16,12 @@ from xxz_metrology.model import ChainParams, eta_from_delta, hs_norm
 from xxz_metrology.mpo import (build_aux_A, contract_to_dense,
                                hs_norm_sq_via_transfer, validity_threshold)
 from xxz_metrology.lindblad import (apply_liouvillian, build_liouvillian,
-                                    calibrate_epsilon, ness_mu1,
-                                    ness_perturbative, steady_state_nullspace)
+                                    ness_mu1, ness_perturbative,
+                                    steady_state_nullspace)
 from xxz_metrology.fisher import fisher_cross, qfi_dense, qfi_parametric, sld
-from xxz_metrology.transfer import (bracket_series, continued_fraction_C,
-                                    continued_fraction_C_recurrence,
-                                    easy_axis_lower_bound, f0_delta, f0_x,
-                                    isotropic_f_delta,
-                                    toeplitz_eigs_analytic,
-                                    toeplitz_eigs_check, xi_coefficient,
+from xxz_metrology.transfer import (bracket_series, easy_axis_lower_bound,
+                                    f0_delta, f0_x, isotropic_bracket_series,
+                                    isotropic_f_delta, xi_coefficient,
                                     xi_coefficient_rational)
 
 
@@ -42,19 +39,22 @@ def report(num, desc, ok, elapsed, detail="", budget=None):
 def test_criterion_01_continued_fractions():
     t0 = time.monotonic()
     ok = True
-    c = Fraction(1)
+    c = Fraction(1)  # C_0 = 1, C_k = 1 - 1/(4 C_{k-1}), in exact arithmetic
     for k in range(1001):
-        ok = ok and c == continued_fraction_C(k) == Fraction(k + 2, 2 * k + 2)
+        ok = ok and c == Fraction(k + 2, 2 * k + 2)
         c = 1 - Fraction(1, 4) / c
-    ok = ok and continued_fraction_C_recurrence(10) == Fraction(12, 22)
     report(1, "continued fractions C_k, recurrence vs closed form, k <= 1000",
            ok, time.monotonic() - t0, budget=1.0)
 
 
 def test_criterion_02_toeplitz_spectrum():
     t0 = time.monotonic()
-    worst = max(np.max(np.abs(toeplitz_eigs_check(d) - toeplitz_eigs_analytic(d)))
-                for d in range(1, 51))
+    worst = 0.0
+    for d in range(1, 51):
+        # A = 1 - (shift + shift^T)/2
+        A = np.eye(d) - 0.5 * (np.eye(d, k=1) + np.eye(d, k=-1))
+        analytic = 1 - np.cos(np.arange(1, d + 1) * np.pi / (d + 1))
+        worst = max(worst, np.max(np.abs(np.linalg.eigvalsh(A) - np.sort(analytic))))
     report(2, "Toeplitz spectrum matches 1 - cos(j pi/(d+1)) for d <= 50",
            worst < 1e-12, time.monotonic() - t0,
            detail=f"max |diff| = {worst:.2e}", budget=1.0)
@@ -94,18 +94,19 @@ def test_criterion_04_perturbative_fixed_point_slope():
 def test_criterion_05_mu1_fixed_point():
     t0 = time.monotonic()
     worst = 0.0
-    eps_per_lam = []
+    off = math.inf
     for n in (2, 3, 4):
         for delta in (1.5, 2.0):
             params = ChainParams(n=n, delta=delta, lam=1e-3, mu=1.0)
-            cal = calibrate_epsilon(params)
-            worst = max(worst, cal.residual)
-            eps_per_lam.append(cal.epsilon / (params.lam / params.j_coupling))
-    report(5, "mu = 1 closed-form NESS is an exact fixed point after "
-              "epsilon calibration (n = 2..4, Delta in {1.5, 2})",
-           worst < 1e-10, time.monotonic() - t0,
-           detail=f"max residual = {worst:.2e}, eps/(lam/J) = "
-                  f"{np.mean(eps_per_lam):.6f}")
+            eps = params.lam / params.j_coupling
+            residual = {f: hs_norm(apply_liouvillian(ness_mu1(params, f * eps), params))
+                        for f in (0.5, 1.0, 2.0)}
+            worst = max(worst, residual[1.0])
+            off = min(off, residual[0.5], residual[2.0])
+    report(5, "mu = 1 closed-form NESS is an exact fixed point at "
+              "epsilon = lam/J (n = 2..4, Delta in {1.5, 2})",
+           worst < 1e-10 and off > 1e-6, time.monotonic() - t0,
+           detail=f"max residual = {worst:.2e}, at lam/2J or 2 lam/J >= {off:.2e}")
 
 
 def test_criterion_06_omega_independence():
@@ -156,7 +157,6 @@ def test_criterion_08_isotropic_formulas():
     worst_f = 0.0
     for n in (4, 10, 50, 120, 200):
         b = float(bracket_series(n, eta)[n])
-        from xxz_metrology.transfer import isotropic_bracket_series
         series = isotropic_bracket_series(n, eta)
         worst_b = max(worst_b, abs(b - series) / b)
     for n in (4, 10, 30, 60):

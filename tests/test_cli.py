@@ -227,19 +227,32 @@ def test_non_finite_inputs_are_error_rows(tmp_path, argv, finite_argv, column):
         assert good == read_csv(ref)[1:]
 
 
-def test_module_entry_point_writes_the_scan(tmp_path):
-    out = tmp_path / "iso.csv"
+def run_python(*argv):
+    """A fresh interpreter that finds this checkout's package first."""
     src = str(pathlib.Path(xxz_metrology.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "xxz_metrology.cli", "scan", "isotropic-check",
-         "--n-range", "3", "10", "7", "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_module_entry_point_writes_the_scan(tmp_path):
+    out = tmp_path / "iso.csv"
+    proc = run_python("-m", "xxz_metrology.cli", "scan", "isotropic-check",
+                      "--n-range", "3", "10", "7", "--out", str(out))
     assert proc.returncode == EXIT_OK, proc.stderr
     assert len(read_csv(out)) == 3
     manifest = json.loads((tmp_path / "iso.csv.manifest.json").read_text())
     assert manifest["failures"] == 0
+
+
+def test_cli_runs_on_numpy_alone():
+    # scipy is a test dependency only: importing the CLI must not load it
+    proc = run_python("-c", "import json, sys, xxz_metrology.cli; "
+                            "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules})))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "numpy" in loaded and "scipy" not in loaded
 
 
 @pytest.mark.filterwarnings("ignore:defect-sum window fit")

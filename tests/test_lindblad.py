@@ -3,14 +3,13 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.linalg import svd
+from scipy.linalg import svd  # an oracle from a LAPACK build independent of numpy's
 
 from xxz_metrology.model import (ChainParams, embed, hamiltonian_xxz, hs_norm,
                                  lindblad_jump_ops, magnetization_z, pauli)
 from xxz_metrology.lindblad import (_sector_svd, apply_liouvillian,
-                                    build_liouvillian, calibrate_epsilon,
-                                    ness_mu1, ness_perturbative,
-                                    steady_state_nullspace)
+                                    build_liouvillian, ness_mu1,
+                                    ness_perturbative, steady_state_nullspace)
 from xxz_metrology.mpo import build_aux_A, contract_to_dense
 
 
@@ -244,40 +243,24 @@ def test_ness_mu1_requires_extreme_driving():
         ness_mu1(ChainParams(n=3, delta=2.0, lam=1e-2, mu=0.5), 1e-2)
 
 
+def mu1_residual(params, epsilon):
+    return hs_norm(apply_liouvillian(ness_mu1(params, epsilon), params))
+
+
 def test_ness_mu1_is_fixed_point_at_calibrated_epsilon():
-    for delta in (1.5, 2.0):
-        params = ChainParams(n=3, delta=delta, lam=1e-3, mu=1.0)
-        cal = calibrate_epsilon(params)
-        assert cal.residual < 1e-10
-        rho = ness_mu1(params, cal.epsilon)
-        assert hs_norm(apply_liouvillian(rho, params)) < 1e-10
-
-
-def test_calibrated_epsilon_is_lambda_over_j():
-    params = ChainParams(n=3, delta=2.0, lam=2e-3, mu=1.0, j_coupling=2.0)
-    cal = calibrate_epsilon(params)
-    assert abs(cal.epsilon - params.lam / params.j_coupling) < 1e-12
-
-
-def test_calibrated_epsilon_linear_in_lambda():
-    ratios = []
-    for lam in (1e-3, 2e-3, 4e-3):
-        params = ChainParams(n=2, delta=1.5, lam=lam, mu=1.0)
-        ratios.append(calibrate_epsilon(params).epsilon / lam)
-    assert np.ptp(ratios) < 1e-6 * np.mean(ratios)
-
-
-def test_calibrated_epsilon_delta_independent():
-    eps = []
-    for delta in (1.5, 2.0, 4.0):
-        params = ChainParams(n=2, delta=delta, lam=1e-3, mu=1.0)
-        eps.append(calibrate_epsilon(params).epsilon)
-    assert np.ptp(eps) < 1e-6 * np.mean(eps)
+    # the closed form solves the master equation at epsilon = lam/J and
+    # only there: halving or doubling epsilon leaves an O(lam) residual
+    grid = itertools.product((2, 3, 4), (1.5, 2.0, 4.0),
+                             ((1e-3, 1.0), (2e-3, 2.0), (4e-3, 1.0), (5e-3, 1.0)))
+    for n, delta, (lam, J) in grid:
+        params = ChainParams(n=n, delta=delta, lam=lam, mu=1.0, j_coupling=J)
+        assert mu1_residual(params, lam / J) < 1e-10
+        assert mu1_residual(params, lam / (2 * J)) > 1e-6
+        assert mu1_residual(params, 2 * lam / J) > 1e-6
 
 
 def test_ness_mu1_matches_nullspace_oracle():
     params = ChainParams(n=3, delta=1.5, lam=5e-3, mu=1.0)
-    cal = calibrate_epsilon(params)
-    closed = ness_mu1(params, cal.epsilon)
+    closed = ness_mu1(params, params.lam / params.j_coupling)
     oracle = steady_state_nullspace(build_liouvillian(params))
     assert hs_norm(closed - oracle) < 1e-9

@@ -45,6 +45,10 @@ def test_embed_site_range():
         embed(3, 4, pauli("x"))
     with pytest.raises(ValueError):
         embed(3, 3, np.kron(pauli("x"), pauli("x")))
+    # malformed operators: not square, not a power of two, or spanning no site
+    for op in (np.eye(3), np.ones((2, 4)), np.eye(1), np.ones(4), np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match="2\\*\\*k"):
+            embed(3, 1, op)
 
 
 def test_embed_two_site_operator_is_product_of_single_sites():

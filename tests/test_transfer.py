@@ -5,22 +5,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from xxz_metrology.fisher import qfi_parametric
+from xxz_metrology.lindblad import ness_perturbative
 from xxz_metrology.model import ChainParams, eta_from_delta
 from xxz_metrology.transfer import (SignedLog, _f0_delta_bracket_log,
                                     _split_eta, bracket_LTnR,
                                     bracket_LTnR_log, bracket_series,
                                     build_transfer, chi_coefficient,
                                     chi_coefficient_rational,
-                                    chi_second_derivative,
-                                    continued_fraction_C,
-                                    continued_fraction_C_recurrence,
-                                    defect_series, defective_vector,
+                                    chi_second_derivative, defect_series,
+                                    defective_vector,
                                     easy_axis_lower_bound, f0_delta, f0_x,
                                     isotropic_bracket_series,
                                     isotropic_f_delta, jordan_decompose,
                                     second_eta_derivative_bracket, sum_defect,
-                                    sum_defect_log, toeplitz_eigs_analytic,
-                                    toeplitz_eigs_check, xi_coefficient,
+                                    sum_defect_log, xi_coefficient,
                                     xi_coefficient_rational)
 
 
@@ -336,6 +335,39 @@ def test_isotropic_series_quartic_structure():
 def test_isotropic_series_warns_out_of_regime():
     with pytest.warns(UserWarning):
         isotropic_bracket_series(100, 0.1)
+    with pytest.warns(UserWarning):
+        isotropic_f_delta(ChainParams(n=100, delta=math.cos(0.1), lam=1.0))
+
+
+@pytest.mark.parametrize("easy_axis", [False, True])
+def test_isotropic_series_on_both_sides_of_delta_one(easy_axis):
+    # both series are polynomials in eta^2, and eta^2 = -t^2 at Delta = cosh t:
+    # the bracket is exact through eta^6 and F_Delta through eta^2
+    for n in (4, 10, 40):
+        for t in (1e-3, 3e-3):
+            eta = 1j * t if easy_axis else t
+            b = float(bracket_series(n, eta)[n])
+            assert abs(isotropic_bracket_series(n, eta) - b) < 1e-12 * b
+            delta = math.cosh(t) if easy_axis else math.cos(t)
+            params = ChainParams(n=n, delta=delta, lam=1.0, mu=1.0)
+            f = f0_delta(params).value
+            assert abs(isotropic_f_delta(params) - f) < (1e-9 + 0.02 * (n * t) ** 4) * f
+
+
+def test_isotropic_f_delta_matches_dense_qfi():
+    # the eta^2 coefficient is (n - 3)(27n - 68)/5; what is left is O(eta^4)
+    eta = 0.03
+    for n in (4, 5, 6):
+        params = ChainParams(n=n, delta=math.cos(eta), lam=1e-4, mu=1.0)
+        dense = qfi_parametric(params, "Delta", ness_perturbative).value
+        assert abs(isotropic_f_delta(params) - dense) < 0.02 * (n * eta) ** 4 * dense
+
+
+def test_isotropic_series_refuse_delta_below_minus_one():
+    with pytest.raises(ValueError, match="Delta = \\+1"):
+        isotropic_bracket_series(6, math.pi + 1e-3j)
+    with pytest.raises(ValueError, match="Delta = \\+1"):
+        isotropic_f_delta(ChainParams(n=6, delta=-math.cosh(1e-3), lam=1.0))
 
 
 def test_isotropic_f_delta_values():
@@ -425,15 +457,22 @@ def test_defective_vector_examples():
 
 # --- continued fractions ----------------------------------------------------
 
+def continued_fractions(k_max):
+    """C_0 = 1, C_k = 1 - 1/(4 C_{k-1}) for k <= k_max, in exact arithmetic."""
+    c = [Fraction(1)]
+    for _ in range(k_max):
+        c.append(1 - Fraction(1, 4) / c[-1])
+    return c
+
+
 def test_continued_fraction_values():
-    assert continued_fraction_C(0) == Fraction(1)
-    assert continued_fraction_C(1) == Fraction(3, 4)
-    assert continued_fraction_C(2) == Fraction(2, 3)
+    assert continued_fractions(2) == [Fraction(1), Fraction(3, 4), Fraction(2, 3)]
 
 
 def test_continued_fraction_recurrence_agrees():
-    for k in range(0, 1001):
-        assert continued_fraction_C(k) == continued_fraction_C_recurrence(k)
+    # closed form C_k = (k+2)/(2k+2)
+    for k, c in enumerate(continued_fractions(1000)):
+        assert c == Fraction(k + 2, 2 * k + 2)
 
 
 # --- chi --------------------------------------------------------------------
@@ -597,12 +636,17 @@ def test_easy_axis_bound_degenerates_toward_isotropic():
 
 # --- Toeplitz ---------------------------------------------------------------
 
+def toeplitz_eigs(d):
+    """Ascending eigenvalues of A = 1 - (shift + shift^T)/2."""
+    return np.linalg.eigvalsh(np.eye(d) - 0.5 * (np.eye(d, k=1) + np.eye(d, k=-1)))
+
+
 def test_toeplitz_examples():
-    assert np.allclose(toeplitz_eigs_check(1), [1.0])
-    assert np.allclose(toeplitz_eigs_check(2), [0.5, 1.5])
+    assert np.allclose(toeplitz_eigs(1), [1.0])
+    assert np.allclose(toeplitz_eigs(2), [0.5, 1.5])
 
 
 def test_toeplitz_spectrum_matches_formula():
     for d in (5, 23, 50):
-        assert np.max(np.abs(toeplitz_eigs_check(d)
-                             - toeplitz_eigs_analytic(d))) < 1e-12
+        analytic = np.sort(1 - np.cos(np.arange(1, d + 1) * np.pi / (d + 1)))
+        assert np.max(np.abs(toeplitz_eigs(d) - analytic)) < 1e-12
