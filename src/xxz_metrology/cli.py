@@ -170,7 +170,9 @@ def _eval_isotropic(n):
             "bracket_small_eta": b_small, "series_small_eta": series,
             "rel_diff_bracket": abs(b_small - series) / abs(b_small),
             "f_delta_exact": f_exact, "f_delta_series": f_iso,
-            "rel_diff_f": abs(f_exact - f_iso) / abs(f_exact)}
+            # F_Delta is exactly 0 (of either sign) in both columns at n = 2
+            "rel_diff_f": (0.0 if f_exact == f_iso
+                           else abs(f_exact - f_iso) / abs(f_exact))}
 
 
 def _n_range(o):
@@ -283,7 +285,7 @@ def run_scan(spec: ScanSpec) -> dict:
         "wall_time_s": time.monotonic() - t0,
     }
     with open(manifest, "w", encoding="utf-8") as fh:
-        json.dump(body, fh, indent=1)
+        json.dump(_strict_json(body), fh, indent=1, allow_nan=False)
         fh.write("\n")
     return {"rows": len(rows), "failures": failures, "digest": digest,
             "out": spec.out, "manifest": manifest}
@@ -317,6 +319,18 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _strict_json(value):
+    """value with each non-finite float as the string the CSV writer gives
+    it ("nan", "inf", "-inf"): JSON (RFC 8259) has no such numbers."""
+    if isinstance(value, dict):
+        return {key: _strict_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return _format_cell(value)
+    return value
+
+
 def _write_rows(spec: ScanSpec, header: list[str], rows: list[dict]):
     if spec.fmt == "csv":
         with open(spec.out, "w", encoding="utf-8", newline="") as fh:
@@ -327,7 +341,8 @@ def _write_rows(spec: ScanSpec, header: list[str], rows: list[dict]):
     else:
         payload = [{col: row.get(col, "") for col in header} for row in rows]
         with open(spec.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, default=_format_cell)
+            json.dump(_strict_json(payload), fh, indent=1, allow_nan=False,
+                      default=_format_cell)
             fh.write("\n")
 
 

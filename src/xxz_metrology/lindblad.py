@@ -11,11 +11,11 @@ Vectorization is column-stacking throughout: vec(X rho Y) corresponds to
 
 The generator conserves q = (M_z(ket) - M_z(bra))/2, a weak U(1)
 symmetry: H commutes with M_z, and every jump operator flips one spin,
-so L_k rho L_k^dag moves ket and bra alike.  The 4**n x 4**n matrix is
-thus exactly block diagonal over q = -n..n, with blocks of size
-C(2n, n+q), and the brute-force steady state is solved block by block:
-one SVD of the q = 0 block (252 of 1024 at n = 5), singular values
-alone elsewhere.
+so L_k rho L_k^dag moves ket and bra alike.  The generator is thus
+block diagonal over q = -n..n, with blocks of size C(2n, n+q).  It is
+built as those blocks alone, never as the 4**n x 4**n matrix, and the
+brute-force steady state takes one SVD of the q = 0 block (252 of 1024
+rows at n = 5).
 """
 
 from __future__ import annotations
@@ -30,16 +30,17 @@ from .model import (ChainParams, hamiltonian_xxz, hs_norm, lindblad_jump_ops,
                     magnetization_z)
 from .mpo import build_aux_A, build_aux_B, contract_to_dense, solve_s, validity_threshold
 
-LIOUVILLIAN_CAP = 6  # 4**6 x 4**6 superoperator is the largest we build densely
+LIOUVILLIAN_CAP = 6  # the q = 0 block is 924 x 924 at n = 6
 
 
 @dataclass
 class Liouvillian:
-    """Dense superoperator matrix acting on column-stacked density matrices."""
+    """The generator on column-stacked density matrices, as its diagonal
+    blocks: sectors[q] = (idx, block), the ascending column-stacked
+    indices of sector q and the generator's (idx, idx) block."""
 
-    n: int
-    matrix: np.ndarray
     params: ChainParams
+    sectors: dict[int, tuple[np.ndarray, np.ndarray]]
 
 
 def _effective_hamiltonian(params: ChainParams) -> np.ndarray:
@@ -53,16 +54,34 @@ def _effective_hamiltonian(params: ChainParams) -> np.ndarray:
 
 
 def build_liouvillian(params: ChainParams) -> Liouvillian:
-    """Generator of the master equation as a 4**n x 4**n matrix."""
+    """Generator of the master equation, block by block over q sectors.
+
+    The (idx, idx) block of kron(Y, X) is Y[bra, bra] * X[ket, ket] with
+    ket = idx % 2**n and bra = idx // 2**n, so a block adds the terms of
+    the whole matrix in their order.  The blocks hold every entry only
+    if K keeps M_z and each L_k shifts it by one constant: both checked.
+    """
     n = params.n
     if n > LIOUVILLIAN_CAP:
         raise ValueError(f"dense Liouvillian capped at n <= {LIOUVILLIAN_CAP}, got {n}")
-    K = _effective_hamiltonian(params)
-    eye = np.eye(2 ** n, dtype=complex)
-    L = -1j * (np.kron(eye, K) - np.kron(K.conj(), eye))
-    for jump in lindblad_jump_ops(params):
-        L += params.lam * np.kron(jump.conj(), jump)
-    return Liouvillian(n=n, matrix=L, params=params)
+    K, jumps = _effective_hamiltonian(params), lindblad_jump_ops(params)
+    mz = np.diag(magnetization_z(n)).real
+    shift = mz[:, None] - mz[None, :]
+    if np.any(K[shift != 0] != 0) or any(np.unique(shift[jump != 0]).size > 1
+                                         for jump in jumps):
+        raise ArithmeticError("Liouvillian mixes M_z(ket) - M_z(bra) sectors")
+    d = 2 ** n
+    eye, Kc = np.eye(d, dtype=complex), K.conj()
+    q = np.rint(shift / 2).astype(int).flatten(order="F")
+    sectors = {}
+    for sector in range(-n, n + 1):
+        idx = np.flatnonzero(q == sector)
+        kets, bras = np.ix_(idx % d, idx % d), np.ix_(idx // d, idx // d)
+        block = -1j * (eye[bras] * K[kets] - Kc[bras] * eye[kets])
+        for jump in jumps:
+            block += params.lam * (jump.conj()[bras] * jump[kets])
+        sectors[sector] = (idx, block)
+    return Liouvillian(params=params, sectors=sectors)
 
 
 def apply_liouvillian(rho: np.ndarray, params: ChainParams) -> np.ndarray:
@@ -83,22 +102,13 @@ def _sector_svd(liouv: Liouvillian) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
     Returns the singular values in descending order, the sector q of
     each, and the smallest right-singular vector of the q = 0 block
-    embedded in the full column-stacked space.  Raises ArithmeticError
-    if an entry couples two sectors.
+    embedded in the full column-stacked space.
     """
-    n, matrix = liouv.n, liouv.matrix
-    mz = np.diag(magnetization_z(n)).real
-    q = np.rint((mz[:, None] - mz[None, :]) / 2).astype(int).flatten(order="F")
-    rows, cols = np.nonzero(matrix)
-    if np.any(q[rows] != q[cols]):
-        raise ArithmeticError("Liouvillian mixes M_z(ket) - M_z(bra) sectors")
     values, labels = [], []
-    for sector in range(-n, n + 1):
-        idx = np.flatnonzero(q == sector)
-        block = matrix[np.ix_(idx, idx)]
+    for sector, (idx, block) in liouv.sectors.items():
         if sector == 0:
             _, s, vh = np.linalg.svd(block)
-            null = np.zeros(q.size, dtype=complex)
+            null = np.zeros(4 ** liouv.params.n, dtype=complex)
             null[idx] = vh[-1].conj()
         else:
             s = np.linalg.svd(block, compute_uv=False)
@@ -112,20 +122,16 @@ def _sector_svd(liouv: Liouvillian) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def steady_state_nullspace(liouv: Liouvillian) -> np.ndarray:
     """Unique unit-trace hermitian null vector of the Liouvillian.
 
-    Every term of the generator keeps q = (M_z(ket) - M_z(bra))/2: the
-    Hamiltonian conserves M_z, and each dissipator moves ket and bra by
-    the same spin flip.  In column-stacked order the matrix is therefore
-    block diagonal over the sectors q = -n..n, of size C(2n, n+q); the
-    block-diagonal claim is checked, not assumed.  A unit-trace state
-    lives in q = 0, so only that block gets a full SVD, whose smallest
-    right-singular vector is the state; the other blocks give singular
-    values alone.  Their sorted union is the spectrum of singular values
-    of the whole matrix, so the uniqueness check raises on a second
-    null vector in any sector (lambda = 0 or numerical degeneracy).
+    A unit-trace state lives in q = 0, so only that block gets a full
+    SVD, whose smallest right-singular vector is the state; the other
+    blocks give singular values alone.  Their sorted union is the
+    spectrum of singular values of the whole generator, so the
+    uniqueness check raises on a second null vector in any sector
+    (lambda = 0 or numerical degeneracy).
     """
     if liouv.params.lam <= 0:
         raise ValueError("uniqueness of the steady state needs lambda > 0")
-    d = 2 ** liouv.n
+    d = 2 ** liouv.params.n
     s, sector_of, null = _sector_svd(liouv)
     scale = s[0]
     if s[-2] < 1e-10 * scale:

@@ -10,12 +10,9 @@ states above n//2 are unreachable from the right boundary in n steps,
 so clamping cannot change any n-site contraction (the test suite widens
 the space and checks this).
 
-The dense contraction writes each auxiliary term into the quadrants of
-its Pauli factor instead of calling np.kron, and keeps only auxiliary
-states that can still reach the left boundary, so its last site builds
-one 2**n x 2**n block.  It adds the same terms in the same order as the
-np.kron loop the test suite keeps as a reference, so the two agree
-entry for entry.
+The dense contraction adds the same terms in the same order as the
+np.kron loop the test suite keeps as a reference: the two agree entry
+for entry.
 
 The norm ||Z||_HS^2 and the validity threshold come from the transfer
 bracket instead, as SignedLogs: both leave the double range for
@@ -43,22 +40,24 @@ from .transfer import SignedLog, bracket_LTnR_log
 
 @dataclass
 class AuxMatrices:
-    """Tridiagonal auxiliary-space matrices and their boundary vectors."""
+    """Tridiagonal auxiliary-space matrices; the family fixes the rest."""
 
     family: str               # 'A' or 'B'
-    dim_aux: int
     a0: np.ndarray
     a_plus: np.ndarray
     a_minus: np.ndarray
-    left_index: int
-    right_index: int
-    conjugate_paulis: bool    # pair the +/- matrices with the flipped sigmas
+
+    dim_aux = property(lambda self: self.a0.shape[0])
+    left_index = property(lambda self: 0)
+    right_index = property(lambda self: 1 if self.family == "A" else 0)
+    conjugate_paulis = property(lambda self: self.family == "A")
 
     def __post_init__(self):
+        if self.family not in ("A", "B"):
+            raise ValueError(f"family must be 'A' or 'B', got {self.family!r}")
         # nearest-neighbor moves on the auxiliary chain only; for the A
         # family both boundary vectors attach to |1> (indices 0, 1 <-> 2)
-        dim = self.dim_aux
-        idx = np.arange(dim)
+        idx = np.arange(self.dim_aux)
         allowed = np.abs(idx[:, None] - idx[None, :]) <= 1
         if self.family == "A":
             allowed[:2, :] = allowed[:, :2] = False
@@ -83,11 +82,8 @@ def build_aux_A(n: int, eta: complex) -> AuxMatrices:
     dim = m + 2
     L, R = 0, 1
     ix = lambda k: 1 + k
-    a0 = np.zeros((dim, dim), dtype=complex)
-    ap = np.zeros((dim, dim), dtype=complex)
-    am = np.zeros((dim, dim), dtype=complex)
-    a0[L, L] = 1.0
-    a0[R, R] = 1.0
+    a0, ap, am = (np.zeros((dim, dim), dtype=complex) for _ in range(3))
+    a0[L, L] = a0[R, R] = 1.0
     for k in range(1, m + 1):
         a0[ix(k), ix(k)] = cmath.cos(eta * k)
     ap[ix(1), R] = 1.0
@@ -95,8 +91,7 @@ def build_aux_A(n: int, eta: complex) -> AuxMatrices:
     for k in range(1, m):
         ap[ix(k + 1), ix(k)] = -cmath.sin(eta * k)
         am[ix(k), ix(k + 1)] = cmath.sin(eta * (k + 1))
-    return AuxMatrices(family="A", dim_aux=dim, a0=a0, a_plus=ap, a_minus=am,
-                       left_index=L, right_index=R, conjugate_paulis=True)
+    return AuxMatrices(family="A", a0=a0, a_plus=ap, a_minus=am)
 
 
 def build_aux_B(n: int, eta: complex, s: complex) -> AuxMatrices:
@@ -112,16 +107,13 @@ def build_aux_B(n: int, eta: complex, s: complex) -> AuxMatrices:
         raise ValueError("B family undefined at the isotropic point (sin eta = 0)")
     m = n // 2
     dim = m + 1
-    b0 = np.zeros((dim, dim), dtype=complex)
-    bp = np.zeros((dim, dim), dtype=complex)
-    bm = np.zeros((dim, dim), dtype=complex)
+    b0, bp, bm = (np.zeros((dim, dim), dtype=complex) for _ in range(3))
     for k in range(0, m + 1):
         b0[k, k] = cmath.sin(eta * (s - k))
         if k + 1 <= m:
             bp[k, k + 1] = cmath.sin(eta * (k - 2 * s))
             bm[k + 1, k] = cmath.sin(eta * (k + 1))
-    return AuxMatrices(family="B", dim_aux=dim, a0=b0, a_plus=bp, a_minus=bm,
-                       left_index=0, right_index=0, conjugate_paulis=False)
+    return AuxMatrices(family="B", a0=b0, a_plus=bp, a_minus=bm)
 
 
 def solve_s(epsilon: float, eta: complex) -> complex:
@@ -151,8 +143,8 @@ def contract_to_dense(aux: AuxMatrices, n: int) -> np.ndarray:
     auxiliary states inside both light cones: reachable from the right
     boundary in the steps taken and able to reach the left boundary in
     the steps left.  The last step builds the one left 2**n x 2**n
-    block; work is O(dim_aux * 4**n) summed over the steps, memory
-    O(dim_aux * 4**(n-1)) plus that block.
+    block; with D = aux.dim_aux, the side of a0, work is O(D * 4**n)
+    summed over the steps, memory O(D * 4**(n-1)) plus that block.
     """
     if n > DENSE_CAP:
         raise ValueError(f"dense contraction capped at n <= {DENSE_CAP}, got {n}")
@@ -163,9 +155,8 @@ def contract_to_dense(aux: AuxMatrices, n: int) -> np.ndarray:
     # the quadrants (row, col) where the paired Pauli factor is 1
     one, plus, minus = ((0, 0), (1, 1)), ((0, 1),), ((1, 0),)
     if aux.conjugate_paulis:
-        pairs = ((aux.a0, one), (aux.a_plus, minus), (aux.a_minus, plus))
-    else:
-        pairs = ((aux.a0, one), (aux.a_plus, plus), (aux.a_minus, minus))
+        plus, minus = minus, plus
+    pairs = ((aux.a0, one), (aux.a_plus, plus), (aux.a_minus, minus))
     # reaches_left[r]: the states with a path of r steps to the left boundary
     moves = (aux.a0 != 0) | (aux.a_plus != 0) | (aux.a_minus != 0)
     reaches_left = [np.arange(aux.dim_aux) == aux.left_index]

@@ -58,6 +58,24 @@ def test_isotropic_scan_exit_ok(tmp_path):
         assert float(row[i_f]) < 1e-3
 
 
+def test_isotropic_check_at_two_sites(tmp_path):
+    # F_Delta is exactly 0 in both columns at n = 2 (0.0 and -0.0)
+    out = tmp_path / "iso.csv"
+    assert main(["scan", "isotropic-check", "--n-range", "2", "3", "1",
+                 "--out", str(out)]) == EXIT_OK
+    rows = read_csv(out)
+    two = dict(zip(rows[0], rows[1]))
+    assert (two["f_delta_exact"], two["f_delta_series"]) == ("0.0", "-0.0")
+    assert (two["rel_diff_f"], two["error"]) == ("0.0", "")
+    # the default grid (n >= 3) keeps the plain relative difference
+    default = tmp_path / "default.csv"
+    assert main(["scan", "isotropic-check", "--out", str(default)]) == EXIT_OK
+    rows = read_csv(default)
+    for row in (dict(zip(rows[0], row)) for row in rows[1:]):
+        exact, series = float(row["f_delta_exact"]), float(row["f_delta_series"])
+        assert float(row["rel_diff_f"]) == abs(exact - series) / abs(exact)
+
+
 def test_determinism_byte_identical(tmp_path):
     outs = []
     for name in ("a.csv", "b.csv"):
@@ -186,6 +204,39 @@ def test_json_format(tmp_path):
     rows = json.loads(out.read_text())
     assert isinstance(rows, list) and len(rows) == 3
     assert rows[0]["n"] == 2
+
+
+def _no_bare_constants(token):
+    raise ValueError(f"bare {token} in the JSON output")
+
+
+@pytest.mark.parametrize("argv", [
+    ["chi-vs-delta", "--p-max", "3", "--delta-points", "1"],
+    ["xi-n-vs-n", "--delta", "nan", "inf", "--n-range", "10", "20", "10"],
+])
+def test_json_output_is_strict(tmp_path, argv):
+    # non-finite floats are the strings the CSV writer emits, in the data
+    # file and in the manifest alike
+    main(["scan", *argv, "--format", "json", "--out", str(tmp_path / "a.json")])
+    main(["scan", *argv, "--out", str(tmp_path / "a.csv")])
+    rows = json.loads((tmp_path / "a.json").read_text(),
+                      parse_constant=_no_bare_constants)
+    manifest = json.loads((tmp_path / "a.json.manifest.json").read_text(),
+                          parse_constant=_no_bare_constants)
+    csv_rows = read_csv(tmp_path / "a.csv")
+    assert [list(row) for row in rows] == [csv_rows[0]] * len(rows)
+    strings = set()
+    for row, csv_row in zip(rows, csv_rows[1:]):
+        for value, cell in zip(row.values(), csv_row):
+            if isinstance(value, float):
+                assert float(cell) == value
+            else:
+                assert str(value) == cell
+                strings.add(value)
+    assert strings & {"nan", "inf", "-inf"}
+    if "xi-n-vs-n" in argv:
+        assert manifest["spec"]["options"]["delta"] == ["nan", "inf"]
+        assert {w["point"]["delta"] for w in manifest["warnings"]} <= {"nan", "inf"}
 
 
 def test_scan_spec_rejects_unknown_format(tmp_path):

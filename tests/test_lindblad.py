@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.linalg import svd  # an oracle from a LAPACK build independent of num
 
 from xxz_metrology.model import (ChainParams, embed, hamiltonian_xxz, hs_norm,
                                  lindblad_jump_ops, magnetization_z, pauli)
+from xxz_metrology import lindblad
 from xxz_metrology.lindblad import (_sector_svd, apply_liouvillian,
                                     build_liouvillian, ness_mu1,
                                     ness_perturbative, steady_state_nullspace)
@@ -34,11 +36,20 @@ def liouvillian_by_terms(params):
     return L
 
 
+def assemble(liouv):
+    """Scatter the sector blocks into the whole 4**n x 4**n matrix."""
+    dim = 4 ** liouv.params.n
+    matrix = np.zeros((dim, dim), dtype=complex)
+    for idx, block in liouv.sectors.values():
+        matrix[np.ix_(idx, idx)] = block
+    return matrix
+
+
 def nullspace_by_full_svd(liouv):
     """One SVD of the whole 4**n x 4**n matrix: the steady state from its
     smallest right-singular vector, and every singular value."""
-    d = 2 ** liouv.n
-    _, s, vh = svd(liouv.matrix)
+    d = 2 ** liouv.params.n
+    _, s, vh = svd(assemble(liouv))
     rho = vh[-1].conj().reshape((d, d), order="F")
     rho = (rho + rho.conj().T) / 2
     return rho / np.trace(rho).real, s
@@ -68,27 +79,50 @@ def test_sector_route_matches_full_svd(n):
         assert np.abs(s_sector - s_full).max() <= 1e-12 * s_full[0]
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sectors_partition_the_column_stacked_space(n):
+    liouv = build_liouvillian(ChainParams(n=n, delta=0.7, lam=0.2, mu=0.5))
+    assert list(liouv.sectors) == list(range(-n, n + 1))
+    idx = np.concatenate([idx for idx, _ in liouv.sectors.values()])
+    assert np.array_equal(np.sort(idx), np.arange(4 ** n))
+    for q, (idx, block) in liouv.sectors.items():
+        assert idx.size == math.comb(2 * n, n + q)
+        assert block.shape == (idx.size, idx.size)
+
+
 def test_nullspace_sees_a_second_null_vector_outside_q_zero():
     # zero the 1x1 block of the q = n sector, the |up..up><down..down|
     # coherence: a second null vector that only the q != 0 values show
     n = 3
     liouv = build_liouvillian(ChainParams(n=n, delta=0.7, lam=0.2, mu=0.5))
     d = 2 ** n
-    matrix = liouv.matrix.copy()
-    matrix[d * (d - 1), d * (d - 1)] = 0.0
+    idx, block = liouv.sectors[n]
+    assert idx.tolist() == [d * (d - 1)]
+    sectors = {**liouv.sectors, n: (idx, np.zeros_like(block))}
     with pytest.raises(ValueError, match=r"null space dimension != 1 .*q = 3"):
-        steady_state_nullspace(dataclasses.replace(liouv, matrix=matrix))
+        steady_state_nullspace(dataclasses.replace(liouv, sectors=sectors))
 
 
-def test_nullspace_rejects_sector_mixing():
-    # a sigma^x field on site 1 breaks M_z conservation
+def test_nullspace_rejects_sector_mixing(monkeypatch):
+    # a sigma^x field on site 1 breaks M_z conservation, however weak
     params = ChainParams(n=3, delta=0.7, lam=0.2, mu=0.5)
-    liouv = build_liouvillian(params)
-    field = 0.3 * embed(3, 1, pauli("x"))
-    eye = np.eye(8, dtype=complex)
-    matrix = liouv.matrix - 1j * (np.kron(eye, field) - np.kron(field.T, eye))
+    effective = lindblad._effective_hamiltonian
+    for strength in (0.3, 1e-6):
+        field = strength * embed(3, 1, pauli("x"))
+        monkeypatch.setattr(lindblad, "_effective_hamiltonian",
+                            lambda p, field=field: effective(p) + field)
+        with pytest.raises(ArithmeticError, match="mixes"):
+            steady_state_nullspace(build_liouvillian(params))
+
+
+def test_nullspace_rejects_a_jump_that_mixes_sectors(monkeypatch):
+    # sigma^x on site 1 moves M_z by +2 and by -2; sigma^x sigma^x = 1
+    # keeps K itself block diagonal, so only the jump check can see it
+    params = ChainParams(n=3, delta=0.7, lam=0.2, mu=0.5)
+    monkeypatch.setattr(lindblad, "lindblad_jump_ops",
+                        lambda p: [embed(3, 1, pauli("x"))])
     with pytest.raises(ArithmeticError, match="mixes"):
-        steady_state_nullspace(dataclasses.replace(liouv, matrix=matrix))
+        build_liouvillian(params)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -96,37 +130,36 @@ def test_generator_matches_terms_at_extreme_driving(n):
     for delta in (0.4, 0.9, 1.7, 10.0):
         for lam in (1e-3, 1e-2, 0.3):
             params = ChainParams(n=n, delta=delta, lam=lam, mu=1.0)
-            assert np.array_equal(build_liouvillian(params).matrix,
+            assert np.array_equal(assemble(build_liouvillian(params)),
                                   liouvillian_by_terms(params))
 
 
-@pytest.mark.parametrize("mu", [0.0, 0.3, -0.7])
+@pytest.mark.parametrize("mu", [0.0, 0.3, -0.7, -1.0])
 def test_generator_matches_terms_off_extreme_driving(mu):
     for n in (2, 3, 4):
         for delta, lam, omega in ((0.6, 0.2, 0.0), (2.0, 1e-2, 0.7)):
             params = ChainParams(n=n, delta=delta, lam=lam, mu=mu, omega=omega)
             ref = liouvillian_by_terms(params)
-            diff = np.abs(build_liouvillian(params).matrix - ref).max()
+            diff = np.abs(assemble(build_liouvillian(params)) - ref).max()
             assert diff <= 1e-15 * np.linalg.norm(ref)
 
 
 def test_trace_functional_is_left_null_vector():
     params = ChainParams(n=3, delta=0.8, lam=0.4, mu=0.3, omega=0.2)
-    liouv = build_liouvillian(params)
+    matrix = assemble(build_liouvillian(params))
     tr = vec(np.eye(8, dtype=complex)).conj()
-    assert np.linalg.norm(tr @ liouv.matrix) < 1e-10 * np.linalg.norm(liouv.matrix)
+    assert np.linalg.norm(tr @ matrix) < 1e-10 * np.linalg.norm(matrix)
 
 
 def test_unitary_limit_spectrum_imaginary():
     params = ChainParams(n=2, delta=0.5, lam=0.0, mu=0.5)
-    liouv = build_liouvillian(params)
-    eigs = np.linalg.eigvals(liouv.matrix)
+    eigs = np.linalg.eigvals(assemble(build_liouvillian(params)))
     assert np.max(np.abs(eigs.real)) < 1e-10
 
 
 def test_spectrum_left_half_plane():
     params = ChainParams(n=3, delta=1.5, lam=0.7, mu=0.6)
-    eigs = np.linalg.eigvals(build_liouvillian(params).matrix)
+    eigs = np.linalg.eigvals(assemble(build_liouvillian(params)))
     assert eigs.real.max() < 1e-10
 
 
@@ -134,17 +167,17 @@ def test_mu_zero_maximally_mixed():
     params = ChainParams(n=2, delta=0.5, lam=0.3, mu=0.0)
     liouv = build_liouvillian(params)
     rho = np.eye(4, dtype=complex) / 4
-    assert np.linalg.norm(liouv.matrix @ vec(rho)) < 1e-12
+    assert np.linalg.norm(assemble(liouv) @ vec(rho)) < 1e-12
     assert np.allclose(steady_state_nullspace(liouv), rho)
 
 
 def test_apply_matches_matrix():
     params = ChainParams(n=2, delta=0.3, lam=0.5, mu=0.8, omega=1.1)
-    liouv = build_liouvillian(params)
+    matrix = assemble(build_liouvillian(params))
     rng = np.random.default_rng(7)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = a + a.conj().T
-    assert np.allclose((liouv.matrix @ vec(rho)).reshape(4, 4, order="F"),
+    assert np.allclose((matrix @ vec(rho)).reshape(4, 4, order="F"),
                        apply_liouvillian(rho, params))
 
 
@@ -157,6 +190,17 @@ def test_nullspace_needs_dissipation():
 def test_liouvillian_cap():
     with pytest.raises(ValueError, match="capped"):
         build_liouvillian(ChainParams(n=7, lam=0.1))
+
+
+def test_nullspace_at_the_cap_matches_mu1_closed_form():
+    # the blocks hold C(4n, 2n) entries, sum_q C(2n, n+q)**2 (Vandermonde),
+    # against 16**n for a dense build: 2.7e6 against 1.7e7 at n = 6
+    n = lindblad.LIOUVILLIAN_CAP
+    params = ChainParams(n=n, delta=1.5, lam=5e-3, mu=1.0)
+    liouv = build_liouvillian(params)
+    assert sum(block.size for _, block in liouv.sectors.values()) == math.comb(4 * n, 2 * n)
+    closed = ness_mu1(params, params.lam / params.j_coupling)
+    assert hs_norm(closed - steady_state_nullspace(liouv)) < 1e-9
 
 
 def test_perturbative_trace_and_hermiticity():

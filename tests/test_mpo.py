@@ -119,6 +119,17 @@ def test_contract_conserves_magnetization():
         assert hs_norm(M @ Z - Z @ M) < 1e-12
 
 
+def test_aux_boundaries_and_pairing_follow_the_family():
+    eta = eta_from_delta(2.0)
+    a, b = build_aux_A(5, eta), build_aux_B(5, eta, solve_s(0.01, eta))
+    assert (a.dim_aux, a.left_index, a.right_index, a.conjugate_paulis) == (4, 0, 1, True)
+    assert (b.dim_aux, b.left_index, b.right_index, b.conjugate_paulis) == (3, 0, 0, False)
+    with pytest.raises(AttributeError):
+        a.conjugate_paulis = False
+    with pytest.raises(ValueError, match="family"):
+        AuxMatrices(family="C", a0=b.a0, a_plus=b.a_plus, a_minus=b.a_minus)
+
+
 def test_contract_isotropic_structure():
     # at eta = 0 only single +- pairs survive: Z = sum_{i<j} sp_i sm_j
     n = 4
@@ -138,12 +149,8 @@ def test_widening_auxiliary_space_changes_nothing():
     base = build_aux_A(n, eta)
     wide = build_aux_A(n + 4, eta)  # two more auxiliary levels
     narrow = contract_to_dense(base, n)
-    via_wide = contract_to_dense(
-        AuxMatrices(family="A", dim_aux=wide.dim_aux, a0=wide.a0,
-                    a_plus=wide.a_plus, a_minus=wide.a_minus,
-                    left_index=wide.left_index, right_index=wide.right_index,
-                    conjugate_paulis=True), n)
-    assert np.array_equal(narrow, via_wide)
+    assert wide.dim_aux == base.dim_aux + 2
+    assert np.array_equal(narrow, contract_to_dense(wide, n))
 
 
 # the quadrant writes add the same terms in the same order as the kron
