@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .model import ChainParams, DENSE_CAP, eta_from_delta
+from .model import ChainParams, eta_from_delta
 from .mpo import _log_threshold, hs_norm_sq_via_transfer
 from .fisher import qfi_parametric
 from .lindblad import ness_mu1
@@ -73,7 +73,8 @@ class ScanSpec:
             raise UsageError(f"unknown scan kind {self.kind!r}")
         o = {key: value for key, value in self.options.items() if value is not None}
         unread = [_flag(key) for key in o if key not in _KINDS[self.kind].defaults]
-        least = {"n_log_points": 1, "p_max": 2, "q_max": 1, "d_max": 1, "delta_points": 0}
+        least = {"n_log_points": 1, "p_max": 2, "q_max": 1, "d_max": 1, "delta_points": 0,
+                 "n_window": 8}
         low = [f"{_flag(k)} must be >= {m}" for k, m in least.items() if o.get(k, m) < m]
         a, b, step = o.get("n_range") or (1, 1, 1)
         for failed, message in (
@@ -134,8 +135,6 @@ def _eval_flambda(delta, lambda_over_j, n):
         params = ChainParams(n=n, j_coupling=1.0, delta=delta, lam=1.0, mu=1.0)
         est, epsilon = f0_x(params, "lambda"), ""
     else:
-        if n > DENSE_CAP:
-            raise ValueError(f"dense route capped at n <= {DENSE_CAP}")
         params = ChainParams(n=n, j_coupling=1.0, delta=delta, lam=lambda_over_j, mu=1.0)
         # ness_mu1 is looked up at each call, so a wrapper installed on it sees the builds
         est = qfi_parametric(params, "lambda", lambda p: ness_mu1(p, p.lam / p.j_coupling))

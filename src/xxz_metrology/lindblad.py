@@ -97,48 +97,35 @@ def apply_liouvillian(rho: np.ndarray, params: ChainParams) -> np.ndarray:
     return out
 
 
-def _sector_svd(liouv: Liouvillian) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular values of the generator, block by block over q sectors.
-
-    Returns the singular values in descending order, the sector q of
-    each, and the smallest right-singular vector of the q = 0 block
-    embedded in the full column-stacked space.
-    """
-    values, labels = [], []
-    for sector, (idx, block) in liouv.sectors.items():
-        if sector == 0:
-            _, s, vh = np.linalg.svd(block)
-            null = np.zeros(4 ** liouv.params.n, dtype=complex)
-            null[idx] = vh[-1].conj()
-        else:
-            s = np.linalg.svd(block, compute_uv=False)
-        values.append(s)
-        labels.append(np.full(s.size, sector))
-    s, labels = np.concatenate(values), np.concatenate(labels)
-    order = np.argsort(s)[::-1]
-    return s[order], labels[order], null
-
-
 def steady_state_nullspace(liouv: Liouvillian) -> np.ndarray:
     """Unique unit-trace hermitian null vector of the Liouvillian.
 
     A unit-trace state lives in q = 0, so only that block gets a full
     SVD, whose smallest right-singular vector is the state; the other
-    blocks give singular values alone.  Their sorted union is the
-    spectrum of singular values of the whole generator, so the
-    uniqueness check raises on a second null vector in any sector
-    (lambda = 0 or numerical degeneracy).
+    blocks give singular values alone.  A second null vector (lambda = 0
+    or numerical degeneracy) is the second smallest value of the q = 0
+    block or the smallest of another: each is checked against the
+    largest singular value of all blocks and raises naming its sector.
     """
     if liouv.params.lam <= 0:
         raise ValueError("uniqueness of the steady state needs lambda > 0")
     d = 2 ** liouv.params.n
-    s, sector_of, null = _sector_svd(liouv)
-    scale = s[0]
-    if s[-2] < 1e-10 * scale:
+    lowest, scale = {}, 0.0
+    for sector, (idx, block) in liouv.sectors.items():
+        if sector == 0:
+            _, s, vh = np.linalg.svd(block)
+            null = np.zeros(d * d, dtype=complex)
+            null[idx] = vh[-1].conj()
+            lowest[sector] = s[-2]
+        else:
+            s = np.linalg.svd(block, compute_uv=False)
+            lowest[sector] = s[-1]
+        scale = max(scale, s[0])
+    sector = min(lowest, key=lowest.get)
+    if lowest[sector] < 1e-10 * scale:
         raise ValueError(
-            f"null space dimension != 1 (second singular value {s[-2]:.2e} "
-            f"in sector q = {sector_of[-2]}, smallest in q = {sector_of[-1]}, "
-            f"vs scale {scale:.2e})")
+            f"null space dimension != 1 (singular value {lowest[sector]:.2e} "
+            f"in sector q = {sector} vs scale {scale:.2e})")
     rho = null.reshape((d, d), order="F")
     rho = (rho + rho.conj().T) / 2
     rho = rho / np.trace(rho).real

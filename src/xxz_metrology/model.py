@@ -72,13 +72,9 @@ class ChainParams:
         if not math.isfinite(self.omega):
             raise ValueError(f"omega must be finite, got {self.omega}")
         eta = eta_from_delta(self.delta)
-        if abs(cmath.cos(eta) - self.delta) > 1e-12:
+        if abs(cmath.cos(eta) - self.delta) > 1e-12 * max(1.0, abs(self.delta)):
             raise ValueError("eta branch failed cos(eta) = Delta check")
         object.__setattr__(self, "eta", eta)
-
-    @property
-    def dim(self) -> int:
-        return 2 ** self.n
 
     def replace(self, **kwargs) -> "ChainParams":
         """A copy with the given fields changed; eta is derived again."""

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DENSE_CAP
+from .model import _check_dense_cap
 from .transfer import SignedLog, bracket_LTnR_log
 
 
@@ -145,9 +145,9 @@ def contract_to_dense(aux: AuxMatrices, n: int) -> np.ndarray:
     the steps left.  The last step builds the one left 2**n x 2**n
     block; with D = aux.dim_aux, the side of a0, work is O(D * 4**n)
     summed over the steps, memory O(D * 4**(n-1)) plus that block.
+    n is held to the model's dense cap (ValueError past it).
     """
-    if n > DENSE_CAP:
-        raise ValueError(f"dense contraction capped at n <= {DENSE_CAP}, got {n}")
+    _check_dense_cap(n)
     needed = n // 2 + (2 if aux.family == "A" else 1)
     if aux.dim_aux < needed:
         raise ValueError(f"auxiliary space of dim {aux.dim_aux} too small for "

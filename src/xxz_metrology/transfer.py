@@ -57,10 +57,6 @@ class SignedLog(NamedTuple):
             return math.inf * self.sign
         return self.sign * math.exp(self.log)
 
-    @property
-    def log10(self) -> float:
-        return self.log / math.log(10.0)
-
 
 def _split_eta(eta: complex) -> tuple[float, bool]:
     """Reduce eta to (t, easy_axis).
@@ -264,10 +260,17 @@ def defect_series(n: int, eta: complex, d: int | None = None) -> np.ndarray:
 
 
 def bracket_LTnR_log(n: int, eta: complex, d: int | None = None) -> SignedLog:
-    """<L|T^n|R> as a SignedLog; overflow-safe for |Delta| > 1."""
+    """<L|T^n|R> as a SignedLog; overflow-safe for |Delta| > 1.
+
+    The path R -> 1 -> L -> ... -> L alone weighs 1/4: a result that is
+    not positive and finite is band overflow (|Delta| >~ 1e77) and raises.
+    """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    return _jet_log(_bands(("T",), n, d, eta), n)
+    val = _jet_log(_bands(("T",), n, d, eta), n)
+    if not (val.sign > 0 and math.isfinite(val.log)):
+        raise ArithmeticError(f"<L|T^{n}|R> = {val} lost every path to band overflow")
+    return val
 
 
 def _float_or_log(series, log_fn, n: int, eta: complex, d: int | None):
@@ -323,15 +326,14 @@ def f0_x(params, parameter: str):
             f"parameter must be one of J, lambda, mu (got {parameter!r}); "
             "use f0_delta for the anisotropy")
     pref = _PREFACTOR_DERIVS[parameter](params.j_coupling, params.lam, params.mu)
-    br = bracket_LTnR_log(params.n, params.eta)
-    if pref == 0.0 or br.sign == 0.0:
+    if pref == 0.0:
         return FisherEstimate(value=0.0, log_value=-math.inf,
                               method="leading-order", parameter=parameter,
                               params=params)
-    log_f = 2 * math.log(abs(pref)) + br.log - math.log(2.0)
-    value = math.exp(log_f) if log_f <= _LOG_MAX else math.inf
-    return FisherEstimate(value=value, log_value=log_f, method="leading-order",
-                          parameter=parameter, params=params)
+    log_f = (2 * math.log(abs(pref)) + bracket_LTnR_log(params.n, params.eta).log
+             - math.log(2.0))
+    return FisherEstimate(value=SignedLog(1.0, log_f).value, log_value=log_f,
+                          method="leading-order", parameter=parameter, params=params)
 
 
 def second_eta_derivative_bracket(n: int, eta: complex, d: int | None = None) -> float:
@@ -451,9 +453,6 @@ class JordanData:
     taus: np.ndarray          # bulk eigenvalues, |tau_1| >= ... >= |tau_d|
     V: np.ndarray
     V_inv: np.ndarray
-    psi_R: float
-    psi: np.ndarray           # defective components psi_1..psi_d
-    chi: float                # <L|V|L><R|V^-1|R>
     chi1: float               # <L|V^-1|R>
     residual: float           # ||V^-1 T V - Jordan form||_max
 
@@ -519,10 +518,8 @@ def jordan_decompose(ts: TransferSystem) -> JordanData:
     jordan[0, 1] = 1.0
     jordan[2:, 2:] = np.diag(taus)
     residual = float(np.max(np.abs(V_inv @ T @ V - jordan)))
-    chi = float(np.real(V[0, 0] * V_inv[1, 1]))
     chi1 = float(np.real(V_inv[0, 1]))
-    return JordanData(taus=taus, V=V, V_inv=V_inv, psi_R=psi_R, psi=psi,
-                      chi=chi, chi1=chi1, residual=residual)
+    return JordanData(taus=taus, V=V, V_inv=V_inv, chi1=chi1, residual=residual)
 
 
 # ---------------------------------------------------------------------------

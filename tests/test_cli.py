@@ -131,7 +131,8 @@ def test_partial_failure_exit_code(tmp_path):
     failed = [dict(zip(rows[0], row)) for row in rows[1:] if row[-1]]
     assert [(r["delta"], r["lambda_over_j"], r["n"]) for r in failed] == [
         ("2.0", "0.01", "14"), ("2.0", "0.01", "24")]
-    assert all(r["error"].startswith("ValueError: dense route capped") for r in failed)
+    assert all(r["error"].startswith("ValueError: dense representation capped")
+               for r in failed)
     # mu = 0 is read as given, and the threshold is vacuous there
     code = main(["scan", "validity-report", "--mu", "0", "--delta", "0.5",
                  "--n-range", "4", "4", "1", "--out", str(out)])
@@ -157,6 +158,7 @@ def test_bad_usage_exit_code(tmp_path):
                  ["chi-vs-delta", "--p-max", "1"],
                  ["xi-vs-eta-rational", "--p-max", "1"],
                  ["xi-vs-eta-rational", "--q-max", "0"],
+                 ["xi-vs-eta-rational", "--p-max", "4", "--n-window", "5"],
                  ["chi-vs-delta", "--d-max", "0"],
                  ["chi-vs-delta", "--delta-points", "-1"],
                  ["isotropic-check", "--workers", "0"],
@@ -193,6 +195,28 @@ def test_flambda_log_only_when_overflowing(tmp_path):
     row = dict(zip(rows[0], rows[1]))
     assert row["j2_f_lambda"] == ""          # not representable linearly
     assert float(row["f_log10"]) > 308.0     # but the log column is there
+
+
+def test_flambda_leading_order_at_large_anisotropy(tmp_path):
+    # cos(eta) gives back Delta = 2000 only to ~1e-16 relative, 2e-13 absolute
+    out = tmp_path / "f0.csv"
+    code = main(["scan", "f-lambda-nonpert", "--delta", "2000",
+                 "--lambda-over-j", "0", "--n-range", "4", "4", "1",
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    row = dict(zip(*read_csv(out)))
+    assert row["error"] == "" and float(row["f_log10"]) > 0
+
+
+def test_overflowed_bracket_is_an_error_row(tmp_path):
+    # |T| bands overflow at Delta = 1e77: the log bracket would read 0
+    out = tmp_path / "validity.csv"
+    code = main(["scan", "validity-report", "--delta", "1e77",
+                 "--n-range", "4", "4", "1", "--out", str(out)])
+    assert code == EXIT_PARTIAL
+    row = dict(zip(*read_csv(out)))
+    assert row["error"].startswith("ArithmeticError: <L|T^4|R>")
+    assert row["hs_norm_sq_log10"] == ""
 
 
 def test_json_format(tmp_path):

@@ -9,8 +9,7 @@ from scipy.linalg import svd  # an oracle from a LAPACK build independent of num
 from xxz_metrology.model import (ChainParams, embed, hamiltonian_xxz, hs_norm,
                                  lindblad_jump_ops, magnetization_z, pauli)
 from xxz_metrology import lindblad
-from xxz_metrology.lindblad import (_sector_svd, apply_liouvillian,
-                                    build_liouvillian, ness_mu1,
+from xxz_metrology.lindblad import (apply_liouvillian, build_liouvillian, ness_mu1,
                                     ness_perturbative, steady_state_nullspace)
 from xxz_metrology.mpo import build_aux_A, contract_to_dense
 
@@ -74,7 +73,8 @@ def test_sector_route_matches_full_svd(n):
         params = ChainParams(n=n, delta=delta, lam=lam, mu=mu, omega=omega)
         liouv = build_liouvillian(params)
         rho_full, s_full = nullspace_by_full_svd(liouv)
-        s_sector, _, _ = _sector_svd(liouv)
+        s_sector = np.sort(np.concatenate([np.linalg.svd(block, compute_uv=False)
+                                           for _, block in liouv.sectors.values()]))[::-1]
         assert trace_distance(steady_state_nullspace(liouv), rho_full) <= 1e-11
         assert np.abs(s_sector - s_full).max() <= 1e-12 * s_full[0]
 
@@ -100,6 +100,18 @@ def test_nullspace_sees_a_second_null_vector_outside_q_zero():
     assert idx.tolist() == [d * (d - 1)]
     sectors = {**liouv.sectors, n: (idx, np.zeros_like(block))}
     with pytest.raises(ValueError, match=r"null space dimension != 1 .*q = 3"):
+        steady_state_nullspace(dataclasses.replace(liouv, sectors=sectors))
+
+
+def test_nullspace_sees_a_second_null_vector_in_q_zero():
+    # zero the second smallest singular value of the q = 0 block: the
+    # state's own sector then holds a two-dimensional null space
+    liouv = build_liouvillian(ChainParams(n=3, delta=0.7, lam=0.2, mu=0.5))
+    idx, block = liouv.sectors[0]
+    u, s, vh = np.linalg.svd(block)
+    s[-2] = 0.0
+    sectors = {**liouv.sectors, 0: (idx, (u * s) @ vh)}
+    with pytest.raises(ValueError, match=r"null space dimension != 1 .*q = 0 "):
         steady_state_nullspace(dataclasses.replace(liouv, sectors=sectors))
 
 

@@ -162,6 +162,12 @@ def test_params_validation():
         ChainParams(n=2, j_coupling=0.0)
 
 
+@pytest.mark.parametrize("delta", [2000.0, -2000.0, 1e6, -1e6])
+def test_params_accept_large_anisotropy(delta):
+    # cos(eta) returns Delta to ~1e-16 relative, past 1e-12 absolute here
+    assert ChainParams(n=4, delta=delta).eta == eta_from_delta(delta)
+
+
 def test_replace_changes_only_the_named_field():
     base = ChainParams(n=4, j_coupling=2.0, delta=0.5, lam=0.1, mu=-0.3, omega=0.7)
     kept = {f.name: getattr(base, f.name) for f in dataclasses.fields(base) if f.init}
