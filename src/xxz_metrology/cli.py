@@ -21,6 +21,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 import warnings
@@ -84,6 +85,8 @@ class ScanSpec:
                 ("n_range" in o and "n_log_points" in o,
                  "--n-log-points and --n-range exclude each other"),
                 (self.workers < 1, "--workers must be >= 1"),
+                (not os.path.isdir(os.path.dirname(self.out or "") or "."),
+                 f"the directory of --out {self.out!r} does not exist"),
                 (self.fmt not in ("csv", "json"), f"unknown format {self.fmt!r}")):
             if failed:
                 raise UsageError(message)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +62,10 @@ class ChainParams:
     eta: complex = field(init=False)
 
     def __post_init__(self):
+        try:  # NumPy integers pass, floats such as 4.0 do not
+            object.__setattr__(self, "n", operator.index(self.n))
+        except TypeError:
+            raise ValueError(f"n must be an integer, got n={self.n!r}") from None
         if self.n < 2:
             raise ValueError(f"need at least two sites, got n={self.n}")
         if not -1.0 <= self.mu <= 1.0:

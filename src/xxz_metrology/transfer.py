@@ -19,13 +19,13 @@ All propagation goes through one jet propagator: the Taylor
 coefficients (v_0, ..., v_k) in s of (A_0 + s A_1 + ... + s^k A_k)^m |R>
 obey v_j -> sum_i A_{j-i} v_i per step, and R (which never receives
 amplitude) feeds |1> of v_0 with weight 1/2.  With A_0 = |T| the jets
-(|T|), (|T|, D) and (|T|, d|T|/dt, d^2|T|/dt^2 / 2) give the bracket,
-the defect sum and half the second t-derivative of the bracket.  The
-bands are tridiagonal over [L, 1, ..., d], so n steps cost O(n d) time
-and O(d) memory, in floats or in (sign, log) pairs whose bands are the
-logs of the same float entries.  A bracket or defect sum is returned as
-a float where that is finite and as a SignedLog where it leaves the
-double range.
+(|T|), (|T|, D), (|T|, d|T|/dt, d^2|T|/dt^2 / 2) and (|T|, d|T|/dt, F)
+give the bracket, the defect sum, half the bracket's second t-derivative
+and twice the F_Delta bracket of :func:`f0_delta`.  The bands are
+tridiagonal over [L, 1, ..., d], so n steps cost O(n d) time and O(d)
+memory, in floats or in (sign, log) pairs whose bands are the logs of
+the same float entries.  A bracket or defect sum is returned as a float
+where that is finite and as a SignedLog where it leaves the double range.
 """
 
 from __future__ import annotations
@@ -100,8 +100,9 @@ def _entries(name: str, d: int, eta: complex) -> tuple[np.ndarray, np.ndarray]:
 
     off[j] weighs both moves out of |j>: the climb <j+1|.|j> and the
     descent <j-1|.|j>.  'T' is |T|, 'dT' its t-derivative, 'd2T/2' half
-    its second t-derivative (t as in :func:`_split_eta`) and 'D' the
-    vertex matrix, which carries sign(1 - Delta^2) on its diagonal.
+    its second t-derivative (t as in :func:`_split_eta`), 'D' the
+    vertex matrix, which carries sign(1 - Delta^2) on its diagonal, and
+    'F' = 'd2T/2' + 2 'D' in closed form, so its O(t^2) diagonal is exact.
     """
     t, easy_axis = _split_eta(eta)
     j = np.arange(1, d + 1, dtype=float)
@@ -113,6 +114,8 @@ def _entries(name: str, d: int, eta: complex) -> tuple[np.ndarray, np.ndarray]:
         return sigma * j * s(2 * t * j), j / 2 * s(2 * t * j)
     if name == "d2T/2":
         return sigma * j ** 2 * c(2 * t * j), j ** 2 / 2 * c(2 * t * j)
+    if name == "F":
+        return 2 * j ** 2 * s(t * j) ** 2, j ** 2 * c(t * j) ** 2
     if name == "D":
         sgn = math.copysign(1.0, 1.0 - cmath.cos(eta).real ** 2)
         return sgn * j ** 2 / 2, j ** 2 / 4
@@ -344,22 +347,12 @@ def second_eta_derivative_bracket(n: int, eta: complex, d: int | None = None) ->
     equals -(d/d eta)^2.
 
     The band entries are differentiated analytically and the jet
-    (v, dv, d2v/2) is propagated in one pass; this stays exact even
-    where the second derivative nearly cancels against the defect sum
-    (the isotropic limit).
+    (v, dv, d2v/2) is propagated in one pass.  Near the isotropic point
+    this derivative nearly cancels against 4 sum_defect; the sum of the
+    two is exact only through the 'F' band of :func:`f0_delta`.
     """
     bands = _bands(("T", "dT", "d2T/2"), n, d, eta)
     return float(2 * _jet_series(bands, n)[n])
-
-
-def _f0_delta_bracket_log(n: int, eta: complex) -> SignedLog:
-    """sum_defect + (1/4) d^2/dt^2 <L|T^n|R> from the log-domain jets."""
-    sd = sum_defect_log(n, eta)
-    half_d2 = _jet_log(_bands(("T", "dT", "d2T/2"), n, None, eta), n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sign, log = _signed_lse(np.array([[sd.sign], [half_d2.sign]]),
-                                np.array([[sd.log], [half_d2.log - math.log(2.0)]]))
-    return SignedLog(float(sign[0]), float(log[0]))
 
 
 def f0_delta(params):
@@ -368,32 +361,29 @@ def f0_delta(params):
     F_Delta^(0) = lam^2 mu^2 / (2 J^2 |1 - Delta^2|) *
                   [ sum_defect + (1/4) d^2/dt^2 <L|T^n|R> ],
 
-    with both pieces evaluated on the full (d = n//2) matrices and the
-    second derivative taken along the real parametrization of eta.  The
-    |1 - Delta^2| prefactor together with the sign carried by D keeps
-    the expression positive on both sides of the isotropic point.  Near
-    eta = 0 the two terms cancel to O(eta^2), which is why the second
-    derivative is analytic.  Where either term overflows a
-    float (|Delta| > 1 at large n), both come from the log-domain jets
-    and the value may only be representable through ``log_value``.
+    on the full (d = n//2) matrices, t as in :func:`_split_eta`: positive
+    on both sides of |Delta| = 1, where it raises.  The bracket is half the
+    s^2 coefficient of the one jet (|T|, d|T|/dt, F), whose closed-form F
+    entries cancel its two terms to O(eta^2) exactly: accurate for every
+    |Delta| != 1.  Where the float jet is not finite (|Delta| > 1, large n)
+    the log jet runs, and the value may only be held by ``log_value``.
     """
-    delta = params.delta
-    if abs(abs(delta) - 1.0) < 1e-12:
-        raise ValueError("f0_delta is singular at |Delta| = 1; "
-                         "use isotropic_f_delta near the isotropic point")
-    sd = float(defect_series(params.n, params.eta)[params.n])
-    d2 = second_eta_derivative_bracket(params.n, params.eta)
+    delta, n = params.delta, params.n
+    if abs(delta) == 1.0:
+        raise ValueError("f0_delta is singular at the isotropic point |Delta| = 1; "
+                         "use isotropic_f_delta there")
+    # a quarter, not a half: the jet gives twice the bracket
     pref = params.lam ** 2 * params.mu ** 2 / (
-        2 * params.j_coupling ** 2 * abs(1 - delta ** 2))
-    if math.isfinite(sd) and math.isfinite(d2):
-        value = pref * (sd + 0.25 * d2)
+        4 * params.j_coupling ** 2 * abs((1 - delta) * (1 + delta)))
+    bands = _bands(("T", "dT", "F"), n, None, params.eta)
+    twice = float(_jet_series(bands, n)[n])
+    if math.isfinite(twice):
+        value = pref * twice
         log_value = math.log(value) if value > 0 else -math.inf
     else:
-        total = _f0_delta_bracket_log(params.n, params.eta)
-        scaled = (SignedLog(total.sign, total.log + math.log(pref)) if pref > 0
-                  else SignedLog(0.0, -math.inf))
-        value = scaled.value
-        log_value = scaled.log if scaled.sign > 0 else -math.inf
+        total = _jet_log(bands, n)  # a negative total fails FisherEstimate's check
+        log_value = total.log + math.log(pref) if pref > 0 else -math.inf
+        value = SignedLog(total.sign, log_value).value
     return FisherEstimate(value=value, log_value=log_value,
                           method="leading-order", parameter="Delta",
                           params=params)

@@ -167,6 +167,10 @@ def test_bad_usage_exit_code(tmp_path):
                  ["validity-report", "--p-max", "5"]):
         assert main(["scan", *argv, *out]) == EXIT_USAGE, argv
     assert not (tmp_path / "never.csv").exists()
+    # refused before any point runs: no data file, no manifest
+    assert main(["scan", "isotropic-check",
+                 "--out", str(tmp_path / "missing" / "x.csv")]) == EXIT_USAGE
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_flambda_leading_order_column(tmp_path):

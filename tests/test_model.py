@@ -162,6 +162,17 @@ def test_params_validation():
         ChainParams(n=2, j_coupling=0.0)
 
 
+@pytest.mark.parametrize("n", [2.5, 4.0])
+def test_params_reject_non_integer_n(n):
+    with pytest.raises(ValueError, match=f"n={n}"):
+        ChainParams(n=n)
+
+
+def test_params_take_numpy_integer_n():
+    params = ChainParams(n=np.int64(4))
+    assert params.n == 4 and type(params.n) is int
+
+
 @pytest.mark.parametrize("delta", [2000.0, -2000.0, 1e6, -1e6])
 def test_params_accept_large_anisotropy(delta):
     # cos(eta) returns Delta to ~1e-16 relative, past 1e-12 absolute here

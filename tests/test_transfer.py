@@ -8,7 +8,7 @@ import pytest
 from xxz_metrology.fisher import qfi_parametric
 from xxz_metrology.lindblad import ness_perturbative
 from xxz_metrology.model import ChainParams, eta_from_delta
-from xxz_metrology.transfer import (SignedLog, _f0_delta_bracket_log,
+from xxz_metrology.transfer import (SignedLog, _bands, _entries, _jet_log,
                                     _split_eta, bracket_LTnR,
                                     bracket_LTnR_log, bracket_series,
                                     build_transfer, chi_coefficient,
@@ -220,9 +220,32 @@ def test_f0_delta_log_route_matches_float_route(delta):
     eta = eta_from_delta(delta)
     for n in range(2, 19):
         lin = sum_defect(n, eta) + 0.25 * second_eta_derivative_bracket(n, eta)
-        lg = _f0_delta_bracket_log(n, eta)
+        lg = _jet_log(_bands(("T", "dT", "F"), n, None, eta), n)  # twice the bracket
         assert lg.sign == np.sign(lin)
-        assert math.isclose(lg.value, lin, rel_tol=1e-10)
+        assert math.isclose(lg.value / 2, lin, rel_tol=1e-10)
+
+
+@pytest.mark.parametrize("delta", [0.5, -0.3, 0.99, 1.01, 1.5, -2.0])
+def test_f_band_is_half_d2_plus_twice_d(delta):
+    eta, d = eta_from_delta(delta), 12
+    j = np.arange(1, d + 1)
+    for f, h, v in zip(_entries("F", d, eta), _entries("d2T/2", d, eta),
+                       _entries("D", d, eta)):
+        # j^2: the diagonal of h + 2 v cancels to O(t^2) in floats;
+        # |h|: cosh(2 t j) grows past j^2 for |Delta| > 1
+        assert np.all(np.abs(f - (h + 2 * v)) <= 1e-13 * np.maximum(j ** 2, np.abs(h)))
+
+
+@pytest.mark.parametrize("n", [4, 10, 30])
+@pytest.mark.parametrize("x", ["ulp", 1e-13, 2e-12, 1e-10, 1e-9])
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_f0_delta_accurate_next_to_isotropic_point(n, x, side):
+    # the two terms of the bracket cancel to O(eta^2): a subtraction of
+    # separate jets loses eps/eta^2 here, the F band does not
+    delta = np.nextafter(1.0, 1.0 + side) if x == "ulp" else 1.0 + side * x
+    params = ChainParams(n=n, delta=float(delta), lam=1.0, mu=1.0)
+    expected = isotropic_f_delta(params)
+    assert abs(f0_delta(params).value - expected) <= 1e-13 * expected
 
 
 def mp_f0_delta_bracket(n, delta, mp):
