@@ -11,8 +11,8 @@ from .lindblad import (Liouvillian, apply_liouvillian, build_liouvillian,
 from .fisher import (FisherEstimate, fisher_cross, optimal_estimator_variance,
                      qfi_dense, qfi_parametric, relative_error, sld)
 from .transfer import (JordanData, SignedLog, TransferSystem, bracket_LTnR,
-                       bracket_LTnR_log, build_transfer, chi_coefficient,
-                       chi_coefficient_rational, defective_vector,
+                       bracket_LTnR_log, bracket_log_at, build_transfer,
+                       chi_coefficient, chi_coefficient_rational, defective_vector,
                        easy_axis_lower_bound, f0_delta, f0_x,
                        isotropic_bracket_series, isotropic_f_delta,
                        jordan_decompose, sum_defect, xi_coefficient,
@@ -28,7 +28,7 @@ __all__ = [
     "FisherEstimate", "fisher_cross", "optimal_estimator_variance",
     "qfi_dense", "qfi_parametric", "relative_error", "sld",
     "JordanData", "SignedLog", "TransferSystem", "bracket_LTnR",
-    "bracket_LTnR_log", "build_transfer", "chi_coefficient",
+    "bracket_LTnR_log", "bracket_log_at", "build_transfer", "chi_coefficient",
     "chi_coefficient_rational", "defective_vector", "easy_axis_lower_bound",
     "f0_delta", "f0_x",
     "isotropic_bracket_series", "isotropic_f_delta", "jordan_decompose",

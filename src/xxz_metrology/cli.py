@@ -10,7 +10,10 @@ written next to each output file; wall-clock information lives only in
 the manifest so it never perturbs the data digest.
 
 Each scan kind is declared once, in ``_KINDS``: its data columns, its
-evaluator, its grid and the options it reads with their defaults.
+evaluator, its grid and the options it reads with their defaults.  A
+grid is a list of lines, runs of points that differ only in n; the
+rows of a line share their jet passes (``transfer.LinePasses``), so a
+curve in n costs one propagation, and a pool maps lines.
 """
 
 from __future__ import annotations
@@ -36,10 +39,11 @@ from .model import ChainParams, eta_from_delta
 from .mpo import _log_threshold, hs_norm_sq_via_transfer
 from .fisher import qfi_parametric
 from .lindblad import ness_mu1
-from .transfer import (bracket_series, chi_coefficient, chi_coefficient_rational,
-                       defect_series, f0_x, isotropic_bracket_series,
-                       isotropic_f_delta, second_eta_derivative_bracket,
-                       xi_coefficient, xi_coefficient_rational)
+from .transfer import (LinePasses, bracket_log_at, bracket_series, check_single_path,
+                       chi_coefficient, chi_coefficient_rational, defect_series, f0_x,
+                       isotropic_bracket_series, isotropic_f_delta,
+                       second_eta_derivative_bracket, xi_coefficient,
+                       xi_coefficient_rational)
 
 EXIT_OK = 0
 EXIT_PARTIAL = 2
@@ -117,26 +121,35 @@ def _log10_cols(sign: float, log_e: float) -> tuple[str, str, str]:
 
 
 # --- grid-point evaluators: a grid point's keys are their keyword arguments,
-# they return the other columns of its row (top level, so a pool can pickle them)
+# after the passes its line shares; they return the other columns of its
+# row (top level, so a pool can pickle them)
 
-def _eval_chi(route, p, q, delta, d):
-    chi = chi_coefficient_rational(p, q) if route == "rational" else chi_coefficient(delta, d)
+def _eval_chi(passes, route, p, q, delta, d):
+    del passes  # a line of one point
+    chi = (chi_coefficient_rational(p, q) if route == "rational"
+           else chi_coefficient(delta, d))
     return chi._asdict()
 
 
-def _eval_xi_rational(p, q, delta, window_start):
-    del delta  # names the point; xi_coefficient_rational derives it from (p, q)
+def _eval_xi_rational(passes, p, q, delta, window_start):
+    del passes, delta  # one point per line; delta follows from (p, q)
     return xi_coefficient_rational(p, q, window_start)._asdict()
 
 
-def _eval_xi_n(delta, n):
-    return xi_coefficient(delta, n)._asdict()
+def _eval_xi_n(passes, delta, n):
+    return xi_coefficient(delta, n, passes)._asdict()
 
 
-def _eval_flambda(delta, lambda_over_j, n):
+def _check_single_path(passes, n, eta):
+    """A log bracket below its single path is an error row (|Delta| > 1, even n >= 4)."""
+    check_single_path(n, eta, bracket_log_at(n, eta, passes).log)
+
+
+def _eval_flambda(passes, delta, lambda_over_j, n):
     if lambda_over_j == 0.0:
         params = ChainParams(n=n, j_coupling=1.0, delta=delta, lam=1.0, mu=1.0)
-        est, epsilon = f0_x(params, "lambda"), ""
+        _check_single_path(passes, n, params.eta)
+        est, epsilon = f0_x(params, "lambda", passes), ""
     else:
         params = ChainParams(n=n, j_coupling=1.0, delta=delta, lam=lambda_over_j, mu=1.0)
         # ness_mu1 is looked up at each call, so a wrapper installed on it sees the builds
@@ -147,15 +160,18 @@ def _eval_flambda(delta, lambda_over_j, n):
             "j2_f_lambda": linear, "f_sign": sign, "f_log10": log10}
 
 
-def _eval_validity(delta, n, mu):
-    log_norm = hs_norm_sq_via_transfer(n, eta_from_delta(delta)).log
+def _eval_validity(passes, delta, n, mu):
+    eta = eta_from_delta(delta)
+    _check_single_path(passes, n, eta)
+    log_norm = hs_norm_sq_via_transfer(n, eta, passes).log
     log_thr = _log_threshold(n, mu, log_norm)
     thr_lin, thr_sign, thr_l10 = _log10_cols(1.0, log_thr)
     return {"threshold": thr_lin, "threshold_log10": thr_l10,
             "hs_norm_sq_log10": repr(log_norm / math.log(10.0))}
 
 
-def _eval_isotropic(n):
+def _eval_isotropic(passes, n):
+    del passes  # a line of one point: its four propagations are its own
     eta_small = 1e-4
     b0 = float(bracket_series(n, 0.0)[n])
     formula = n * (n - 1) / 8
@@ -166,7 +182,7 @@ def _eval_isotropic(n):
     f_iso = isotropic_f_delta(params)
     # exact leading-order F_Delta at the same small eta, from the defect sum
     sd = float(defect_series(n, eta_small)[n])
-    d2 = second_eta_derivative_bracket(n, eta_small)
+    d2 = float(second_eta_derivative_bracket(n, eta_small)[n])
     f_exact = (sd + 0.25 * d2) / (2 * abs(1 - params.delta ** 2))
     return {"bracket_eta0": b0, "bracket_formula": formula,
             "bracket_small_eta": b_small, "series_small_eta": series,
@@ -187,14 +203,24 @@ def _xi_n_grid(o):
         ns = _n_range(o)
     else:  # log-spaced over [10, 10^4]
         ns = np.unique(np.round(np.logspace(1.0, 4.0, o["n_log_points"])).astype(int))
-    return [{"delta": dl, "n": int(n)} for dl in o["delta"] for n in ns]
+    return [[{"delta": dl, "n": int(n)} for n in ns] for dl in o["delta"]]
+
+
+def _flambda_grid(o):
+    lines = []
+    for dl in o["delta"]:
+        for lj in o["lambda_over_j"]:
+            line = [{"delta": dl, "lambda_over_j": lj, "n": n} for n in _n_range(o)]
+            # only the leading order shares a pass; exact rows run alone
+            lines += [line] if lj == 0.0 else [[point] for point in line]
+    return lines
 
 
 @dataclass(frozen=True)
 class _Kind:
     header: tuple[str, ...]   # data columns; an "error" column follows
-    evaluate: Callable        # grid point -> the other columns of its row
-    grid: Callable            # options -> grid points
+    evaluate: Callable        # (line's passes, grid point) -> the other columns of its row
+    grid: Callable            # options -> lines of grid points
     defaults: dict            # every option the kind reads, with its default
 
 
@@ -203,10 +229,10 @@ _KINDS = {
         header=("route", "p", "q", "delta", "d", "chi", "chi1"),
         evaluate=_eval_chi,
         grid=lambda o: (
-            [{"route": "rational", "p": p, "q": q, "delta": dl, "d": p - 1}
+            [[{"route": "rational", "p": p, "q": q, "delta": dl, "d": p - 1}]
              for p, q, dl in rational_grid(o["p_max"], o["q_max"])]
-            + [{"route": "irrational", "p": "", "q": "", "delta": float(dl),
-                "d": o["d_max"]}
+            + [[{"route": "irrational", "p": "", "q": "", "delta": float(dl),
+                 "d": o["d_max"]}]
                for dl in np.linspace(-1.0, 1.0, o["delta_points"] + 2)[1:-1]]),
         defaults={"p_max": 50, "q_max": None, "d_max": 400, "delta_points": 199}),
     "xi-vs-eta-rational": _Kind(
@@ -215,8 +241,8 @@ _KINDS = {
         evaluate=_eval_xi_rational,
         # without --n-window each p starts its fit window at max(100, 20 (p - 1))
         grid=lambda o: [
-            {"p": p, "q": q, "delta": dl, "window_start": max(100, 20 * (p - 1))
-             if o["n_window"] is None else o["n_window"]}
+            [{"p": p, "q": q, "delta": dl, "window_start": max(100, 20 * (p - 1))
+              if o["n_window"] is None else o["n_window"]}]
             for p, q, dl in rational_grid(o["p_max"], o["q_max"])],
         defaults={"p_max": 30, "q_max": None, "n_window": None}),
     "xi-n-vs-n": _Kind(
@@ -226,24 +252,21 @@ _KINDS = {
     "f-lambda-nonpert": _Kind(
         header=("delta", "lambda_over_j", "n", "method", "epsilon", "j2_f_lambda",
                 "f_sign", "f_log10"),
-        evaluate=_eval_flambda,
-        grid=lambda o: [{"delta": dl, "lambda_over_j": lj, "n": n}
-                        for dl in o["delta"] for lj in o["lambda_over_j"]
-                        for n in _n_range(o)],
+        evaluate=_eval_flambda, grid=_flambda_grid,
         defaults={"delta": (2.0, 10.0, 100.0), "lambda_over_j": (0.0, 1e-3, 1e-2),
                   "n_range": (2, 10, 1)}),
     "validity-report": _Kind(
         header=("n", "delta", "mu", "threshold", "threshold_log10", "hs_norm_sq_log10"),
         evaluate=_eval_validity,
-        grid=lambda o: [{"delta": dl, "n": n, "mu": o["mu"]}
-                        for dl in o["delta"] for n in _n_range(o)],
+        grid=lambda o: [[{"delta": dl, "n": n, "mu": o["mu"]} for n in _n_range(o)]
+                        for dl in o["delta"]],
         defaults={"delta": (0.5, 1.0, 2.0), "mu": 1.0, "n_range": (2, 50, 2)}),
     "isotropic-check": _Kind(
         header=("n", "bracket_eta0", "bracket_formula", "bracket_small_eta",
                 "series_small_eta", "rel_diff_bracket", "f_delta_exact",
                 "f_delta_series", "rel_diff_f"),
         evaluate=_eval_isotropic,
-        grid=lambda o: [{"n": n} for n in _n_range(o)],
+        grid=lambda o: [[{"n": n}] for n in _n_range(o)],
         defaults={"n_range": (3, 200, 7)}),
 }
 
@@ -258,14 +281,16 @@ def run_scan(spec: ScanSpec) -> dict:
     run stays reproducible and the caller can exit with code 2.
     """
     kind = _KINDS[spec.kind]
-    points = kind.grid(spec.options)
+    lines = kind.grid(spec.options)
     t0 = time.monotonic()
     guarded = _guard(kind.evaluate)
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            outcomes = list(pool.map(guarded, points, chunksize=8))
+            done = list(pool.map(guarded, lines))
     else:
-        outcomes = [guarded(pt) for pt in points]
+        done = [guarded(line) for line in lines]
+    points = [point for line in lines for point in line]
+    outcomes = [outcome for line in done for outcome in line]
     rows = [row for row, _, _ in outcomes]
     failures = sum(1 for row in rows if row["error"])
     _write_rows(spec, [*kind.header, "error"], rows)
@@ -294,25 +319,33 @@ def run_scan(spec: ScanSpec) -> dict:
 
 
 class _guard:
-    """Evaluate one grid point; returns (row, messages of the warnings raised,
-    seconds taken).
+    """Evaluate one line; returns, for each of its grid points in line
+    order, (row, messages of the warnings raised, seconds taken).
 
-    A failure becomes a row that names its grid point and carries the
-    error.  Warnings are caught here, so pool workers report them too.
+    The points run from the largest n down and share one LinePasses, so
+    a pass runs, is timed and raises its warnings in the row that ran it
+    alone before.  A failure becomes a row that names its grid point and
+    carries the error.  Warnings are caught here, so pool workers report
+    them too.
     """
 
     def __init__(self, evaluate):
         self.evaluate = evaluate
 
-    def __call__(self, point):
-        t0 = time.perf_counter()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("default")  # each message once per place
-            try:
-                row = {**point, **self.evaluate(**point), "error": ""}
-            except Exception as exc:  # noqa: BLE001 - failure markers by design
-                row = {**point, "error": f"{type(exc).__name__}: {exc}"}
-        return row, [str(w.message) for w in caught], time.perf_counter() - t0
+    def __call__(self, line):
+        passes = LinePasses()
+        outcomes = [None] * len(line)
+        for i in sorted(range(len(line)), key=lambda i: line[i].get("n", 0), reverse=True):
+            point = line[i]
+            t0 = time.perf_counter()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("default")  # each message once per place
+                try:
+                    row = {**point, **self.evaluate(passes, **point), "error": ""}
+                except Exception as exc:  # noqa: BLE001 - failure markers by design
+                    row = {**point, "error": f"{type(exc).__name__}: {exc}"}
+            outcomes[i] = (row, [str(w.message) for w in caught], time.perf_counter() - t0)
+        return outcomes
 
 
 def _format_cell(value) -> str:

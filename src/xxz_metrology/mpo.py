@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import _check_dense_cap
-from .transfer import SignedLog, bracket_LTnR_log
+from .transfer import LinePasses, SignedLog, bracket_log_at
 
 
 @dataclass
@@ -182,14 +182,16 @@ def contract_to_dense(aux: AuxMatrices, n: int) -> np.ndarray:
     return partial.get(aux.left_index, np.zeros((dim, dim), dtype=complex))
 
 
-def hs_norm_sq_via_transfer(n: int, eta: complex) -> SignedLog:
+def hs_norm_sq_via_transfer(n: int, eta: complex,
+                            passes: LinePasses | None = None) -> SignedLog:
     """||Z||_HS^2 = 2**n <L|T^n|R> as a SignedLog, overflow-safe.
 
     Identity between the dense contraction of the A family and the
-    transfer-matrix bracket; the test suite cross-checks it against
+    transfer-matrix bracket (read by ``bracket_log_at``; ``passes``
+    shares it along a scan line); the test suite cross-checks it against
     hs_norm(contract_to_dense(...))**2 wherever the dense form fits.
     """
-    val = bracket_LTnR_log(n, eta)
+    val = bracket_log_at(n, eta, passes)
     return SignedLog(val.sign, val.log + n * math.log(2.0))
 
 

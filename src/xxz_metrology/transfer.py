@@ -24,8 +24,17 @@ give the bracket, the defect sum, half the bracket's second t-derivative
 and twice the F_Delta bracket of :func:`f0_delta`.  The bands are
 tridiagonal over [L, 1, ..., d], so n steps cost O(n d) time and O(d)
 memory, in floats or in (sign, log) pairs whose bands are the logs of
-the same float entries.  A bracket or defect sum is returned as a float
-where that is finite and as a SignedLog where it leaves the double range.
+the same float entries.
+
+A pass to n passes through every m <= n, so the propagators return
+series over m = 0..n: ``bracket_series``, ``defect_series`` and
+``second_eta_derivative_bracket`` as float arrays, ``bracket_LTnR_log``
+as a list of SignedLogs.  Row m of a pass truncated at d >= m//2 is the
+row of m's own pass (d = m//2) bit for bit, except next to a band entry
+that overflows (see :class:`LinePasses`, which shares passes between the
+rows of a scan line).  A single bracket or defect sum is returned as a
+float where that is finite and as a SignedLog where it leaves the double
+range.
 """
 
 from __future__ import annotations
@@ -212,8 +221,8 @@ def _signed_lse(signs: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.nda
             np.where(live, shift + np.log(np.abs(tot)), -np.inf))
 
 
-def _jet_log(bands: list[np.ndarray], n: int) -> SignedLog:
-    """<L|v_k> after n steps of :func:`_jet_series`, in (sign, log) pairs.
+def _jet_log(bands: list[np.ndarray], n: int) -> list[SignedLog]:
+    """<L|v_k> of :func:`_jet_series` after m = 0..n steps, as SignedLogs.
 
     Each band entry enters as (sign, log|entry|), so values far outside
     the double range stay representable.
@@ -231,8 +240,9 @@ def _jet_log(bands: list[np.ndarray], n: int) -> SignedLog:
     signs[0][3, 1] = 1.0
     sg = [np.zeros(dim) for _ in range(k)]
     lg = [np.full(dim, -np.inf) for _ in range(k)]
+    at_L_sign, at_L_log = np.zeros(n + 1), np.full(n + 1, -np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(n):
+        for m in range(1, n + 1):
             new = []
             for j in range(k):
                 tl, ts = logs[j], signs[j]
@@ -246,7 +256,8 @@ def _jet_log(bands: list[np.ndarray], n: int) -> SignedLog:
                     np.multiply(bs[2, :-1], sg[i][1:], out=ts[3 * r + 2, :-1])
                 new.append(_signed_lse(ts, tl))
             sg, lg = zip(*new)
-    return SignedLog(float(sg[-1][0]), float(lg[-1][0]))
+            at_L_sign[m], at_L_log[m] = sg[-1][0], lg[-1][0]
+    return [SignedLog(float(sign), float(log)) for sign, log in zip(at_L_sign, at_L_log)]
 
 
 def bracket_series(n: int, eta: complex, d: int | None = None) -> np.ndarray:
@@ -262,18 +273,74 @@ def defect_series(n: int, eta: complex, d: int | None = None) -> np.ndarray:
     return _jet_series(_bands(("T", "D"), n, d, eta), n)
 
 
-def bracket_LTnR_log(n: int, eta: complex, d: int | None = None) -> SignedLog:
-    """<L|T^n|R> as a SignedLog; overflow-safe for |Delta| > 1.
+def bracket_LTnR_log(n: int, eta: complex, d: int | None = None) -> list[SignedLog]:
+    """<L|T^m|R> for m = 0..n as SignedLogs, in one log-domain pass;
+    overflow-safe for |Delta| > 1.  :func:`bracket_log_at` reads one row."""
+    return _jet_log(_bands(("T",), n, d, eta), n)
 
-    The path R -> 1 -> L -> ... -> L alone weighs 1/4: a result that is
+
+def _bracket_row(series: list[SignedLog], n: int) -> SignedLog:
+    """Row n of a :func:`bracket_LTnR_log` series.
+
+    The path R -> 1 -> L -> ... -> L alone weighs 1/4: a row that is
     not positive and finite is band overflow (|Delta| >~ 1e77) and raises.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    val = _jet_log(_bands(("T",), n, d, eta), n)
+    val = series[n]
     if not (val.sign > 0 and math.isfinite(val.log)):
         raise ArithmeticError(f"<L|T^{n}|R> = {val} lost every path to band overflow")
     return val
+
+
+class LinePasses:
+    """The jet passes shared by the rows of one scan line (points that
+    differ only in n).
+
+    ``passes(jet, n, eta)`` returns the series of ``jet``, a propagator
+    of (n, eta, d) such as :func:`bracket_LTnR_log`, from a pass that
+    holds row n exactly as row n's own pass (d = n//2) would: the last
+    pass of that jet at that eta if it does (see :func:`_overflow_column`),
+    else a new pass at (n, n//2).  Rows asked from the largest n down so
+    run one pass per jet, and one more below a band overflow; each pass
+    is what its first row ran alone.
+    """
+
+    def __init__(self):
+        self._last: dict = {}
+
+    def __call__(self, jet, n: int, eta: complex):
+        last = self._last.get((jet, eta))
+        if last is None or not (n <= last[0] and n // 2 >= last[1]):
+            last = self._last[jet, eta] = (n, _overflow_column(eta, max(n // 2, 1)),
+                                           jet(n, eta))
+        return last[2]
+
+
+def _overflow_column(eta: complex, d: int) -> int:
+    """The first column J <= d whose |T| entry is not a finite float, 0 if none.
+
+    Row m <= n of a pass to n (truncated at d) is row m of its own pass
+    (d = m//2) bit for bit when m//2 >= J: columns above m//2 reach L only
+    after step m, and the exact zeros they add before change no sum.  The
+    log bands add the +inf entries of column J to its -inf (empty) value,
+    and when the entry that descends from J is +inf as well, column J - 1
+    is lost from the first step on.  Rows with m//2 >= J lose it in their
+    own pass too; rows with m//2 < J take a pass truncated below J.
+    """
+    with np.errstate(over="ignore"):
+        diag, off = _entries("T", d, eta)
+    overflowed = np.flatnonzero(~(np.isfinite(diag) & np.isfinite(off)))
+    return int(overflowed[0]) + 1 if overflowed.size else 0
+
+
+def bracket_log_at(n: int, eta: complex, passes: LinePasses | None = None) -> SignedLog:
+    """<L|T^n|R> as a SignedLog: row n of a :func:`bracket_LTnR_log` pass.
+
+    The pass is row n's own, or one that ``passes`` shares along a scan
+    line.  A row that lost every path to band overflow raises.
+    """
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    return _bracket_row((passes or LinePasses())(bracket_LTnR_log, n, eta), n)
 
 
 def _float_or_log(series, log_fn, n: int, eta: complex, d: int | None):
@@ -289,12 +356,14 @@ def bracket_LTnR(n: int, eta: complex, d: int | None = None) -> float | SignedLo
 
     A float where it is finite, else a SignedLog (|Delta| > 1, large n).
     """
-    return _float_or_log(bracket_series, bracket_LTnR_log, n, eta, d)
+    return _float_or_log(bracket_series,
+                         lambda n, eta, d: _bracket_row(bracket_LTnR_log(n, eta, d), n),
+                         n, eta, d)
 
 
 def sum_defect_log(n: int, eta: complex, d: int | None = None) -> SignedLog:
     """Log-domain version of :func:`sum_defect` with exact sign tracking."""
-    return _jet_log(_bands(("T", "D"), n, d, eta), n)
+    return _jet_log(_bands(("T", "D"), n, d, eta), n)[n]
 
 
 def sum_defect(n: int, eta: complex, d: int | None = None) -> float | SignedLog:
@@ -317,12 +386,13 @@ _PREFACTOR_DERIVS = {
 }
 
 
-def f0_x(params, parameter: str):
+def f0_x(params, parameter: str, passes: LinePasses | None = None):
     """Leading-order Fisher information for x in {J, lambda, mu}.
 
-    F_x^(0) = (d(lambda mu / J)/dx)^2 <L|T^n|R> / 2.  Returns a
-    FisherEstimate; for |Delta| > 1 the value may only be representable
-    through its ``log_value``.
+    F_x^(0) = (d(lambda mu / J)/dx)^2 <L|T^n|R> / 2, the bracket read by
+    :func:`bracket_log_at` (``passes`` shares it along a scan line).
+    Returns a FisherEstimate; for |Delta| > 1 the value may only be
+    representable through its ``log_value``.
     """
     if parameter not in _PREFACTOR_DERIVS:
         raise ValueError(
@@ -333,14 +403,14 @@ def f0_x(params, parameter: str):
         return FisherEstimate(value=0.0, log_value=-math.inf,
                               method="leading-order", parameter=parameter,
                               params=params)
-    log_f = (2 * math.log(abs(pref)) + bracket_LTnR_log(params.n, params.eta).log
+    log_f = (2 * math.log(abs(pref)) + bracket_log_at(params.n, params.eta, passes).log
              - math.log(2.0))
     return FisherEstimate(value=SignedLog(1.0, log_f).value, log_value=log_f,
                           method="leading-order", parameter=parameter, params=params)
 
 
-def second_eta_derivative_bracket(n: int, eta: complex, d: int | None = None) -> float:
-    """d^2/dt^2 of <L|T^n|R> along the real parametrization of eta.
+def second_eta_derivative_bracket(n: int, eta: complex, d: int | None = None) -> np.ndarray:
+    """d^2/dt^2 of <L|T^m|R>, m = 0..n, along the real parametrization of eta.
 
     For |Delta| < 1 the derivative is in eta itself; for |Delta| > 1 it
     is taken along the imaginary axis, i.e. in t with eta = i t, which
@@ -351,8 +421,7 @@ def second_eta_derivative_bracket(n: int, eta: complex, d: int | None = None) ->
     this derivative nearly cancels against 4 sum_defect; the sum of the
     two is exact only through the 'F' band of :func:`f0_delta`.
     """
-    bands = _bands(("T", "dT", "d2T/2"), n, d, eta)
-    return float(2 * _jet_series(bands, n)[n])
+    return 2 * _jet_series(_bands(("T", "dT", "d2T/2"), n, d, eta), n)
 
 
 def f0_delta(params):
@@ -381,7 +450,7 @@ def f0_delta(params):
         value = pref * twice
         log_value = math.log(value) if value > 0 else -math.inf
     else:
-        total = _jet_log(bands, n)  # a negative total fails FisherEstimate's check
+        total = _jet_log(bands, n)[n]  # a negative total fails FisherEstimate's check
         log_value = total.log + math.log(pref) if pref > 0 else -math.inf
         value = SignedLog(total.sign, log_value).value
     return FisherEstimate(value=value, log_value=log_value,
@@ -616,22 +685,24 @@ def xi_coefficient_rational(p: int, q: int, window_start: int) -> RationalXi:
     return RationalXi(eta_over_pi=q / p, d=d, xi=xi, xi1=xi1, chi_dd=cdd, fit_r2=r2)
 
 
-def xi_coefficient(delta: float, n: int) -> IrrationalXi:
+def xi_coefficient(delta: float, n: int, passes: LinePasses | None = None) -> IrrationalXi:
     """xi(n) = [sum_defect(n) + (1/4) d^2/dt^2 <L|T^n|R>] / (2 |1-Delta^2| n)
     at a float Delta, on the full d = n//2 matrices: f0_delta / (n (lam mu/J)^2).
 
     Its growth (piecewise powers between n^2 and n^5, and an initial n^2
-    window close to rational points) is the quantity of interest.
+    window close to rational points) is the quantity of interest.  The
+    two series come from row n's own passes, or from the ones ``passes``
+    shares along a scan line.
     """
     if not abs(delta) < 1:
         raise ValueError("xi is defined for |Delta| < 1")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    eta, d = math.acos(delta), n // 2
-    sd = float(defect_series(n, eta, d)[n])
-    d2 = second_eta_derivative_bracket(n, eta, d)
+    eta, passes = math.acos(delta), passes or LinePasses()
+    sd = float(passes(defect_series, n, eta)[n])
+    d2 = float(passes(second_eta_derivative_bracket, n, eta)[n])
     xi = (sd + 0.25 * d2) / (2 * abs(1 - delta ** 2) * n)
-    return IrrationalXi(d=d, xi=xi, xi_n=xi * n, sum_defect=sd, d2_bracket=d2)
+    return IrrationalXi(d=n // 2, xi=xi, xi_n=xi * n, sum_defect=sd, d2_bracket=d2)
 
 
 # ---------------------------------------------------------------------------
@@ -646,30 +717,43 @@ class EasyAxisBounds(NamedTuple):
     log_bound: float
 
 
+def check_single_path(n: int, eta: complex, log_bracket: float) -> float | None:
+    """log of the single path under log <L|T^n|R>, checked against log_bracket.
+
+    For |Delta| > 1 and even n >= 4 the path climbs |R> -> |1> -> ... ->
+    |n/2> and descends back, weighing 2^-n prod_{k=1}^{n/2-1} sinh^2(k t)
+    sinh^2((k+1) t) (t as in :func:`_split_eta`), summed from
+    log sinh(y) = y + log(1 - e^{-2y}) - log 2, which does not overflow.
+    A log_bracket below it is the cosh^2 overflow of the log bands and
+    raises ArithmeticError.  None where there is no such path.
+    """
+    t, easy_axis = _split_eta(eta)
+    if not easy_axis or t <= 0 or n % 2 != 0 or n < 4:
+        return None
+    y = t * np.arange(1, n // 2 + 1)
+    log_sinh = y + np.log(-np.expm1(-2 * y)) - math.log(2.0)
+    log_path = float(2 * (log_sinh[:-1].sum() + log_sinh[1:].sum()) - n * math.log(2.0))
+    if not log_bracket >= log_path - 1e-12 * abs(log_path):
+        raise ArithmeticError(
+            f"log bracket {log_bracket:.10g} below the single-path bound {log_path:.10g}: "
+            "the log bands lost paths past the cosh^2 overflow")
+    return log_path
+
+
 def easy_axis_lower_bound(n: int, eta: complex) -> EasyAxisBounds:
     """Superexponential chain bound <= path <= bracket, all as natural logs.
 
-    The single path climbs |R> -> |1> -> ... -> |n/2| and descends back,
-    giving 2^-n prod_{k=1}^{n/2-1} sinh^2(k t) sinh^2((k+1) t); bounding
-    sinh^2(y) >= y^2 yields t^{2(n-2)}/2^n ((n/2)! (n/2-1)!)^2.  The
-    path is summed from log sinh(y) = y + log(1 - e^{-2y}) - log 2, which
-    does not overflow.  A bracket below the path is the cosh^2 overflow
-    of the log bands and raises ArithmeticError.
+    The path is :func:`check_single_path`'s, and a bracket below it
+    raises ArithmeticError there; bounding sinh^2(y) >= y^2 in it yields
+    t^{2(n-2)}/2^n ((n/2)! (n/2-1)!)^2.
     """
     t, easy_axis = _split_eta(eta)
     if not easy_axis or t <= 0:
         raise ValueError("easy-axis bound requires |Delta| > 1 (imaginary eta)")
     if n % 2 != 0 or n < 4:
         raise ValueError("the single-path estimate is for even n >= 4")
-    log_bracket = bracket_LTnR_log(n, eta).log
-    log_path = -n * math.log(2.0)
-    for k in range(1, n // 2):
-        for y in (k * t, (k + 1) * t):
-            log_path += 2 * (y + math.log(-math.expm1(-2 * y)) - math.log(2.0))
-    if not log_bracket >= log_path - 1e-12 * abs(log_path):
-        raise ArithmeticError(
-            f"log bracket {log_bracket:.6g} below the single path {log_path:.6g}: "
-            "the log bands lost paths past the cosh^2 overflow")
+    log_bracket = bracket_log_at(n, eta).log
+    log_path = check_single_path(n, eta, log_bracket)
     log_bound = (2 * (n - 2) * math.log(t) - n * math.log(2.0)
                  + 2 * (math.lgamma(n // 2 + 1) + math.lgamma(n // 2)))
     return EasyAxisBounds(log_bracket=float(log_bracket), log_path=log_path,

@@ -350,22 +350,80 @@ def test_xi_rational_scan_smoke(tmp_path):
 
 
 def test_pool_workers_write_the_same_bytes_and_warnings(tmp_path):
-    manifests = []
-    for workers in ("1", "2"):
-        out = tmp_path / f"xi{workers}.csv"
-        code = main(["scan", "xi-vs-eta-rational", "--p-max", "7", "--n-window", "120",
-                     "--workers", workers, "--out", str(out)])
-        assert code == EXIT_OK
-        manifest = tmp_path / f"xi{workers}.csv.manifest.json"
-        manifests.append(json.loads(manifest.read_text()))
-    assert (tmp_path / "xi1.csv").read_bytes() == (tmp_path / "xi2.csv").read_bytes()
-    assert manifests[0]["warnings"] == manifests[1]["warnings"]
-    assert [len(m["wall_s"]) for m in manifests] == [m["rows"] for m in manifests]
-    r2 = [w for w in manifests[0]["warnings"]
-          if (w["point"]["p"], w["point"]["q"]) == (7, 2)]
-    assert len(r2) == 1
-    assert r2[0]["message"].startswith("defect-sum window fit not linear")
-    assert r2[0]["point"]["window_start"] == 120
+    # single points (rational xi) and lines (two Delta lines of validity-report)
+    for name, argv, exit_code in (
+            ("xi", ["xi-vs-eta-rational", "--p-max", "7", "--n-window", "120"], EXIT_OK),
+            ("validity", ["validity-report", "--delta", "2", "1.1",
+                          "--n-range", "500", "700", "100"], EXIT_PARTIAL)):
+        manifests = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"{name}{workers}.csv"
+            code = main(["scan", *argv, "--workers", workers, "--out", str(out)])
+            assert code == exit_code
+            manifest = tmp_path / f"{name}{workers}.csv.manifest.json"
+            manifests.append(json.loads(manifest.read_text()))
+        data = [(tmp_path / f"{name}{workers}.csv").read_bytes() for workers in "12"]
+        assert data[0] == data[1]
+        assert manifests[0]["warnings"] == manifests[1]["warnings"]
+        assert [len(m["wall_s"]) for m in manifests] == [m["rows"] for m in manifests]
+        if name == "xi":
+            r2 = [w for w in manifests[0]["warnings"]
+                  if (w["point"]["p"], w["point"]["q"]) == (7, 2)]
+            assert len(r2) == 1
+            assert r2[0]["message"].startswith("defect-sum window fit not linear")
+            assert r2[0]["point"]["window_start"] == 120
+        else:
+            # the Delta = 2 pass overflows cosh^2: its warnings sit on the
+            # row that ran it, the largest n
+            assert manifests[0]["warnings"]
+            assert {(w["point"]["delta"], w["point"]["n"])
+                    for w in manifests[0]["warnings"]} == {(2.0, 700)}
+            assert manifests[0]["failures"] == 2
+
+
+def _scan_lines(tmp_path, argv):
+    out = tmp_path / "scan.csv"
+    main(["scan", *argv, "--out", str(out)])
+    return out.read_bytes().splitlines(keepends=True)
+
+
+_LOG_LINES = [("2", (540, 600, 60)), ("2", (541, 600, 59)), ("1e80", (1, 8, 1)),
+              ("nan", (1, 3, 1)), ("-1.5", (1, 9, 1))]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("kind, extra, lines", [
+    ("validity-report", [], _LOG_LINES),
+    ("f-lambda-nonpert", ["--lambda-over-j", "0"], _LOG_LINES),
+    ("xi-n-vs-n", [], [("0.37", (1, 9, 1)), ("-0.6", (10, 200, 38)),
+                       ("nan", (1, 3, 1)), ("-1.5", (1, 3, 1))]),
+])
+def test_a_line_writes_the_bytes_of_its_rows_run_one_n_at_a_time(tmp_path, kind, extra,
+                                                                 lines):
+    rows = {}
+    for delta, (a, b, step) in lines:
+        args = [kind, "--delta", delta, *extra]
+        line = _scan_lines(tmp_path, [*args, "--n-range", str(a), str(b), str(step)])
+        alone = [_scan_lines(tmp_path, [*args, "--n-range", str(n), str(n), "1"])
+                 for n in range(a, b + 1, step)]
+        assert line == [alone[0][0]] + [lines_n[1] for lines_n in alone]
+        header, *data = csv.reader(text.decode("utf-8") for text in line)
+        rows.update({(row["delta"], int(row["n"])): row["error"]
+                     for row in (dict(zip(header, cells)) for cells in data)})
+    assert rows[("nan", 1)] and all(e for (dl, _), e in rows.items() if dl == "nan")
+    if kind == "xi-n-vs-n":
+        assert rows[("0.37", 1)].startswith("ValueError: need n >= 2")
+        assert [rows[("0.37", n)] for n in range(2, 10)] == [""] * 8
+        return
+    # next to the first overflowed column (J = 271 at Delta = 2, J = 2 at
+    # Delta = 1e80) a row keeps the value of its own pass, below it the
+    # single-path check catches the lost paths
+    assert rows[("2.0", 540)] == rows[("2.0", 541)] == ""
+    assert "below the single-path bound" in rows[("2.0", 600)]
+    assert rows[("1e+80", 2)] == rows[("1e+80", 3)] == ""
+    assert all("lost every path" in rows[("1e+80", n)] for n in range(4, 9))
+    assert [rows[("-1.5", n)] for n in range(2, 10)] == [""] * 8
+    assert rows[("1e+80", 1)].startswith("ValueError: need ")
 
 
 def test_linear_column_is_empty_past_the_double_range(tmp_path):

@@ -90,9 +90,22 @@ def test_bracket_log_linear_agreement():
         eta = eta_from_delta(delta)
         for n in (4, 10, 16):
             lin = bracket_series(n, eta)[n]
-            lg = bracket_LTnR_log(n, eta)
+            lg = bracket_LTnR_log(n, eta)[n]
             assert lg.sign == 1.0
             assert np.isclose(math.exp(lg.log), lin, rtol=1e-12)
+
+
+def test_series_rows_are_the_rows_of_their_own_passes():
+    # a pass to n holds every m <= n bit for bit: the columns above m//2
+    # add exact zeros before step m
+    for delta in (0.4, -0.7, 2.0):
+        eta = eta_from_delta(delta)
+        logs = bracket_LTnR_log(40, eta)
+        d2 = second_eta_derivative_bracket(40, eta)  # float: not finite at Delta = 2
+        for m in range(2, 41):
+            assert logs[m] == bracket_LTnR_log(m, eta)[m]
+            assert np.array_equal(d2[m], second_eta_derivative_bracket(m, eta)[m],
+                                  equal_nan=True)
 
 
 def test_bracket_auto_switches_to_log():
@@ -219,8 +232,8 @@ def test_f0_delta_rejects_isotropic():
 def test_f0_delta_log_route_matches_float_route(delta):
     eta = eta_from_delta(delta)
     for n in range(2, 19):
-        lin = sum_defect(n, eta) + 0.25 * second_eta_derivative_bracket(n, eta)
-        lg = _jet_log(_bands(("T", "dT", "F"), n, None, eta), n)  # twice the bracket
+        lin = sum_defect(n, eta) + 0.25 * second_eta_derivative_bracket(n, eta)[n]
+        lg = _jet_log(_bands(("T", "dT", "F"), n, None, eta), n)[n]  # twice the bracket
         assert lg.sign == np.sign(lin)
         assert math.isclose(lg.value / 2, lin, rel_tol=1e-10)
 
@@ -325,7 +338,7 @@ def central_second_eta_derivative(n, eta):
 def test_second_derivative_analytic_vs_central():
     for delta, n in [(0.5, 10), (0.9, 16), (2.0, 8)]:
         eta = eta_from_delta(delta)
-        a = second_eta_derivative_bracket(n, eta)
+        a = second_eta_derivative_bracket(n, eta)[n]
         c = central_second_eta_derivative(n, eta)
         assert abs(a - c) / abs(a) < 1e-5
 
@@ -565,7 +578,7 @@ def test_xi_rational_agrees_with_full_matrix_limit():
     xi_restricted = xi_coefficient_rational(3, 1, 400).xi
     n, eta = 2000, math.acos(0.5)
     sd = float(defect_series(n, eta)[n])
-    d2 = second_eta_derivative_bracket(n, eta)
+    d2 = second_eta_derivative_bracket(n, eta)[n]
     xi_full = (sd - 0.25 * d2) / (2 * (1 - 0.5 ** 2) * n)
     assert abs(xi_full - xi_restricted) / abs(xi_restricted) < 0.05
 
