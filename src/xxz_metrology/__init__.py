@@ -13,8 +13,7 @@ from .fisher import (FisherEstimate, fisher_cross, optimal_estimator_variance,
 from .transfer import (JordanData, SignedLog, TransferSystem, bracket_LTnR,
                        bracket_LTnR_log, bracket_log_at, build_transfer,
                        chi_coefficient, chi_coefficient_rational, defective_vector,
-                       easy_axis_lower_bound, f0_delta, f0_x,
-                       isotropic_bracket_series, isotropic_f_delta,
+                       f0_delta, f0_x, isotropic_bracket_series, isotropic_f_delta,
                        jordan_decompose, sum_defect, xi_coefficient,
                        xi_coefficient_rational)
 
@@ -29,8 +28,7 @@ __all__ = [
     "qfi_dense", "qfi_parametric", "relative_error", "sld",
     "JordanData", "SignedLog", "TransferSystem", "bracket_LTnR",
     "bracket_LTnR_log", "bracket_log_at", "build_transfer", "chi_coefficient",
-    "chi_coefficient_rational", "defective_vector", "easy_axis_lower_bound",
-    "f0_delta", "f0_x",
+    "chi_coefficient_rational", "defective_vector", "f0_delta", "f0_x",
     "isotropic_bracket_series", "isotropic_f_delta", "jordan_decompose",
     "sum_defect", "xi_coefficient", "xi_coefficient_rational",
 ]

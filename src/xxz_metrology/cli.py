@@ -141,7 +141,7 @@ def _eval_xi_n(passes, delta, n):
 
 
 def _check_single_path(passes, n, eta):
-    """A log bracket below its single path is an error row (|Delta| > 1, even n >= 4)."""
+    """A log bracket below its single path is an error row (|Delta| > 1, n >= 4)."""
     check_single_path(n, eta, bracket_log_at(n, eta, passes).log)
 
 

@@ -1,8 +1,12 @@
 """Quantum Fisher information: SLDs, exact QFI, parametric derivatives.
 
-All computations diagonalize the state once and work in its eigenbasis,
-skipping eigenvalue pairs with p_k + p_l <= SUPPORT_TOL * max(p) (the
-defining integral of the SLD only converges on the support).
+All computations split the indices into the connected components of
+the joint nonzero pattern of rho and drho, diagonalize rho one block at
+a time and work in its eigenbasis.  A generic state is one block; a
+state that conserves M_z, such as the mu = 1 NESS, gives at most n + 1.
+Eigenvalue pairs with p_k + p_l <= SUPPORT_TOL * max(p) are skipped (the
+defining integral of the SLD only converges on the support), with one
+cut for all blocks: max(p) is the largest eigenvalue of the whole state.
 """
 
 from __future__ import annotations
@@ -41,42 +45,68 @@ class FisherEstimate:
             raise ValueError(f"Fisher information must be >= 0, got {self.value!r}")
 
 
-def _in_eigenbasis(rho: np.ndarray, drho: np.ndarray):
-    """(U, drho_kl, p_k + p_l, supported pairs) in the eigenbasis U of rho.
+def _blocks(pattern: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of a symmetric boolean pattern."""
+    free = np.ones(len(pattern), dtype=bool)
+    blocks = []
+    while free.any():
+        members = np.zeros_like(free)
+        members[np.argmax(free)] = True
+        while True:
+            grown = members | pattern[members].any(axis=0)
+            if np.array_equal(grown, members):
+                break
+            members = grown
+        free &= ~members
+        blocks.append(np.flatnonzero(members))
+    return blocks
 
-    Off-support matrix elements of drho above OFF_SUPPORT_TOL signal a
-    rank pathology and raise: the SLD does not exist there.
+
+def _eigen_blocks(rho: np.ndarray, drho: np.ndarray):
+    """Per block: (block, U, drho_kl, p_k + p_l, supported pairs).
+
+    ``block`` is the np.ix_ index of one connected component of the
+    joint nonzero pattern of rho and drho, U the eigenbasis of rho
+    there.  Off-support matrix elements of drho above OFF_SUPPORT_TOL
+    signal a rank pathology and raise: the SLD does not exist there.
     """
-    p, U = np.linalg.eigh(rho)
-    dr = U.conj().T @ drho @ U
-    cutoff = SUPPORT_TOL * max(p.max(), 1e-300)
-    denom = p[:, None] + p[None, :]
-    mask = denom > cutoff
-    bad = np.abs(dr[~mask])
-    if bad.size and bad.max() > OFF_SUPPORT_TOL:
-        raise ArithmeticError(
-            f"drho has weight {bad.max():.2e} outside the support of rho; "
-            "the SLD does not exist there")
-    return U, dr, denom, mask
+    pattern = (rho != 0) | (drho != 0)
+    blocks = [np.ix_(idx, idx) for idx in _blocks(pattern | pattern.T)]
+    eigs = [np.linalg.eigh(rho[block]) for block in blocks]
+    cutoff = SUPPORT_TOL * max(max(p.max() for p, _ in eigs), 1e-300)
+    out = []
+    for block, (p, U) in zip(blocks, eigs):
+        dr = U.conj().T @ drho[block] @ U
+        denom = p[:, None] + p[None, :]
+        mask = denom > cutoff
+        bad = np.abs(dr[~mask])
+        if bad.size and bad.max() > OFF_SUPPORT_TOL:
+            raise ArithmeticError(
+                f"drho has weight {bad.max():.2e} outside the support of rho; "
+                "the SLD does not exist there")
+        out.append((block, U, dr, denom, mask))
+    return out
 
 
 def sld(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
     """Symmetric logarithmic derivative L solving drho = (L rho + rho L)/2.
 
     In the eigenbasis of rho, L_kl = 2 drho_kl / (p_k + p_l) on supported
-    pairs.
+    pairs; L is 0 between blocks.
     """
-    U, dr, denom, mask = _in_eigenbasis(rho, drho)
-    L = np.zeros_like(dr)
-    L[mask] = 2 * dr[mask] / denom[mask]
-    L = U @ L @ U.conj().T
+    blocks = _eigen_blocks(rho, drho)
+    L = np.zeros(rho.shape, dtype=blocks[0][2].dtype)
+    for block, U, dr, denom, mask in blocks:
+        Lb = np.zeros_like(dr)
+        Lb[mask] = 2 * dr[mask] / denom[mask]
+        L[block] = U @ Lb @ U.conj().T
     return (L + L.conj().T) / 2
 
 
 def qfi_dense(rho: np.ndarray, drho: np.ndarray) -> float:
-    """F = 2 sum_kl |drho_kl|^2 / (p_k + p_l) over supported pairs."""
-    _, dr, denom, mask = _in_eigenbasis(rho, drho)
-    return float(2 * np.sum(np.abs(dr[mask]) ** 2 / denom[mask]))
+    """F = 2 sum_kl |drho_kl|^2 / (p_k + p_l) over supported pairs, block by block."""
+    return sum(float(2 * np.sum(np.abs(dr[mask]) ** 2 / denom[mask]))
+               for _, _, dr, denom, mask in _eigen_blocks(rho, drho))
 
 
 def fisher_cross(rho: np.ndarray, drho_x: np.ndarray, drho_y: np.ndarray) -> float:

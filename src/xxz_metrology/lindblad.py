@@ -169,13 +169,35 @@ def ness_mu1(params: ChainParams, epsilon: float) -> np.ndarray:
     s solving cot(s eta) = epsilon/(4 i sin eta).  Positive semidefinite
     and unit trace by construction.  It is the fixed point of the master
     equation above at epsilon = lam/J (Prosen, PRL 107, 137201 (2011)).
+
+    S conserves M_z, so S S+ is formed one sector at a time: the basis
+    states of one popcount k (one M_z value) give S_k = S[I_k, I_k] and
+    rho[I_k, I_k] = S_k S_k+, blocks of C(n, k), and rho is exactly 0
+    between sectors.  An S with a nonzero entry between sectors raises.
+    ``fisher.qfi_dense`` finds the same blocks and diagonalizes them one
+    by one, under one support cut relative to the largest eigenvalue of
+    all blocks.
     """
     if params.mu != 1.0:
         raise ValueError("closed-form non-perturbative NESS requires mu = 1")
+    n = params.n
     s = solve_s(epsilon, params.eta)
-    S = contract_to_dense(build_aux_B(params.n, params.eta, s), params.n)
-    rho = S @ S.conj().T
+    S = contract_to_dense(build_aux_B(n, params.eta, s), n)
+    basis = np.arange(2 ** n)
+    popcount = sum((basis >> bit) & 1 for bit in range(n))
+    sectors = [np.ix_(idx, idx) for idx in
+               (np.flatnonzero(popcount == k) for k in range(n + 1))]
+    blocks = [S[sector] for sector in sectors]
+    if np.count_nonzero(S) != sum(np.count_nonzero(block) for block in blocks):
+        raise ArithmeticError("S mixes M_z sectors")
+    # normalized by the trace of the whole diagonal, in index order, as the
+    # dense product was: the finite-difference QFI rows sit close to their
+    # Richardson bound, and a last-bit change in Tr moves some across it
+    rho = np.zeros_like(S)
+    for sector, block in zip(sectors, blocks):
+        rho[sector] = block @ block.conj().T
     tr = np.trace(rho).real
     if tr <= 0:
         raise ArithmeticError("S S+ has non-positive trace; contraction degenerate")
-    return rho / tr
+    rho /= tr
+    return rho

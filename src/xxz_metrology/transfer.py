@@ -706,16 +706,8 @@ def xi_coefficient(delta: float, n: int, passes: LinePasses | None = None) -> Ir
 
 
 # ---------------------------------------------------------------------------
-# easy-axis bounds
+# easy-axis single path
 # ---------------------------------------------------------------------------
-
-class EasyAxisBounds(NamedTuple):
-    """log <L|T^n|R>, the single-path product and the factorial lower bound."""
-
-    log_bracket: float
-    log_path: float
-    log_bound: float
-
 
 def check_single_path(n: int, eta: complex, log_bracket: float) -> float | None:
     """log of the single path under log <L|T^n|R>, checked against log_bracket.
@@ -724,37 +716,23 @@ def check_single_path(n: int, eta: complex, log_bracket: float) -> float | None:
     |n/2> and descends back, weighing 2^-n prod_{k=1}^{n/2-1} sinh^2(k t)
     sinh^2((k+1) t) (t as in :func:`_split_eta`), summed from
     log sinh(y) = y + log(1 - e^{-2y}) - log 2, which does not overflow.
-    A log_bracket below it is the cosh^2 overflow of the log bands and
-    raises ArithmeticError.  None where there is no such path.
+    Odd n >= 5 take the path of n - 1 with one diagonal step cosh^2(y),
+    y = t (n-1)/2, at its top, from log cosh(y) = y + log(1 + e^{-2y}) -
+    log 2.  A log_bracket below it is the cosh^2 overflow of the log
+    bands and raises ArithmeticError.  None where there is no such path.
     """
     t, easy_axis = _split_eta(eta)
-    if not easy_axis or t <= 0 or n % 2 != 0 or n < 4:
+    if not easy_axis or t <= 0 or n < 4:
         return None
-    y = t * np.arange(1, n // 2 + 1)
+    m = n // 2
+    y = t * np.arange(1, m + 1)
     log_sinh = y + np.log(-np.expm1(-2 * y)) - math.log(2.0)
-    log_path = float(2 * (log_sinh[:-1].sum() + log_sinh[1:].sum()) - n * math.log(2.0))
+    log_path = float(2 * (log_sinh[:-1].sum() + log_sinh[1:].sum()) - 2 * m * math.log(2.0))
+    if n % 2:
+        top = y[-1]
+        log_path += 2 * (top + math.log1p(math.exp(-2 * top)) - math.log(2.0))
     if not log_bracket >= log_path - 1e-12 * abs(log_path):
         raise ArithmeticError(
             f"log bracket {log_bracket:.10g} below the single-path bound {log_path:.10g}: "
             "the log bands lost paths past the cosh^2 overflow")
     return log_path
-
-
-def easy_axis_lower_bound(n: int, eta: complex) -> EasyAxisBounds:
-    """Superexponential chain bound <= path <= bracket, all as natural logs.
-
-    The path is :func:`check_single_path`'s, and a bracket below it
-    raises ArithmeticError there; bounding sinh^2(y) >= y^2 in it yields
-    t^{2(n-2)}/2^n ((n/2)! (n/2-1)!)^2.
-    """
-    t, easy_axis = _split_eta(eta)
-    if not easy_axis or t <= 0:
-        raise ValueError("easy-axis bound requires |Delta| > 1 (imaginary eta)")
-    if n % 2 != 0 or n < 4:
-        raise ValueError("the single-path estimate is for even n >= 4")
-    log_bracket = bracket_log_at(n, eta).log
-    log_path = check_single_path(n, eta, log_bracket)
-    log_bound = (2 * (n - 2) * math.log(t) - n * math.log(2.0)
-                 + 2 * (math.lgamma(n // 2 + 1) + math.lgamma(n // 2)))
-    return EasyAxisBounds(log_bracket=float(log_bracket), log_path=log_path,
-                          log_bound=log_bound)

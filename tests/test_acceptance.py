@@ -19,10 +19,9 @@ from xxz_metrology.lindblad import (apply_liouvillian, build_liouvillian,
                                     ness_mu1, ness_perturbative,
                                     steady_state_nullspace)
 from xxz_metrology.fisher import fisher_cross, qfi_dense, qfi_parametric, sld
-from xxz_metrology.transfer import (bracket_series, easy_axis_lower_bound,
-                                    f0_delta, f0_x, isotropic_bracket_series,
-                                    isotropic_f_delta, xi_coefficient,
-                                    xi_coefficient_rational)
+from xxz_metrology.transfer import (bracket_series, f0_delta, f0_x,
+                                    isotropic_bracket_series, isotropic_f_delta,
+                                    xi_coefficient, xi_coefficient_rational)
 
 
 def report(num, desc, ok, elapsed, detail="", budget=None):
@@ -218,7 +217,7 @@ def test_criterion_10_xi_dichotomy():
                   f"irrational exponent {expo:.2f}", budget=600.0)
 
 
-def test_criterion_11_easy_axis_superexponential():
+def test_criterion_11_easy_axis_superexponential(easy_axis_lower_bound):
     t0 = time.monotonic()
     eta = eta_from_delta(2.0)
     chain_ok = True

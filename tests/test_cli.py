@@ -426,6 +426,27 @@ def test_a_line_writes_the_bytes_of_its_rows_run_one_n_at_a_time(tmp_path, kind,
     assert rows[("1e+80", 1)].startswith("ValueError: need ")
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_rows_below_their_single_path_fail_from_the_overflow_on(tmp_path):
+    # line passes to n = 1001: the odd rows fail from n = 543 at Delta = 2,
+    # from 741 at -1.5 and from 137 at 100, each one after its even
+    # neighbour, none below, and none at Delta = 1.1
+    out = tmp_path / "validity.csv"
+    code = main(["scan", "validity-report", "--delta", "2", "-1.5", "100", "1.1",
+                 "--n-range", "4", "1001", "1", "--out", str(out)])
+    assert code == EXIT_PARTIAL
+    header, *data = read_csv(out)
+    failed = {}
+    for row in (dict(zip(header, cells)) for cells in data):
+        failed.setdefault(row["delta"], set())
+        if row["error"]:
+            assert "below the single-path bound" in row["error"]
+            failed[row["delta"]].add(int(row["n"]))
+    for delta, first in (("2.0", 542), ("-1.5", 740), ("100.0", 136)):
+        assert failed[delta] == set(range(first, 1002))
+    assert failed["1.1"] == set()
+
+
 def test_linear_column_is_empty_past_the_double_range(tmp_path):
     # the Delta = 1.1 thresholds lie below the smallest normal double
     out = tmp_path / "validity.csv"

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
-from scipy.linalg import sqrtm
+from scipy.linalg import block_diag, sqrtm
 
-from xxz_metrology.model import ChainParams, hs_norm, pauli
-from xxz_metrology.fisher import (FisherEstimate, fisher_cross,
+from xxz_metrology import fisher
+from xxz_metrology.model import ChainParams, hs_norm, magnetization_z, pauli
+from xxz_metrology.fisher import (SUPPORT_TOL, FisherEstimate, fisher_cross,
                                   optimal_estimator_variance,
                                   qfi_dense, qfi_parametric, relative_error,
                                   sld)
 from xxz_metrology.lindblad import (build_liouvillian, ness_mu1, ness_perturbative,
                                     steady_state_nullspace)
-from xxz_metrology.mpo import build_aux_A, contract_to_dense
+from xxz_metrology.mpo import build_aux_A, build_aux_B, contract_to_dense, solve_s
 from xxz_metrology.transfer import f0_x
 
 
@@ -160,6 +161,101 @@ def test_relative_error_rejects_degenerate():
     est = qfi_parametric(params, "lambda", ness_perturbative)
     with pytest.raises(ValueError):
         relative_error(0.0, est)
+
+
+# --- the block route --------------------------------------------------------
+
+def eigh_oracle(rho, drho):
+    """One eigendecomposition of the whole state, cut at SUPPORT_TOL * max(p)."""
+    p, U = np.linalg.eigh(rho)
+    dr = U.conj().T @ drho @ U
+    denom = p[:, None] + p[None, :]
+    return U, dr, denom, denom > SUPPORT_TOL * max(p.max(), 1e-300)
+
+
+def qfi_oracle(rho, drho):
+    _, dr, denom, mask = eigh_oracle(rho, drho)
+    return float(2 * np.sum(np.abs(dr[mask]) ** 2 / denom[mask]))
+
+
+def sld_oracle(rho, drho):
+    U, dr, denom, mask = eigh_oracle(rho, drho)
+    L = np.zeros_like(dr)
+    L[mask] = 2 * dr[mask] / denom[mask]
+    L = U @ L @ U.conj().T
+    return (L + L.conj().T) / 2
+
+
+def test_generic_states_take_the_single_eigh_route():
+    # a state with no zero entries is one block: the old route, bit for bit
+    rng = np.random.default_rng(17)
+    for dim in (2, 4, 8, 16):
+        for _ in range(5):
+            rho, drho = random_state(rng, dim), random_direction(rng, dim)
+            assert qfi_dense(rho, drho) == qfi_oracle(rho, drho)
+            assert np.array_equal(sld(rho, drho), sld_oracle(rho, drho))
+
+
+def test_permuted_blocks_match_the_single_eigh_route():
+    rng = np.random.default_rng(19)
+    sizes = (1, 3, 4, 3, 1)
+    perm = rng.permutation(sum(sizes))
+    rho = block_diag(*(random_state(rng, k) for k in sizes))[np.ix_(perm, perm)]
+    drho = block_diag(*(random_direction(rng, k) for k in sizes))[np.ix_(perm, perm)]
+    pattern = (rho != 0) | (drho != 0)
+    assert sorted(len(idx) for idx in fisher._blocks(pattern)) == sorted(sizes)
+    assert np.isclose(qfi_dense(rho, drho), qfi_oracle(rho, drho), rtol=1e-12, atol=0)
+    L = sld_oracle(rho, drho)
+    assert hs_norm(sld(rho, drho) - L) < 1e-12 * hs_norm(L)
+
+
+def test_a_block_below_the_global_cut_contributes_nothing():
+    # p of the small block lies below 1e-12 of the largest p of the state:
+    # its pairs are cut, although a cut relative to its own largest p
+    # would keep them and add `own` to F
+    rng = np.random.default_rng(21)
+    big, dbig = random_state(rng, 3), random_direction(rng, 3)
+    small, dsmall = 1e-14 * random_state(rng, 3), 1e-9 * random_direction(rng, 3)
+    rho, drho = block_diag(big, small), block_diag(dbig, dsmall)
+    F = qfi_dense(rho, drho)
+    own = qfi_dense(small, dsmall)
+    assert F == pytest.approx(qfi_dense(big, dbig), rel=1e-14)
+    assert own > 1e-6 * F
+    L = sld(rho, drho)
+    assert np.all(L[3:, :] == 0) and np.all(L[:, 3:] == 0)
+
+
+@pytest.mark.parametrize("delta, lam, n", [(10.0, 1e-2, 6), (100.0, 1e-2, 4)])
+def test_mu1_qfi_matches_the_svd_of_its_amplitude(monkeypatch, delta, lam, n):
+    # p = sigma^2 / Tr from the SVD of S's M_z blocks keeps the small p
+    # accurate; with the same global cut and the same drho, the eigh of
+    # rho's blocks must agree to 1e-8 (one eigh of the whole rho: 1.5e-6
+    # and 7.6e-9 off)
+    seen = {}
+
+    def spy(rho, drho):
+        seen["drho"] = drho
+        return qfi_dense(rho, drho)
+
+    monkeypatch.setattr(fisher, "qfi_dense", spy)
+    params = ChainParams(n=n, delta=delta, lam=lam, mu=1.0)
+    value = qfi_parametric(params, "lambda", lambda p: ness_mu1(p, p.lam / p.j_coupling)).value
+    S = contract_to_dense(build_aux_B(n, params.eta, solve_s(lam, params.eta)), n)
+    mz = np.diag(magnetization_z(n)).real
+    blocks = []
+    for m in np.unique(mz):
+        block = np.ix_(np.flatnonzero(mz == m), np.flatnonzero(mz == m))
+        U, sigma, _ = np.linalg.svd(S[block])
+        blocks.append((block, U, sigma ** 2))
+    tr = sum(p.sum() for *_, p in blocks)
+    cut = SUPPORT_TOL * max(p.max() for *_, p in blocks) / tr
+    svd_value = 0.0
+    for block, U, p in blocks:
+        dr = U.conj().T @ seen["drho"][block] @ U
+        denom = (p[:, None] + p[None, :]) / tr
+        mask = denom > cut
+        svd_value += 2 * np.sum(np.abs(dr[mask]) ** 2 / denom[mask])
+    assert abs(value - svd_value) <= 1e-8 * svd_value
 
 
 def test_qfi_parametric_perturbative_tracks_leading_order():

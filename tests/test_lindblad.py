@@ -11,7 +11,7 @@ from xxz_metrology.model import (ChainParams, embed, hamiltonian_xxz, hs_norm,
 from xxz_metrology import lindblad
 from xxz_metrology.lindblad import (apply_liouvillian, build_liouvillian, ness_mu1,
                                     ness_perturbative, steady_state_nullspace)
-from xxz_metrology.mpo import build_aux_A, contract_to_dense
+from xxz_metrology.mpo import build_aux_A, build_aux_B, contract_to_dense, solve_s
 
 
 def vec(rho):
@@ -292,6 +292,35 @@ def test_ness_mu1_positive_and_normalized():
     rho = ness_mu1(params, epsilon=1e-2)
     assert abs(np.trace(rho) - 1) < 1e-14
     assert np.linalg.eigvalsh(rho).min() > -1e-12
+
+
+@pytest.mark.parametrize("delta", [0.5, 2.0, 100.0])
+def test_ness_mu1_is_block_diagonal_and_matches_dense_product(delta):
+    # rho is exactly 0 between M_z sectors, and S S+ / Tr formed per sector
+    # agrees with the one dense product
+    for n in range(2, 10):
+        params = ChainParams(n=n, delta=delta, lam=1e-2, mu=1.0)
+        rho = ness_mu1(params, 1e-2)
+        mz = np.diag(magnetization_z(n)).real
+        assert np.count_nonzero(rho[mz[:, None] != mz[None, :]]) == 0
+        S = contract_to_dense(build_aux_B(n, params.eta, solve_s(1e-2, params.eta)), n)
+        dense = S @ S.conj().T
+        assert np.abs(rho - dense / np.trace(dense).real).max() <= 1e-14
+
+
+def test_ness_mu1_rejects_an_amplitude_that_mixes_sectors(monkeypatch):
+    # one entry between the popcount 0 and 1 sectors, however small
+    params = ChainParams(n=3, delta=2.0, lam=1e-2, mu=1.0)
+    contract = lindblad.contract_to_dense
+
+    def mixing(aux, n):
+        S = contract(aux, n)
+        S[0, 1] += 1e-300
+        return S
+
+    monkeypatch.setattr(lindblad, "contract_to_dense", mixing)
+    with pytest.raises(ArithmeticError, match="mixes M_z sectors"):
+        ness_mu1(params, 1e-2)
 
 
 def test_ness_mu1_requires_extreme_driving():

@@ -10,12 +10,11 @@ from xxz_metrology.lindblad import ness_perturbative
 from xxz_metrology.model import ChainParams, eta_from_delta
 from xxz_metrology.transfer import (SignedLog, _bands, _entries, _jet_log,
                                     _split_eta, bracket_LTnR,
-                                    bracket_LTnR_log, bracket_series,
-                                    build_transfer, chi_coefficient,
+                                    bracket_LTnR_log, bracket_log_at, bracket_series,
+                                    build_transfer, check_single_path, chi_coefficient,
                                     chi_coefficient_rational,
                                     chi_second_derivative, defect_series,
-                                    defective_vector,
-                                    easy_axis_lower_bound, f0_delta, f0_x,
+                                    defective_vector, f0_delta, f0_x,
                                     isotropic_bracket_series,
                                     isotropic_f_delta, jordan_decompose,
                                     second_eta_derivative_bracket, sum_defect,
@@ -616,7 +615,7 @@ def test_xi_unbounded_in_denominator():
 
 # --- easy axis --------------------------------------------------------------
 
-def test_easy_axis_chain_of_inequalities():
+def test_easy_axis_chain_of_inequalities(easy_axis_lower_bound):
     eta = eta_from_delta(2.0)
     prev = None
     for n in range(4, 31, 2):
@@ -625,7 +624,7 @@ def test_easy_axis_chain_of_inequalities():
         prev = b
 
 
-def test_easy_axis_superexponential():
+def test_easy_axis_superexponential(easy_axis_lower_bound):
     eta = eta_from_delta(2.0)
     logs = [easy_axis_lower_bound(n, eta).log_bracket for n in range(4, 31, 2)]
     second = np.diff(logs, 2)
@@ -633,7 +632,7 @@ def test_easy_axis_superexponential():
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_easy_axis_path_does_not_overflow():
+def test_easy_axis_path_does_not_overflow(easy_axis_lower_bound):
     # sinh(k t) leaves the double range at these n; the path in logs does not,
     # and the bracket's cosh^2 overflow is then reported, not an OverflowError
     for delta, n in ((100.0, 300), (10.0, 480)):
@@ -650,24 +649,57 @@ def test_easy_axis_path_does_not_overflow():
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_easy_axis_bracket_below_path_raises():
+def test_easy_axis_bracket_below_path_raises(easy_axis_lower_bound):
     # the log bracket silently drops paths here (135219 < 178534)
     with pytest.raises(ArithmeticError, match="cosh\\^2 overflow"):
         easy_axis_lower_bound(260, eta_from_delta(100.0))
 
 
-def test_easy_axis_rejects_bad_input():
+def test_easy_axis_rejects_bad_input(easy_axis_lower_bound):
     with pytest.raises(ValueError):
         easy_axis_lower_bound(7, eta_from_delta(2.0))
     with pytest.raises(ValueError):
         easy_axis_lower_bound(8, eta_from_delta(0.5))
 
 
-def test_easy_axis_bound_degenerates_toward_isotropic():
+def test_easy_axis_bound_degenerates_toward_isotropic(easy_axis_lower_bound):
     # t -> 0+: the factorial bound carries t^(2n-4) and collapses to zero
     logs = [easy_axis_lower_bound(8, 1j * t).log_bound for t in (0.5, 0.05, 0.005)]
     assert logs[0] > logs[1] > logs[2]
     assert math.exp(logs[2]) < 1e-25
+
+
+def path_log_weight(n, eta):
+    """log of the product of |T| entries along R -> |1> ... |n//2> ... |1> -> L,
+    resting once at |n//2> for odd n, read off the dense transfer matrix."""
+    m = n // 2
+    ts = build_transfer(m, eta)
+    tops = [m] * (n % 2 + 1)
+    path = ["R", *range(1, m), *tops, *range(m - 1, 0, -1), "L"]
+    return sum(math.log(abs(ts.T[ts.index(b), ts.index(a)])) for a, b in zip(path, path[1:]))
+
+
+@pytest.mark.parametrize("delta", [1.1, 2.0, -1.5, 100.0])
+def test_single_path_is_one_path_of_the_bracket(delta):
+    # even n: the climb and descent; odd n: the same with one diagonal
+    # step cosh^2(t (n-1)/2) at the top; each lies under the bracket
+    eta = eta_from_delta(delta)
+    for n in range(4, 32):
+        log_bracket = bracket_log_at(n, eta).log
+        log_path = check_single_path(n, eta, log_bracket)
+        assert math.isclose(log_path, path_log_weight(n, eta), rel_tol=1e-13)
+        assert log_path <= log_bracket
+    assert check_single_path(3, eta, 0.0) is None
+    assert check_single_path(5, eta_from_delta(0.5), 0.0) is None
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_odd_bracket_below_path_raises():
+    # n = 543 at Delta = 2: the log bracket 193009.93 lies below 193022.72
+    eta = eta_from_delta(2.0)
+    assert check_single_path(541, eta, bracket_log_at(541, eta).log) is not None
+    with pytest.raises(ArithmeticError, match="cosh\\^2 overflow"):
+        check_single_path(543, eta, bracket_log_at(543, eta).log)
 
 
 # --- Toeplitz ---------------------------------------------------------------
