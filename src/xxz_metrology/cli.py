@@ -156,6 +156,8 @@ def _eval_flambda(passes, delta, lambda_over_j, n):
         est = qfi_parametric(params, "lambda", lambda p: ness_mu1(p, p.lam / p.j_coupling))
         epsilon = lambda_over_j
     linear, sign, log10 = _log10_cols(float(est.log_value > -math.inf), est.log_value)
+    if sys.float_info.min <= est.value <= sys.float_info.max:
+        linear = repr(est.value)  # the computed F, not its round trip through log10
     return {"method": est.method, "epsilon": epsilon,
             "j2_f_lambda": linear, "f_sign": sign, "f_log10": log10}
 

@@ -14,8 +14,8 @@ symmetry: H commutes with M_z, and every jump operator flips one spin,
 so L_k rho L_k^dag moves ket and bra alike.  The generator is thus
 block diagonal over q = -n..n, with blocks of size C(2n, n+q).  It is
 built as those blocks alone, never as the 4**n x 4**n matrix, and the
-brute-force steady state takes one SVD of the q = 0 block (252 of 1024
-rows at n = 5).
+brute-force steady state is one regular solve in the q = 0 block (252
+of 1024 rows at n = 5).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .model import (ChainParams, hamiltonian_xxz, hs_norm, lindblad_jump_ops,
 from .mpo import build_aux_A, build_aux_B, contract_to_dense, solve_s, validity_threshold
 
 LIOUVILLIAN_CAP = 6  # the q = 0 block is 924 x 924 at n = 6
+COND_CUT = 1 / np.finfo(float).eps  # steady states reach 6.6e14, a 2nd null vector 1e18
 
 
 @dataclass
@@ -100,35 +101,33 @@ def apply_liouvillian(rho: np.ndarray, params: ChainParams) -> np.ndarray:
 def steady_state_nullspace(liouv: Liouvillian) -> np.ndarray:
     """Unique unit-trace hermitian null vector of the Liouvillian.
 
-    A unit-trace state lives in q = 0, so only that block gets a full
-    SVD, whose smallest right-singular vector is the state; the other
-    blocks give singular values alone.  A second null vector (lambda = 0
-    or numerical degeneracy) is the second smallest value of the q = 0
-    block or the smallest of another: each is checked against the
-    largest singular value of all blocks and raises naming its sector.
+    The generator keeps the trace, so the <0|.|0> row of the q = 0 block
+    is minus the sum of its other diagonal rows: the trace row in its
+    place makes L rho = 0, Tr rho = 1 regular.  rho is the first column
+    of the inverse, refined once with the residual in extended precision
+    (the QFI of near-pure states needs it).  Each block's cond_1 = |A|_1
+    |A^-1|_1 is exact; above COND_CUT (a second null vector) it raises.
     """
     if liouv.params.lam <= 0:
         raise ValueError("uniqueness of the steady state needs lambda > 0")
     d = 2 ** liouv.params.n
-    lowest, scale = {}, 0.0
+    scale = max(np.linalg.norm(block, 1) for _, block in liouv.sectors.values())
     for sector, (idx, block) in liouv.sectors.items():
-        if sector == 0:
-            _, s, vh = np.linalg.svd(block)
-            null = np.zeros(d * d, dtype=complex)
-            null[idx] = vh[-1].conj()
-            lowest[sector] = s[-2]
-        else:
-            s = np.linalg.svd(block, compute_uv=False)
-            lowest[sector] = s[-1]
-        scale = max(scale, s[0])
-    sector = min(lowest, key=lowest.get)
-    if lowest[sector] < 1e-10 * scale:
-        raise ValueError(
-            f"null space dimension != 1 (singular value {lowest[sector]:.2e} "
-            f"in sector q = {sector} vs scale {scale:.2e})")
-    rho = null.reshape((d, d), order="F")
-    rho = (rho + rho.conj().T) / 2
-    rho = rho / np.trace(rho).real
+        if sector == 0:  # the trace row in place of <0|.|0>
+            block = np.vstack([idx % d == idx // d, block[1:]])
+        try:
+            inv = np.linalg.inv(block)
+            cond = np.linalg.norm(block, 1) * np.linalg.norm(inv, 1)
+        except np.linalg.LinAlgError:
+            cond = math.inf
+        if not cond <= COND_CUT:
+            raise ValueError(f"null space dimension != 1 in sector q = {sector} "
+                             f"(cond_1 {cond:.2e} above {COND_CUT:.1e})")
+        if sector == 0:  # the residual of Tr rho = 1 (row 0) and L rho = 0
+            r = (idx == 0) - block.astype(np.clongdouble) @ inv[:, 0].astype(np.clongdouble)
+            rho = np.zeros((d, d), dtype=complex)
+            rho[idx % d, idx // d] = inv[:, 0] + inv @ r.astype(complex)
+    rho = (rho + rho.conj().T) / (2 * np.trace(rho).real)
     residual = hs_norm(apply_liouvillian(rho, liouv.params))
     if residual > 1e-10 * scale:
         raise ArithmeticError(f"steady-state residual {residual:.2e} too large")

@@ -214,7 +214,7 @@ def _signed_lse(signs: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.nda
     """
     m = logs.max(axis=0)
     live = m > -np.inf
-    shift = np.where(live, m, 0.0)
+    shift = np.where(live, m, np.inf)  # dead columns: exp(-inf) = 0, no overflow
     tot = (signs * np.exp(logs - shift)).sum(axis=0)
     live &= tot != 0.0
     return (np.where(live, np.sign(tot), 0.0),

@@ -274,6 +274,16 @@ def test_qfi_parametric_oracle_builder():
     assert abs(a / b - 1) < 1e-4
 
 
+def test_qfi_parametric_oracle_matches_mu1_far_from_isotropy():
+    # at Delta = 100 the state is near pure: its small eigenvalues set F, and
+    # the refined null-space solve holds them well enough for the QFI
+    params = ChainParams(n=4, delta=100.0, lam=1e-2, mu=1.0)
+    oracle = qfi_parametric(params, "lambda",
+                            lambda p: steady_state_nullspace(build_liouvillian(p))).value
+    closed = qfi_parametric(params, "lambda", lambda p: ness_mu1(p, p.lam)).value
+    assert abs(oracle / closed - 1) <= 1e-8
+
+
 def test_qfi_parametric_closed_form_qubit_family():
     # Bloch vector r = lam (cos Delta, 0, sin Delta): F = |r'|^2 + (r.r')^2/(1 - |r|^2),
     # i.e. 1/(1 - lam^2) along the radius and lam^2 along the rotation angle

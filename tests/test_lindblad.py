@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,36 @@ def test_nullspace_sees_a_second_null_vector_in_q_zero():
     sectors = {**liouv.sectors, 0: (idx, (u * s) @ vh)}
     with pytest.raises(ValueError, match=r"null space dimension != 1 .*q = 0 "):
         steady_state_nullspace(dataclasses.replace(liouv, sectors=sectors))
+
+
+@pytest.mark.parametrize("past", [True, False])
+def test_nullspace_condition_cut_names_the_sector(past):
+    # a diagonal q = 2 block with cond_1 = 1/x exactly, just either side of
+    # the cut; the state lives in q = 0, so below the cut it is unchanged
+    liouv = build_liouvillian(ChainParams(n=3, delta=0.7, lam=0.2, mu=0.5))
+    idx, block = liouv.sectors[2]
+    x = 1 / (lindblad.COND_CUT * (1.01 if past else 0.99))
+    diag = np.diag(np.r_[np.ones(idx.size - 1), x]).astype(complex)
+    cond = np.linalg.cond(diag, 1)
+    assert (cond > lindblad.COND_CUT) == past
+    scaled = dataclasses.replace(liouv, sectors={**liouv.sectors, 2: (idx, diag)})
+    if past:
+        message = re.escape(f"null space dimension != 1 in sector q = 2 (cond_1 {cond:.2e}")
+        with pytest.raises(ValueError, match=message):
+            steady_state_nullspace(scaled)
+    else:
+        assert np.array_equal(steady_state_nullspace(scaled), steady_state_nullspace(liouv))
+
+
+@pytest.mark.parametrize("n, delta, lam, tol", [(4, 100.0, 1e-2, 1e-12), (5, 10.0, 1e-2, 1e-12),
+                                                (5, 100.0, 1e-2, 1e-10), (5, 100.0, 1e-3, 1e-10)])
+def test_nullspace_matches_mu1_closed_form_far_from_isotropy(n, delta, lam, tol):
+    # near-pure states: the second smallest singular value of the q = 0 block
+    # is 3e-9 to 3e-15 of its largest, which an SVD null vector pays for in
+    # accuracy and the regular solve does not
+    params = ChainParams(n=n, delta=delta, lam=lam, mu=1.0)
+    oracle = steady_state_nullspace(build_liouvillian(params))
+    assert trace_distance(oracle, ness_mu1(params, lam)) <= tol
 
 
 def test_nullspace_rejects_sector_mixing(monkeypatch):

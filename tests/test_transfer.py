@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -700,6 +701,19 @@ def test_odd_bracket_below_path_raises():
     assert check_single_path(541, eta, bracket_log_at(541, eta).log) is not None
     with pytest.raises(ArithmeticError, match="cosh\\^2 overflow"):
         check_single_path(543, eta, bracket_log_at(543, eta).log)
+
+
+def test_dead_log_columns_do_not_overflow_exp():
+    # past the cosh^2 overflow whole columns of the log bands turn NaN; their
+    # terms are shifted by +inf, so exp sees -inf, not a huge argument, and
+    # the row still fails as the known fault
+    eta = eta_from_delta(2.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        log_bracket = bracket_log_at(620, eta).log
+    assert not [w for w in caught if "overflow encountered in exp" in str(w.message)]
+    with pytest.raises(ArithmeticError, match="cosh\\^2 overflow"):
+        check_single_path(620, eta, log_bracket)
 
 
 # --- Toeplitz ---------------------------------------------------------------
