@@ -105,14 +105,16 @@ def steady_state_nullspace(liouv: Liouvillian) -> np.ndarray:
     is minus the sum of its other diagonal rows: the trace row in its
     place makes L rho = 0, Tr rho = 1 regular.  rho is the first column
     of the inverse, refined once with the residual in extended precision
-    (the QFI of near-pure states needs it).  Each block's cond_1 = |A|_1
-    |A^-1|_1 is exact; above COND_CUT (a second null vector) it raises.
+    (the QFI of near-pure states needs it).  Block -q is block q conjugated
+    (ket and bra swapped), so only q >= 0 blocks are inverted: each cond_1 =
+    |A|_1 |A^-1|_1 is exact; above COND_CUT (a second null vector) it raises.
     """
     if liouv.params.lam <= 0:
         raise ValueError("uniqueness of the steady state needs lambda > 0")
     d = 2 ** liouv.params.n
     scale = max(np.linalg.norm(block, 1) for _, block in liouv.sectors.values())
-    for sector, (idx, block) in liouv.sectors.items():
+    for sector in range(liouv.params.n + 1):
+        idx, block = liouv.sectors[sector]
         if sector == 0:  # the trace row in place of <0|.|0>
             block = np.vstack([idx % d == idx // d, block[1:]])
         try:

@@ -39,7 +39,6 @@ range.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -68,15 +67,16 @@ class SignedLog(NamedTuple):
 
 
 def _split_eta(eta: complex) -> tuple[float, bool]:
-    """Reduce eta to (t, easy_axis).
+    """Reduce eta to (t, easy_axis), with one t for Delta and -Delta.
 
-    Easy plane: eta real, t = eta.  Easy axis: eta = i t or pi + i t
-    (Delta < -1); both give the same transfer entries, cosh^2(t k) on
-    the diagonal and -sinh^2/2 off it.
+    Easy plane: eta real, t = eta, folded to acos(-cos eta) past pi/2,
+    where cos eta rounds back to Delta (pi - eta keeps the error of acos).
+    Easy axis: eta = i t or pi + i t (Delta < -1).  Bands see |Delta| only.
     """
     eta = complex(eta)
     if abs(eta.imag) < 1e-14:
-        return float(eta.real), False
+        t = float(eta.real)
+        return (math.acos(-math.cos(t)) if t > math.pi / 2 else t), False
     if abs(eta.real) > 1e-14 and abs(eta.real - math.pi) > 1e-12:
         raise ValueError(f"eta must be real, i*t or pi + i*t; got {eta}")
     return abs(eta.imag), True
@@ -109,8 +109,8 @@ def _entries(name: str, d: int, eta: complex) -> tuple[np.ndarray, np.ndarray]:
 
     off[j] weighs both moves out of |j>: the climb <j+1|.|j> and the
     descent <j-1|.|j>.  'T' is |T|, 'dT' its t-derivative, 'd2T/2' half
-    its second t-derivative (t as in :func:`_split_eta`), 'D' the
-    vertex matrix, which carries sign(1 - Delta^2) on its diagonal, and
+    its second t-derivative (t of :func:`_split_eta`, even in Delta), 'D'
+    the vertex matrix, with sign(1 - Delta^2) on its diagonal, and
     'F' = 'd2T/2' + 2 'D' in closed form, so its O(t^2) diagonal is exact.
     """
     t, easy_axis = _split_eta(eta)
@@ -126,8 +126,7 @@ def _entries(name: str, d: int, eta: complex) -> tuple[np.ndarray, np.ndarray]:
     if name == "F":
         return 2 * j ** 2 * s(t * j) ** 2, j ** 2 * c(t * j) ** 2
     if name == "D":
-        sgn = math.copysign(1.0, 1.0 - cmath.cos(eta).real ** 2)
-        return sgn * j ** 2 / 2, j ** 2 / 4
+        return -sigma * j ** 2 / 2, j ** 2 / 4
     raise ValueError(f"unknown band {name!r}")
 
 
@@ -463,14 +462,12 @@ def f0_delta(params):
 # ---------------------------------------------------------------------------
 
 def _isotropic_eta_sq(n: int, eta: complex) -> float:
-    """eta^2 for the isotropic series: t^2 for real eta = t, -t^2 for eta = i t.
+    """eta^2 for the isotropic series: t^2 for |Delta| < 1, -t^2 for |Delta| > 1.
 
-    Both series are polynomials in eta^2 about Delta = +1, so eta = pi + i t
-    (Delta < -1) is refused.  Warns outside the window |eta| n < 0.2.
+    Both series are polynomials in eta^2 about Delta = +1; with t as in
+    :func:`_split_eta`, Delta = -1 alike.  Warns outside |eta| n < 0.2.
     """
     t, easy_axis = _split_eta(eta)
-    if easy_axis and abs(complex(eta).real) > 1e-14:
-        raise ValueError(f"the isotropic series expand about Delta = +1; got eta = {eta}")
     if abs(t) * n >= 0.2:
         warnings.warn(f"|eta|*n = {abs(t) * n:.3g} >= 0.2: outside the "
                       "validity window of the isotropic series")

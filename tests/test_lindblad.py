@@ -91,6 +91,22 @@ def test_sectors_partition_the_column_stacked_space(n):
         assert block.shape == (idx.size, idx.size)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_block_minus_q_is_block_q_conjugated(n):
+    # L(rho^+) = L(rho)^+: swapping ket and bra maps sector q onto -q, and
+    # the built block there is the conjugate, bit for bit, so its cond_1 is too
+    d = 2 ** n
+    for mu, omega in itertools.product((0.3, 0.6, 1.0), (0.0, 0.3, 0.7)):
+        liouv = build_liouvillian(ChainParams(n=n, delta=1.7, lam=0.2, mu=mu, omega=omega))
+        for q in range(1, n + 1):
+            idx, block = liouv.sectors[q]
+            idx_minus, block_minus = liouv.sectors[-q]
+            swapped = idx % d * d + idx // d
+            pos = np.searchsorted(idx_minus, swapped)
+            assert np.array_equal(idx_minus[pos], swapped)
+            assert np.array_equal(block_minus[np.ix_(pos, pos)], block.conj())
+
+
 def test_nullspace_sees_a_second_null_vector_outside_q_zero():
     # zero the 1x1 block of the q = n sector, the |up..up><down..down|
     # coherence: a second null vector that only the q != 0 values show
@@ -316,6 +332,22 @@ def test_mu_flip_is_spin_flip():
     for _ in range(3):
         flip = np.kron(flip, pauli("x"))
     assert hs_norm(flip @ rho_minus @ flip - rho_plus) < 1e-10
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_states_at_minus_delta_are_conjugated_by_odd_site_sigma_z(n):
+    # U, the sigma^z product over odd sites, gives U H(Delta) U = -H(-Delta)
+    # and maps each jump to +-itself; conjugation undoes the sign of H, so
+    # rho(-Delta) = U rho(Delta)^* U
+    U = np.eye(2 ** n, dtype=complex)
+    for site in range(1, n + 1, 2):
+        U = U @ embed(n, site, pauli("z"))
+    for delta in (0.3, 1.5):
+        mu1 = ChainParams(n=n, delta=delta, lam=0.1, mu=1.0)
+        pert = ChainParams(n=n, delta=delta, lam=1e-3, mu=1.0)
+        for state, params in ((lambda p: ness_mu1(p, p.lam), mu1), (ness_perturbative, pert)):
+            mirrored = U @ state(params).conj() @ U
+            assert np.abs(state(params.replace(delta=-delta)) - mirrored).max() <= 1e-14
 
 
 def test_ness_mu1_positive_and_normalized():

@@ -10,7 +10,7 @@ from xxz_metrology.fisher import qfi_parametric
 from xxz_metrology.lindblad import ness_perturbative
 from xxz_metrology.model import ChainParams, eta_from_delta
 from xxz_metrology.transfer import (SignedLog, _bands, _entries, _jet_log,
-                                    _split_eta, bracket_LTnR,
+                                    _jet_series, _split_eta, bracket_LTnR,
                                     bracket_LTnR_log, bracket_log_at, bracket_series,
                                     build_transfer, check_single_path, chi_coefficient,
                                     chi_coefficient_rational,
@@ -261,6 +261,72 @@ def test_f0_delta_accurate_next_to_isotropic_point(n, x, side):
     assert abs(f0_delta(params).value - expected) <= 1e-13 * expected
 
 
+@pytest.mark.parametrize("n", [4, 10, 50])
+def test_f0_delta_is_even_in_delta(n):
+    # one t for +-Delta: bit for bit where cos(acos(Delta)) rounds back to Delta
+    f = lambda delta: f0_delta(ChainParams(n=n, delta=delta, lam=1.0, mu=1.0)).value
+    for x in (1e-9, 1e-12, 1e-14):
+        assert f(-1 + x) == f(1 - x)
+    for x in (1e-3, 0.3, 0.5, 0.77):
+        assert abs(f(-1 + x) - f(1 - x)) <= 1e-14 * f(1 - x)
+
+
+_N_MIRROR = 12
+
+
+def _mirror_params(delta):
+    return ChainParams(n=_N_MIRROR, delta=delta, lam=1.0, mu=1.0)
+
+
+def _value_and_log(est):
+    return [est.value, est.log_value]
+
+
+MIRRORED = {
+    "bracket_series": lambda delta: bracket_series(_N_MIRROR, eta_from_delta(delta)),
+    "bracket_LTnR_log": lambda delta: [
+        x for row in bracket_LTnR_log(_N_MIRROR, eta_from_delta(delta)) for x in row],
+    "defect_series": lambda delta: defect_series(_N_MIRROR, eta_from_delta(delta)),
+    "second_eta_derivative_bracket":
+        lambda delta: second_eta_derivative_bracket(_N_MIRROR, eta_from_delta(delta)),
+    "f0_delta": lambda delta: _value_and_log(f0_delta(_mirror_params(delta))),
+    "f0_x": lambda delta: _value_and_log(f0_x(_mirror_params(delta), "lambda")),
+    "xi_coefficient": lambda delta: xi_coefficient(delta, _N_MIRROR),
+    "chi_coefficient": lambda delta: chi_coefficient(delta, 400),
+    "isotropic_bracket_series":
+        lambda delta: [isotropic_bracket_series(_N_MIRROR, eta_from_delta(delta))],
+    "isotropic_f_delta": lambda delta: [isotropic_f_delta(_mirror_params(delta))],
+}
+
+
+@pytest.mark.parametrize("name", list(MIRRORED))
+def test_quantities_are_even_in_delta(name):
+    # the bands depend on |Delta| only: the same t for -Delta, bit for bit
+    # next to Delta = -1 and to rounding elsewhere; chi1 only to Jordan's
+    # conditioning at d = 400
+    def value(delta):
+        return np.array(MIRRORED[name](delta), dtype=float)
+
+    rtol = 1e-6 if name == "chi_coefficient" else 1e-14
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # chi1 = nan, or outside the isotropic window
+        for x in (1e-9, 1e-12, 1e-14):
+            np.testing.assert_array_equal(value(-1 + x), value(1 - x))
+        for delta in (0.2, 0.5, 0.77):
+            np.testing.assert_allclose(value(-delta), value(delta), rtol=rtol, atol=0)
+
+
+@pytest.mark.parametrize("last", ["F", "d2T/2"])
+@pytest.mark.parametrize("delta", [0.5, 2.0])
+def test_negated_dT_band_leaves_the_s2_coefficient(last, delta):
+    # d|T|/dt flips sign with the direction of t, which no jet sees: it
+    # enters the s^2 coefficient only through products of two dT factors
+    n = 16
+    bands = _bands(("T", "dT", last), n, None, eta_from_delta(delta))
+    flipped = [bands[0], -bands[1], bands[2]]
+    assert np.array_equal(_jet_series(flipped, n), _jet_series(bands, n))
+
+
 def mp_f0_delta_bracket(n, delta, mp):
     """sum_defect + (1/4) d^2/dt^2 <L|T^n|R> for Delta > 1, in mpmath.
 
@@ -399,11 +465,12 @@ def test_isotropic_f_delta_matches_dense_qfi():
         assert abs(isotropic_f_delta(params) - dense) < 0.02 * (n * eta) ** 4 * dense
 
 
-def test_isotropic_series_refuse_delta_below_minus_one():
-    with pytest.raises(ValueError, match="Delta = \\+1"):
-        isotropic_bracket_series(6, math.pi + 1e-3j)
-    with pytest.raises(ValueError, match="Delta = \\+1"):
-        isotropic_f_delta(ChainParams(n=6, delta=-math.cosh(1e-3), lam=1.0))
+def test_isotropic_series_serve_delta_below_minus_one():
+    delta = math.cosh(1e-3)
+    assert (isotropic_bracket_series(6, eta_from_delta(-delta))
+            == isotropic_bracket_series(6, eta_from_delta(delta)))
+    params = ChainParams(n=6, delta=delta, lam=1.0)
+    assert isotropic_f_delta(params.replace(delta=-delta)) == isotropic_f_delta(params)
 
 
 def test_isotropic_f_delta_values():
