@@ -11,9 +11,11 @@ the manifest so it never perturbs the data digest.
 
 Each scan kind is declared once, in ``_KINDS``: its data columns, its
 evaluator, its grid and the options it reads with their defaults.  A
-grid is a list of lines, runs of points that differ only in n; the
-rows of a line share their jet passes (``transfer.LinePasses``), so a
-curve in n costs one propagation, and a pool maps lines.
+grid is a list of lines whose rows share their jet passes: runs of
+points that differ only in n (``transfer.LinePasses``), so a curve in n
+costs one propagation, and the whole rational xi grid, one batched pass
+over every (p, q) (``transfer.RationalPasses``).  A pool maps lines, so
+it does not split that scan.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ from .model import ChainParams, eta_from_delta
 from .mpo import _log_threshold, hs_norm_sq_via_transfer
 from .fisher import qfi_parametric
 from .lindblad import ness_mu1
-from .transfer import (LinePasses, bracket_log_at, bracket_series, check_single_path,
-                       chi_coefficient, chi_coefficient_rational, defect_series, f0_x,
-                       isotropic_bracket_series, isotropic_f_delta,
+from .transfer import (LinePasses, RationalPasses, bracket_log_at, bracket_series,
+                       check_single_path, chi_coefficient, chi_coefficient_rational,
+                       defect_series, f0_x, isotropic_bracket_series, isotropic_f_delta,
                        second_eta_derivative_bracket, xi_coefficient,
                        xi_coefficient_rational)
 
@@ -132,8 +134,8 @@ def _eval_chi(passes, route, p, q, delta, d):
 
 
 def _eval_xi_rational(passes, p, q, delta, window_start):
-    del passes, delta  # one point per line; delta follows from (p, q)
-    return xi_coefficient_rational(p, q, window_start)._asdict()
+    del delta  # it follows from (p, q)
+    return xi_coefficient_rational(p, q, window_start, passes)._asdict()
 
 
 def _eval_xi_n(passes, delta, n):
@@ -218,12 +220,22 @@ def _flambda_grid(o):
     return lines
 
 
+def _line_passes(line):
+    del line  # LinePasses learns its passes from the rows
+    return LinePasses()
+
+
+def _rational_passes(line):
+    return RationalPasses([(pt["p"], pt["q"], pt["window_start"]) for pt in line])
+
+
 @dataclass(frozen=True)
 class _Kind:
     header: tuple[str, ...]   # data columns; an "error" column follows
     evaluate: Callable        # (line's passes, grid point) -> the other columns of its row
     grid: Callable            # options -> lines of grid points
     defaults: dict            # every option the kind reads, with its default
+    passes: Callable = _line_passes  # line -> the passes its rows share
 
 
 _KINDS = {
@@ -241,12 +253,14 @@ _KINDS = {
         header=("p", "q", "eta_over_pi", "delta", "d", "xi", "xi1", "chi_dd",
                 "fit_r2", "window_start"),
         evaluate=_eval_xi_rational,
-        # without --n-window each p starts its fit window at max(100, 20 (p - 1))
-        grid=lambda o: [
-            [{"p": p, "q": q, "delta": dl, "window_start": max(100, 20 * (p - 1))
-              if o["n_window"] is None else o["n_window"]}]
-            for p, q, dl in rational_grid(o["p_max"], o["q_max"])],
-        defaults={"p_max": 30, "q_max": None, "n_window": None}),
+        # one line: a single batched pass; without --n-window each p starts
+        # its fit window at max(100, 20 (p - 1))
+        grid=lambda o: [[
+            {"p": p, "q": q, "delta": dl, "window_start": max(100, 20 * (p - 1))
+             if o["n_window"] is None else o["n_window"]}
+            for p, q, dl in rational_grid(o["p_max"], o["q_max"])]],
+        defaults={"p_max": 30, "q_max": None, "n_window": None},
+        passes=_rational_passes),
     "xi-n-vs-n": _Kind(
         header=("delta", "n", "d", "xi", "xi_n", "sum_defect", "d2_bracket"),
         evaluate=_eval_xi_n, grid=_xi_n_grid,
@@ -285,7 +299,7 @@ def run_scan(spec: ScanSpec) -> dict:
     kind = _KINDS[spec.kind]
     lines = kind.grid(spec.options)
     t0 = time.monotonic()
-    guarded = _guard(kind.evaluate)
+    guarded = _guard(kind.evaluate, kind.passes)
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             done = list(pool.map(guarded, lines))
@@ -324,18 +338,19 @@ class _guard:
     """Evaluate one line; returns, for each of its grid points in line
     order, (row, messages of the warnings raised, seconds taken).
 
-    The points run from the largest n down and share one LinePasses, so
-    a pass runs, is timed and raises its warnings in the row that ran it
-    alone before.  A failure becomes a row that names its grid point and
+    The points run from the largest n down and share the passes of the
+    kind (a LinePasses, or the rational line's one batched pass), so a
+    pass runs, is timed and raises its warnings in the first row that
+    asks for it.  A failure becomes a row that names its grid point and
     carries the error.  Warnings are caught here, so pool workers report
     them too.
     """
 
-    def __init__(self, evaluate):
-        self.evaluate = evaluate
+    def __init__(self, evaluate, passes):
+        self.evaluate, self.passes = evaluate, passes
 
     def __call__(self, line):
-        passes = LinePasses()
+        passes = self.passes(line)
         outcomes = [None] * len(line)
         for i in sorted(range(len(line)), key=lambda i: line[i].get("n", 0), reverse=True):
             point = line[i]

@@ -22,9 +22,13 @@ amplitude) feeds |1> of v_0 with weight 1/2.  With A_0 = |T| the jets
 (|T|), (|T|, D), (|T|, d|T|/dt, d^2|T|/dt^2 / 2) and (|T|, d|T|/dt, F)
 give the bracket, the defect sum, half the bracket's second t-derivative
 and twice the F_Delta bracket of :func:`f0_delta`.  The bands are
-tridiagonal over [L, 1, ..., d], so n steps cost O(n d) time and O(d)
-memory, in floats or in (sign, log) pairs whose bands are the logs of
-the same float entries.
+tridiagonal over [L, 1, ..., d] and take O(d) memory, in floats or in
+(sign, log) pairs whose bands are the logs of the same float entries.
+The float engine updates at step m only the light cone of columns
+0..min(m, n - m, d) that can still reach L by step n: about
+sum_m (min(m, n - m, d) + 1) ~ n^2/4 cells at d = n//2, half of n (d + 1).
+It also takes a batch axis: band sets zero-padded to one d propagate in
+one pass (the rational xi grid of a scan line), each with its own rows.
 
 A pass to n passes through every m <= n, so the propagators return
 series over m = 0..n: ``bracket_series``, ``defect_series`` and
@@ -178,31 +182,84 @@ def _bands(names: tuple[str, ...], n: int, d: int | None,
     return out
 
 
-def _jet_series(bands: list[np.ndarray], n: int) -> np.ndarray:
-    """<L|v_k> of the jet (v_0..v_k) after m = 0..n steps, in floats."""
-    rows = [(b[0], b[1, 1:], b[2, :-1]) for b in bands]
+_CONE_CHUNK = 32  # the light cone's width, rounded up to whole chunks of columns
 
-    def apply(band, v):
-        diag, lower, upper = band
-        out = diag * v
-        out[1:] += lower * v[:-1]
-        out[:-1] += upper * v[1:]
+
+def _stack_bands(sets: list[list[np.ndarray]]) -> list[np.ndarray]:
+    """Band sets of one jet as (batch, 3, d + 1) stacks, zero-padded to the largest d."""
+    dim = max(bands[0].shape[1] for bands in sets)
+    out = np.zeros((len(sets[0]), len(sets), 3, dim))
+    for s, bands in enumerate(sets):
+        for j, band in enumerate(bands):
+            out[j, s, :, :band.shape[1]] = band
+    return list(out)
+
+
+def _jet_series(bands: list[np.ndarray], n: int) -> np.ndarray:
+    """<L|v_k> of the jet (v_0..v_k) after m = 0..n steps, in floats.
+
+    ``bands[j]`` is A_j as one (3, d + 1) band, giving an (n + 1,) series,
+    or as a batch of band sets (see :func:`_stack_bands`), giving one row
+    per set.  A set padded with zero bands gets the finite rows of its own
+    pass.  Step m updates columns 0..min(m, n - m, d) only: higher columns
+    are still empty or can no longer reach L by step n.  The cone is
+    rounded up to _CONE_CHUNK columns, so the views change only when it
+    crosses a chunk; a stale value just past it reaches L after step n.
+
+    Each element is computed in one fixed order: per band,
+    (diag v + lower v_-) + upper v_+ (a + b and b + a are the same bits),
+    and the bands of v_j' summed b = 0..j (A_b on v_{j-b}).  The two
+    buffers of each order carry one zero column on each side, met by a
+    -0.0 coefficient, which adds exactly nothing.  So row m is the same
+    bits for every n >= m and every cone.
+    """
+    single = bands[0].ndim == 2
+    k, nb, dim = len(bands), 1 if single else bands[0].shape[0], bands[0].shape[-1]
+    # (lower, diag, upper) of output column c against (v_-, v, v_+)
+    mats = np.zeros((k, 3, nb, dim))
+    for band, mat in zip(bands, mats):
+        band = band.reshape(nb, 3, dim)
+        mat[0, :, 1:] = band[:, 1, 1:]
+        mat[1] = band[:, 0]
+        mat[2, :, :-1] = band[:, 2, :-1]
+    mats[:, 0, :, 0] = mats[:, 2, :, -1] = -0.0
+    buf = np.zeros((2, k, nb, dim + 2))  # the jet after an even and an odd step
+    col, row = buf.strides[-1], buf.strides[-2]
+    # (v_-, v, v_+) of every column as one view per buffer and order
+    shifted = [[np.lib.stride_tricks.as_strided(buf[p, j], (3, nb, dim), (col, row, col))
+                for j in range(k)] for p in (0, 1)]
+    prod = np.empty((3, nb, dim))
+    part = np.empty((nb, dim))
+    series = np.zeros((nb, n + 1))
+    tops = [buf[p, k - 1, :, 1] for p in (0, 1)]  # <L|v_k> after an even and an odd step
+
+    def calls(dst: int, w: int) -> list[tuple]:
+        """The ufunc calls of one step into buf[dst], over columns 0..w."""
+        terms, out = prod[:, :, :w + 1], []
+        for j in range(k):
+            acc = buf[dst, j, :, 1:w + 2]
+            for b in range(j + 1):
+                into = acc if b == 0 else part[:, :w + 1]
+                source = shifted[1 - dst][j - b][:, :, :w + 1]
+                out += [(np.multiply, mats[b, :, :, :w + 1], source, terms),
+                        (np.add, terms[0], terms[1], into), (np.add, into, terms[2], into)]
+                if b:
+                    out.append((np.add, acc, into, acc))
+        if w:  # R feeds |1> of v_0
+            out.append((np.add, buf[dst, 0, :, 2], 0.5, buf[dst, 0, :, 2]))
         return out
 
-    jet = [np.zeros(bands[0].shape[1]) for _ in bands]
-    series = np.zeros(n + 1)
+    width, steps = -1, []
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, n + 1):
-            new = []
-            for j in range(len(jet)):
-                acc = apply(rows[0], jet[j])
-                for i in range(j - 1, -1, -1):
-                    acc += apply(rows[j - i], jet[i])
-                new.append(acc)
-            new[0][1] += 0.5
-            jet = new
-            series[m] = jet[-1][0]
-    return series
+            w = min(-(-min(m, n - m) // _CONE_CHUNK) * _CONE_CHUNK, dim - 1)
+            if w != width:
+                width, steps = w, [calls(dst, w) for dst in (0, 1)]
+            dst = m % 2
+            for ufunc, a, b, into in steps[dst]:
+                ufunc(a, b, out=into)
+            series[:, m] = tops[dst]
+    return series[0] if single else series
 
 
 def _signed_lse(signs: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -652,7 +709,42 @@ def chi_second_derivative(delta: float, d: int) -> float:
     return d / (d + 1) * (2 * delta ** 2 + 1) / (1 - delta ** 2) ** 2
 
 
-def xi_coefficient_rational(p: int, q: int, window_start: int) -> RationalXi:
+class RationalPasses:
+    """The defect-sum pass shared by the rows of one rational xi scan line.
+
+    Built on the line's (p, q, window_start) points, its first call runs
+    one batched (|T|, D) pass over all of them (eta = q pi/p, d = p - 1),
+    to twice the largest window start.
+    ``passes(p, q, window_start)`` returns that point's series, whose rows
+    are those of its own pass to 2 window_start bit for bit, or a pass of
+    its own where the batch does not reach 2 window_start.
+    """
+
+    def __init__(self, points):
+        self._points = list(points)
+        self._series: dict | None = None
+
+    def __call__(self, p: int, q: int, window_start: int) -> np.ndarray:
+        if self._series is None:
+            self._series = _rational_defects(self._points)
+        series = self._series.get((p, q))
+        if series is None or series.size <= 2 * window_start:
+            series = _rational_defects([(p, q, window_start)])[p, q]
+        return series
+
+
+def _rational_defects(points) -> dict:
+    """{(p, q): defect series} of (p, q, window_start) points, from one batched pass."""
+    n = 2 * max(window_start for _, _, window_start in points)
+    sets = {}
+    for p, q, _ in points:
+        eta, _, d = _rational_point(p, q)
+        sets[p, q] = _bands(("T", "D"), n, d, eta)
+    return dict(zip(sets, _jet_series(_stack_bands(list(sets.values())), n)))
+
+
+def xi_coefficient_rational(p: int, q: int, window_start: int,
+                            passes: RationalPasses | None = None) -> RationalXi:
     """Growth coefficient xi of F_Delta^(0) = (lam mu / J)^2 xi n at eta/pi = q/p.
 
     T and D are restricted to d = p - 1, the defect-sum slope xi_1 is
@@ -662,13 +754,15 @@ def xi_coefficient_rational(p: int, q: int, window_start: int) -> RationalXi:
     [sum_defect - (1/4) d^2 bracket / d eta^2]/n: at rational eta/pi the
     full Fisher information keeps a secular n^2 piece fed by paths
     dwelling on the absorbing state |p>, which the restriction removes.
+    The series comes from a pass of its own, or from the batched pass
+    ``passes`` shares along a scan line.
     """
     if window_start < 8:
         raise ValueError(f"need window_start >= 8 for a meaningful window, "
                          f"got {window_start}")
-    eta, delta, d = _rational_point(p, q)
+    _, delta, d = _rational_point(p, q)
     n = window_start
-    ys = defect_series(2 * n, eta, d)[n:]
+    ys = (passes or RationalPasses([(p, q, n)]))(p, q, n)[n:2 * n + 1]
     A = np.vstack([np.arange(n, 2 * n + 1, dtype=float), np.ones(n + 1)]).T
     coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
     xi1 = float(coef[0])

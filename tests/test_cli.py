@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 import xxz_metrology
 from xxz_metrology.cli import (EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, ScanSpec,
                                UsageError, main, rational_grid, run_scan)
+from xxz_metrology.transfer import xi_coefficient_rational
 
 
 def read_csv(path):
@@ -379,6 +381,31 @@ def test_pool_workers_write_the_same_bytes_and_warnings(tmp_path):
             assert {(w["point"]["delta"], w["point"]["n"])
                     for w in manifests[0]["warnings"]} == {(2.0, 700)}
             assert manifests[0]["failures"] == 2
+
+
+def test_rational_line_rows_are_their_own_passes(tmp_path):
+    # the default windows differ per p, yet the grid shares one batched pass
+    out = tmp_path / "xi.csv"
+    assert main(["scan", "xi-vs-eta-rational", "--p-max", "30", "--out", str(out)]) == EXIT_OK
+    header, *rows = read_csv(out)
+    manifest = json.loads((tmp_path / "xi.csv.manifest.json").read_text())
+    assert len(rows) == len(rational_grid(30)) == len(manifest["wall_s"])
+    assert manifest["warnings"]  # short windows at large p: the R^2 warning
+    warned = {}
+    for w in manifest["warnings"]:
+        warned.setdefault((w["point"]["p"], w["point"]["q"]), []).append(w["message"])
+    for cells in rows:
+        row = dict(zip(header, cells))
+        p, q = int(row["p"]), int(row["q"])
+        window = max(100, 20 * (p - 1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            alone = xi_coefficient_rational(p, q, window)
+        assert int(row["window_start"]) == window
+        assert [row[col] for col in ("xi", "xi1", "chi_dd", "fit_r2")] == [
+            repr(float(alone.xi)), repr(alone.xi1), repr(alone.chi_dd), repr(alone.fit_r2)]
+        assert warned.pop((p, q), []) == [str(w.message) for w in caught]
+    assert not warned  # every warning names a grid point of its own
 
 
 def _scan_lines(tmp_path, argv):

@@ -9,8 +9,9 @@ import pytest
 from xxz_metrology.fisher import qfi_parametric
 from xxz_metrology.lindblad import ness_perturbative
 from xxz_metrology.model import ChainParams, eta_from_delta
-from xxz_metrology.transfer import (SignedLog, _bands, _entries, _jet_log,
-                                    _jet_series, _split_eta, bracket_LTnR,
+from xxz_metrology.transfer import (RationalPasses, SignedLog, _bands, _entries,
+                                    _jet_log, _jet_series, _split_eta, _stack_bands,
+                                    bracket_LTnR,
                                     bracket_LTnR_log, bracket_log_at, bracket_series,
                                     build_transfer, check_single_path, chi_coefficient,
                                     chi_coefficient_rational,
@@ -325,6 +326,97 @@ def test_negated_dT_band_leaves_the_s2_coefficient(last, delta):
     bands = _bands(("T", "dT", last), n, None, eta_from_delta(delta))
     flipped = [bands[0], -bands[1], bands[2]]
     assert np.array_equal(_jet_series(flipped, n), _jet_series(bands, n))
+
+
+# --- the float jet engine against the one-set loop it replaced ---------------
+
+def _reference_jet_series(bands, n):
+    """The one-set float loop over every column at every step, kept verbatim."""
+    rows = [(b[0], b[1, 1:], b[2, :-1]) for b in bands]
+
+    def apply(band, v):
+        diag, lower, upper = band
+        out = diag * v
+        out[1:] += lower * v[:-1]
+        out[:-1] += upper * v[1:]
+        return out
+
+    jet = [np.zeros(bands[0].shape[1]) for _ in bands]
+    series = np.zeros(n + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, n + 1):
+            new = []
+            for j in range(len(jet)):
+                acc = apply(rows[0], jet[j])
+                for i in range(j - 1, -1, -1):
+                    acc += apply(rows[j - i], jet[i])
+                new.append(acc)
+            new[0][1] += 0.5
+            jet = new
+            series[m] = jet[-1][0]
+    return series
+
+
+def _assert_same_rows(got, want):
+    """Finite rows equal bit for bit, and non-finite in the same places."""
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)  # f0_delta's log fallback reads it
+    assert np.array_equal(got[finite].view(np.int64), want[finite].view(np.int64))
+
+
+@pytest.mark.parametrize("names", [("T",), ("T", "D"), ("T", "dT", "d2T/2"),
+                                   ("T", "dT", "F")])
+@pytest.mark.parametrize("eta", [1e-4, 0.3, math.acos(0.37), 2.5, 0.5j, 1.3j,
+                                 math.pi + 1j])
+def test_jet_engine_rows_are_the_reference_loop_bit_for_bit(names, eta):
+    # the cosh^2 overflow (Delta = cosh 1.3 and its negative) is in range at n = 1200
+    for n in (1, 2, 3, 7, 50, 201, 1200):
+        for d in (None, 1, 3, n):
+            with np.errstate(over="ignore", invalid="ignore"):
+                bands = _bands(names, n, d, eta)
+            _assert_same_rows(_jet_series(bands, n), _reference_jet_series(bands, n))
+
+
+def test_batched_sets_get_the_rows_of_their_own_passes():
+    # d = 1..29 zero-padded to 29, eta on both sides of pi/2
+    n = 300
+    sets = [_bands(("T", "D"), n, d, eta)
+            for d, eta in zip(range(1, 30), np.linspace(0.05, 3.0, 29))]
+    batch = _jet_series(_stack_bands(sets), n)
+    assert batch.shape == (29, n + 1)
+    for rows, bands in zip(batch, sets):
+        _assert_same_rows(rows, _jet_series(bands, n))
+
+
+@pytest.mark.parametrize("names, eta", [(("T", "D"), 0.3), (("T", "dT", "F"), 1.3j),
+                                        (("T",), 2.5)])
+def test_rows_do_not_depend_on_how_far_the_pass_runs(names, eta):
+    # the light cone of a pass to n_max is not that of a pass to n <= n_max,
+    # yet rows m <= n agree: mixed windows can share one pass
+    n_max = 400
+    with np.errstate(over="ignore"):
+        for d in (3, 70, 200):
+            bands = _bands(names, n_max, d, eta)
+            full = _jet_series(bands, n_max)
+            for n in (1, 2, 31, 32, 33, 100, 257, 399):
+                _assert_same_rows(full[:n + 1], _jet_series(bands, n))
+            batch = _jet_series(_stack_bands([bands, _bands(names, n_max, 1, eta)]), 150)
+            _assert_same_rows(batch[0], full[:151])
+
+
+@pytest.mark.filterwarnings("ignore:defect-sum window fit")
+def test_rational_passes_share_one_batch_for_mixed_windows():
+    points = [(2, 1, 100), (5, 2, 100), (7, 3, 120), (9, 8, 160)]
+    passes = RationalPasses(points)
+    for p, q, window in points:
+        eta, d = q * math.pi / p, p - 1
+        series = passes(p, q, window)
+        assert series.size == 2 * 160 + 1
+        _assert_same_rows(series[:2 * window + 1], defect_series(2 * window, eta, d))
+        assert xi_coefficient_rational(p, q, window, passes) == \
+            xi_coefficient_rational(p, q, window)
+    # a window past the batch runs a pass of its own
+    assert passes(2, 1, 500).size == 1001
 
 
 def mp_f0_delta_bracket(n, delta, mp):
