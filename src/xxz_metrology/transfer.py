@@ -23,12 +23,13 @@ amplitude) feeds |1> of v_0 with weight 1/2.  With A_0 = |T| the jets
 give the bracket, the defect sum, half the bracket's second t-derivative
 and twice the F_Delta bracket of :func:`f0_delta`.  The bands are
 tridiagonal over [L, 1, ..., d] and take O(d) memory, in floats or in
-(sign, log) pairs whose bands are the logs of the same float entries.
-The float engine updates at step m only the light cone of columns
-0..min(m, n - m, d) that can still reach L by step n: about
-sum_m (min(m, n - m, d) + 1) ~ n^2/4 cells at d = n//2, half of n (d + 1).
-It also takes a batch axis: band sets zero-padded to one d propagate in
-one pass (the rational xi grid of a scan line), each with its own rows.
+logs of the same entries, as (sign, log) pairs for signed jets only (the
+bracket's has none).  Both engines update at step m only the light cone
+of columns 0..min(m, n - m, d) that can still reach L by step n: sum_m
+(min(m, n - m, d) + 1) ~ n^2/4 cells at d = n//2, half of n (d + 1).
+The float engine also takes a batch axis: band sets zero-padded to one d
+propagate in one pass (the rational xi grid of a scan line), each with
+its own rows.
 
 A pass to n passes through every m <= n, so the propagators return
 series over m = 0..n: ``bracket_series``, ``defect_series`` and
@@ -46,6 +47,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -262,58 +264,64 @@ def _jet_series(bands: list[np.ndarray], n: int) -> np.ndarray:
     return series[0] if single else series
 
 
-def _signed_lse(signs: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column sums of sign * exp(log) as (sign, log).
-
-    A column with no finite term, or a NaN term, or an exact
-    cancellation gives (0, -inf).
-    """
-    m = logs.max(axis=0)
-    live = m > -np.inf
-    shift = np.where(live, m, np.inf)  # dead columns: exp(-inf) = 0, no overflow
-    tot = (signs * np.exp(logs - shift)).sum(axis=0)
-    live &= tot != 0.0
-    return (np.where(live, np.sign(tot), 0.0),
-            np.where(live, shift + np.log(np.abs(tot)), -np.inf))
-
-
+@np.errstate(divide="ignore", invalid="ignore")
 def _jet_log(bands: list[np.ndarray], n: int) -> list[SignedLog]:
-    """<L|v_k> of :func:`_jet_series` after m = 0..n steps, as SignedLogs.
+    """<L|v_k> of :func:`_jet_series` after m = 0..n steps, as SignedLogs,
+    on the same light cone, two columns wide at least (NumPy would sum a
+    single column's rows pairwise, not in row order).
 
-    Each band entry enters as (sign, log|entry|), so values far outside
-    the double range stay representable.
+    A jet with no negative band entry carries no signs: its rows read sign
+    1 where the log is above -inf.  Column c of v_j' sums its term rows
+    (diag, climb, descent of A_b v_{j-b}, b = 0..j; then <1|T|R> for v_0):
+    with M their maximum, sign * exp(log - M) summed in row order gives
+    (sign, M + log|sum|).  M = -inf or NaN, or a sum of 0, gives (0, -inf);
+    M = +inf (a +inf band entry times a live amplitude) gives (NaN, NaN).
     """
-    k = len(bands)
-    dim = bands[0].shape[1]
-    with np.errstate(divide="ignore"):
-        band_logs = [np.log(np.abs(b)) for b in bands]
-    band_signs = [np.sign(b) for b in bands]
-    # the terms of v_j': three rows (diag, lower, upper) per product
-    # A_{j-i} v_i, i = j..0, plus the source row <1|T|R> for v_0
-    logs = [np.full((3 * (j + 1) + (j == 0), dim), -np.inf) for j in range(k)]
-    signs = [np.zeros_like(lg) for lg in logs]
-    logs[0][3, 1] = math.log(0.5)
-    signs[0][3, 1] = 1.0
-    sg = [np.zeros(dim) for _ in range(k)]
-    lg = [np.full(dim, -np.inf) for _ in range(k)]
-    at_L_sign, at_L_log = np.zeros(n + 1), np.full(n + 1, -np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for m in range(1, n + 1):
-            new = []
-            for j in range(k):
-                tl, ts = logs[j], signs[j]
-                for r, i in enumerate(range(j, -1, -1)):
-                    bl, bs = band_logs[j - i], band_signs[j - i]
-                    np.add(bl[0], lg[i], out=tl[3 * r])
-                    np.multiply(bs[0], sg[i], out=ts[3 * r])
-                    np.add(bl[1, 1:], lg[i][:-1], out=tl[3 * r + 1, 1:])
-                    np.multiply(bs[1, 1:], sg[i][:-1], out=ts[3 * r + 1, 1:])
-                    np.add(bl[2, :-1], lg[i][1:], out=tl[3 * r + 2, :-1])
-                    np.multiply(bs[2, :-1], sg[i][1:], out=ts[3 * r + 2, :-1])
-                new.append(_signed_lse(ts, tl))
-            sg, lg = zip(*new)
-            at_L_sign[m], at_L_log[m] = sg[-1][0], lg[-1][0]
-    return [SignedLog(float(sign), float(log)) for sign, log in zip(at_L_sign, at_L_log)]
+    k, dim = len(bands), bands[0].shape[1]
+    signed = not all((band >= 0).all() for band in bands)
+    mats = [[np.log(np.abs(band)) for band in bands]] + (  # and the signs of a signed jet
+        [[np.sign(band) for band in bands]] if signed else [])
+    pads = np.array([-np.inf, 0.0][:len(mats)])[:, None, None, None]
+    gens = np.full((len(mats), 2, k, dim + 2), pads)  # v after an even and an odd step, padded
+    terms = np.full((len(mats), k, 3 * k + 1, dim), pads)  # the term rows of each v_j'
+    terms[:, 0, 3, 1] = [math.log(0.5), 1.0][:len(mats)]  # <1|T|R>
+    top, tot, live = np.empty(dim), np.empty(dim), np.empty(dim, bool)
+    scratch, col = np.empty((3 * k + 1) * dim), gens.strides[-1]
+
+    @lru_cache(2)  # the calls of one step into generation dst, columns 0..w - 1: one w kept
+    def calls(dst: int, w: int) -> list[partial]:
+        out = []
+        for j in range(k):
+            for ufunc, bmats, gen, into in zip((np.add, np.multiply), mats, gens, terms[:, j]):
+                for b in range(j + 1):  # A_b v_{j-b}: diag on v, (climb, descent) on (v_-, v_+)
+                    v = gen[1 - dst, j - b]
+                    out += [partial(ufunc, bmats[b][0, :w], v[1:w + 1], out=into[3 * b, :w]),
+                            partial(ufunc, bmats[b][1:, :w], np.lib.stride_tricks.as_strided(
+                                v, (2, w), (2 * col, col)), out=into[3 * b + 1:3 * b + 3, :w])]
+            rows = 3 * j + 3 + (j == 0)
+            logs, exps = terms[0, j, :rows, :w], scratch[:rows * w].reshape(rows, w)
+            m, t, lv, new = top[:w], tot[:w], live[:w], gens[:, dst, j, 1:w + 1]
+            out += [partial(np.maximum.reduce, logs, axis=0, out=m),
+                    partial(np.greater, m, -np.inf, out=lv),
+                    partial(np.subtract, logs, m, out=exps), partial(np.exp, exps, out=exps)]
+            if signed:
+                out.append(partial(np.multiply, exps, terms[1, j, :rows, :w], out=exps))
+            out.append(partial(np.add.reduce, exps, axis=0, out=t))
+            if signed:  # live &= sum != 0, NaN included
+                out += [partial(np.logical_and, lv, t, out=lv), partial(new[1].fill, 0.0),
+                        partial(np.sign, t, out=new[1], where=lv), partial(np.absolute, t, out=t)]
+            out += [partial(np.log, t, out=t), partial(new[0].fill, -np.inf),
+                    partial(np.add, m, t, out=new[0], where=lv)]
+        return out
+
+    at_L = np.full((len(mats), n + 1), pads[:, :, 0, 0])  # logs, signs
+    for m in range(1, n + 1):
+        w = max(min(-(-min(m, n - m) // _CONE_CHUNK) * _CONE_CHUNK, dim - 1), 1)
+        for call in calls(m % 2, w + 1):
+            call()
+        at_L[:, m] = gens[:, m % 2, k - 1, 1]
+    signs = at_L[-1] if signed else np.where(np.isnan(at_L[0]), np.nan, at_L[0] > -np.inf)
+    return [SignedLog(float(sign), float(log)) for sign, log in zip(signs, at_L[0])]
 
 
 def bracket_series(n: int, eta: complex, d: int | None = None) -> np.ndarray:
@@ -423,7 +431,7 @@ def sum_defect_log(n: int, eta: complex, d: int | None = None) -> SignedLog:
 
 
 def sum_defect(n: int, eta: complex, d: int | None = None) -> float | SignedLog:
-    """sum_{k=1}^n <L|T^{k-1} D T^{n-k}|R> in O(n d) time and O(d) memory.
+    """sum_{k=1}^n <L|T^{k-1} D T^{n-k}|R> on the light cone, in O(d) memory.
 
     A float where it is finite, else a SignedLog (|Delta| > 1, large n).
     """

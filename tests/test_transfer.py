@@ -404,6 +404,117 @@ def test_rows_do_not_depend_on_how_far_the_pass_runs(names, eta):
             _assert_same_rows(batch[0], full[:151])
 
 
+# --- the log jet engine against the all-column loop it replaced --------------
+
+def _reference_signed_lse(signs, logs):
+    """Column sums of sign * exp(log) as (sign, log).
+
+    A column with no finite term, or a NaN term, or an exact
+    cancellation gives (0, -inf).
+    """
+    m = logs.max(axis=0)
+    live = m > -np.inf
+    shift = np.where(live, m, np.inf)  # dead columns: exp(-inf) = 0, no overflow
+    tot = (signs * np.exp(logs - shift)).sum(axis=0)
+    live &= tot != 0.0
+    return (np.where(live, np.sign(tot), 0.0),
+            np.where(live, shift + np.log(np.abs(tot)), -np.inf))
+
+
+def _reference_jet_log(bands, n):
+    """<L|v_k> of :func:`_jet_series` after m = 0..n steps, as SignedLogs.
+
+    Each band entry enters as (sign, log|entry|), so values far outside
+    the double range stay representable.
+    """
+    k = len(bands)
+    dim = bands[0].shape[1]
+    with np.errstate(divide="ignore"):
+        band_logs = [np.log(np.abs(b)) for b in bands]
+    band_signs = [np.sign(b) for b in bands]
+    # the terms of v_j': three rows (diag, lower, upper) per product
+    # A_{j-i} v_i, i = j..0, plus the source row <1|T|R> for v_0
+    logs = [np.full((3 * (j + 1) + (j == 0), dim), -np.inf) for j in range(k)]
+    signs = [np.zeros_like(lg) for lg in logs]
+    logs[0][3, 1] = math.log(0.5)
+    signs[0][3, 1] = 1.0
+    sg = [np.zeros(dim) for _ in range(k)]
+    lg = [np.full(dim, -np.inf) for _ in range(k)]
+    at_L_sign, at_L_log = np.zeros(n + 1), np.full(n + 1, -np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for m in range(1, n + 1):
+            new = []
+            for j in range(k):
+                tl, ts = logs[j], signs[j]
+                for r, i in enumerate(range(j, -1, -1)):
+                    bl, bs = band_logs[j - i], band_signs[j - i]
+                    np.add(bl[0], lg[i], out=tl[3 * r])
+                    np.multiply(bs[0], sg[i], out=ts[3 * r])
+                    np.add(bl[1, 1:], lg[i][:-1], out=tl[3 * r + 1, 1:])
+                    np.multiply(bs[1, 1:], sg[i][:-1], out=ts[3 * r + 1, 1:])
+                    np.add(bl[2, :-1], lg[i][1:], out=tl[3 * r + 2, :-1])
+                    np.multiply(bs[2, :-1], sg[i][1:], out=ts[3 * r + 2, :-1])
+                new.append(_reference_signed_lse(ts, tl))
+            sg, lg = zip(*new)
+            at_L_sign[m], at_L_log[m] = sg[-1][0], lg[-1][0]
+    return [SignedLog(float(sign), float(log)) for sign, log in zip(at_L_sign, at_L_log)]
+
+
+def _assert_same_log_rows(got, want):
+    """Signs and logs equal bit for bit where finite; NaN and +-inf in the same places."""
+    got, want = np.array(got, dtype=float), np.array(want, dtype=float)
+    assert got.shape == want.shape
+    for test in (np.isnan, np.isneginf, np.isposinf, np.isfinite):
+        assert np.array_equal(test(got), test(want))
+    finite = np.isfinite(want)
+    assert np.array_equal(got[finite].view(np.int64), want[finite].view(np.int64))
+
+
+@pytest.mark.parametrize("names", [("T",), ("T", "D"), ("T", "dT", "d2T/2"),
+                                   ("T", "dT", "F")])
+@pytest.mark.parametrize("eta", [0.3, math.acos(0.37), 2.5, 0.5j, 1.3j, math.acosh(2) * 1j,
+                                 math.pi + 1.3j, math.acosh(1e80) * 1j])
+def test_log_engine_rows_are_the_reference_loop_bit_for_bit(names, eta):
+    # the cosh^2 overflow (Delta = 2, cosh 1.3 and -cosh 1.3) is in range of
+    # the n = 1200 pass, run for the bracket only to keep the reference loop
+    # quick; at Delta = 1e80 every jet loses every path from the first step
+    for n in (1, 2, 3, 7, 50, 201) + ((1200,) if names == ("T",) else ()):
+        for d in (None, 1, 3, n):
+            with np.errstate(over="ignore", invalid="ignore"):
+                bands = _bands(names, n, d, eta)
+            _assert_same_log_rows(_jet_log(bands, n), _reference_jet_log(bands, n))
+
+
+@pytest.mark.parametrize("names, eta", [(("T",), math.acosh(2) * 1j), (("T", "D"), 1.3j),
+                                        (("T", "dT", "F"), 1.3j), (("T", "dT", "d2T/2"), 0.3)])
+def test_log_rows_do_not_depend_on_how_far_the_pass_runs(names, eta):
+    # the cone of a pass to n_max is not that of a pass to n <= n_max, nor
+    # are its chunk edges: rows m <= n agree all the same
+    n_max = 400
+    with np.errstate(over="ignore"):
+        for d in (3, 70, 200):
+            bands = _bands(names, n_max, d, eta)
+            full = _jet_log(bands, n_max)
+            for n in (31, 32, 33, 257):
+                _assert_same_log_rows(full[:n + 1], _jet_log(bands, n))
+
+
+@pytest.mark.parametrize("eta", [0.3, 1.3j])  # (|T|, D) without and with signs
+def test_a_plus_inf_term_gives_nan_and_kills_the_column_a_step_later(eta):
+    # a +inf entry times a live amplitude (the cosh^2 overflow of a dT band)
+    # makes the column's maximum +inf: (NaN, NaN), not (0, -inf).  Here D's
+    # <L|D|L> is +inf: L of v_1 is dead while v_0 has not reached L, NaN at
+    # step 3, when v_0's L is live, and dead again a step later
+    n = 12
+    bands = _bands(("T", "D"), n, None, eta)
+    bands[1][0, 0] = np.inf
+    rows = _jet_log(bands, n)
+    _assert_same_log_rows(rows, _reference_jet_log(bands, n))
+    assert rows[2] == (0.0, -np.inf)
+    assert math.isnan(rows[3].sign) and math.isnan(rows[3].log)
+    assert rows[4] == (0.0, -np.inf)
+
+
 @pytest.mark.filterwarnings("ignore:defect-sum window fit")
 def test_rational_passes_share_one_batch_for_mixed_windows():
     points = [(2, 1, 100), (5, 2, 100), (7, 3, 120), (9, 8, 160)]
