@@ -5,7 +5,8 @@ files.  Values that may leave the double range are serialized as
 (sign, log10) column pairs next to a linear column that is left empty
 when the value is too large or too small to be a normal double.  A JSON
 manifest (spec echo, version, failure count, content digest, the
-warnings raised at each grid point, the wall time of each row) is
+warnings raised at each grid point, the wall time of each row, the
+numeric environment) is
 written next to each output file; wall-clock information lives only in
 the manifest so it never perturbs the data digest.
 
@@ -32,6 +33,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -289,6 +291,27 @@ _KINDS = {
 SCAN_KINDS = tuple(_KINDS)
 
 
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@lru_cache(maxsize=1)
+def _blas() -> dict | None:
+    """Name and version of the BLAS NumPy was built with, None where NumPy
+    does not say (``show_config(mode="dicts")`` needs NumPy >= 1.26)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return None
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
+def _environment() -> dict:
+    """What exact rows depend on besides the spec: at n >= 9 they move in
+    the last bits with the BLAS library and its thread count."""
+    return {"numpy": np.__version__, "blas": _blas(),
+            "threads": {var: os.environ.get(var) for var in _THREAD_VARS}}
+
+
 def run_scan(spec: ScanSpec) -> dict:
     """Execute a scan, write the data file and its manifest.
 
@@ -326,6 +349,7 @@ def run_scan(spec: ScanSpec) -> dict:
         "wall_s": [seconds for _, _, seconds in outcomes],
         "data_sha256": digest,
         "wall_time_s": time.monotonic() - t0,
+        "environment": _environment(),
     }
     with open(manifest, "w", encoding="utf-8") as fh:
         json.dump(_strict_json(body), fh, indent=1, allow_nan=False)

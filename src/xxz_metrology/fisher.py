@@ -126,6 +126,10 @@ def qfi_parametric(params: ChainParams, parameter: str,
     the two stencil widths must agree to 1e-6 relative, otherwise the
     derivative has not converged and we raise.  A shifted point that
     ChainParams rejects (mu = 1 + h) raises its ValueError.
+
+    The differences are formed in place, in the arrays ``build`` returns:
+    each call must return a new array (one array returned twice raises
+    ValueError, since its difference would read 0).
     """
     if parameter not in _FIELDS:
         raise ValueError(f"unknown parameter label {parameter!r}")
@@ -134,19 +138,34 @@ def qfi_parametric(params: ChainParams, parameter: str,
     h = 1e-4 * max(abs(x0), 1.0)
 
     def central(hh: float) -> np.ndarray:
+        """(rho(x0 + hh) - rho(x0 - hh)) / (2 hh), in the first array."""
         rp = build(params.replace(**{field: x0 + hh}))
         rm = build(params.replace(**{field: x0 - hh}))
-        return (rp - rm) / (2 * hh)
+        if rm is rp:
+            raise ValueError("build returned the same array for two states; "
+                             "qfi_parametric needs a new array per call")
+        rp -= rm
+        rp /= 2 * hh
+        return rp
 
-    stencils = [central(h / 2 ** k) for k in range(3)]
-    rich = [(4 * fine - coarse) / 3
-            for coarse, fine in zip(stencils, stencils[1:])]
-    drho = rich[-1]
+    # Richardson levels (4 fine - coarse) / 3, each over its fine stencil,
+    # the finer first: it reads mid before mid takes the coarser level
+    coarse, mid = central(h), central(h / 2)
+    drho = central(h / 4)
+    drho *= 4
+    drho -= mid
+    drho /= 3
+    mid *= 4
+    mid -= coarse
+    mid /= 3
+    del coarse
     scale = hs_norm(drho)
-    if scale > 0 and hs_norm(rich[1] - rich[0]) > 1e-6 * scale:
+    gap = hs_norm(np.subtract(drho, mid, out=mid))
+    del mid
+    if scale > 0 and gap > 1e-6 * scale:
         raise ArithmeticError(
             "state derivative did not converge: Richardson estimates differ "
-            f"by {hs_norm(rich[1] - rich[0]):.2e} vs scale {scale:.2e}")
+            f"by {gap:.2e} vs scale {scale:.2e}")
     rho = build(params)
     value = qfi_dense(rho, drho)
     return FisherEstimate(value=value, method="exact-dense", parameter=parameter,

@@ -28,7 +28,8 @@ import numpy as np
 
 from .model import (ChainParams, hamiltonian_xxz, hs_norm, lindblad_jump_ops,
                     magnetization_z)
-from .mpo import build_aux_A, build_aux_B, contract_to_dense, solve_s, validity_threshold
+from .mpo import (build_aux_A, build_aux_B, contract_to_dense, popcount_sectors, solve_s,
+                  validity_threshold)
 
 LIOUVILLIAN_CAP = 6  # the q = 0 block is 924 x 924 at n = 6
 COND_CUT = 1 / np.finfo(float).eps  # steady states reach 6.6e14, a 2nd null vector 1e18
@@ -174,7 +175,9 @@ def ness_mu1(params: ChainParams, epsilon: float) -> np.ndarray:
     S conserves M_z, so S S+ is formed one sector at a time: the basis
     states of one popcount k (one M_z value) give S_k = S[I_k, I_k] and
     rho[I_k, I_k] = S_k S_k+, blocks of C(n, k), and rho is exactly 0
-    between sectors.  An S with a nonzero entry between sectors raises.
+    between sectors.  An S with a nonzero entry between sectors raises;
+    otherwise S is 0 wherever rho is, and rho is written over S, one
+    2**n x 2**n array for both.
     ``fisher.qfi_dense`` finds the same blocks and diagonalizes them one
     by one, under one support cut relative to the largest eigenvalue of
     all blocks.
@@ -184,17 +187,14 @@ def ness_mu1(params: ChainParams, epsilon: float) -> np.ndarray:
     n = params.n
     s = solve_s(epsilon, params.eta)
     S = contract_to_dense(build_aux_B(n, params.eta, s), n)
-    basis = np.arange(2 ** n)
-    popcount = sum((basis >> bit) & 1 for bit in range(n))
-    sectors = [np.ix_(idx, idx) for idx in
-               (np.flatnonzero(popcount == k) for k in range(n + 1))]
+    sectors = [np.ix_(idx, idx) for idx in popcount_sectors(n)]
     blocks = [S[sector] for sector in sectors]
     if np.count_nonzero(S) != sum(np.count_nonzero(block) for block in blocks):
         raise ArithmeticError("S mixes M_z sectors")
     # normalized by the trace of the whole diagonal, in index order, as the
     # dense product was: the finite-difference QFI rows sit close to their
     # Richardson bound, and a last-bit change in Tr moves some across it
-    rho = np.zeros_like(S)
+    rho = S
     for sector, block in zip(sectors, blocks):
         rho[sector] = block @ block.conj().T
     tr = np.trace(rho).real

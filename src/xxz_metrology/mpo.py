@@ -10,9 +10,12 @@ states above n//2 are unreachable from the right boundary in n steps,
 so clamping cannot change any n-site contraction (the test suite widens
 the space and checks this).
 
-The dense contraction adds the same terms in the same order as the
-np.kron loop the test suite keeps as a reference: the two agree entry
-for entry.
+The contraction works in blocks between basis states of given row and
+column popcounts (M_z values), so the zeros between them never form:
+at most C(2n, n) entries per auxiliary state instead of 4**n, and one
+2**n x 2**n array, the result, assembled at the end.  It adds the same
+terms in the same order as the dense quadrant loop and the np.kron loop
+the test suite keeps as references: the results agree bit for bit.
 
 The norm ||Z||_HS^2 and the validity threshold come from the transfer
 bracket instead, as SignedLogs: both leave the double range for
@@ -31,6 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -132,22 +136,57 @@ def solve_s(epsilon: float, eta: complex) -> complex:
     return s
 
 
+@lru_cache(maxsize=16)
+def popcount_sectors(n: int) -> tuple[np.ndarray, ...]:
+    """The basis indices of popcount k = 0..n in ascending order: one M_z
+    sector each (read-only, cached per n)."""
+    basis = np.arange(2 ** n)
+    popcount = sum((basis >> bit) & 1 for bit in range(n))
+    sectors = tuple(np.flatnonzero(popcount == k) for k in range(n + 1))
+    for idx in sectors:
+        idx.flags.writeable = False
+    return sectors
+
+
 def contract_to_dense(aux: AuxMatrices, n: int) -> np.ndarray:
     """Contract an MPO to the dense 2**n x 2**n operator.
 
     Propagates the right boundary vector through the site loop, carrying
-    a map from auxiliary indices to partial dense operators (never
-    enumerating the 3**n strings).  A site step writes ``mat[a, b] *
-    block`` straight into the quadrants where its Pauli factor is 1
-    instead of building ``kron(sigma, block)``, and keeps only the
-    auxiliary states inside both light cones: reachable from the right
-    boundary in the steps taken and able to reach the left boundary in
-    the steps left.  The last step builds the one left 2**n x 2**n
-    block; with D = aux.dim_aux, the side of a0, work is O(D * 4**n)
-    summed over the steps, memory O(D * 4**(n-1)) plus that block.
-    n is held to the model's dense cap (ValueError past it).
+    a map from auxiliary indices to partial operators (never enumerating
+    the 3**n strings), each held as its blocks between basis states of
+    given row and column popcounts: a Pauli factor moves a block by at
+    most one popcount, so the zeros between other pairs never form.  A
+    site step writes ``mat[a, b] * block`` straight into the quadrants
+    where its Pauli factor is 1, at offset C(site, k) in the block of the
+    new popcount k, and keeps only the auxiliary states inside both light
+    cones: reachable from the right boundary in the steps taken and able
+    to reach the left boundary in the steps left.  In both families each
+    auxiliary state carries one popcount difference, so its blocks hold
+    at most C(2 site, site) entries (48620 at 9 sites, against 4**9 =
+    262144 for a dense partial operator), and the work follows the
+    entries.  The operator conserves M_z and ends as n + 1 blocks, which
+    are written into the one 2**n x 2**n array at the end.  n is held to
+    the model's dense cap (ValueError past it).
     """
     _check_dense_cap(n)
+    blocks = _contract_blocks(aux, n)
+    out = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    sectors = popcount_sectors(n)
+    for (row, col), block in blocks.items():
+        out[sectors[row][:, None], sectors[col]] = block
+    return out
+
+
+def _contract_blocks(aux: AuxMatrices, n: int) -> dict[tuple[int, int], np.ndarray]:
+    """The popcount blocks of :func:`contract_to_dense`'s operator, keyed by
+    (row popcount, column popcount); blocks that are zero are absent.
+
+    Every entry sums the terms of the dense quadrant loop in its order.
+    That loop also adds terms from outside these blocks, but they are
+    signed zeros, which change no sum; and it adds a quadrant's first
+    term to +0, where this loop writes it, so each -0 is turned into +0
+    at the end.  The entries agree bit for bit.
+    """
     needed = n // 2 + (2 if aux.family == "A" else 1)
     if aux.dim_aux < needed:
         raise ValueError(f"auxiliary space of dim {aux.dim_aux} too small for "
@@ -156,30 +195,69 @@ def contract_to_dense(aux: AuxMatrices, n: int) -> np.ndarray:
     one, plus, minus = ((0, 0), (1, 1)), ((0, 1),), ((1, 0),)
     if aux.conjugate_paulis:
         plus, minus = minus, plus
-    pairs = ((aux.a0, one), (aux.a_plus, plus), (aux.a_minus, minus))
-    # reaches_left[r]: the states with a path of r steps to the left boundary
-    moves = (aux.a0 != 0) | (aux.a_plus != 0) | (aux.a_minus != 0)
-    reaches_left = [np.arange(aux.dim_aux) == aux.left_index]
+    # the terms a <- b in the order the dense loop adds them
+    terms = [(int(a), int(b), quadrants, mat[a, b])
+             for mat, quadrants in ((aux.a0, one), (aux.a_plus, plus), (aux.a_minus, minus))
+             for a, b in zip(*np.nonzero(mat))]
+    coeffs = [coeff for *_, coeff in terms]
+    sites, final = _block_moves(tuple(term[:3] for term in terms),
+                                aux.left_index, aux.right_index, n)
+    blocks = [np.eye(1, dtype=complex)]
+    for shapes, moves in sites:
+        step = [np.zeros(shape, dtype=complex) for shape in shapes]
+        for t, src, dst, index, first in moves:
+            if first:
+                np.multiply(coeffs[t], blocks[src], out=step[dst][index])
+            else:
+                view = step[dst][index]
+                view += coeffs[t] * blocks[src]
+        blocks = step
+    for _, i in final:
+        blocks[i] += 0.0
+    return {key: blocks[i] for key, i in final}
+
+
+@lru_cache(maxsize=64)
+def _block_moves(terms: tuple, left: int, right: int, n: int):
+    """The moves of an n-site block contraction, from the terms (a, b,
+    quadrants) alone: per site the shapes of the new blocks and the moves
+    (term, source block, new block, its quadrant's index, first write?),
+    then the left state's blocks as ((row, col), block) pairs.  Cached,
+    so a contraction repeated at another coefficient only multiplies and
+    adds.
+
+    A new bit i in quadrant (i, j) takes the block (row, col) to (row + i,
+    col + j), at offset C(site, row + i) below (and right of) the states
+    whose new bit is 0.  Only the states inside both light cones are kept:
+    reachable from the right boundary in the steps taken and able to reach
+    the left boundary in the steps left.
+    """
+    reaches_left = [{left}]  # [r]: the states with a path of r steps to the left boundary
     for _ in range(n - 1):
-        reaches_left.append(moves.T @ reaches_left[-1])
-    partial: dict[int, np.ndarray] = {aux.right_index: np.eye(1, dtype=complex)}
+        reaches_left.append({b for a, b, _ in terms if a in reaches_left[-1]})
+    partial = {right: {(0, 0): (0, (1, 1))}}  # state -> key -> (block, shape)
+    sites = []
     for site in range(n):
-        keep, half = reaches_left[n - 1 - site], 2 ** site
-        step: dict[int, np.ndarray] = {}
-        for mat, quadrants in pairs:
-            rows, cols = np.nonzero(mat)
-            for a, b in zip(rows, cols):
-                block = partial.get(b)
-                if block is None or not keep[a]:
-                    continue
-                if a not in step:
-                    step[a] = np.zeros((2 * half, 2 * half), dtype=complex)
-                contrib = mat[a, b] * block
+        keep = reaches_left[n - 1 - site]
+        step, shapes, moves, written = {}, [], [], set()
+        for t, (a, b, quadrants) in enumerate(terms):
+            if a not in keep or b not in partial:
+                continue
+            target = step.setdefault(a, {})
+            for (row, col), (src, (h, w)) in partial[b].items():
                 for i, j in quadrants:
-                    step[a][i * half:(i + 1) * half, j * half:(j + 1) * half] += contrib
+                    key = (row + i, col + j)
+                    if key not in target:
+                        target[key] = (len(shapes), (math.comb(site + 1, key[0]),
+                                                     math.comb(site + 1, key[1])))
+                        shapes.append(target[key][1])
+                    r, c = i * math.comb(site, key[0]), j * math.comb(site, key[1])
+                    moves.append((t, src, target[key][0], (slice(r, r + h), slice(c, c + w)),
+                                  (a, key, i, j) not in written))
+                    written.add((a, key, i, j))
         partial = step
-    dim = 2 ** n
-    return partial.get(aux.left_index, np.zeros((dim, dim), dtype=complex))
+        sites.append((tuple(shapes), tuple(moves)))
+    return tuple(sites), tuple((key, block) for key, (block, _) in partial.get(left, {}).items())
 
 
 def hs_norm_sq_via_transfer(n: int, eta: complex,

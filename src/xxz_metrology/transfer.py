@@ -500,11 +500,16 @@ def f0_delta(params):
     entries cancel its two terms to O(eta^2) exactly: accurate for every
     |Delta| != 1.  Where the float jet is not finite (|Delta| > 1, large n)
     the log jet runs, and the value may only be held by ``log_value``.
+    The jet runs on the bracket's |T| band, so for |Delta| > 1 the bracket
+    is held to :func:`check_single_path` first: past the cosh^2 overflow,
+    where the log bands lose paths, it raises ArithmeticError.
     """
     delta, n = params.delta, params.n
     if abs(delta) == 1.0:
         raise ValueError("f0_delta is singular at the isotropic point |Delta| = 1; "
                          "use isotropic_f_delta there")
+    if abs(delta) > 1.0:
+        check_single_path(n, params.eta, bracket_log_at(n, params.eta).log)
     # a quarter, not a half: the jet gives twice the bracket
     pref = params.lam ** 2 * params.mu ** 2 / (
         4 * params.j_coupling ** 2 * abs((1 - delta) * (1 + delta)))

@@ -115,6 +115,29 @@ def test_manifest_contents(tmp_path):
     assert manifest["rows"] == summary["rows"]
     assert manifest["scan"] == "chi-vs-delta"
     assert "wall_time_s" in manifest
+    # the numeric environment exact rows depend on, null where unknown or unset
+    env = manifest["environment"]
+    assert env["numpy"] == np.__version__
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # NumPy < 1.26 prints its configuration only
+        assert env["blas"] is None
+    else:
+        assert env["blas"] == {"name": blas.get("name"), "version": blas.get("version")}
+    assert env["threads"] == {var: os.environ.get(var) for var in
+                              ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def test_manifest_environment_leaves_the_data_alone(tmp_path, monkeypatch):
+    spec = dict(kind="isotropic-check", options={"n_range": [3, 10, 7]})
+    first = run_scan(ScanSpec(out=str(tmp_path / "a.csv"), **spec))
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    second = run_scan(ScanSpec(out=str(tmp_path / "b.csv"), **spec))
+    assert first["digest"] == second["digest"]
+    env = json.loads((tmp_path / "b.csv.manifest.json").read_text())["environment"]
+    assert env["threads"]["OMP_NUM_THREADS"] == "3"
+    assert env["threads"]["MKL_NUM_THREADS"] is None
 
 
 def test_partial_failure_exit_code(tmp_path):

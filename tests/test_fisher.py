@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag, sqrtm
@@ -297,6 +299,91 @@ def test_qfi_parametric_closed_form_qubit_family():
     assert np.isclose(qfi_parametric(params, "Delta", build).value, 0.6 ** 2,
                       rtol=1e-8, atol=0)
     assert qfi_parametric(params, "J", build).value == 0
+
+
+def qfi_parametric_before(params, parameter, build):
+    """Reference: the stencils and Richardson levels each a new array."""
+    field = fisher._FIELDS[parameter]
+    x0 = getattr(params, field)
+    h = 1e-4 * max(abs(x0), 1.0)
+
+    def central(hh):
+        rp = build(params.replace(**{field: x0 + hh}))
+        rm = build(params.replace(**{field: x0 - hh}))
+        return (rp - rm) / (2 * hh)
+
+    stencils = [central(h / 2 ** k) for k in range(3)]
+    rich = [(4 * fine - coarse) / 3
+            for coarse, fine in zip(stencils, stencils[1:])]
+    drho = rich[-1]
+    scale = hs_norm(drho)
+    if scale > 0 and hs_norm(rich[1] - rich[0]) > 1e-6 * scale:
+        raise ArithmeticError(
+            "state derivative did not converge: Richardson estimates differ "
+            f"by {hs_norm(rich[1] - rich[0]):.2e} vs scale {scale:.2e}")
+    return qfi_dense(build(params), drho)
+
+
+def mu1_state(p):
+    return ness_mu1(p, p.lam / p.j_coupling)
+
+
+def outcome(run):
+    try:
+        value = run()
+    except ArithmeticError as err:
+        return str(err)
+    return getattr(value, "value", value)
+
+
+def test_in_place_stencils_give_the_separate_arrays_value_bit_for_bit():
+    params = ChainParams(n=8, delta=2.0, lam=1e-2, mu=1.0)
+    est = qfi_parametric(params, "lambda", mu1_state)
+    assert est.value == qfi_parametric_before(params, "lambda", mu1_state)
+    # complex and real states, converged or not: the same value or message
+    small = ChainParams(n=4, delta=0.5, lam=1e-3, mu=0.5)
+    for build in (ness_perturbative, lambda p: np.real(ness_perturbative(p))):
+        for parameter in ("lambda", "mu", "J", "Delta"):
+            assert (outcome(lambda: qfi_parametric(small, parameter, build))
+                    == outcome(lambda: qfi_parametric_before(small, parameter, build)))
+
+
+def test_in_place_stencils_fail_with_the_separate_arrays_message():
+    params = ChainParams(n=8, delta=10.0, lam=1e-3, mu=1.0)
+    with pytest.raises(ArithmeticError, match="did not converge") as before:
+        qfi_parametric_before(params, "lambda", mu1_state)
+    with pytest.raises(ArithmeticError) as now:
+        qfi_parametric(params, "lambda", mu1_state)
+    assert str(now.value) == str(before.value)
+
+
+def test_qfi_parametric_rejects_a_build_that_returns_one_array():
+    # the difference would be formed in that one array and read 0
+    shared = ness_perturbative(ChainParams(n=3, delta=0.5, lam=1e-3, mu=1.0))
+    with pytest.raises(ValueError, match="same array"):
+        qfi_parametric(ChainParams(n=3, delta=0.5, lam=1e-3, mu=1.0), "lambda",
+                       lambda p: shared)
+
+
+def test_mu1_qfi_peak_memory_in_dense_units():
+    # one unit is one 2**n x 2**n complex array: S, rho and the stencils
+    # share arrays instead of each taking a new one
+    n = 9
+    params, unit = ChainParams(n=n, delta=2.0, lam=1e-2, mu=1.0), 16 * 4 ** n
+    mu1_state(params)  # caches warm outside the trace
+    peaks = []
+    tracemalloc.start()
+    try:
+        for run in (lambda: mu1_state(params),
+                    lambda: qfi_parametric(params, "lambda", mu1_state)):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run()
+            peaks.append((tracemalloc.get_traced_memory()[1] - base) / unit)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] <= 1.4  # 2.3 with a second array for rho
+    assert peaks[1] <= 4.5  # 7.3 with every stencil and level kept
 
 
 def test_qfi_parametric_rejects_a_shift_past_extreme_driving():

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from xxz_metrology.model import eta_from_delta, hs_norm, pauli
-from xxz_metrology.mpo import (AuxMatrices, build_aux_A, build_aux_B,
+from xxz_metrology.mpo import (AuxMatrices, _contract_blocks, build_aux_A, build_aux_B,
                                contract_to_dense, hs_norm_sq_via_transfer,
-                               solve_s, validity_threshold)
+                               popcount_sectors, solve_s, validity_threshold)
 
 
 def kron_all(*ops):
@@ -169,6 +169,84 @@ def test_contract_B_equals_kron_reference(n, delta):
     for epsilon in (1e-3, 1e-2):
         aux = build_aux_B(n, eta, solve_s(epsilon, eta))
         assert np.array_equal(contract_to_dense(aux, n), contract_by_kron(aux, n))
+
+
+def contract_by_quadrants(aux, n):
+    """Reference contraction: the dense quadrant loop, one 2**site x 2**site
+    block per auxiliary state and site."""
+    needed = n // 2 + (2 if aux.family == "A" else 1)
+    if aux.dim_aux < needed:
+        raise ValueError(f"auxiliary space of dim {aux.dim_aux} too small for "
+                         f"an {n}-site contraction (need >= {needed})")
+    # the quadrants (row, col) where the paired Pauli factor is 1
+    one, plus, minus = ((0, 0), (1, 1)), ((0, 1),), ((1, 0),)
+    if aux.conjugate_paulis:
+        plus, minus = minus, plus
+    pairs = ((aux.a0, one), (aux.a_plus, plus), (aux.a_minus, minus))
+    # reaches_left[r]: the states with a path of r steps to the left boundary
+    moves = (aux.a0 != 0) | (aux.a_plus != 0) | (aux.a_minus != 0)
+    reaches_left = [np.arange(aux.dim_aux) == aux.left_index]
+    for _ in range(n - 1):
+        reaches_left.append(moves.T @ reaches_left[-1])
+    partial: dict[int, np.ndarray] = {aux.right_index: np.eye(1, dtype=complex)}
+    for site in range(n):
+        keep, half = reaches_left[n - 1 - site], 2 ** site
+        step: dict[int, np.ndarray] = {}
+        for mat, quadrants in pairs:
+            rows, cols = np.nonzero(mat)
+            for a, b in zip(rows, cols):
+                block = partial.get(b)
+                if block is None or not keep[a]:
+                    continue
+                if a not in step:
+                    step[a] = np.zeros((2 * half, 2 * half), dtype=complex)
+                contrib = mat[a, b] * block
+                for i, j in quadrants:
+                    step[a][i * half:(i + 1) * half, j * half:(j + 1) * half] += contrib
+        partial = step
+    dim = 2 ** n
+    return partial.get(aux.left_index, np.zeros((dim, dim), dtype=complex))
+
+
+def aux_families(n, delta):
+    eta = eta_from_delta(delta)
+    return [build_aux_A(n, eta)] + [build_aux_B(n, eta, solve_s(epsilon, eta))
+                                    for epsilon in (1e-3, 1e-2)]
+
+
+# the same bits as the dense loop, signed zeros included, from M_z blocks only
+@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("delta", [0.5, -0.8, 2.0, 100.0])
+def test_block_contraction_is_the_quadrant_loop_bit_for_bit(n, delta):
+    for aux in aux_families(n, delta):
+        dense = contract_to_dense(aux, n)
+        assert np.array_equal(dense.view(np.int64),
+                              contract_by_quadrants(aux, n).view(np.int64))
+        blocks = _contract_blocks(aux, n)
+        assert blocks and all(row == col for row, col in blocks)
+        sectors = popcount_sectors(n)
+        assert sum(block.size for block in blocks.values()) <= math.comb(2 * n, n)
+        for (k, _), block in blocks.items():
+            assert np.array_equal(block, dense[np.ix_(sectors[k], sectors[k])])
+
+
+def test_block_contraction_keeps_every_zero_positive():
+    # -0 * x and x * -0 terms land in blocks the dense loop starts at +0
+    aux = build_aux_B(6, eta_from_delta(-0.8), solve_s(1e-2, eta_from_delta(-0.8)))
+    dense = contract_to_dense(aux, 6)
+    assert not np.any(np.signbit(dense.real[dense.real == 0]))
+    assert not np.any(np.signbit(dense.imag[dense.imag == 0]))
+
+
+def test_popcount_sectors_partition_the_basis():
+    for n in (1, 4, 9):
+        sectors = popcount_sectors(n)
+        assert popcount_sectors(n) is sectors  # cached per n
+        assert np.array_equal(np.sort(np.concatenate(sectors)), np.arange(2 ** n))
+        for k, idx in enumerate(sectors):
+            assert len(idx) == math.comb(n, k) and np.all(np.diff(idx) > 0)
+            assert all(bin(i).count("1") == k for i in idx)
+            assert not idx.flags.writeable
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.5, 1.0, 2.0])

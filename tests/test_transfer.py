@@ -585,6 +585,23 @@ def test_f0_delta_log_route_matches_mpmath():
     assert f0_delta(est.params.replace(lam=0.0)).value == 0.0
 
 
+def test_f0_delta_past_the_overflow_raises():
+    # Delta = 2 loses paths from n = 542 on: the rows below keep the log
+    # jet's bits, the row at n = 1000 names the overflow instead of
+    # returning log 516194.70
+    pref = math.log(0.1 ** 2 / (4 * 3.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the bands' cosh^2 overflow
+        for n in (540, 541):
+            params = ChainParams(n=n, delta=2.0, lam=0.1, mu=1.0)
+            twice = _jet_log(_bands(("T", "dT", "F"), n, None, params.eta), n)[n]
+            assert f0_delta(params).log_value == twice.log + pref
+        with pytest.raises(ArithmeticError, match=r"cosh\^2 overflow"):
+            f0_delta(ChainParams(n=1000, delta=2.0, lam=0.1, mu=1.0))
+        with pytest.raises(ArithmeticError, match=r"cosh\^2 overflow"):
+            f0_delta(ChainParams(n=1000, delta=-2.0, lam=0.1, mu=1.0))
+
+
 def central_second_eta_derivative(n, eta):
     """d^2/dt^2 <L|T^n|R> by step-1e-4 and 5e-5 central stencils with one
     Richardson level, t the real parametrization of eta (eta = i t for
