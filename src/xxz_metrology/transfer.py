@@ -574,11 +574,11 @@ def isotropic_f_delta(params) -> float:
 
 @dataclass
 class JordanData:
-    """Jordan decomposition V^-1 T V = [[1,1],[0,1]] (+) diag(tau_j)."""
+    """Jordan decomposition V^-1 T V = [[1,1],[0,1]] (+) diag(tau_j), all real."""
 
     taus: np.ndarray          # bulk eigenvalues, |tau_1| >= ... >= |tau_d|
     V: np.ndarray
-    V_inv: np.ndarray
+    V_inv: np.ndarray         # in closed form, not a numerical inverse
     chi1: float               # <L|V^-1|R>
     residual: float           # ||V^-1 T V - Jordan form||_max
 
@@ -591,61 +591,60 @@ def defective_vector(ts: TransferSystem) -> tuple[float, np.ndarray]:
     psi_R = 2(d+1)/d * (1 - T_11) and
     psi_k = 2(d-k+1)/(d-k+2) * T_{k,k-1}/(1 - T_{k,k}) * psi_{k-1}.
     """
-    d, T = ts.d, ts.T
-    ix = lambda k: 1 + k
+    d, T = ts.d, ts.T  # |k> is row/column 1 + k
     psi = np.zeros(d)
     psi[0] = 2.0
-    psi_R = 2 * (d + 1) / d * (1.0 - T[ix(1), ix(1)])
+    psi_R = 2 * (d + 1) / d * (1.0 - T[2, 2])
     for k in range(2, d + 1):
-        denom = 1.0 - T[ix(k), ix(k)]
+        denom = 1.0 - T[1 + k, 1 + k]
         if abs(denom) < 1e-14:
-            raise ZeroDivisionError(
-                f"1 - T_kk vanishes at k={k} (degenerate eta); the defective "
-                "recurrence is singular here")
-        psi[k - 1] = (2 * (d - k + 1) / (d - k + 2)
-                      * T[ix(k), ix(k - 1)] / denom * psi[k - 2])
+            raise ZeroDivisionError(f"1 - T_kk vanishes at k={k} (degenerate eta); the "
+                                    "defective recurrence is singular here")
+        psi[k - 1] = 2 * (d - k + 1) / (d - k + 2) * T[1 + k, k] / denom * psi[k - 2]
     return float(psi_R), psi
 
 
 def jordan_decompose(ts: TransferSystem) -> JordanData:
-    """Assemble the similarity V from the analytically known eigenstructure.
+    """Assemble the real similarity V from the analytically known eigenstructure.
 
-    The bulk remainder T' (rows/columns 1..d) is diagonalized numerically;
-    each bulk eigenvector is lifted to T via the |L> admixture
-    <1|tau'>/(2 tau - 2).  The defective pair at eigenvalue 1 is written
-    down structurally (|L> and the defective vector) rather than detected
-    numerically.
+    The bulk block T' (rows/columns 1..d) is tridiagonal with pairs
+    T'[k+1,k] T'[k,k+1] = s(tk)^2 s(t(k+1))^2/4 >= 0 (s = sin, sinh for
+    |Delta| > 1, t of :func:`_split_eta`), so D = diag|s(tk)| makes
+    S = D T' D^-1 symmetric, with off-diagonals +-|s(tk) s(t(k+1))|/2.  Its
+    characteristic polynomial sees only those products, so ``eigh(S)`` gives
+    the tau of T' even where some s(tk) vanishes, checked before anything
+    divides by s.  W = D^-1 Q (W^-1 = Q^T D) lifts to T with the |L> admixture
+    a_j = <1|w_j>/(2 tau_j - 2), and V = [[1, 0, a^T], [0, psi_R, 0],
+    [0, psi, W]] (|L>, the defective vector, the bulk) inverts in closed form.
     """
     d, T = ts.d, ts.T
-    Tb = T[2:, 2:]
-    taus, vecs = np.linalg.eig(Tb)
-    if np.max(np.abs(taus.imag)) < 1e-10:
-        taus = taus.real
-        vecs = vecs.real
+    t, easy_axis = _split_eta(ts.eta)
+    s = np.abs((np.sinh if easy_axis else np.sin)(t * np.arange(1, d + 1)))
+    S = np.diag(np.diagonal(T)[2:])  # the flat slices are its two off-diagonals
+    S.flat[1::d + 1] = S.flat[d::d + 1] = (-0.5 if easy_axis else 0.5) * s[:-1] * s[1:]
+    taus, Q = np.linalg.eigh(S)
+    del S
     order = np.argsort(-np.abs(taus))
     taus = taus[order]
-    vecs = vecs[:, order]
     gap = float(np.min(np.abs(taus - 1.0)))
     if gap < 1e-10:
         raise ValueError(
             f"bulk transfer block has an eigenvalue within 1e-10 of 1 (min |tau - 1| = "
             f"{gap:.2g}): for rational eta/pi the truncation must satisfy d <= |p| - 1")
-    dim = d + 2
-    V = np.zeros((dim, dim), dtype=taus.dtype)
-    V[0, 0] = 1.0
+    V, V_inv = np.zeros((d + 2, d + 2)), np.zeros((d + 2, d + 2))
+    W = np.divide(Q[:, order], s[:, None], out=V[2:, 2:])
+    W_inv = np.multiply(Q.T[order], s, out=V_inv[2:, 2:])
+    del Q
     psi_R, psi = defective_vector(ts)
-    V[1, 1] = psi_R
-    V[2:, 1] = psi
-    V[0, 2:] = vecs[0, :] / (2 * taus - 2)
-    V[2:, 2:] = vecs
-    V_inv = np.linalg.inv(V)
-    jordan = np.zeros((dim, dim), dtype=taus.dtype)
-    jordan[0, 0] = jordan[1, 1] = 1.0
-    jordan[0, 1] = 1.0
-    jordan[2:, 2:] = np.diag(taus)
-    residual = float(np.max(np.abs(V_inv @ T @ V - jordan)))
-    chi1 = float(np.real(V_inv[0, 1]))
-    return JordanData(taus=taus, V=V, V_inv=V_inv, chi1=chi1, residual=residual)
+    V[0, 0], V[1, 1], V[2:, 1], V[0, 2:] = 1.0, psi_R, psi, W[0] / (2 * taus - 2)
+    V_inv[0, 0], V_inv[1, 1], V_inv[2:, 1] = 1.0, 1.0 / psi_R, -(W_inv @ psi) / psi_R
+    V_inv[0, 2:] = -(V[0, 2:] @ W_inv)
+    V_inv[0, 1] = -(V[0, 2:] @ V_inv[2:, 1])  # a^T W^-1 psi / psi_R
+    residual = V_inv @ T @ V  # minus the Jordan form, in place
+    residual[np.diag_indices_from(residual)] -= np.r_[1.0, 1.0, taus]
+    residual[0, 1] -= 1.0
+    return JordanData(taus=taus, V=V, V_inv=V_inv, chi1=float(V_inv[0, 1]),
+                      residual=float(np.max(np.abs(residual, out=residual))))
 
 
 # ---------------------------------------------------------------------------
@@ -699,9 +698,10 @@ def chi_coefficient_rational(p: int, q: int) -> Chi:
 
 
 def chi_coefficient(delta: float, d: int) -> Chi:
-    """chi = d/(2(d+1)) * 1/(1 - Delta^2) and chi_1 at a float Delta, on T
-    truncated at d.  Where Delta puts a bulk eigenvalue within 1e-10 of 1
-    (eta/pi at or next to some q/p with p <= d), chi_1 is nan, with a warning.
+    """chi = d/(2(d+1)) * 1/(1 - Delta^2) and chi_1 = <L|V^-1|R> (real, closed
+    form: :func:`jordan_decompose`) at a float Delta, on T truncated at d.  Where
+    Delta puts a bulk eigenvalue within 1e-10 of 1 (eta/pi at or next to some
+    q/p with p <= d), chi_1 is nan, with a warning.
     """
     if not abs(delta) < 1:
         raise ValueError("chi is defined for |Delta| < 1")

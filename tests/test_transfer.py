@@ -303,12 +303,12 @@ MIRRORED = {
 @pytest.mark.parametrize("name", list(MIRRORED))
 def test_quantities_are_even_in_delta(name):
     # the bands depend on |Delta| only: the same t for -Delta, bit for bit
-    # next to Delta = -1 and to rounding elsewhere; chi1 only to Jordan's
-    # conditioning at d = 400
+    # next to Delta = -1 and to rounding elsewhere; chi1 to the rounding of
+    # t amplified by the symmetric eigh at d = 400 (8.8e-9 at Delta = +-0.2)
     def value(delta):
         return np.array(MIRRORED[name](delta), dtype=float)
 
-    rtol = 1e-6 if name == "chi_coefficient" else 1e-14
+    rtol = 1e-7 if name == "chi_coefficient" else 1e-14
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # chi1 = nan, or outside the isotropic window
         for x in (1e-9, 1e-12, 1e-14):
@@ -720,6 +720,7 @@ def test_jordan_reconstruction(delta):
 def test_jordan_easy_axis_taus_grow():
     jd = jordan_decompose(build_transfer(4, eta_from_delta(1.5)))
     assert np.all(np.abs(jd.taus) > 1)
+    assert jd.residual < 1e-10  # the symmetrized block keeps the -sinh^2/2 signs
 
 
 def test_jordan_d1_delta0():
@@ -754,6 +755,44 @@ def test_jordan_error_states_the_measured_gap():
         jordan_decompose(build_transfer(400, math.acos(0.44)))
     gap = float(re.search(r"min \|tau - 1\| = (\S+)\)", str(info.value)).group(1))
     assert 0 < gap < 1e-10
+
+
+def mp_chi1(delta, d, mp):
+    """chi_1 = <1|(T' - 1)^-1|psi> / (2 psi_R) by a Thomas solve in mpmath.
+
+    The block inverse of V gives <L|V^-1|R> = a^T W^-1 psi / psi_R, and
+    a^T W^-1 = <1|(T' - 1)^-1 / 2.  T' is the bulk block at t = acos|Delta|:
+    row k holds sin^2(t(k-1))/2, cos^2(t k) and sin^2(t(k+1))/2; (psi_R, psi)
+    follow the recurrence of :func:`defective_vector`.
+    """
+    t = mp.acos(abs(mp.mpf(delta)))
+    diag = [mp.cos(t * k) ** 2 - 1 for k in range(1, d + 1)]
+    off = [mp.sin(t * k) ** 2 / 2 for k in range(1, d + 1)]  # the moves out of |k>
+    psi = [mp.mpf(2)]
+    for k in range(2, d + 1):
+        psi.append(2 * mp.mpf(d - k + 1) / (d - k + 2) * off[k - 2] / -diag[k - 1] * psi[-1])
+    psi_R = 2 * mp.mpf(d + 1) / d * -diag[0]
+    upper, rhs = [off[1] / diag[0]], [psi[0] / diag[0]]  # forward elimination
+    for i in range(1, d):
+        pivot = diag[i] - off[i - 1] * upper[-1]
+        upper.append(off[i + 1] / pivot if i + 1 < d else 0)
+        rhs.append((psi[i] - off[i - 1] * rhs[-1]) / pivot)
+    x = rhs[-1]
+    for i in range(d - 2, -1, -1):
+        x = rhs[i] - upper[i] * x
+    return x / (2 * psi_R)
+
+
+@pytest.mark.parametrize("delta", [0.94, -0.17, 1 / 3])
+def test_jordan_chi1_matches_a_multiprecision_solve(delta):
+    # the bound lies between the symmetric eigh (2.8e-6 off at Delta = 0.94)
+    # and a general eig with a dense inverse (8.8e-4 and 1.2e-4 at 0.94, -0.17)
+    mp = pytest.importorskip("mpmath")
+    d = 400
+    with mp.workdps(60):
+        expected = mp_chi1(delta, d, mp)
+        chi1 = jordan_decompose(build_transfer(d, eta_from_delta(delta))).chi1
+        assert abs((chi1 - expected) / expected) <= 2e-5
 
 
 def test_defective_vector_residual():
