@@ -43,9 +43,9 @@ from .model import ChainParams, eta_from_delta
 from .mpo import _log_threshold, hs_norm_sq_via_transfer
 from .fisher import qfi_parametric
 from .lindblad import ness_mu1
-from .transfer import (LinePasses, RationalPasses, bracket_log_at, bracket_series,
-                       check_single_path, chi_coefficient, chi_coefficient_rational,
-                       defect_series, f0_x, isotropic_bracket_series, isotropic_f_delta,
+from .transfer import (LinePasses, RationalPasses, bracket_series, chi_coefficient,
+                       chi_coefficient_rational, defect_series, f0_x,
+                       isotropic_bracket_series, isotropic_f_delta,
                        second_eta_derivative_bracket, xi_coefficient,
                        xi_coefficient_rational)
 
@@ -144,15 +144,9 @@ def _eval_xi_n(passes, delta, n):
     return xi_coefficient(delta, n, passes)._asdict()
 
 
-def _check_single_path(passes, n, eta):
-    """A log bracket below its single path is an error row (|Delta| > 1, n >= 4)."""
-    check_single_path(n, eta, bracket_log_at(n, eta, passes).log)
-
-
 def _eval_flambda(passes, delta, lambda_over_j, n):
     if lambda_over_j == 0.0:
         params = ChainParams(n=n, j_coupling=1.0, delta=delta, lam=1.0, mu=1.0)
-        _check_single_path(passes, n, params.eta)
         est, epsilon = f0_x(params, "lambda", passes), ""
     else:
         params = ChainParams(n=n, j_coupling=1.0, delta=delta, lam=lambda_over_j, mu=1.0)
@@ -168,7 +162,6 @@ def _eval_flambda(passes, delta, lambda_over_j, n):
 
 def _eval_validity(passes, delta, n, mu):
     eta = eta_from_delta(delta)
-    _check_single_path(passes, n, eta)
     log_norm = hs_norm_sq_via_transfer(n, eta, passes).log
     log_thr = _log_threshold(n, mu, log_norm)
     thr_lin, thr_sign, thr_l10 = _log10_cols(1.0, log_thr)

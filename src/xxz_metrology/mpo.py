@@ -265,9 +265,9 @@ def hs_norm_sq_via_transfer(n: int, eta: complex,
     """||Z||_HS^2 = 2**n <L|T^n|R> as a SignedLog, overflow-safe.
 
     Identity between the dense contraction of the A family and the
-    transfer-matrix bracket (read by ``bracket_log_at``; ``passes``
-    shares it along a scan line); the test suite cross-checks it against
-    hs_norm(contract_to_dense(...))**2 wherever the dense form fits.
+    transfer-matrix bracket, read by ``bracket_log_at`` (``passes`` shares
+    it along a scan line), so past the cosh^2 overflow it raises; the test
+    suite cross-checks it against hs_norm(contract_to_dense(...))**2 at small n.
     """
     val = bracket_log_at(n, eta, passes)
     return SignedLog(val.sign, val.log + n * math.log(2.0))
@@ -287,6 +287,7 @@ def validity_threshold(n: int, eta: complex, mu: float) -> SignedLog:
     """Largest lambda/J for which the perturbative expansion is controlled.
 
     sqrt(2**(n+1)) / (mu ||Z||_HS), as a SignedLog; above it the first
-    order overtakes the identity.  Vacuous at mu = 0.
+    order overtakes the identity.  Vacuous at mu = 0; raises where
+    :func:`hs_norm_sq_via_transfer` does, past the cosh^2 overflow.
     """
     return SignedLog(1.0, _log_threshold(n, mu, hs_norm_sq_via_transfer(n, eta).log))

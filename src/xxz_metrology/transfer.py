@@ -39,7 +39,8 @@ row of m's own pass (d = m//2) bit for bit, except next to a band entry
 that overflows (see :class:`LinePasses`, which shares passes between the
 rows of a scan line).  A single bracket or defect sum is returned as a
 float where that is finite and as a SignedLog where it leaves the double
-range.
+range.  Each bracket row read through :func:`bracket_log_at` is held to
+:func:`check_single_path`: past the cosh^2 overflow it raises.
 """
 
 from __future__ import annotations
@@ -400,11 +401,14 @@ def bracket_log_at(n: int, eta: complex, passes: LinePasses | None = None) -> Si
     """<L|T^n|R> as a SignedLog: row n of a :func:`bracket_LTnR_log` pass.
 
     The pass is row n's own, or one that ``passes`` shares along a scan
-    line.  A row that lost every path to band overflow raises.
+    line.  A row that lost every path to band overflow raises, and so does
+    one below its :func:`check_single_path` (past the cosh^2 overflow).
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    return _bracket_row((passes or LinePasses())(bracket_LTnR_log, n, eta), n)
+    val = _bracket_row((passes or LinePasses())(bracket_LTnR_log, n, eta), n)
+    check_single_path(n, eta, val.log)
+    return val
 
 
 def _float_or_log(series, log_fn, n: int, eta: complex, d: int | None):
@@ -454,9 +458,9 @@ def f0_x(params, parameter: str, passes: LinePasses | None = None):
     """Leading-order Fisher information for x in {J, lambda, mu}.
 
     F_x^(0) = (d(lambda mu / J)/dx)^2 <L|T^n|R> / 2, the bracket read by
-    :func:`bracket_log_at` (``passes`` shares it along a scan line).
-    Returns a FisherEstimate; for |Delta| > 1 the value may only be
-    representable through its ``log_value``.
+    :func:`bracket_log_at` (``passes`` shares it along a scan line, and it
+    raises past the cosh^2 overflow).  Returns a FisherEstimate; for
+    |Delta| > 1 the value may only be representable through its ``log_value``.
     """
     if parameter not in _PREFACTOR_DERIVS:
         raise ValueError(
@@ -500,16 +504,16 @@ def f0_delta(params):
     entries cancel its two terms to O(eta^2) exactly: accurate for every
     |Delta| != 1.  Where the float jet is not finite (|Delta| > 1, large n)
     the log jet runs, and the value may only be held by ``log_value``.
-    The jet runs on the bracket's |T| band, so for |Delta| > 1 the bracket
-    is held to :func:`check_single_path` first: past the cosh^2 overflow,
-    where the log bands lose paths, it raises ArithmeticError.
+    The jet runs on the bracket's |T| band, so for |Delta| > 1 it reads
+    the bracket through :func:`bracket_log_at` first: past the cosh^2
+    overflow, where the log bands lose paths, it raises ArithmeticError.
     """
     delta, n = params.delta, params.n
     if abs(delta) == 1.0:
         raise ValueError("f0_delta is singular at the isotropic point |Delta| = 1; "
                          "use isotropic_f_delta there")
     if abs(delta) > 1.0:
-        check_single_path(n, params.eta, bracket_log_at(n, params.eta).log)
+        bracket_log_at(n, params.eta)
     # a quarter, not a half: the jet gives twice the bracket
     pref = params.lam ** 2 * params.mu ** 2 / (
         4 * params.j_coupling ** 2 * abs((1 - delta) * (1 + delta)))

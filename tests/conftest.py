@@ -19,8 +19,8 @@ class EasyAxisBounds(NamedTuple):
 def _easy_axis_lower_bound(n: int, eta: complex) -> EasyAxisBounds:
     """Superexponential chain bound <= path <= bracket, all as natural logs.
 
-    The path is ``check_single_path``'s, and a bracket below it raises
-    ArithmeticError there; bounding sinh^2(y) >= y^2 in it yields
+    The path is ``check_single_path``'s, and ``bracket_log_at`` raises
+    ArithmeticError for a bracket below it; bounding sinh^2(y) >= y^2 in it yields
     t^{2(n-2)}/2^n ((n/2)! (n/2-1)!)^2.
     """
     t, easy_axis = _split_eta(eta)

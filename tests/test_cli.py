@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import known_faults
 import xxz_metrology
 from xxz_metrology.cli import (EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, ScanSpec,
                                UsageError, main, rational_grid, run_scan)
@@ -237,17 +238,6 @@ def test_flambda_leading_order_at_large_anisotropy(tmp_path):
     assert row["error"] == "" and float(row["f_log10"]) > 0
 
 
-def test_overflowed_bracket_is_an_error_row(tmp_path):
-    # |T| bands overflow at Delta = 1e77: the log bracket would read 0
-    out = tmp_path / "validity.csv"
-    code = main(["scan", "validity-report", "--delta", "1e77",
-                 "--n-range", "4", "4", "1", "--out", str(out)])
-    assert code == EXIT_PARTIAL
-    row = dict(zip(*read_csv(out)))
-    assert row["error"].startswith("ArithmeticError: <L|T^4|R>")
-    assert row["hs_norm_sq_log10"] == ""
-
-
 def test_json_format(tmp_path):
     out = tmp_path / "grid.json"
     code = main(["scan", "validity-report", "--delta", "0.5", "--mu", "1",
@@ -376,19 +366,22 @@ def test_xi_rational_scan_smoke(tmp_path):
 
 def test_pool_workers_write_the_same_bytes_and_warnings(tmp_path):
     # single points (rational xi) and lines (two Delta lines of validity-report)
-    for name, argv, exit_code in (
-            ("xi", ["xi-vs-eta-rational", "--p-max", "7", "--n-window", "120"], EXIT_OK),
+    for name, argv in (
+            ("xi", ["xi-vs-eta-rational", "--p-max", "7", "--n-window", "120"]),
             ("validity", ["validity-report", "--delta", "2", "1.1",
-                          "--n-range", "500", "700", "100"], EXIT_PARTIAL)):
-        manifests = []
+                          "--n-range", "500", "700", "100"])):
+        manifests, codes = [], []
         for workers in ("1", "2"):
             out = tmp_path / f"{name}{workers}.csv"
-            code = main(["scan", *argv, "--workers", workers, "--out", str(out)])
-            assert code == exit_code
+            codes.append(main(["scan", *argv, "--workers", workers, "--out", str(out)]))
             manifest = tmp_path / f"{name}{workers}.csv.manifest.json"
             manifests.append(json.loads(manifest.read_text()))
         data = [(tmp_path / f"{name}{workers}.csv").read_bytes() for workers in "12"]
         assert data[0] == data[1]
+        faults = sum(known_faults.fault_at(argv[0], **row) is not None
+                     for row in csv.DictReader(data[0].decode("utf-8").splitlines()))
+        assert manifests[0]["failures"] == faults  # the known faults
+        assert codes == [EXIT_PARTIAL if faults else EXIT_OK] * 2
         assert manifests[0]["warnings"] == manifests[1]["warnings"]
         assert [len(m["wall_s"]) for m in manifests] == [m["rows"] for m in manifests]
         if name == "xi":
@@ -403,7 +396,6 @@ def test_pool_workers_write_the_same_bytes_and_warnings(tmp_path):
             assert manifests[0]["warnings"]
             assert {(w["point"]["delta"], w["point"]["n"])
                     for w in manifests[0]["warnings"]} == {(2.0, 700)}
-            assert manifests[0]["failures"] == 2
 
 
 def test_rational_line_rows_are_their_own_passes(tmp_path):
@@ -465,36 +457,28 @@ def test_a_line_writes_the_bytes_of_its_rows_run_one_n_at_a_time(tmp_path, kind,
         assert rows[("0.37", 1)].startswith("ValueError: need n >= 2")
         assert [rows[("0.37", n)] for n in range(2, 10)] == [""] * 8
         return
-    # next to the first overflowed column (J = 271 at Delta = 2, J = 2 at
-    # Delta = 1e80) a row keeps the value of its own pass, below it the
-    # single-path check catches the lost paths
-    assert rows[("2.0", 540)] == rows[("2.0", 541)] == ""
-    assert "below the single-path bound" in rows[("2.0", 600)]
-    assert rows[("1e+80", 2)] == rows[("1e+80", 3)] == ""
-    assert all("lost every path" in rows[("1e+80", n)] for n in range(4, 9))
-    assert [rows[("-1.5", n)] for n in range(2, 10)] == [""] * 8
+    # the lines run next to the first overflowed column (J = 271 at Delta = 2,
+    # J = 2 at Delta = 1e80): from n = 2 on, exactly the registered rows fail
     assert rows[("1e+80", 1)].startswith("ValueError: need ")
+    assert all(bool(error) == (known_faults.fault_at(kind, delta=dl, lambda_over_j=0, n=n)
+                               is not None)
+               for (dl, n), error in rows.items() if dl != "nan" and n > 1)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_rows_below_their_single_path_fail_from_the_overflow_on(tmp_path):
-    # line passes to n = 1001: the odd rows fail from n = 543 at Delta = 2,
-    # from 741 at -1.5 and from 137 at 100, each one after its even
-    # neighbour, none below, and none at Delta = 1.1
-    out = tmp_path / "validity.csv"
-    code = main(["scan", "validity-report", "--delta", "2", "-1.5", "100", "1.1",
-                 "--n-range", "4", "1001", "1", "--out", str(out)])
-    assert code == EXIT_PARTIAL
-    header, *data = read_csv(out)
-    failed = {}
-    for row in (dict(zip(header, cells)) for cells in data):
-        failed.setdefault(row["delta"], set())
-        if row["error"]:
-            assert "below the single-path bound" in row["error"]
-            failed[row["delta"]].add(int(row["n"]))
-    for delta, first in (("2.0", 542), ("-1.5", 740), ("100.0", 136)):
-        assert failed[delta] == set(range(first, 1002))
-    assert failed["1.1"] == set()
+@pytest.mark.parametrize("fault", known_faults.FAULTS, ids=lambda fault: fault.name)
+def test_a_scan_fails_at_exactly_its_known_faults(tmp_path, fault):
+    out = tmp_path / "scan.csv"
+    assert main(["scan", fault.kind, *fault.args.split(), "--out", str(out)]) == EXIT_PARTIAL
+    header, *cells = read_csv(out)
+    rows = [dict(zip(header, row)) for row in cells]
+    faults = [known_faults.fault_at(fault.kind, **row) for row in rows]
+    assert [here for here in faults if here] == [fault] * len(fault.points)
+    point = {*known_faults.KEYS[fault.kind], "mu", "error"}  # the cells a failed row fills
+    for row, here in zip(rows, faults):
+        assert (row["error"].startswith("ArithmeticError: ") and here.error in row["error"]
+                and all(row[c] == "" for c in header if c not in point)
+                if here else row["error"] == "")
 
 
 def test_linear_column_is_empty_past_the_double_range(tmp_path):

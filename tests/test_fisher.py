@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag, sqrtm
 
+import known_faults
 from xxz_metrology import fisher
 from xxz_metrology.model import ChainParams, hs_norm, magnetization_z, pauli
 from xxz_metrology.fisher import (SUPPORT_TOL, FisherEstimate, fisher_cross,
@@ -348,8 +349,10 @@ def test_in_place_stencils_give_the_separate_arrays_value_bit_for_bit():
                     == outcome(lambda: qfi_parametric_before(small, parameter, build)))
 
 
-def test_in_place_stencils_fail_with_the_separate_arrays_message():
-    params = ChainParams(n=8, delta=10.0, lam=1e-3, mu=1.0)
+@pytest.mark.parametrize("delta, lam, n", sorted(
+    point for fault in known_faults.FAULTS if fault.direction == 5 for point in fault.points))
+def test_in_place_stencils_fail_with_the_separate_arrays_message(delta, lam, n):
+    params = ChainParams(n=n, delta=delta, lam=lam, mu=1.0)
     with pytest.raises(ArithmeticError, match="did not converge") as before:
         qfi_parametric_before(params, "lambda", mu1_state)
     with pytest.raises(ArithmeticError) as now:

@@ -6,9 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import known_faults
 from xxz_metrology.fisher import qfi_parametric
 from xxz_metrology.lindblad import ness_perturbative
 from xxz_metrology.model import ChainParams, eta_from_delta
+from xxz_metrology.mpo import _log_threshold, hs_norm_sq_via_transfer, validity_threshold
 from xxz_metrology.transfer import (RationalPasses, SignedLog, _bands, _entries,
                                     _jet_log, _jet_series, _split_eta, _stack_bands,
                                     bracket_LTnR,
@@ -585,23 +587,6 @@ def test_f0_delta_log_route_matches_mpmath():
     assert f0_delta(est.params.replace(lam=0.0)).value == 0.0
 
 
-def test_f0_delta_past_the_overflow_raises():
-    # Delta = 2 loses paths from n = 542 on: the rows below keep the log
-    # jet's bits, the row at n = 1000 names the overflow instead of
-    # returning log 516194.70
-    pref = math.log(0.1 ** 2 / (4 * 3.0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the bands' cosh^2 overflow
-        for n in (540, 541):
-            params = ChainParams(n=n, delta=2.0, lam=0.1, mu=1.0)
-            twice = _jet_log(_bands(("T", "dT", "F"), n, None, params.eta), n)[n]
-            assert f0_delta(params).log_value == twice.log + pref
-        with pytest.raises(ArithmeticError, match=r"cosh\^2 overflow"):
-            f0_delta(ChainParams(n=1000, delta=2.0, lam=0.1, mu=1.0))
-        with pytest.raises(ArithmeticError, match=r"cosh\^2 overflow"):
-            f0_delta(ChainParams(n=1000, delta=-2.0, lam=0.1, mu=1.0))
-
-
 def central_second_eta_derivative(n, eta):
     """d^2/dt^2 <L|T^n|R> by step-1e-4 and 5e-5 central stencils with one
     Richardson level, t the real parametrization of eta (eta = i t for
@@ -960,26 +945,20 @@ def test_easy_axis_superexponential(easy_axis_lower_bound):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_easy_axis_path_does_not_overflow(easy_axis_lower_bound):
-    # sinh(k t) leaves the double range at these n; the path in logs does not,
-    # and the bracket's cosh^2 overflow is then reported, not an OverflowError
-    for delta, n in ((100.0, 300), (10.0, 480)):
-        with pytest.raises(ArithmeticError, match="cosh\\^2 overflow"):
-            easy_axis_lower_bound(n, eta_from_delta(delta))
-    b = easy_axis_lower_bound(540, eta_from_delta(2.0))
-    assert b.log_bound <= b.log_path <= b.log_bracket
+    # sinh(k t) leaves the double range at the first two; the path in logs
+    # does not, and a known fault of the bracket is reported, not an OverflowError
+    for delta, n in ((100.0, 300), (10.0, 480), (2.0, 540)):
+        eta = eta_from_delta(delta)
+        assert math.isfinite(check_single_path(n, eta, math.inf))
+        with known_faults.expect("validity-report", delta=delta, n=n):
+            b = easy_axis_lower_bound(n, eta)
+            assert b.log_bound <= b.log_path <= b.log_bracket
     t = math.acosh(2.0)
     direct = -30 * math.log(2.0) + sum(
         2 * (math.log(math.sinh(k * t)) + math.log(math.sinh((k + 1) * t)))
         for k in range(1, 15))
     assert math.isclose(easy_axis_lower_bound(30, eta_from_delta(2.0)).log_path,
                         direct, rel_tol=1e-14)
-
-
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_easy_axis_bracket_below_path_raises(easy_axis_lower_bound):
-    # the log bracket silently drops paths here (135219 < 178534)
-    with pytest.raises(ArithmeticError, match="cosh\\^2 overflow"):
-        easy_axis_lower_bound(260, eta_from_delta(100.0))
 
 
 def test_easy_axis_rejects_bad_input(easy_axis_lower_bound):
@@ -1016,19 +995,42 @@ def test_single_path_is_one_path_of_the_bracket(delta):
         log_path = check_single_path(n, eta, log_bracket)
         assert math.isclose(log_path, path_log_weight(n, eta), rel_tol=1e-13)
         assert log_path <= log_bracket
+        with pytest.raises(ArithmeticError, match=r"cosh\^2 overflow"):  # a bracket just below
+            check_single_path(n, eta, log_path - 1e-9 * abs(log_path))
     assert check_single_path(3, eta, 0.0) is None
     assert check_single_path(5, eta_from_delta(0.5), 0.0) is None
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_odd_bracket_below_path_raises():
-    # n = 543 at Delta = 2: the log bracket 193009.93 lies below 193022.72
-    eta = eta_from_delta(2.0)
-    assert check_single_path(541, eta, bracket_log_at(541, eta).log) is not None
-    with pytest.raises(ArithmeticError, match="cosh\\^2 overflow"):
-        check_single_path(543, eta, bracket_log_at(543, eta).log)
+@pytest.mark.parametrize("fault", [f for f in known_faults.FAULTS if f.direction == 4],
+                         ids=lambda fault: fault.name)
+def test_library_calls_raise_where_a_bracket_fault_starts(fault):
+    # f0_x, f0_delta, hs_norm_sq_via_transfer and validity_threshold read the
+    # bracket through the checks of a scan row: the first two registered rows
+    # at each signed Delta raise (odd n included), the row below keeps the
+    # log jet's bits (f0_delta takes its float jet at n = 3: there to 1e-14)
+    for delta in sorted({point[0] for point in fault.points}):
+        n, eta = min(p[-1] for p in fault.points if p[0] == delta), eta_from_delta(delta)
+        for m in (n, n + 1):
+            params = ChainParams(n=m, delta=delta, lam=1.0, mu=1.0)
+            for call in (lambda: f0_x(params, "lambda"), lambda: f0_delta(params),
+                         lambda: hs_norm_sq_via_transfer(m, eta),
+                         lambda: validity_threshold(m, eta, 1.0)):
+                with pytest.raises(ArithmeticError, match=re.escape(fault.error)):
+                    call()
+        below = params.replace(n=n - 1)
+        row, log_norm = bracket_LTnR_log(n - 1, eta)[n - 1].log, (n - 1) * math.log(2.0)
+        assert f0_x(below, "lambda").log_value == row - math.log(2.0)
+        assert hs_norm_sq_via_transfer(n - 1, eta).log == row + log_norm
+        assert (validity_threshold(n - 1, eta, 1.0).log
+                == _log_threshold(n - 1, 1.0, row + log_norm))
+        log_f0 = _jet_log(_bands(("T", "dT", "F"), n - 1, None, eta), n - 1)[n - 1].log + math.log(
+            1 / (4 * abs((1 - delta) * (1 + delta))))  # the prefactor at lam = mu = J = 1
+        assert math.isclose(f0_delta(below).log_value, log_f0,
+                            rel_tol=1e-14 if fault.error == known_faults.LOST else 0)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_dead_log_columns_do_not_overflow_exp():
     # past the cosh^2 overflow whole columns of the log bands turn NaN; their
     # terms are shifted by +inf, so exp sees -inf, not a huge argument, and
@@ -1036,10 +1038,10 @@ def test_dead_log_columns_do_not_overflow_exp():
     eta = eta_from_delta(2.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        log_bracket = bracket_log_at(620, eta).log
+        row = bracket_LTnR_log(620, eta)[620]
     assert not [w for w in caught if "overflow encountered in exp" in str(w.message)]
-    with pytest.raises(ArithmeticError, match="cosh\\^2 overflow"):
-        check_single_path(620, eta, log_bracket)
+    with known_faults.expect("validity-report", delta=2.0, n=620):
+        assert bracket_log_at(620, eta) == row
 
 
 # --- Toeplitz ---------------------------------------------------------------
