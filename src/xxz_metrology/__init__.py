@@ -12,10 +12,9 @@ from .fisher import (FisherEstimate, fisher_cross, optimal_estimator_variance,
                      qfi_dense, qfi_parametric, relative_error, sld)
 from .transfer import (JordanData, SignedLog, TransferSystem, bracket_LTnR,
                        bracket_LTnR_log, bracket_log_at, build_transfer,
-                       chi_coefficient, chi_coefficient_rational, defective_vector,
-                       f0_delta, f0_x, isotropic_bracket_series, isotropic_f_delta,
-                       jordan_decompose, sum_defect, xi_coefficient,
-                       xi_coefficient_rational)
+                       chi_coefficient, chi_coefficient_rational, f0_delta, f0_x,
+                       isotropic_bracket_series, isotropic_f_delta, jordan_decompose,
+                       sum_defect, xi_coefficient, xi_coefficient_rational)
 
 __all__ = [
     "ChainParams", "embed", "eta_from_delta", "hamiltonian_xxz", "hs_norm",
@@ -28,7 +27,7 @@ __all__ = [
     "qfi_dense", "qfi_parametric", "relative_error", "sld",
     "JordanData", "SignedLog", "TransferSystem", "bracket_LTnR",
     "bracket_LTnR_log", "bracket_log_at", "build_transfer", "chi_coefficient",
-    "chi_coefficient_rational", "defective_vector", "f0_delta", "f0_x",
-    "isotropic_bracket_series", "isotropic_f_delta", "jordan_decompose",
-    "sum_defect", "xi_coefficient", "xi_coefficient_rational",
+    "chi_coefficient_rational", "f0_delta", "f0_x", "isotropic_bracket_series",
+    "isotropic_f_delta", "jordan_decompose", "sum_defect", "xi_coefficient",
+    "xi_coefficient_rational",
 ]

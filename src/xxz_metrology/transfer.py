@@ -39,8 +39,12 @@ row of m's own pass (d = m//2) bit for bit, except next to a band entry
 that overflows (see :class:`LinePasses`, which shares passes between the
 rows of a scan line).  A single bracket or defect sum is returned as a
 float where that is finite and as a SignedLog where it leaves the double
-range.  Each bracket row read through :func:`bracket_log_at` is held to
+range.  Each log-domain bracket row of a full pass (d >= n//2), through
+:func:`bracket_log_at` or :func:`bracket_LTnR`, is held to
 :func:`check_single_path`: past the cosh^2 overflow it raises.
+
+:func:`jordan_decompose` gives T's bulk eigenvalues and chi_1 in closed
+form; the dense T and D of :func:`build_transfer` only check the routes.
 """
 
 from __future__ import annotations
@@ -344,15 +348,19 @@ def bracket_LTnR_log(n: int, eta: complex, d: int | None = None) -> list[SignedL
     return _jet_log(_bands(("T",), n, d, eta), n)
 
 
-def _bracket_row(series: list[SignedLog], n: int) -> SignedLog:
-    """Row n of a :func:`bracket_LTnR_log` series.
+def _bracket_row(series: list[SignedLog], n: int, eta: complex, d: int | None = None) -> SignedLog:
+    """Row n of a :func:`bracket_LTnR_log` series at eta, truncated at d.
 
     The path R -> 1 -> L -> ... -> L alone weighs 1/4: a row that is
-    not positive and finite is band overflow (|Delta| >~ 1e77) and raises.
+    not positive and finite is band overflow (|Delta| >~ 1e77) and raises,
+    and so does a full pass's (d None or >= n//2) row below its
+    :func:`check_single_path` (a truncated pass may lie below it).
     """
     val = series[n]
     if not (val.sign > 0 and math.isfinite(val.log)):
         raise ArithmeticError(f"<L|T^{n}|R> = {val} lost every path to band overflow")
+    if d is None or d >= n // 2:
+        check_single_path(n, eta, val.log)
     return val
 
 
@@ -406,9 +414,7 @@ def bracket_log_at(n: int, eta: complex, passes: LinePasses | None = None) -> Si
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    val = _bracket_row((passes or LinePasses())(bracket_LTnR_log, n, eta), n)
-    check_single_path(n, eta, val.log)
-    return val
+    return _bracket_row((passes or LinePasses())(bracket_LTnR_log, n, eta), n, eta)
 
 
 def _float_or_log(series, log_fn, n: int, eta: complex, d: int | None):
@@ -422,15 +428,18 @@ def _float_or_log(series, log_fn, n: int, eta: complex, d: int | None):
 def bracket_LTnR(n: int, eta: complex, d: int | None = None) -> float | SignedLog:
     """<L|T^n|R> by iterated banded matrix-vector products.
 
-    A float where it is finite, else a SignedLog (|Delta| > 1, large n).
+    A float where it is finite, else a SignedLog held to :func:`_bracket_row`.
     """
     return _float_or_log(bracket_series,
-                         lambda n, eta, d: _bracket_row(bracket_LTnR_log(n, eta, d), n),
+                         lambda n, eta, d: _bracket_row(bracket_LTnR_log(n, eta, d), n, eta, d),
                          n, eta, d)
 
 
 def sum_defect_log(n: int, eta: complex, d: int | None = None) -> SignedLog:
-    """Log-domain version of :func:`sum_defect` with exact sign tracking."""
+    """Log-domain version of :func:`sum_defect` with exact sign tracking; for
+    |Delta| > 1 on the full matrices it raises where :func:`bracket_log_at` does."""
+    if _split_eta(eta)[1] and (d is None or d >= n // 2):
+        bracket_log_at(n, eta)
     return _jet_log(_bands(("T", "D"), n, d, eta), n)[n]
 
 
@@ -502,27 +511,25 @@ def f0_delta(params):
     on both sides of |Delta| = 1, where it raises.  The bracket is half the
     s^2 coefficient of the one jet (|T|, d|T|/dt, F), whose closed-form F
     entries cancel its two terms to O(eta^2) exactly: accurate for every
-    |Delta| != 1.  Where the float jet is not finite (|Delta| > 1, large n)
-    the log jet runs, and the value may only be held by ``log_value``.
-    The jet runs on the bracket's |T| band, so for |Delta| > 1 it reads
-    the bracket through :func:`bracket_log_at` first: past the cosh^2
-    overflow, where the log bands lose paths, it raises ArithmeticError.
+    |Delta| != 1.  For |Delta| < 1 the jet runs in floats.  For |Delta| > 1
+    it runs in logs, and the value may only be held by ``log_value``; the
+    jet runs on the bracket's |T| band, so it reads the bracket through
+    :func:`bracket_log_at` first: past the cosh^2 overflow, where the log
+    bands lose paths, it raises ArithmeticError.
     """
     delta, n = params.delta, params.n
     if abs(delta) == 1.0:
         raise ValueError("f0_delta is singular at the isotropic point |Delta| = 1; "
                          "use isotropic_f_delta there")
-    if abs(delta) > 1.0:
-        bracket_log_at(n, params.eta)
     # a quarter, not a half: the jet gives twice the bracket
     pref = params.lam ** 2 * params.mu ** 2 / (
         4 * params.j_coupling ** 2 * abs((1 - delta) * (1 + delta)))
     bands = _bands(("T", "dT", "F"), n, None, params.eta)
-    twice = float(_jet_series(bands, n)[n])
-    if math.isfinite(twice):
-        value = pref * twice
+    if abs(delta) < 1.0:
+        value = pref * float(_jet_series(bands, n)[n])
         log_value = math.log(value) if value > 0 else -math.inf
     else:
+        bracket_log_at(n, params.eta)
         total = _jet_log(bands, n)[n]  # a negative total fails FisherEstimate's check
         log_value = total.log + math.log(pref) if pref > 0 else -math.inf
         value = SignedLog(total.sign, log_value).value
@@ -578,77 +585,47 @@ def isotropic_f_delta(params) -> float:
 
 @dataclass
 class JordanData:
-    """Jordan decomposition V^-1 T V = [[1,1],[0,1]] (+) diag(tau_j), all real."""
+    """T = V ([[1, 1], [0, 1]] (+) diag(tau_j)) V^-1: the bulk eigenvalues, and
+    chi_1 = <L|V^-1|R> of <L|T^n|R> = chi n + chi_1 + sum_j c_j tau_j^n."""
 
     taus: np.ndarray          # bulk eigenvalues, |tau_1| >= ... >= |tau_d|
-    V: np.ndarray
-    V_inv: np.ndarray         # in closed form, not a numerical inverse
-    chi1: float               # <L|V^-1|R>
-    residual: float           # ||V^-1 T V - Jordan form||_max
+    chi1: float
 
 
-def defective_vector(ts: TransferSystem) -> tuple[float, np.ndarray]:
-    """Components (psi_R, psi_1..psi_d) of the defective eigenvector.
-
-    Solves (T - 1)|psi> = |L> through the closed-form recurrence with the
-    continued fractions C_k eliminated: psi_1 = 2,
-    psi_R = 2(d+1)/d * (1 - T_11) and
-    psi_k = 2(d-k+1)/(d-k+2) * T_{k,k-1}/(1 - T_{k,k}) * psi_{k-1}.
-    """
-    d, T = ts.d, ts.T  # |k> is row/column 1 + k
-    psi = np.zeros(d)
-    psi[0] = 2.0
-    psi_R = 2 * (d + 1) / d * (1.0 - T[2, 2])
-    for k in range(2, d + 1):
-        denom = 1.0 - T[1 + k, 1 + k]
-        if abs(denom) < 1e-14:
-            raise ZeroDivisionError(f"1 - T_kk vanishes at k={k} (degenerate eta); the "
-                                    "defective recurrence is singular here")
-        psi[k - 1] = 2 * (d - k + 1) / (d - k + 2) * T[1 + k, k] / denom * psi[k - 2]
-    return float(psi_R), psi
-
-
-def jordan_decompose(ts: TransferSystem) -> JordanData:
-    """Assemble the real similarity V from the analytically known eigenstructure.
+def jordan_decompose(d: int, eta: complex) -> JordanData:
+    """The bulk eigenvalues tau of T truncated at d, and chi_1 in closed form.
 
     The bulk block T' (rows/columns 1..d) is tridiagonal with pairs
-    T'[k+1,k] T'[k,k+1] = s(tk)^2 s(t(k+1))^2/4 >= 0 (s = sin, sinh for
-    |Delta| > 1, t of :func:`_split_eta`), so D = diag|s(tk)| makes
-    S = D T' D^-1 symmetric, with off-diagonals +-|s(tk) s(t(k+1))|/2.  Its
-    characteristic polynomial sees only those products, so ``eigh(S)`` gives
-    the tau of T' even where some s(tk) vanishes, checked before anything
-    divides by s.  W = D^-1 Q (W^-1 = Q^T D) lifts to T with the |L> admixture
-    a_j = <1|w_j>/(2 tau_j - 2), and V = [[1, 0, a^T], [0, psi_R, 0],
-    [0, psi, W]] (|L>, the defective vector, the bulk) inverts in closed form.
+    T'[k+1,k] T'[k,k+1] = s_k^2 s_{k+1}^2/4 >= 0 (s_k = sin(tk), sinh for
+    |Delta| > 1, t of :func:`_split_eta`), so D = diag|s_k| makes
+    S = D T' D^-1 symmetric, with off-diagonals +-|s_k s_{k+1}|/2.  Its
+    characteristic polynomial sees only those products, so ``eigvalsh(S)``
+    gives the tau of T' even where some s_k vanishes; a tau within 1e-10 of
+    1 raises.
+
+    chi_1 comes from the resolvent: x = (1 - T')^-1 e_1, y = (1 - T')^-T e_1
+    give chi = x_1/4 and chi_1 = -chi - y^T T' x/4 = -y^T x/4 (T' x = x - e_1,
+    y_1 = x_1).  With (1 - S) z = e_1, x = |s_1| D^-1 z and y = D z/|s_1|, so
+    chi_1 = -|z|^2/4.  As 1 - c^2 = +-s^2, 1 - S = +-D M D with M = 1 -
+    (shift + shift^T)/2, and elimination down M's band (pivots (k+1)/(2k))
+    and back substitution give z_k = +-2(d+1-k)/((d+1)|s_1 s_k|):
+    chi_1 = -sum_k ((d+1-k)/(d+1))^2/(s_1 s_k)^2, a sum of positive terms
+    in O(d) floats, with no BLAS call.
     """
-    d, T = ts.d, ts.T
-    t, easy_axis = _split_eta(ts.eta)
-    s = np.abs((np.sinh if easy_axis else np.sin)(t * np.arange(1, d + 1)))
-    S = np.diag(np.diagonal(T)[2:])  # the flat slices are its two off-diagonals
-    S.flat[1::d + 1] = S.flat[d::d + 1] = (-0.5 if easy_axis else 0.5) * s[:-1] * s[1:]
-    taus, Q = np.linalg.eigh(S)
-    del S
-    order = np.argsort(-np.abs(taus))
-    taus = taus[order]
+    if d < 1:
+        raise ValueError(f"truncation index must be >= 1, got d={d}")
+    diag, off = _entries("T", d, eta)  # c(tk)^2 and s(tk)^2/2
+    S = np.diag(diag)  # the flat slices are its two off-diagonals; their sign leaves tau
+    S.flat[1::d + 1] = S.flat[d::d + 1] = np.sqrt(off[:-1] * off[1:])
+    taus = np.linalg.eigvalsh(S)
+    taus = taus[np.argsort(-np.abs(taus))]
     gap = float(np.min(np.abs(taus - 1.0)))
     if gap < 1e-10:
         raise ValueError(
             f"bulk transfer block has an eigenvalue within 1e-10 of 1 (min |tau - 1| = "
             f"{gap:.2g}): for rational eta/pi the truncation must satisfy d <= |p| - 1")
-    V, V_inv = np.zeros((d + 2, d + 2)), np.zeros((d + 2, d + 2))
-    W = np.divide(Q[:, order], s[:, None], out=V[2:, 2:])
-    W_inv = np.multiply(Q.T[order], s, out=V_inv[2:, 2:])
-    del Q
-    psi_R, psi = defective_vector(ts)
-    V[0, 0], V[1, 1], V[2:, 1], V[0, 2:] = 1.0, psi_R, psi, W[0] / (2 * taus - 2)
-    V_inv[0, 0], V_inv[1, 1], V_inv[2:, 1] = 1.0, 1.0 / psi_R, -(W_inv @ psi) / psi_R
-    V_inv[0, 2:] = -(V[0, 2:] @ W_inv)
-    V_inv[0, 1] = -(V[0, 2:] @ V_inv[2:, 1])  # a^T W^-1 psi / psi_R
-    residual = V_inv @ T @ V  # minus the Jordan form, in place
-    residual[np.diag_indices_from(residual)] -= np.r_[1.0, 1.0, taus]
-    residual[0, 1] -= 1.0
-    return JordanData(taus=taus, V=V, V_inv=V_inv, chi1=float(V_inv[0, 1]),
-                      residual=float(np.max(np.abs(residual, out=residual))))
+    weights = ((d - np.arange(d)) / (d + 1)) ** 2
+    return JordanData(taus=taus, chi1=-float(np.sum(weights / off)) / (4 * off[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +633,7 @@ def jordan_decompose(ts: TransferSystem) -> JordanData:
 # ---------------------------------------------------------------------------
 
 class Chi(NamedTuple):
-    """<L|T^n|R> = chi n + chi1 + decaying terms; chi1 = <L|V^-1|R> (Jordan)."""
+    """<L|T^n|R> = chi n + chi1 + decaying terms (see :func:`jordan_decompose`)."""
 
     chi: float
     chi1: float
@@ -698,21 +675,20 @@ def chi_coefficient_rational(p: int, q: int) -> Chi:
     truncated at d = p - 1, which is exact: no path descends from |p>."""
     eta, delta, d = _rational_point(p, q)
     chi = d / (2 * (d + 1)) / (1 - delta ** 2)
-    return Chi(chi, jordan_decompose(build_transfer(d, eta)).chi1)
+    return Chi(chi, jordan_decompose(d, eta).chi1)
 
 
 def chi_coefficient(delta: float, d: int) -> Chi:
-    """chi = d/(2(d+1)) * 1/(1 - Delta^2) and chi_1 = <L|V^-1|R> (real, closed
-    form: :func:`jordan_decompose`) at a float Delta, on T truncated at d.  Where
+    """chi = d/(2(d+1)) * 1/(1 - Delta^2) and chi_1 (closed form:
+    :func:`jordan_decompose`) at a float Delta, on T truncated at d.  Where
     Delta puts a bulk eigenvalue within 1e-10 of 1 (eta/pi at or next to some
     q/p with p <= d), chi_1 is nan, with a warning.
     """
     if not abs(delta) < 1:
         raise ValueError("chi is defined for |Delta| < 1")
-    ts = build_transfer(d, math.acos(delta))
     chi = d / (2 * (d + 1)) / (1 - delta ** 2)
     try:
-        chi1 = jordan_decompose(ts).chi1
+        chi1 = jordan_decompose(d, math.acos(delta)).chi1
     except ValueError as exc:  # chi1 is only a diagnostic: report it as unavailable
         warnings.warn(f"chi1 is undefined at Delta = {delta!r} with d = {d} "
                       f"({exc}); reported as nan")

@@ -18,7 +18,7 @@ from xxz_metrology.transfer import (RationalPasses, SignedLog, _bands, _entries,
                                     build_transfer, check_single_path, chi_coefficient,
                                     chi_coefficient_rational,
                                     chi_second_derivative, defect_series,
-                                    defective_vector, f0_delta, f0_x,
+                                    f0_delta, f0_x,
                                     isotropic_bracket_series,
                                     isotropic_f_delta, jordan_decompose,
                                     second_eta_derivative_bracket, sum_defect,
@@ -306,11 +306,11 @@ MIRRORED = {
 def test_quantities_are_even_in_delta(name):
     # the bands depend on |Delta| only: the same t for -Delta, bit for bit
     # next to Delta = -1 and to rounding elsewhere; chi1 to the rounding of
-    # t amplified by the symmetric eigh at d = 400 (8.8e-9 at Delta = +-0.2)
+    # t, which the sines near a zero amplify at d = 400 (1.4e-11 at +-0.2)
     def value(delta):
         return np.array(MIRRORED[name](delta), dtype=float)
 
-    rtol = 1e-7 if name == "chi_coefficient" else 1e-14
+    rtol = 1e-10 if name == "chi_coefficient" else 1e-14
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # chi1 = nan, or outside the isotropic window
         for x in (1e-9, 1e-12, 1e-14):
@@ -694,50 +694,49 @@ def test_isotropic_f_delta_matches_f0_delta():
 
 # --- Jordan structure -------------------------------------------------------
 
+def bulk_eigenvalues(d, eta):
+    """Eigenvalues of the dense bulk block T' by a general eig, by decreasing |tau|."""
+    taus = np.linalg.eigvals(build_transfer(d, eta).T[2:, 2:]).real
+    return taus[np.argsort(-np.abs(taus))]
+
+
 @pytest.mark.parametrize("delta", [0.3, 0.7])
-def test_jordan_reconstruction(delta):
+def test_jordan_taus_are_the_bulk_eigenvalues(delta):
     for d in (2, 7, 18, 30):
-        jd = jordan_decompose(build_transfer(d, eta_from_delta(delta)))
-        assert jd.residual < 1e-8
+        eta = eta_from_delta(delta)
+        jd = jordan_decompose(d, eta)
+        assert np.allclose(jd.taus, bulk_eigenvalues(d, eta), rtol=0, atol=1e-10)
         assert np.all(np.abs(jd.taus) < 1)
 
 
 def test_jordan_easy_axis_taus_grow():
-    jd = jordan_decompose(build_transfer(4, eta_from_delta(1.5)))
+    # the symmetrized block keeps the spectrum of the -sinh^2/2 off-diagonals
+    eta = eta_from_delta(1.5)
+    jd = jordan_decompose(4, eta)
+    assert np.allclose(jd.taus, bulk_eigenvalues(4, eta), rtol=1e-12, atol=0)
     assert np.all(np.abs(jd.taus) > 1)
-    assert jd.residual < 1e-10  # the symmetrized block keeps the -sinh^2/2 signs
 
 
 def test_jordan_d1_delta0():
-    jd = jordan_decompose(build_transfer(1, eta_from_delta(0.0)))
+    jd = jordan_decompose(1, eta_from_delta(0.0))
     assert np.allclose(jd.taus, [0.0])
-
-
-def test_jordan_power_formula():
-    ts = build_transfer(6, eta_from_delta(0.4))
-    jd = jordan_decompose(ts)
-    dim = ts.T.shape[0]
-    for k in (1, 5, 20):
-        Jk = np.zeros((dim, dim))
-        Jk[0, 0] = Jk[1, 1] = 1.0
-        Jk[0, 1] = k
-        Jk[2:, 2:] = np.diag(jd.taus ** k)
-        Tk = np.linalg.matrix_power(ts.T, k)
-        assert np.max(np.abs(jd.V @ Jk @ jd.V_inv - Tk)) < 1e-8 * np.max(np.abs(Tk))
+    assert jd.chi1 == -0.25
 
 
 def test_jordan_rejects_rational_overtruncation():
     # d >= p puts an absorbing bulk state at eigenvalue 1
     with pytest.raises(ValueError, match=re.escape("d <= |p| - 1")) as info:
-        jordan_decompose(build_transfer(3, math.pi / 3))
+        jordan_decompose(3, math.pi / 3)
     assert "within 1e-10 of 1 (min |tau - 1| = " in str(info.value)
+    with pytest.raises(ValueError, match="truncation index"):
+        jordan_decompose(0, math.pi / 3)
 
 
 def test_jordan_error_states_the_measured_gap():
     # eta/pi = 0.354978... is 8.3e-8 from 82/231: one bulk eigenvalue lies
     # below the 1e-10 cut without being exactly 1
     with pytest.raises(ValueError) as info:
-        jordan_decompose(build_transfer(400, math.acos(0.44)))
+        jordan_decompose(400, math.acos(0.44))
     gap = float(re.search(r"min \|tau - 1\| = (\S+)\)", str(info.value)).group(1))
     assert 0 < gap < 1e-10
 
@@ -745,61 +744,60 @@ def test_jordan_error_states_the_measured_gap():
 def mp_chi1(delta, d, mp):
     """chi_1 = <1|(T' - 1)^-1|psi> / (2 psi_R) by a Thomas solve in mpmath.
 
-    The block inverse of V gives <L|V^-1|R> = a^T W^-1 psi / psi_R, and
-    a^T W^-1 = <1|(T' - 1)^-1 / 2.  T' is the bulk block at t = acos|Delta|:
-    row k holds sin^2(t(k-1))/2, cos^2(t k) and sin^2(t(k+1))/2; (psi_R, psi)
-    follow the recurrence of :func:`defective_vector`.
+    The Jordan similarity V = [[1, 0, a^T], [0, psi_R, 0], [0, psi, W]]
+    (|L>, the defective vector, the bulk eigenvectors W with their |L>
+    admixture a) has <L|V^-1|R> = a^T W^-1 psi / psi_R, and a^T W^-1 =
+    <1|(T' - 1)^-1 / 2.  (psi_R, psi) solve (T - 1)|psi> = |L> by the
+    recurrence psi_1 = 2, psi_R = 2(d+1)/d (1 - T_11) and
+    psi_k = 2(d-k+1)/(d-k+2) T_{k,k-1}/(1 - T_kk) psi_{k-1}.  T' is the bulk
+    block: row k holds sigma s(t(k-1))^2/2, c(t k)^2 and sigma s(t(k+1))^2/2,
+    with (c, s, sigma) = (cos, sin, 1) at t = acos|Delta| for |Delta| < 1
+    and (cosh, sinh, -1) at t = acosh|Delta| beyond.
     """
-    t = mp.acos(abs(mp.mpf(delta)))
-    diag = [mp.cos(t * k) ** 2 - 1 for k in range(1, d + 1)]
-    off = [mp.sin(t * k) ** 2 / 2 for k in range(1, d + 1)]  # the moves out of |k>
+    x = abs(mp.mpf(delta))
+    c, s, sigma, t = ((mp.cos, mp.sin, 1, mp.acos(x)) if x < 1
+                      else (mp.cosh, mp.sinh, -1, mp.acosh(x)))
+    diag = [c(t * k) ** 2 - 1 for k in range(1, d + 1)]  # T' - 1
+    off = [sigma * s(t * k) ** 2 / 2 for k in range(1, d + 1)]  # the moves out of |k>
     psi = [mp.mpf(2)]
     for k in range(2, d + 1):
         psi.append(2 * mp.mpf(d - k + 1) / (d - k + 2) * off[k - 2] / -diag[k - 1] * psi[-1])
     psi_R = 2 * mp.mpf(d + 1) / d * -diag[0]
-    upper, rhs = [off[1] / diag[0]], [psi[0] / diag[0]]  # forward elimination
-    for i in range(1, d):
-        pivot = diag[i] - off[i - 1] * upper[-1]
+    upper, rhs = [mp.mpf(0)], [mp.mpf(0)]  # forward elimination, row i on row i - 1
+    for i in range(d):
+        pivot = diag[i] - (off[i - 1] * upper[-1] if i else 0)
         upper.append(off[i + 1] / pivot if i + 1 < d else 0)
-        rhs.append((psi[i] - off[i - 1] * rhs[-1]) / pivot)
+        rhs.append((psi[i] - (off[i - 1] * rhs[-1] if i else 0)) / pivot)
     x = rhs[-1]
-    for i in range(d - 2, -1, -1):
+    for i in range(d - 1, 0, -1):
         x = rhs[i] - upper[i] * x
     return x / (2 * psi_R)
 
 
-@pytest.mark.parametrize("delta", [0.94, -0.17, 1 / 3])
+@pytest.mark.parametrize("delta", [0.94, -0.17, 1 / 3, 0.6])
 def test_jordan_chi1_matches_a_multiprecision_solve(delta):
-    # the bound lies between the symmetric eigh (2.8e-6 off at Delta = 0.94)
-    # and a general eig with a dense inverse (8.8e-4 and 1.2e-4 at 0.94, -0.17)
+    # d = 400 next to rational points: the closed form is 1.8e-10 off at
+    # Delta = 0.94 (the rounding of eta k in sin), an elimination on 1 - S
+    # built from 1 - cos^2 1.9e-7 and the similarity V^-1 of one eigh 2.8e-6
     mp = pytest.importorskip("mpmath")
     d = 400
     with mp.workdps(60):
         expected = mp_chi1(delta, d, mp)
-        chi1 = jordan_decompose(build_transfer(d, eta_from_delta(delta))).chi1
-        assert abs((chi1 - expected) / expected) <= 2e-5
+        chi1 = jordan_decompose(d, eta_from_delta(delta)).chi1
+        assert abs((chi1 - expected) / expected) <= 1e-8
 
 
-def test_defective_vector_residual():
-    for delta in (0.4, -0.6):
-        for d in (2, 9, 20):
-            ts = build_transfer(d, eta_from_delta(delta))
-            psi_R, psi = defective_vector(ts)
-            vec = np.zeros(d + 2)
-            vec[1] = psi_R
-            vec[2:] = psi
-            e_L = np.zeros(d + 2)
-            e_L[0] = 1.0
-            assert np.linalg.norm((ts.T - np.eye(d + 2)) @ vec - e_L) < 1e-10
-
-
-def test_defective_vector_examples():
-    ts = build_transfer(5, eta_from_delta(0.4))
-    psi_R, psi = defective_vector(ts)
-    assert psi[0] == 2.0
-    ts1 = build_transfer(1, eta_from_delta(0.0))
-    psi_R1, _ = defective_vector(ts1)
-    assert np.isclose(psi_R1, 4.0)
+def test_jordan_chi1_matches_a_multiprecision_solve_at_exact_truncations():
+    # every rational point with p <= 12 (d = p - 1) and the easy axis at d = 6
+    mp = pytest.importorskip("mpmath")
+    points = [(math.cos(q * math.pi / p), p - 1, chi_coefficient_rational(p, q).chi1)
+              for p in range(2, 13) for q in range(1, p) if math.gcd(p, q) == 1]
+    points += [(delta, 6, jordan_decompose(6, eta_from_delta(delta)).chi1)
+               for delta in (1.5, -1.5, 3.0)]
+    with mp.workdps(60):
+        for delta, d, chi1 in points:
+            expected = mp_chi1(delta, d, mp)
+            assert abs((chi1 - expected) / expected) <= 1e-13, (delta, d)
 
 
 # --- continued fractions ----------------------------------------------------
@@ -844,6 +842,16 @@ def test_chi_matches_slope_oracle(p, q, n_lo):
     chi, _ = chi_coefficient_rational(p, q)
     slope = slope_oracle(q * math.pi / p, p - 1, n_lo=n_lo, n_hi=2 * n_lo)
     assert abs(slope - chi) / chi < 1e-6
+
+
+@pytest.mark.parametrize("p,q,n", [(3, 1, 200), (5, 2, 600), (7, 3, 2000)])
+def test_chi1_is_the_intercept_of_the_bracket(p, q, n):
+    # <L|T^n|R> = chi n + chi1 + sum_j c_j tau_j^n on the exact truncation,
+    # read off the propagated bracket once the bulk terms have decayed
+    chi, chi1 = chi_coefficient_rational(p, q)
+    series = bracket_series(n, q * math.pi / p, p - 1)
+    assert max(abs(jordan_decompose(p - 1, q * math.pi / p).taus)) ** n < 1e-16
+    assert math.isclose(series[n] - chi * n, chi1, rel_tol=1e-10)
 
 
 def test_chi_positivity_window():
@@ -1002,20 +1010,34 @@ def test_single_path_is_one_path_of_the_bracket(delta):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_truncated_pass_is_not_held_to_the_single_path():
+    # d = 100 < n//2 cuts off the path's top, so the row lies below the path
+    # and is right: no band entry overflows at d = 100
+    eta, n, d = eta_from_delta(2.0), 600, 100
+    row = bracket_LTnR_log(n, eta, d)[n]
+    assert row.log < check_single_path(n, eta, math.inf)
+    assert bracket_LTnR(n, eta, d) == row
+    assert sum_defect(n, eta, d) == sum_defect_log(n, eta, d)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("fault", [f for f in known_faults.FAULTS if f.direction == 4],
                          ids=lambda fault: fault.name)
 def test_library_calls_raise_where_a_bracket_fault_starts(fault):
-    # f0_x, f0_delta, hs_norm_sq_via_transfer and validity_threshold read the
+    # f0_x, f0_delta, hs_norm_sq_via_transfer, validity_threshold and the
+    # log branches of bracket_LTnR, sum_defect and sum_defect_log read the
     # bracket through the checks of a scan row: the first two registered rows
     # at each signed Delta raise (odd n included), the row below keeps the
-    # log jet's bits (f0_delta takes its float jet at n = 3: there to 1e-14)
+    # log jet's bits
     for delta in sorted({point[0] for point in fault.points}):
         n, eta = min(p[-1] for p in fault.points if p[0] == delta), eta_from_delta(delta)
         for m in (n, n + 1):
             params = ChainParams(n=m, delta=delta, lam=1.0, mu=1.0)
             for call in (lambda: f0_x(params, "lambda"), lambda: f0_delta(params),
                          lambda: hs_norm_sq_via_transfer(m, eta),
-                         lambda: validity_threshold(m, eta, 1.0)):
+                         lambda: validity_threshold(m, eta, 1.0),
+                         lambda: bracket_LTnR(m, eta), lambda: sum_defect(m, eta),
+                         lambda: sum_defect_log(m, eta)):
                 with pytest.raises(ArithmeticError, match=re.escape(fault.error)):
                     call()
         below = params.replace(n=n - 1)
@@ -1026,8 +1048,7 @@ def test_library_calls_raise_where_a_bracket_fault_starts(fault):
                 == _log_threshold(n - 1, 1.0, row + log_norm))
         log_f0 = _jet_log(_bands(("T", "dT", "F"), n - 1, None, eta), n - 1)[n - 1].log + math.log(
             1 / (4 * abs((1 - delta) * (1 + delta))))  # the prefactor at lam = mu = J = 1
-        assert math.isclose(f0_delta(below).log_value, log_f0,
-                            rel_tol=1e-14 if fault.error == known_faults.LOST else 0)
+        assert f0_delta(below).log_value == log_f0
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
