@@ -10,9 +10,9 @@ from .lindblad import (Liouvillian, apply_liouvillian, build_liouvillian,
                        ness_mu1, ness_perturbative, steady_state_nullspace)
 from .fisher import (FisherEstimate, fisher_cross, optimal_estimator_variance,
                      qfi_dense, qfi_parametric, relative_error, sld)
-from .transfer import (JordanData, SignedLog, TransferSystem, bracket_LTnR,
+from .transfer import (SignedLog, TransferSystem, bracket_LTnR,
                        bracket_LTnR_log, bracket_log_at, build_transfer,
-                       chi_coefficient, chi_coefficient_rational, f0_delta, f0_x,
+                       chi_coefficient, f0_delta, f0_x,
                        isotropic_bracket_series, isotropic_f_delta, jordan_decompose,
                        sum_defect, xi_coefficient, xi_coefficient_rational)
 
@@ -25,9 +25,9 @@ __all__ = [
     "ness_mu1", "ness_perturbative", "steady_state_nullspace",
     "FisherEstimate", "fisher_cross", "optimal_estimator_variance",
     "qfi_dense", "qfi_parametric", "relative_error", "sld",
-    "JordanData", "SignedLog", "TransferSystem", "bracket_LTnR",
+    "SignedLog", "TransferSystem", "bracket_LTnR",
     "bracket_LTnR_log", "bracket_log_at", "build_transfer", "chi_coefficient",
-    "chi_coefficient_rational", "f0_delta", "f0_x", "isotropic_bracket_series",
+    "f0_delta", "f0_x", "isotropic_bracket_series",
     "isotropic_f_delta", "jordan_decompose", "sum_defect", "xi_coefficient",
     "xi_coefficient_rational",
 ]

@@ -44,10 +44,8 @@ from .mpo import _log_threshold, hs_norm_sq_via_transfer
 from .fisher import qfi_parametric
 from .lindblad import ness_mu1
 from .transfer import (LinePasses, RationalPasses, bracket_series, chi_coefficient,
-                       chi_coefficient_rational, defect_series, f0_x,
-                       isotropic_bracket_series, isotropic_f_delta,
-                       second_eta_derivative_bracket, xi_coefficient,
-                       xi_coefficient_rational)
+                       defect_series, f0_x, isotropic_bracket_series, isotropic_f_delta,
+                       second_eta_derivative_bracket, xi_coefficient, xi_coefficient_rational)
 
 EXIT_OK = 0
 EXIT_PARTIAL = 2
@@ -129,10 +127,8 @@ def _log10_cols(sign: float, log_e: float) -> tuple[str, str, str]:
 # row (top level, so a pool can pickle them)
 
 def _eval_chi(passes, route, p, q, delta, d):
-    del passes  # a line of one point
-    chi = (chi_coefficient_rational(p, q) if route == "rational"
-           else chi_coefficient(delta, d))
-    return chi._asdict()
+    del passes, route, p, q  # a line of one point; a rational row has d = p - 1
+    return chi_coefficient(delta, d)._asdict()
 
 
 def _eval_xi_rational(passes, p, q, delta, window_start):

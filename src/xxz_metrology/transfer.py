@@ -43,8 +43,9 @@ range.  Each log-domain bracket row of a full pass (d >= n//2), through
 :func:`bracket_log_at` or :func:`bracket_LTnR`, is held to
 :func:`check_single_path`: past the cosh^2 overflow it raises.
 
-:func:`jordan_decompose` gives T's bulk eigenvalues and chi_1 in closed
-form; the dense T and D of :func:`build_transfer` only check the routes.
+:func:`jordan_decompose` gives chi_1 in closed form, held to its own O(d)
+rounding bound; the dense T and D of :func:`build_transfer` only check
+the routes.
 """
 
 from __future__ import annotations
@@ -583,57 +584,60 @@ def isotropic_f_delta(params) -> float:
 # Jordan structure of the truncated transfer matrix
 # ---------------------------------------------------------------------------
 
-@dataclass
-class JordanData:
-    """T = V ([[1, 1], [0, 1]] (+) diag(tau_j)) V^-1: the bulk eigenvalues, and
-    chi_1 = <L|V^-1|R> of <L|T^n|R> = chi n + chi_1 + sum_j c_j tau_j^n."""
+def jordan_decompose(d: int, eta: complex) -> float:
+    """chi_1 of <L|T^n|R> = chi n + chi_1 + (decaying terms), T truncated at d,
+    in closed form, held to its own rounding bound.
 
-    taus: np.ndarray          # bulk eigenvalues, |tau_1| >= ... >= |tau_d|
-    chi1: float
+    chi_1 comes from the resolvent of the bulk block T' (rows/columns
+    1..d): x = (1 - T')^-1 e_1, y = (1 - T')^-T e_1 give chi = x_1/4 and
+    chi_1 = -chi - y^T T' x/4 = -y^T x/4 (T' x = x - e_1, y_1 = x_1).  With
+    s_k = s(tk), s = sin (sinh for |Delta| > 1, t of :func:`_split_eta`),
+    D = diag|s_k| makes S = D T' D^-1 symmetric; with (1 - S) z = e_1,
+    x = |s_1| D^-1 z and y = D z/|s_1|, so chi_1 = -|z|^2/4.  As 1 - c^2 =
+    +-s^2, 1 - S = +-D M D with M = 1 - (shift + shift^T)/2, and elimination
+    down M's band (pivots (k+1)/(2k)) and back substitution give z_k =
+    +-2(d+1-k)/((d+1)|s_1 s_k|):
 
+        chi_1 = -sum_k ((d+1-k)/(d+1))^2 / (s_1 s_k)^2,
 
-def jordan_decompose(d: int, eta: complex) -> JordanData:
-    """The bulk eigenvalues tau of T truncated at d, and chi_1 in closed form.
+    a sum of positive terms in O(d) floats, with no BLAS call.
 
-    The bulk block T' (rows/columns 1..d) is tridiagonal with pairs
-    T'[k+1,k] T'[k,k+1] = s_k^2 s_{k+1}^2/4 >= 0 (s_k = sin(tk), sinh for
-    |Delta| > 1, t of :func:`_split_eta`), so D = diag|s_k| makes
-    S = D T' D^-1 symmetric, with off-diagonals +-|s_k s_{k+1}|/2.  Its
-    characteristic polynomial sees only those products, so ``eigvalsh(S)``
-    gives the tau of T' even where some s_k vanishes; a tau within 1e-10 of
-    1 raises.
-
-    chi_1 comes from the resolvent: x = (1 - T')^-1 e_1, y = (1 - T')^-T e_1
-    give chi = x_1/4 and chi_1 = -chi - y^T T' x/4 = -y^T x/4 (T' x = x - e_1,
-    y_1 = x_1).  With (1 - S) z = e_1, x = |s_1| D^-1 z and y = D z/|s_1|, so
-    chi_1 = -|z|^2/4.  As 1 - c^2 = +-s^2, 1 - S = +-D M D with M = 1 -
-    (shift + shift^T)/2, and elimination down M's band (pivots (k+1)/(2k))
-    and back substitution give z_k = +-2(d+1-k)/((d+1)|s_1 s_k|):
-    chi_1 = -sum_k ((d+1-k)/(d+1))^2/(s_1 s_k)^2, a sum of positive terms
-    in O(d) floats, with no BLAS call.
+    The bound.  The float t carries a relative error of at most u = 2^-53
+    from its rounding, and the product t k one more; s(x(1 + e)) =
+    s(x)(1 + e x c(x)/s(x) + O(e^2)), (c, s) = (cos, sin) or (cosh, sinh).
+    So term k moves by a relative 2u t|c(t)/s(t)| through s_1^2 (t 1 = t
+    adds no rounding) and 4u tk|c(tk)/s(tk)| through s_k^2, less than
+    B = 4u max_k (t|c(t)/s(t)| + tk|c(tk)/s(tk)|); a sum of terms of one
+    sign moves by at most its largest term's relative error, so B bounds
+    the relative error of chi_1, to first order and up to the d u of the
+    sum itself.  B is large next to a zero of some s_k (eta/pi at or next
+    to some q/p with p <= d, where a bulk eigenvalue nears 1): where
+    B > 1e-8, or B is NaN (t = 0), chi_1 raises ArithmeticError.
     """
     if d < 1:
         raise ValueError(f"truncation index must be >= 1, got d={d}")
-    diag, off = _entries("T", d, eta)  # c(tk)^2 and s(tk)^2/2
-    S = np.diag(diag)  # the flat slices are its two off-diagonals; their sign leaves tau
-    S.flat[1::d + 1] = S.flat[d::d + 1] = np.sqrt(off[:-1] * off[1:])
-    taus = np.linalg.eigvalsh(S)
-    taus = taus[np.argsort(-np.abs(taus))]
-    gap = float(np.min(np.abs(taus - 1.0)))
-    if gap < 1e-10:
-        raise ValueError(
-            f"bulk transfer block has an eigenvalue within 1e-10 of 1 (min |tau - 1| = "
-            f"{gap:.2g}): for rational eta/pi the truncation must satisfy d <= |p| - 1")
+    t, easy_axis = _split_eta(eta)
+    tk = t * np.arange(1, d + 1, dtype=float)
+    with np.errstate(invalid="ignore"):  # 0/0 at t = 0: a NaN bound, which raises
+        amplification = np.abs(tk / (np.tanh if easy_axis else np.tan)(tk))  # tk c/s
+    worst = int(np.argmax(amplification))
+    bound = 2 * np.finfo(float).eps * (amplification[0] + amplification[worst])  # 4u
+    if not bound <= 1e-8:
+        raise ArithmeticError(
+            f"chi_1 rounding bound B = {bound:.2g} is not <= 1e-8 (worst term k = "
+            f"{worst + 1}): for rational eta/pi the truncation must satisfy d <= |p| - 1")
+    _, off = _entries("T", d, eta)  # s(tk)^2/2
     weights = ((d - np.arange(d)) / (d + 1)) ** 2
-    return JordanData(taus=taus, chi1=-float(np.sum(weights / off)) / (4 * off[0]))
+    return float(-np.sum(weights / off) / (4 * off[0]))
 
 
 # ---------------------------------------------------------------------------
-# growth coefficients chi and xi: one function per route, (p, q) or a float Delta
+# growth coefficients: chi at a float Delta; xi by route, (p, q) or a float Delta
 # ---------------------------------------------------------------------------
 
 class Chi(NamedTuple):
-    """<L|T^n|R> = chi n + chi1 + decaying terms (see :func:`jordan_decompose`)."""
+    """<L|T^n|R> = chi n + chi1 + decaying terms on T truncated at d; chi1 is
+    nan where its rounding bound exceeds 1e-8 (see :func:`jordan_decompose`)."""
 
     chi: float
     chi1: float
@@ -670,30 +674,22 @@ def _rational_point(p: int, q: int) -> tuple[float, float, int]:
     return q * math.pi / p, math.cos(q * math.pi / p), p - 1
 
 
-def chi_coefficient_rational(p: int, q: int) -> Chi:
-    """chi = d/(2(d+1)) * 1/(1 - Delta^2) and chi_1 at eta/pi = q/p, on T
-    truncated at d = p - 1, which is exact: no path descends from |p>."""
-    eta, delta, d = _rational_point(p, q)
-    chi = d / (2 * (d + 1)) / (1 - delta ** 2)
-    return Chi(chi, jordan_decompose(d, eta).chi1)
-
-
 def chi_coefficient(delta: float, d: int) -> Chi:
     """chi = d/(2(d+1)) * 1/(1 - Delta^2) and chi_1 (closed form:
-    :func:`jordan_decompose`) at a float Delta, on T truncated at d.  Where
-    Delta puts a bulk eigenvalue within 1e-10 of 1 (eta/pi at or next to some
-    q/p with p <= d), chi_1 is nan, with a warning.
+    :func:`jordan_decompose`) at t = acos|Delta|, on T truncated at d.  At
+    Delta = cos(q pi/p) and d = p - 1 the truncation is exact: no path
+    descends from |p>.  Where chi_1's rounding bound exceeds 1e-8 (eta/pi at
+    or next to some q/p with p <= d), chi_1 is nan, with a warning.
     """
     if not abs(delta) < 1:
         raise ValueError("chi is defined for |Delta| < 1")
-    chi = d / (2 * (d + 1)) / (1 - delta ** 2)
     try:
-        chi1 = jordan_decompose(d, math.acos(delta)).chi1
-    except ValueError as exc:  # chi1 is only a diagnostic: report it as unavailable
-        warnings.warn(f"chi1 is undefined at Delta = {delta!r} with d = {d} "
+        chi1 = jordan_decompose(d, math.acos(abs(delta)))
+    except ArithmeticError as exc:  # chi1 is only a diagnostic: report it as unavailable
+        warnings.warn(f"chi1 is not accurate at Delta = {delta!r} with d = {d} "
                       f"({exc}); reported as nan")
         chi1 = math.nan
-    return Chi(chi, chi1)
+    return Chi(d / (2 * (d + 1)) / (1 - delta ** 2), chi1)
 
 
 def chi_second_derivative(delta: float, d: int) -> float:
@@ -782,7 +778,7 @@ def xi_coefficient(delta: float, n: int, passes: LinePasses | None = None) -> Ir
         raise ValueError("xi is defined for |Delta| < 1")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    eta, passes = math.acos(delta), passes or LinePasses()
+    eta, passes = math.acos(abs(delta)), passes or LinePasses()
     sd = float(passes(defect_series, n, eta)[n])
     d2 = float(passes(second_eta_derivative_bracket, n, eta)[n])
     xi = (sd + 0.25 * d2) / (2 * abs(1 - delta ** 2) * n)

@@ -514,7 +514,23 @@ def test_chi1_nan_is_a_manifest_warning(tmp_path):
     assert [w["point"]["delta"] for w in manifest["warnings"]] == [0.0]
     message = manifest["warnings"][0]["message"]
     assert "Delta = 0.0" in message and "d = 4" in message
-    assert "within 1e-10 of 1 (min |tau - 1| = " in message
+    assert "rounding bound B = " in message and "worst term k = 2" in message
+
+
+def test_chi1_nan_set_of_the_d400_grid(tmp_path):
+    # of the 199 irrational rows only Delta = 0 and +-0.5 (eta/pi = 1/2,
+    # 1/3 and 2/3) exceed chi1's rounding bound; +-0.44, next to 82/231, do not
+    out = tmp_path / "chi.csv"
+    code = main(["scan", "chi-vs-delta", "--p-max", "2", "--d-max", "400",
+                 "--delta-points", "199", "--out", str(out)])
+    assert code == EXIT_OK
+    rows = read_csv(out)
+    rows = [dict(zip(rows[0], row)) for row in rows[1:]]
+    nan = [float(r["delta"]) for r in rows if r["chi1"] == "nan"]
+    assert nan == pytest.approx([-0.5, 0.0, 0.5], abs=1e-15)
+    manifest = json.loads((tmp_path / "chi.csv.manifest.json").read_text())
+    assert [w["point"]["delta"] for w in manifest["warnings"]] == nan
+    assert all("rounding bound B = " in w["message"] for w in manifest["warnings"])
 
 
 def test_manifest_times_each_row(tmp_path):

@@ -16,7 +16,6 @@ from xxz_metrology.transfer import (RationalPasses, SignedLog, _bands, _entries,
                                     bracket_LTnR,
                                     bracket_LTnR_log, bracket_log_at, bracket_series,
                                     build_transfer, check_single_path, chi_coefficient,
-                                    chi_coefficient_rational,
                                     chi_second_derivative, defect_series,
                                     f0_delta, f0_x,
                                     isotropic_bracket_series,
@@ -302,21 +301,29 @@ MIRRORED = {
 }
 
 
+# take t = acos|Delta| itself, so they are even bit for bit
+EVEN_BITS = {"chi_coefficient", "xi_coefficient"}
+
+
 @pytest.mark.parametrize("name", list(MIRRORED))
 def test_quantities_are_even_in_delta(name):
     # the bands depend on |Delta| only: the same t for -Delta, bit for bit
-    # next to Delta = -1 and to rounding elsewhere; chi1 to the rounding of
-    # t, which the sines near a zero amplify at d = 400 (1.4e-11 at +-0.2)
+    # next to Delta = -1 and to rounding elsewhere (eta from ChainParams or
+    # eta_from_delta); chi1 at d = 400 turns one ulp of t next to a zero of
+    # sin(tk) into 3.8e-9 at 0.94, so +-0.94 and +-0.17 are checked too
     def value(delta):
         return np.array(MIRRORED[name](delta), dtype=float)
 
-    rtol = 1e-10 if name == "chi_coefficient" else 1e-14
+    deltas = (0.2, 0.5, 0.77) + ((0.94, 0.17) if name == "chi_coefficient" else ())
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # chi1 = nan, or outside the isotropic window
         for x in (1e-9, 1e-12, 1e-14):
             np.testing.assert_array_equal(value(-1 + x), value(1 - x))
-        for delta in (0.2, 0.5, 0.77):
-            np.testing.assert_allclose(value(-delta), value(delta), rtol=rtol, atol=0)
+        for delta in deltas:
+            if name in EVEN_BITS:
+                np.testing.assert_array_equal(value(-delta), value(delta))
+            else:
+                np.testing.assert_allclose(value(-delta), value(delta), rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("last", ["F", "d2T/2"])
@@ -700,45 +707,34 @@ def bulk_eigenvalues(d, eta):
     return taus[np.argsort(-np.abs(taus))]
 
 
-@pytest.mark.parametrize("delta", [0.3, 0.7])
-def test_jordan_taus_are_the_bulk_eigenvalues(delta):
-    for d in (2, 7, 18, 30):
-        eta = eta_from_delta(delta)
-        jd = jordan_decompose(d, eta)
-        assert np.allclose(jd.taus, bulk_eigenvalues(d, eta), rtol=0, atol=1e-10)
-        assert np.all(np.abs(jd.taus) < 1)
-
-
-def test_jordan_easy_axis_taus_grow():
-    # the symmetrized block keeps the spectrum of the -sinh^2/2 off-diagonals
-    eta = eta_from_delta(1.5)
-    jd = jordan_decompose(4, eta)
-    assert np.allclose(jd.taus, bulk_eigenvalues(4, eta), rtol=1e-12, atol=0)
-    assert np.all(np.abs(jd.taus) > 1)
-
-
 def test_jordan_d1_delta0():
-    jd = jordan_decompose(1, eta_from_delta(0.0))
-    assert np.allclose(jd.taus, [0.0])
-    assert jd.chi1 == -0.25
+    assert jordan_decompose(1, eta_from_delta(0.0)) == -0.25
 
 
 def test_jordan_rejects_rational_overtruncation():
-    # d >= p puts an absorbing bulk state at eigenvalue 1
-    with pytest.raises(ValueError, match=re.escape("d <= |p| - 1")) as info:
+    # d >= p puts an absorbing bulk state at eigenvalue 1: sin(3t) rounds
+    # to 1.2e-16 at t = pi/3, and the bound B names the k = 3 term
+    with pytest.raises(ArithmeticError, match=re.escape("d <= |p| - 1")) as info:
         jordan_decompose(3, math.pi / 3)
-    assert "within 1e-10 of 1 (min |tau - 1| = " in str(info.value)
+    bound = float(re.search(r"B = (\S+) is not <= 1e-8", str(info.value)).group(1))
+    assert bound > 1 and "worst term k = 3" in str(info.value)
+    # t = 0 (Delta = 1): every sin(tk) vanishes and B is NaN, which raises too
+    with pytest.raises(ArithmeticError, match="B = nan"):
+        jordan_decompose(5, 0.0)
     with pytest.raises(ValueError, match="truncation index"):
         jordan_decompose(0, math.pi / 3)
 
 
-def test_jordan_error_states_the_measured_gap():
-    # eta/pi = 0.354978... is 8.3e-8 from 82/231: one bulk eigenvalue lies
-    # below the 1e-10 cut without being exactly 1
-    with pytest.raises(ValueError) as info:
-        jordan_decompose(400, math.acos(0.44))
-    gap = float(re.search(r"min \|tau - 1\| = (\S+)\)", str(info.value)).group(1))
-    assert 0 < gap < 1e-10
+@pytest.mark.parametrize("delta", [0.44, -0.44])
+def test_jordan_chi1_next_to_a_rational_point(delta):
+    # eta/pi = 0.354978... is 8.3e-8 from 82/231: a bulk eigenvalue lies
+    # within 1e-10 of 1, but sin(231 t) = 6.0e-5 keeps the rounding bound
+    # at B = 1.9e-9
+    mp = pytest.importorskip("mpmath")
+    chi1 = jordan_decompose(400, eta_from_delta(delta))
+    with mp.workdps(60):
+        expected = mp_chi1(delta, 400, mp)
+        assert abs((chi1 - expected) / expected) <= 1e-9
 
 
 def mp_chi1(delta, d, mp):
@@ -783,16 +779,16 @@ def test_jordan_chi1_matches_a_multiprecision_solve(delta):
     d = 400
     with mp.workdps(60):
         expected = mp_chi1(delta, d, mp)
-        chi1 = jordan_decompose(d, eta_from_delta(delta)).chi1
+        chi1 = jordan_decompose(d, eta_from_delta(delta))
         assert abs((chi1 - expected) / expected) <= 1e-8
 
 
 def test_jordan_chi1_matches_a_multiprecision_solve_at_exact_truncations():
     # every rational point with p <= 12 (d = p - 1) and the easy axis at d = 6
     mp = pytest.importorskip("mpmath")
-    points = [(math.cos(q * math.pi / p), p - 1, chi_coefficient_rational(p, q).chi1)
+    points = [(math.cos(q * math.pi / p), p - 1, rational_chi(p, q).chi1)
               for p in range(2, 13) for q in range(1, p) if math.gcd(p, q) == 1]
-    points += [(delta, 6, jordan_decompose(6, eta_from_delta(delta)).chi1)
+    points += [(delta, 6, jordan_decompose(6, eta_from_delta(delta)))
                for delta in (1.5, -1.5, 3.0)]
     with mp.workdps(60):
         for delta, d, chi1 in points:
@@ -822,6 +818,11 @@ def test_continued_fraction_recurrence_agrees():
 
 # --- chi --------------------------------------------------------------------
 
+def rational_chi(p, q):
+    """chi at eta/pi = q/p on its exact truncation d = p - 1."""
+    return chi_coefficient(math.cos(q * math.pi / p), p - 1)
+
+
 def slope_oracle(eta, d, n_lo=100, n_hi=200):
     series = bracket_series(n_hi, eta, d)
     ns = np.arange(n_lo, n_hi + 1, dtype=float)
@@ -830,7 +831,7 @@ def slope_oracle(eta, d, n_lo=100, n_hi=200):
 
 @pytest.mark.parametrize("p,q,expected", [(2, 1, 0.25), (3, 1, 4 / 9)])
 def test_chi_closed_form(p, q, expected):
-    chi, _ = chi_coefficient_rational(p, q)
+    chi, _ = rational_chi(p, q)
     assert np.isclose(chi, expected)
 
 
@@ -839,7 +840,7 @@ def test_chi_closed_form(p, q, expected):
 # windowed slope still differs from chi by 7.9e-6
 @pytest.mark.parametrize("p,q,n_lo", [(2, 1, 100), (3, 1, 100), (5, 2, 250)])
 def test_chi_matches_slope_oracle(p, q, n_lo):
-    chi, _ = chi_coefficient_rational(p, q)
+    chi, _ = rational_chi(p, q)
     slope = slope_oracle(q * math.pi / p, p - 1, n_lo=n_lo, n_hi=2 * n_lo)
     assert abs(slope - chi) / chi < 1e-6
 
@@ -848,9 +849,9 @@ def test_chi_matches_slope_oracle(p, q, n_lo):
 def test_chi1_is_the_intercept_of_the_bracket(p, q, n):
     # <L|T^n|R> = chi n + chi1 + sum_j c_j tau_j^n on the exact truncation,
     # read off the propagated bracket once the bulk terms have decayed
-    chi, chi1 = chi_coefficient_rational(p, q)
+    chi, chi1 = rational_chi(p, q)
     series = bracket_series(n, q * math.pi / p, p - 1)
-    assert max(abs(jordan_decompose(p - 1, q * math.pi / p).taus)) ** n < 1e-16
+    assert max(abs(bulk_eigenvalues(p - 1, q * math.pi / p))) ** n < 1e-16
     assert math.isclose(series[n] - chi * n, chi1, rel_tol=1e-10)
 
 
@@ -862,13 +863,20 @@ def test_chi_positivity_window():
         assert 0.25 <= scaled < 0.5
 
 
-def test_chi_validates_rational_input():
-    # not coprime, q outside (0, p), p < 2; the xi route checks the same
+def test_xi_validates_rational_input():
+    # not coprime, q outside (0, p), p < 2
     for p, q in ((4, 2), (3, 3), (5, 0), (1, 1)):
         with pytest.raises(ValueError):
-            chi_coefficient_rational(p, q)
-        with pytest.raises(ValueError):
             xi_coefficient_rational(p, q, 100)
+
+
+@pytest.mark.parametrize("d", [0, -5])
+def test_chi_rejects_a_bad_truncation(d):
+    # an error, not a row with chi1 = nan and a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="truncation index"):
+            chi_coefficient(0.3, d)
 
 
 def test_chi_second_derivative_closed_form():
