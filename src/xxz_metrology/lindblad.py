@@ -167,7 +167,7 @@ def ness_perturbative(params: ChainParams) -> np.ndarray:
 def ness_mu1(params: ChainParams, epsilon: float) -> np.ndarray:
     """Non-perturbative steady state at extreme driving mu = 1.
 
-    rho = S S+ / Tr(S S+) with S contracted from the B family at
+    rho = S S+ / Tr(S S+) with S contracted from ``build_aux_B`` at
     s solving cot(s eta) = epsilon/(4 i sin eta).  Positive semidefinite
     and unit trace by construction.  It is the fixed point of the master
     equation above at epsilon = lam/J (Prosen, PRL 107, 137201 (2011)).

@@ -1,14 +1,23 @@
-"""Auxiliary-space MPO matrices and their contraction to dense operators.
+"""Auxiliary-space MPOs and their contraction to dense operators.
 
-Two tridiagonal families live here.  The A family (perturbative
-current-carrying operator Z) acts on {|L>, |R>, |1>, ..., |n//2>}; the
-B family (extreme-driving amplitude operator S) acts on
-{|0>, ..., |n//2>} with both boundary vectors |0>.
+An MPO is plain data (:class:`AuxMatrices`): the auxiliary-space matrices
+that multiply the identity, sigma^+ and sigma^- on a site, and the right
+boundary state; the left one is state 0.  Each auxiliary state a carries
+a popcount label q(a), the popcount difference (row minus column) of the
+partial operators it holds: q(right) = 0, and an entry a <- b of the
+three matrices sets q(a) = q(b) + 0, -1 or +1, or raises ValueError.  An
+MPO of depth m = max |q| (plus one per state the right boundary never
+reaches) serves chains of up to 2m + 1 sites: labels above n//2 are
+unreachable in n steps, so the builders clamp their index sums at n//2
+(the test suite widens the space and checks that this changes no n-site
+contraction).
 
-Index sums referencing |n//2 + 1> are clamped to the stated basis:
-states above n//2 are unreachable from the right boundary in n steps,
-so clamping cannot change any n-site contraction (the test suite widens
-the space and checks this).
+``build_aux_A`` (the perturbative current-carrying operator Z) and
+``build_aux_B`` (the extreme-driving amplitude operator S) fill it.  Each
+states its pairing of matrices with Pauli factors, which is fixed by
+requiring the assembled steady states to actually annihilate the
+Liouvillian: with any other pairing the first-order fixed point fails,
+which the lindblad tests would catch immediately.
 
 The contraction works in blocks between basis states of given row and
 column popcounts (M_z values), so the zeros between them never form:
@@ -20,20 +29,13 @@ the test suite keeps as references: the results agree bit for bit.
 The norm ||Z||_HS^2 and the validity threshold come from the transfer
 bracket instead, as SignedLogs: both leave the double range for
 |Delta| > 1 at moderate n.
-
-The pairing between auxiliary matrices and Pauli factors is fixed by
-requiring the assembled steady states to actually annihilate the
-Liouvillian: the A family pairs A_+ with sigma^- and A_- with sigma^+
-(equivalently, Z is the transpose of the naive reading), while the B
-family pairs literally.  With any other pairing the first-order fixed
-point fails, which the lindblad tests would catch immediately.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -41,44 +43,46 @@ import numpy as np
 from .model import _check_dense_cap
 from .transfer import LinePasses, SignedLog, bracket_log_at
 
+# the quadrants (row bit, column bit) where each slot's Pauli factor is 1
+SLOTS = (("identity", ((0, 0), (1, 1))), ("sigma_plus", ((0, 1),)),
+         ("sigma_minus", ((1, 0),)))
+
 
 @dataclass
 class AuxMatrices:
-    """Tridiagonal auxiliary-space matrices; the family fixes the rest."""
+    """A U(1) MPO with checked popcount labels (see the module docstring)."""
 
-    family: str               # 'A' or 'B'
-    a0: np.ndarray
-    a_plus: np.ndarray
-    a_minus: np.ndarray
+    identity: np.ndarray
+    sigma_plus: np.ndarray
+    sigma_minus: np.ndarray
+    right: int = 0
+    depth: int = field(init=False)
 
-    dim_aux = property(lambda self: self.a0.shape[0])
-    left_index = property(lambda self: 0)
-    right_index = property(lambda self: 1 if self.family == "A" else 0)
-    conjugate_paulis = property(lambda self: self.family == "A")
+    dim_aux = property(lambda self: self.identity.shape[0])
 
     def __post_init__(self):
-        if self.family not in ("A", "B"):
-            raise ValueError(f"family must be 'A' or 'B', got {self.family!r}")
-        # nearest-neighbor moves on the auxiliary chain only; for the A
-        # family both boundary vectors attach to |1> (indices 0, 1 <-> 2)
-        idx = np.arange(self.dim_aux)
-        allowed = np.abs(idx[:, None] - idx[None, :]) <= 1
-        if self.family == "A":
-            allowed[:2, :] = allowed[:, :2] = False
-            allowed[0, 0] = allowed[1, 1] = True
-            allowed[0, 2] = allowed[2, 1] = True
-        for name in ("a0", "a_plus", "a_minus"):
-            m = getattr(self, name)
-            if np.any(m[~allowed] != 0):
-                raise ValueError(f"{name} has entries off the auxiliary band")
+        # a factor that is 1 in quadrant (i, j) moves the label by i - j
+        entries = [(name, a, b, quadrants[0][0] - quadrants[0][1])
+                   for name, quadrants in SLOTS
+                   for a, b in np.argwhere(getattr(self, name)).tolist()]
+        q, labelled = {self.right: 0}, 0
+        while len(q) > labelled:  # the pass that labels no state checks every entry
+            labelled = len(q)
+            for name, a, b, step in entries:
+                if b in q and q.setdefault(a, q[b] + step) != q[b] + step:
+                    raise ValueError(f"{name}[{a}, {b}] sets popcount label {q[b] + step} "
+                                     f"on state {a}, which has {q[a]}")
+        # an unreached state (A's |2>, ... at eta = 0) may carry any label:
+        # it counts as one level of depth more
+        self.depth = max(map(abs, q.values())) + self.dim_aux - len(q)
 
 
 def build_aux_A(n: int, eta: complex) -> AuxMatrices:
-    """A-family matrices on {|L>, |R>, |1>, ..., |n//2>} (dim n//2 + 2).
+    """A matrices on {|L>, |R>, |1>, ..., |n//2>} (dim n//2 + 2), right state |R>.
 
-    A_0 = |L><L| + |R><R| + sum_k cos(eta k) |k><k|
-    A_+ = |1><R| - sum_k sin(eta k) |k+1><k|
-    A_- = |L><1| + sum_k sin(eta (k+1)) |k><k+1|
+    A_0 = |L><L| + |R><R| + sum_k cos(eta k) |k><k|     (identity slot)
+    A_+ = |1><R| - sum_k sin(eta k) |k+1><k|            (sigma^- slot)
+    A_- = |L><1| + sum_k sin(eta (k+1)) |k><k+1|        (sigma^+ slot)
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -95,20 +99,20 @@ def build_aux_A(n: int, eta: complex) -> AuxMatrices:
     for k in range(1, m):
         ap[ix(k + 1), ix(k)] = -cmath.sin(eta * k)
         am[ix(k), ix(k + 1)] = cmath.sin(eta * (k + 1))
-    return AuxMatrices(family="A", a0=a0, a_plus=ap, a_minus=am)
+    return AuxMatrices(identity=a0, sigma_plus=am, sigma_minus=ap, right=R)
 
 
 def build_aux_B(n: int, eta: complex, s: complex) -> AuxMatrices:
-    """B-family matrices on {|0>, ..., |n//2>} for the mu = 1 amplitude operator.
+    """B matrices on {|0>, ..., |n//2>}, both boundary states |0>, for the mu = 1 S.
 
-    B_0 = sum_k sin(eta (s - k)) |k><k|
-    B_+ = sum_k sin(eta (k - 2s)) |k><k+1|
-    B_- = sum_k sin(eta (k + 1)) |k+1><k|
+    B_0 = sum_k sin(eta (s - k)) |k><k|       (identity slot)
+    B_+ = sum_k sin(eta (k - 2s)) |k><k+1|    (sigma^+ slot)
+    B_- = sum_k sin(eta (k + 1)) |k+1><k|     (sigma^- slot)
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if abs(cmath.sin(eta)) < 1e-12:
-        raise ValueError("B family undefined at the isotropic point (sin eta = 0)")
+        raise ValueError("B matrices undefined at the isotropic point (sin eta = 0)")
     m = n // 2
     dim = m + 1
     b0, bp, bm = (np.zeros((dim, dim), dtype=complex) for _ in range(3))
@@ -117,7 +121,7 @@ def build_aux_B(n: int, eta: complex, s: complex) -> AuxMatrices:
         if k + 1 <= m:
             bp[k, k + 1] = cmath.sin(eta * (k - 2 * s))
             bm[k + 1, k] = cmath.sin(eta * (k + 1))
-    return AuxMatrices(family="B", a0=b0, a_plus=bp, a_minus=bm)
+    return AuxMatrices(identity=b0, sigma_plus=bp, sigma_minus=bm)
 
 
 def solve_s(epsilon: float, eta: complex) -> complex:
@@ -160,8 +164,8 @@ def contract_to_dense(aux: AuxMatrices, n: int) -> np.ndarray:
     where its Pauli factor is 1, at offset C(site, k) in the block of the
     new popcount k, and keeps only the auxiliary states inside both light
     cones: reachable from the right boundary in the steps taken and able
-    to reach the left boundary in the steps left.  In both families each
-    auxiliary state carries one popcount difference, so its blocks hold
+    to reach the left boundary in the steps left.  Each auxiliary state
+    carries one popcount difference, its label, so its blocks hold
     at most C(2 site, site) entries (48620 at 9 sites, against 4**9 =
     262144 for a dense partial operator), and the work follows the
     entries.  The operator conserves M_z and ends as n + 1 blocks, which
@@ -187,21 +191,15 @@ def _contract_blocks(aux: AuxMatrices, n: int) -> dict[tuple[int, int], np.ndarr
     term to +0, where this loop writes it, so each -0 is turned into +0
     at the end.  The entries agree bit for bit.
     """
-    needed = n // 2 + (2 if aux.family == "A" else 1)
-    if aux.dim_aux < needed:
-        raise ValueError(f"auxiliary space of dim {aux.dim_aux} too small for "
-                         f"an {n}-site contraction (need >= {needed})")
-    # the quadrants (row, col) where the paired Pauli factor is 1
-    one, plus, minus = ((0, 0), (1, 1)), ((0, 1),), ((1, 0),)
-    if aux.conjugate_paulis:
-        plus, minus = minus, plus
+    if aux.depth < n // 2:
+        raise ValueError(f"auxiliary space of depth {aux.depth} too small for "
+                         f"an {n}-site contraction (need >= {n // 2})")
     # the terms a <- b in the order the dense loop adds them
-    terms = [(int(a), int(b), quadrants, mat[a, b])
-             for mat, quadrants in ((aux.a0, one), (aux.a_plus, plus), (aux.a_minus, minus))
-             for a, b in zip(*np.nonzero(mat))]
+    terms = [(int(a), int(b), quadrants, getattr(aux, name)[a, b])
+             for name, quadrants in SLOTS
+             for a, b in zip(*np.nonzero(getattr(aux, name)))]
     coeffs = [coeff for *_, coeff in terms]
-    sites, final = _block_moves(tuple(term[:3] for term in terms),
-                                aux.left_index, aux.right_index, n)
+    sites, final = _block_moves(tuple(term[:3] for term in terms), aux.right, n)
     blocks = [np.eye(1, dtype=complex)]
     for shapes, moves in sites:
         step = [np.zeros(shape, dtype=complex) for shape in shapes]
@@ -218,11 +216,11 @@ def _contract_blocks(aux: AuxMatrices, n: int) -> dict[tuple[int, int], np.ndarr
 
 
 @lru_cache(maxsize=64)
-def _block_moves(terms: tuple, left: int, right: int, n: int):
+def _block_moves(terms: tuple, right: int, n: int):
     """The moves of an n-site block contraction, from the terms (a, b,
     quadrants) alone: per site the shapes of the new blocks and the moves
     (term, source block, new block, its quadrant's index, first write?),
-    then the left state's blocks as ((row, col), block) pairs.  Cached,
+    then the left state's (state 0's) blocks as ((row, col), block) pairs.  Cached,
     so a contraction repeated at another coefficient only multiplies and
     adds.
 
@@ -232,7 +230,7 @@ def _block_moves(terms: tuple, left: int, right: int, n: int):
     reachable from the right boundary in the steps taken and able to reach
     the left boundary in the steps left.
     """
-    reaches_left = [{left}]  # [r]: the states with a path of r steps to the left boundary
+    reaches_left = [{0}]  # [r]: the states with a path of r steps to the left boundary
     for _ in range(n - 1):
         reaches_left.append({b for a, b, _ in terms if a in reaches_left[-1]})
     partial = {right: {(0, 0): (0, (1, 1))}}  # state -> key -> (block, shape)
@@ -257,14 +255,14 @@ def _block_moves(terms: tuple, left: int, right: int, n: int):
                     written.add((a, key, i, j))
         partial = step
         sites.append((tuple(shapes), tuple(moves)))
-    return tuple(sites), tuple((key, block) for key, (block, _) in partial.get(left, {}).items())
+    return tuple(sites), tuple((key, block) for key, (block, _) in partial.get(0, {}).items())
 
 
 def hs_norm_sq_via_transfer(n: int, eta: complex,
                             passes: LinePasses | None = None) -> SignedLog:
     """||Z||_HS^2 = 2**n <L|T^n|R> as a SignedLog, overflow-safe.
 
-    Identity between the dense contraction of the A family and the
+    Identity between the dense contraction of ``build_aux_A`` and the
     transfer-matrix bracket, read by ``bracket_log_at`` (``passes`` shares
     it along a scan line), so past the cosh^2 overflow it raises; the test
     suite cross-checks it against hs_norm(contract_to_dense(...))**2 at small n.

@@ -17,58 +17,51 @@ def kron_all(*ops):
     return out
 
 
+# the Pauli factor each slot of an MPO multiplies on a site
+SLOT_PAULIS = {"identity": np.eye(2, dtype=complex), "sigma_plus": pauli("+"),
+               "sigma_minus": pauli("-")}
+
+
 def contract_by_kron(aux, n):
     """Reference contraction: every reachable state, one np.kron per term."""
-    if aux.conjugate_paulis:
-        pairs = (("0", aux.a0), ("-", aux.a_plus), ("+", aux.a_minus))
-    else:
-        pairs = (("0", aux.a0), ("+", aux.a_plus), ("-", aux.a_minus))
-    sigma = {"0": np.eye(2, dtype=complex), "+": pauli("+"), "-": pauli("-")}
-    partial = {aux.right_index: np.eye(1, dtype=complex)}
+    partial = {aux.right: np.eye(1, dtype=complex)}
     for _ in range(n):
         step = {}
-        for label, mat in pairs:
+        for name, sigma in SLOT_PAULIS.items():
+            mat = getattr(aux, name)
             rows, cols = np.nonzero(mat)
             for a, b in zip(rows, cols):
                 block = partial.get(b)
                 if block is None:
                     continue
-                contrib = mat[a, b] * np.kron(sigma[label], block)
+                contrib = mat[a, b] * np.kron(sigma, block)
                 if a in step:
                     step[a] += contrib
                 else:
                     step[a] = contrib
         partial = step
     dim = 2 ** n
-    return partial.get(aux.left_index, np.zeros((dim, dim), dtype=complex))
-
-
-def test_aux_A_two_site_path():
-    aux = build_aux_A(2, eta_from_delta(0.5))
-    L, R, one = aux.left_index, aux.right_index, 2
-    # A_+|R> = |1> and <L|A_- = <1|
-    assert aux.a_plus[one, R] == 1.0
-    assert aux.a_minus[L, one] == 1.0
+    return partial.get(0, np.zeros((dim, dim), dtype=complex))
 
 
 def test_aux_A_isotropic_diagonal_is_identity():
     aux = build_aux_A(6, 0.0)
-    assert np.allclose(aux.a0, np.eye(aux.dim_aux))
+    assert np.allclose(aux.identity, np.eye(aux.dim_aux))
 
 
 def test_aux_A_diagonal_at_half_pi():
     aux = build_aux_A(4, np.pi / 2)
     # basis [L, R, 1, 2]: cos(pi/2 * k) for k = 1, 2
-    assert np.allclose(np.diag(aux.a0), [1, 1, 0, -1], atol=1e-15)
+    assert np.allclose(np.diag(aux.identity), [1, 1, 0, -1], atol=1e-15)
 
 
 def test_aux_B_entries():
     eta = eta_from_delta(2.0)
     s = solve_s(0.01, eta)
     aux = build_aux_B(4, eta, s)
-    assert np.isclose(aux.a_minus[1, 0], np.sin(eta))
-    assert np.isclose(aux.a0[0, 0], np.sin(eta * s))
-    assert np.all(np.isfinite(aux.a0[np.nonzero(aux.a0)]))
+    assert np.isclose(aux.sigma_minus[1, 0], np.sin(eta))
+    assert np.isclose(aux.identity[0, 0], np.sin(eta * s))
+    assert np.all(np.isfinite(aux.identity[np.nonzero(aux.identity)]))
 
 
 def test_aux_B_rejects_isotropic():
@@ -119,15 +112,44 @@ def test_contract_conserves_magnetization():
         assert hs_norm(M @ Z - Z @ M) < 1e-12
 
 
-def test_aux_boundaries_and_pairing_follow_the_family():
+def test_aux_boundaries_and_pairing_follow_the_builder():
     eta = eta_from_delta(2.0)
     a, b = build_aux_A(5, eta), build_aux_B(5, eta, solve_s(0.01, eta))
-    assert (a.dim_aux, a.left_index, a.right_index, a.conjugate_paulis) == (4, 0, 1, True)
-    assert (b.dim_aux, b.left_index, b.right_index, b.conjugate_paulis) == (3, 0, 0, False)
-    with pytest.raises(AttributeError):
-        a.conjugate_paulis = False
-    with pytest.raises(ValueError, match="family"):
-        AuxMatrices(family="C", a0=b.a0, a_plus=b.a_plus, a_minus=b.a_minus)
+    L, R, one = 0, 1, 2  # A's basis [L, R, 1, 2]
+    # A_- = |L><1| + ... fills the sigma^+ slot, A_+ = |1><R| + ... the sigma^- slot
+    assert a.sigma_plus[L, one] == 1.0 and a.sigma_minus[one, R] == 1.0
+    assert a.sigma_plus[one, R] == 0.0 and a.sigma_minus[L, one] == 0.0
+    assert (a.dim_aux, a.right, a.depth) == (4, R, 2)
+    # B pairs literally: B_+ = sum_k sin(eta (k - 2s)) |k><k+1| in the sigma^+ slot
+    assert b.sigma_plus[0, 1] != 0 and b.sigma_plus[1, 0] == 0
+    assert (b.dim_aux, b.right, b.depth) == (3, 0, 2)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_aux_depth_is_half_the_chain(n):
+    eta = eta_from_delta(0.5)
+    assert build_aux_A(n, eta).depth == build_aux_B(n, eta, solve_s(0.01, eta)).depth == n // 2
+    # at eta = 0 every sin(eta k) is 0: |2>, ... are unreached, and count one level each
+    assert build_aux_A(n, 0.0).depth == n // 2
+
+
+def test_aux_rejects_an_entry_against_its_popcount_label():
+    # on the band, but it gives state 0 two popcount labels
+    eta = eta_from_delta(2.0)
+    b = build_aux_B(4, eta, solve_s(0.01, eta))
+    identity = b.identity.copy()
+    identity[0, 1] = 1.0
+    with pytest.raises(ValueError,
+                       match=r"identity\[0, 1\] sets popcount label 1 on state 0, which has 0"):
+        AuxMatrices(identity=identity, sigma_plus=b.sigma_plus, sigma_minus=b.sigma_minus)
+
+
+def test_contract_rejects_a_too_shallow_mpo():
+    eta = eta_from_delta(2.0)
+    with pytest.raises(ValueError, match=r"depth 2 too small for an 9-site contraction"):
+        contract_to_dense(build_aux_B(4, eta, solve_s(0.01, eta)), 9)
+    with pytest.raises(ValueError, match=r"depth 1 too small for an 4-site contraction"):
+        contract_to_dense(build_aux_A(2, 0.0), 4)
 
 
 def test_contract_isotropic_structure():
@@ -171,24 +193,54 @@ def test_contract_B_equals_kron_reference(n, delta):
         assert np.array_equal(contract_to_dense(aux, n), contract_by_kron(aux, n))
 
 
+def doubled_B(n, eta, s):
+    """The MPO [[M, 0], [M', M]] of the B matrices M and M' = dM/ds, whose
+    contraction is dS/ds.  State k' is index 2k and state k index 2k + 1, so
+    the left boundary 0' is index 0 and the right boundary 0 is index 1; a
+    path from 0 to 0' takes exactly one M' entry."""
+    aux = build_aux_B(n, eta, s)
+    k = np.arange(aux.dim_aux)
+    derivatives = {"identity": np.diag(eta * np.cos(eta * (s - k))),
+                   "sigma_plus": np.diag(-2 * eta * np.cos(eta * (k[:-1] - 2 * s)), 1),
+                   "sigma_minus": np.zeros_like(aux.sigma_minus)}
+    doubled = {}
+    for name, derivative in derivatives.items():
+        doubled[name] = np.zeros((2 * aux.dim_aux,) * 2, dtype=complex)
+        doubled[name][0::2, 0::2] = doubled[name][1::2, 1::2] = getattr(aux, name)
+        doubled[name][0::2, 1::2] = derivative
+    return AuxMatrices(**doubled, right=1)
+
+
+@pytest.mark.parametrize("delta, epsilon, n", [(2.0, 1e-2, 6), (0.5, 1e-2, 8), (10.0, 1e-3, 9),
+                                               (100.0, 1e-2, 5), (-0.6, 1e-3, 7)])
+def test_doubled_B_contracts_to_the_s_derivative(delta, epsilon, n):
+    eta = eta_from_delta(delta)
+    s = solve_s(epsilon, eta)
+    doubled = doubled_B(n, eta, s)
+    assert (doubled.dim_aux, doubled.depth) == (2 * (n // 2 + 1), n // 2)
+    dS = contract_to_dense(doubled, n)
+
+    def central(h):
+        return (contract_to_dense(build_aux_B(n, eta, s + h), n)
+                - contract_to_dense(build_aux_B(n, eta, s - h), n)) / (2 * h)
+
+    h = 1e-4 * abs(s)
+    richardson = (4 * central(h / 2) - central(h)) / 3
+    assert hs_norm(dS - richardson) <= 1e-10 * hs_norm(dS)
+
+
 def contract_by_quadrants(aux, n):
     """Reference contraction: the dense quadrant loop, one 2**site x 2**site
     block per auxiliary state and site."""
-    needed = n // 2 + (2 if aux.family == "A" else 1)
-    if aux.dim_aux < needed:
-        raise ValueError(f"auxiliary space of dim {aux.dim_aux} too small for "
-                         f"an {n}-site contraction (need >= {needed})")
-    # the quadrants (row, col) where the paired Pauli factor is 1
-    one, plus, minus = ((0, 0), (1, 1)), ((0, 1),), ((1, 0),)
-    if aux.conjugate_paulis:
-        plus, minus = minus, plus
-    pairs = ((aux.a0, one), (aux.a_plus, plus), (aux.a_minus, minus))
+    # the quadrants (row, col) where each slot's Pauli factor is 1
+    pairs = [(getattr(aux, name), tuple(zip(*np.nonzero(sigma))))
+             for name, sigma in SLOT_PAULIS.items()]
     # reaches_left[r]: the states with a path of r steps to the left boundary
-    moves = (aux.a0 != 0) | (aux.a_plus != 0) | (aux.a_minus != 0)
-    reaches_left = [np.arange(aux.dim_aux) == aux.left_index]
+    moves = sum(mat != 0 for mat, _ in pairs)
+    reaches_left = [np.arange(aux.dim_aux) == 0]
     for _ in range(n - 1):
-        reaches_left.append(moves.T @ reaches_left[-1])
-    partial: dict[int, np.ndarray] = {aux.right_index: np.eye(1, dtype=complex)}
+        reaches_left.append(moves.T @ reaches_left[-1] > 0)
+    partial: dict[int, np.ndarray] = {aux.right: np.eye(1, dtype=complex)}
     for site in range(n):
         keep, half = reaches_left[n - 1 - site], 2 ** site
         step: dict[int, np.ndarray] = {}
@@ -205,10 +257,10 @@ def contract_by_quadrants(aux, n):
                     step[a][i * half:(i + 1) * half, j * half:(j + 1) * half] += contrib
         partial = step
     dim = 2 ** n
-    return partial.get(aux.left_index, np.zeros((dim, dim), dtype=complex))
+    return partial.get(0, np.zeros((dim, dim), dtype=complex))
 
 
-def aux_families(n, delta):
+def aux_mpos(n, delta):
     eta = eta_from_delta(delta)
     return [build_aux_A(n, eta)] + [build_aux_B(n, eta, solve_s(epsilon, eta))
                                     for epsilon in (1e-3, 1e-2)]
@@ -218,7 +270,7 @@ def aux_families(n, delta):
 @pytest.mark.parametrize("n", range(2, 11))
 @pytest.mark.parametrize("delta", [0.5, -0.8, 2.0, 100.0])
 def test_block_contraction_is_the_quadrant_loop_bit_for_bit(n, delta):
-    for aux in aux_families(n, delta):
+    for aux in aux_mpos(n, delta):
         dense = contract_to_dense(aux, n)
         assert np.array_equal(dense.view(np.int64),
                               contract_by_quadrants(aux, n).view(np.int64))
