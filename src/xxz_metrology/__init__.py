@@ -8,8 +8,7 @@ from .mpo import (AuxMatrices, build_aux_A, build_aux_B, contract_to_dense,
                   hs_norm_sq_via_transfer, solve_s, validity_threshold)
 from .lindblad import (Liouvillian, apply_liouvillian, build_liouvillian,
                        ness_mu1, ness_perturbative, steady_state_nullspace)
-from .fisher import (FisherEstimate, fisher_cross, optimal_estimator_variance,
-                     qfi_dense, qfi_parametric, relative_error, sld)
+from .fisher import FisherEstimate, qfi_dense, qfi_parametric, relative_error, sld
 from .transfer import (SignedLog, TransferSystem, bracket_LTnR,
                        bracket_LTnR_log, bracket_log_at, build_transfer,
                        chi_coefficient, f0_delta, f0_x,
@@ -23,8 +22,7 @@ __all__ = [
     "hs_norm_sq_via_transfer", "solve_s", "validity_threshold",
     "Liouvillian", "apply_liouvillian", "build_liouvillian",
     "ness_mu1", "ness_perturbative", "steady_state_nullspace",
-    "FisherEstimate", "fisher_cross", "optimal_estimator_variance",
-    "qfi_dense", "qfi_parametric", "relative_error", "sld",
+    "FisherEstimate", "qfi_dense", "qfi_parametric", "relative_error", "sld",
     "SignedLog", "TransferSystem", "bracket_LTnR",
     "bracket_LTnR_log", "bracket_log_at", "build_transfer", "chi_coefficient",
     "f0_delta", "f0_x", "isotropic_bracket_series",

@@ -109,13 +109,6 @@ def qfi_dense(rho: np.ndarray, drho: np.ndarray) -> float:
                for _, _, dr, denom, mask in _eigen_blocks(rho, drho))
 
 
-def fisher_cross(rho: np.ndarray, drho_x: np.ndarray, drho_y: np.ndarray) -> float:
-    """Quantum Fisher matrix element F_xy = Tr(rho {L_x, L_y})/2."""
-    Lx = sld(rho, drho_x)
-    Ly = sld(rho, drho_y)
-    return float(np.real(np.trace(rho @ (Lx @ Ly + Ly @ Lx))) / 2)
-
-
 def qfi_parametric(params: ChainParams, parameter: str,
                    build: Callable[[ChainParams], np.ndarray]) -> FisherEstimate:
     """Exact dense QFI of the state ``build(params)`` with respect to one parameter.
@@ -171,17 +164,6 @@ def qfi_parametric(params: ChainParams, parameter: str,
     return FisherEstimate(value=value, method="exact-dense", parameter=parameter,
                           params=params,
                           log_value=math.log(value) if value > 0 else -math.inf)
-
-
-def optimal_estimator_variance(rho: np.ndarray, zeta: np.ndarray, m: int) -> float:
-    """Variance of the m-sample mean of the observable zeta in state rho."""
-    if m < 1:
-        raise ValueError("need at least one measurement")
-    if hs_norm(zeta - zeta.conj().T) > 1e-10 * max(hs_norm(zeta), 1e-300):
-        raise ValueError("zeta must be hermitian")
-    mean = np.real(np.trace(zeta @ rho))
-    second = np.real(np.trace(zeta @ zeta @ rho))
-    return float((second - mean ** 2) / m)
 
 
 def relative_error(x_value: float, fisher: FisherEstimate, m: int = 1) -> float:

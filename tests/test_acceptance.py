@@ -18,10 +18,12 @@ from xxz_metrology.mpo import (build_aux_A, contract_to_dense,
 from xxz_metrology.lindblad import (apply_liouvillian, build_liouvillian,
                                     ness_mu1, ness_perturbative,
                                     steady_state_nullspace)
-from xxz_metrology.fisher import fisher_cross, qfi_dense, qfi_parametric, sld
+from xxz_metrology.fisher import qfi_dense, qfi_parametric, sld
 from xxz_metrology.transfer import (bracket_series, f0_delta, f0_x,
                                     isotropic_bracket_series, isotropic_f_delta,
                                     xi_coefficient, xi_coefficient_rational)
+
+from test_fisher import fisher_cross
 
 
 def report(num, desc, ok, elapsed, detail="", budget=None):

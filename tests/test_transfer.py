@@ -401,16 +401,79 @@ def test_batched_sets_get_the_rows_of_their_own_passes():
                                         (("T",), 2.5)])
 def test_rows_do_not_depend_on_how_far_the_pass_runs(names, eta):
     # the light cone of a pass to n_max is not that of a pass to n <= n_max,
-    # yet rows m <= n agree: mixed windows can share one pass
-    n_max = 400
+    # yet rows m <= n agree: mixed windows can share one pass.  At n_max =
+    # 4000 the support front, not the cone, bounds the columns stepped
     with np.errstate(over="ignore"):
-        for d in (3, 70, 200):
-            bands = _bands(names, n_max, d, eta)
-            full = _jet_series(bands, n_max)
-            for n in (1, 2, 31, 32, 33, 100, 257, 399):
-                _assert_same_rows(full[:n + 1], _jet_series(bands, n))
-            batch = _jet_series(_stack_bands([bands, _bands(names, n_max, 1, eta)]), 150)
-            _assert_same_rows(batch[0], full[:151])
+        for n_max, ds, ns in ((400, (3, 70, 200), (1, 2, 31, 32, 33, 100, 257, 399)),
+                              (4000, (None,), (1000, 2999, 3000))):
+            for d in ds:
+                bands = _bands(names, n_max, d, eta)
+                full = _jet_series(bands, n_max)
+                for n in ns:
+                    _assert_same_rows(full[:n + 1], _jet_series(bands, n))
+                batch = _jet_series(_stack_bands([bands, _bands(names, n_max, 1, eta)]), 150)
+                _assert_same_rows(batch[0], full[:151])
+
+
+@pytest.mark.parametrize("names", [("T", "D"), ("T", "dT", "d2T/2"), ("T", "dT", "F")])
+@pytest.mark.parametrize("eta", [0.3, math.acos(0.37), 1e-4, math.pi / 3])
+def test_jet_engine_rows_past_the_support_front_are_the_reference_loop(names, eta):
+    # at n = 4000 the amplitudes underflow to exact zeros above column ~1000
+    # (~110 at eta = 1e-4; eta = pi/3 leaks past |3> only through rounding:
+    # ~40), far below the cone's d = 2000; the reference loop steps every column
+    n = 4000
+    bands = _bands(names, n, None, eta)
+    _assert_same_rows(_jet_series(bands, n), _reference_jet_series(bands, n))
+
+
+def test_a_batch_shares_one_front():
+    # the eta = pi/3 set alone would stop near column 40; the irrational
+    # set's amplitudes carry the front past it, and both keep their rows
+    n = 3000
+    sets = [_bands(("T", "D"), n, None, eta) for eta in (math.pi / 3, math.acos(0.37))]
+    for order in (sets, sets[::-1]):
+        for rows, bands in zip(_jet_series(_stack_bands(order), n), order):
+            _assert_same_rows(rows, _reference_jet_series(bands, n))
+
+
+def _underflow_bands(n):
+    """Band pair whose order-1 amplitudes come back from below the double range.
+
+    Climbs of 1e-8 and descents of 2.5e7 weigh 1/4 per round trip, so a
+    path to column c and back weighs 4^-c, while its amplitude at column c
+    is near 1e-8c: order 0 is never nonzero above column 42.  The order-1
+    band's diagonal of 1e250 lifts v_1 by as much, which then reaches
+    column 75: a pass that drops its columns above 64 moves the last row
+    by 2.8e-10 relative.
+    """
+    dim = n // 2 + 1
+    walk = np.zeros((3, dim))
+    walk[1, 2:], walk[2, :-1] = 1e-8, 2.5e7  # climbs into 2.., descents (1 -> L too)
+    lift = np.zeros((3, dim))
+    lift[0, 1:] = 1e250
+    return [walk, lift]
+
+
+def test_amplitudes_back_from_the_underflow_range_keep_their_paths():
+    # every nonzero cell counts, not just the ones that weigh in the rows:
+    # here v_1 reaches 33 columns past v_0, at one column per step
+    n = 400
+    bands = _underflow_bands(n)
+    rows = _jet_series(bands, n)
+    assert np.isfinite(rows).all() and rows[-1] > 1e250
+    _assert_same_rows(rows, _reference_jet_series(bands, n))
+
+
+def test_a_non_finite_band_entry_is_not_hidden_behind_the_front():
+    # no amplitude climbs past column 5, yet the +inf entry at column 40
+    # turns the zeros it multiplies into NaN, which descend to L: the late
+    # rows are NaN, as in the reference loop
+    n = 400
+    bands = _underflow_bands(n)[:1]
+    bands[0][1, 6:] = 0.0
+    bands[0][0, 40] = np.inf
+    for rows in (_jet_series(bands, n), _reference_jet_series(bands, n)):
+        assert np.isfinite(rows[:40]).all() and np.isnan(rows[200:]).all()
 
 
 # --- the log jet engine against the all-column loop it replaced --------------
