@@ -15,8 +15,8 @@ evaluator, its grid and the options it reads with their defaults.  A
 grid is a list of lines whose rows share their jet passes: runs of
 points that differ only in n (``transfer.LinePasses``), so a curve in n
 costs one propagation, and the whole rational xi grid, one batched pass
-over every (p, q) (``transfer.RationalPasses``).  A pool maps lines, so
-it does not split that scan.
+over every (p, q) (``transfer.rational_defects``), built in the line's
+first row.  A pool maps lines, so it does not split that scan.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from .model import ChainParams, eta_from_delta
 from .mpo import _log_threshold, hs_norm_sq_via_transfer
 from .fisher import qfi_parametric
 from .lindblad import ness_mu1
-from .transfer import (LinePasses, RationalPasses, bracket_series, chi_coefficient,
-                       defect_series, f0_x, isotropic_bracket_series, isotropic_f_delta,
+from .transfer import (LinePasses, bracket_series, chi_coefficient, defect_series, f0_x,
+                       isotropic_bracket_series, isotropic_f_delta, rational_defects,
                        second_eta_derivative_bracket, xi_coefficient, xi_coefficient_rational)
 
 EXIT_OK = 0
@@ -133,7 +133,7 @@ def _eval_chi(passes, route, p, q, delta, d):
 
 def _eval_xi_rational(passes, p, q, delta, window_start):
     del delta  # it follows from (p, q)
-    return xi_coefficient_rational(p, q, window_start, passes)._asdict()
+    return xi_coefficient_rational(p, q, window_start, passes[p, q])._asdict()
 
 
 def _eval_xi_n(passes, delta, n):
@@ -217,7 +217,7 @@ def _line_passes(line):
 
 
 def _rational_passes(line):
-    return RationalPasses([(pt["p"], pt["q"], pt["window_start"]) for pt in line])
+    return rational_defects([(pt["p"], pt["q"], pt["window_start"]) for pt in line])
 
 
 @dataclass(frozen=True)
@@ -352,25 +352,25 @@ class _guard:
     order, (row, messages of the warnings raised, seconds taken).
 
     The points run from the largest n down and share the passes of the
-    kind (a LinePasses, or the rational line's one batched pass), so a
-    pass runs, is timed and raises its warnings in the first row that
-    asks for it.  A failure becomes a row that names its grid point and
-    carries the error.  Warnings are caught here, so pool workers report
-    them too.
+    kind (a LinePasses, or the rational line's one batched pass), built
+    in the first row, so a pass runs, is timed and raises its warnings
+    and its failure in the first row that asks for it.  A failure becomes
+    a row that names its grid point and carries the error.  Warnings are
+    caught here, so pool workers report them too.
     """
 
     def __init__(self, evaluate, passes):
         self.evaluate, self.passes = evaluate, passes
 
     def __call__(self, line):
-        passes = self.passes(line)
-        outcomes = [None] * len(line)
+        passes, outcomes = None, [None] * len(line)
         for i in sorted(range(len(line)), key=lambda i: line[i].get("n", 0), reverse=True):
             point = line[i]
             t0 = time.perf_counter()
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("default")  # each message once per place
                 try:
+                    passes = self.passes(line) if passes is None else passes
                     row = {**point, **self.evaluate(passes, **point), "error": ""}
                 except Exception as exc:  # noqa: BLE001 - failure markers by design
                     row = {**point, "error": f"{type(exc).__name__}: {exc}"}

@@ -41,11 +41,13 @@ series over m = 0..n: ``bracket_series``, ``defect_series`` and
 as a list of SignedLogs.  Row m of a pass truncated at d >= m//2 is the
 row of m's own pass (d = m//2) bit for bit, except next to a band entry
 that overflows (see :class:`LinePasses`, which shares passes between the
-rows of a scan line).  A single bracket or defect sum is returned as a
-float where that is finite and as a SignedLog where it leaves the double
-range.  Each log-domain bracket row of a full pass (d >= n//2), through
-:func:`bracket_log_at` or :func:`bracket_LTnR`, is held to
-:func:`check_single_path`: past the cosh^2 overflow it raises.
+rows of a scan line).  Truncated passes run only where their rows are
+exact or visibly non-finite: the float series (inf or NaN past an
+overflow) and :func:`rational_defects` at d = p - 1.  The log and auto
+routes take (n, eta) alone.  A single bracket or defect sum is a float
+where that is finite, else a SignedLog, and every log row is held to the
+single path: :func:`bracket_log_at` holds each bracket row it reads to
+:func:`check_single_path`, so past the cosh^2 overflow it raises.
 
 :func:`jordan_decompose` gives chi_1 in closed form, held to its own O(d)
 rounding bound; the dense T and D of :func:`build_transfer` only check
@@ -366,26 +368,10 @@ def defect_series(n: int, eta: complex, d: int | None = None) -> np.ndarray:
     return _jet_series(_bands(("T", "D"), n, d, eta), n)
 
 
-def bracket_LTnR_log(n: int, eta: complex, d: int | None = None) -> list[SignedLog]:
+def bracket_LTnR_log(n: int, eta: complex) -> list[SignedLog]:
     """<L|T^m|R> for m = 0..n as SignedLogs, in one log-domain pass;
     overflow-safe for |Delta| > 1.  :func:`bracket_log_at` reads one row."""
-    return _jet_log(_bands(("T",), n, d, eta), n)
-
-
-def _bracket_row(series: list[SignedLog], n: int, eta: complex, d: int | None = None) -> SignedLog:
-    """Row n of a :func:`bracket_LTnR_log` series at eta, truncated at d.
-
-    The path R -> 1 -> L -> ... -> L alone weighs 1/4: a row that is
-    not positive and finite is band overflow (|Delta| >~ 1e77) and raises,
-    and so does a full pass's (d None or >= n//2) row below its
-    :func:`check_single_path` (a truncated pass may lie below it).
-    """
-    val = series[n]
-    if not (val.sign > 0 and math.isfinite(val.log)):
-        raise ArithmeticError(f"<L|T^{n}|R> = {val} lost every path to band overflow")
-    if d is None or d >= n // 2:
-        check_single_path(n, eta, val.log)
-    return val
+    return _jet_log(_bands(("T",), n, None, eta), n)
 
 
 class LinePasses:
@@ -393,7 +379,7 @@ class LinePasses:
     differ only in n).
 
     ``passes(jet, n, eta)`` returns the series of ``jet``, a propagator
-    of (n, eta, d) such as :func:`bracket_LTnR_log`, from a pass that
+    of (n, eta) such as :func:`bracket_LTnR_log`, from a pass that
     holds row n exactly as row n's own pass (d = n//2) would: the last
     pass of that jet at that eta if it does (see :func:`_overflow_column`),
     else a new pass at (n, n//2).  Rows asked from the largest n down so
@@ -430,49 +416,52 @@ def _overflow_column(eta: complex, d: int) -> int:
 
 
 def bracket_log_at(n: int, eta: complex, passes: LinePasses | None = None) -> SignedLog:
-    """<L|T^n|R> as a SignedLog: row n of a :func:`bracket_LTnR_log` pass.
+    """<L|T^n|R> as a SignedLog: row n of the :func:`bracket_LTnR_log` jet
+    of (n, eta), from its own pass or one ``passes`` shares along a line.
 
-    The pass is row n's own, or one that ``passes`` shares along a scan
-    line.  A row that lost every path to band overflow raises, and so does
-    one below its :func:`check_single_path` (past the cosh^2 overflow).
+    The path R -> 1 -> L -> ... -> L alone weighs 1/4: a row that is not
+    positive and finite (band overflow, |Delta| >~ 1e77) raises, and so does
+    every row below its :func:`check_single_path` (past the cosh^2 overflow).
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    return _bracket_row((passes or LinePasses())(bracket_LTnR_log, n, eta), n, eta)
+    val = (passes or LinePasses())(bracket_LTnR_log, n, eta)[n]
+    if not (val.sign > 0 and math.isfinite(val.log)):
+        raise ArithmeticError(f"<L|T^{n}|R> = {val} lost every path to band overflow")
+    check_single_path(n, eta, val.log)
+    return val
 
 
-def _float_or_log(series, log_fn, n: int, eta: complex, d: int | None):
-    """The float ``series(n, eta, d)[n]`` where finite, else ``log_fn``'s SignedLog."""
+def _float_or_log(series, log_fn, n: int, eta: complex):
+    """The float ``series(n, eta)[n]`` where finite, else ``log_fn``'s SignedLog."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    val = float(series(n, eta, d)[n])
-    return val if math.isfinite(val) else log_fn(n, eta, d)
+    val = float(series(n, eta)[n])
+    return val if math.isfinite(val) else log_fn(n, eta)
 
 
-def bracket_LTnR(n: int, eta: complex, d: int | None = None) -> float | SignedLog:
+def bracket_LTnR(n: int, eta: complex) -> float | SignedLog:
     """<L|T^n|R> by iterated banded matrix-vector products.
 
-    A float where it is finite, else a SignedLog held to :func:`_bracket_row`.
+    A float where it is finite, else the SignedLog of :func:`bracket_log_at`.
     """
-    return _float_or_log(bracket_series,
-                         lambda n, eta, d: _bracket_row(bracket_LTnR_log(n, eta, d), n, eta, d),
-                         n, eta, d)
+    return _float_or_log(bracket_series, bracket_log_at, n, eta)
 
 
-def sum_defect_log(n: int, eta: complex, d: int | None = None) -> SignedLog:
+def sum_defect_log(n: int, eta: complex) -> SignedLog:
     """Log-domain version of :func:`sum_defect` with exact sign tracking; for
-    |Delta| > 1 on the full matrices it raises where :func:`bracket_log_at` does."""
-    if _split_eta(eta)[1] and (d is None or d >= n // 2):
+    |Delta| > 1 it raises where :func:`bracket_log_at` does."""
+    if _split_eta(eta)[1]:
         bracket_log_at(n, eta)
-    return _jet_log(_bands(("T", "D"), n, d, eta), n)[n]
+    return _jet_log(_bands(("T", "D"), n, None, eta), n)[n]
 
 
-def sum_defect(n: int, eta: complex, d: int | None = None) -> float | SignedLog:
+def sum_defect(n: int, eta: complex) -> float | SignedLog:
     """sum_{k=1}^n <L|T^{k-1} D T^{n-k}|R> on the light cone, in O(d) memory.
 
     A float where it is finite, else a SignedLog (|Delta| > 1, large n).
     """
-    return _float_or_log(defect_series, sum_defect_log, n, eta, d)
+    return _float_or_log(defect_series, sum_defect_log, n, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -721,32 +710,11 @@ def chi_second_derivative(delta: float, d: int) -> float:
     return d / (d + 1) * (2 * delta ** 2 + 1) / (1 - delta ** 2) ** 2
 
 
-class RationalPasses:
-    """The defect-sum pass shared by the rows of one rational xi scan line.
-
-    Built on the line's (p, q, window_start) points, its first call runs
-    one batched (|T|, D) pass over all of them (eta = q pi/p, d = p - 1),
-    to twice the largest window start.
-    ``passes(p, q, window_start)`` returns that point's series, whose rows
-    are those of its own pass to 2 window_start bit for bit, or a pass of
-    its own where the batch does not reach 2 window_start.
-    """
-
-    def __init__(self, points):
-        self._points = list(points)
-        self._series: dict | None = None
-
-    def __call__(self, p: int, q: int, window_start: int) -> np.ndarray:
-        if self._series is None:
-            self._series = _rational_defects(self._points)
-        series = self._series.get((p, q))
-        if series is None or series.size <= 2 * window_start:
-            series = _rational_defects([(p, q, window_start)])[p, q]
-        return series
-
-
-def _rational_defects(points) -> dict:
-    """{(p, q): defect series} of (p, q, window_start) points, from one batched pass."""
+def rational_defects(points) -> dict[tuple[int, int], np.ndarray]:
+    """{(p, q): defect series} of (p, q, window_start) points, from one
+    batched (|T|, D) pass at eta = q pi/p, d = p - 1, to twice the largest
+    window start.  Each series's rows are those of its point's own pass
+    bit for bit."""
     n = 2 * max(window_start for _, _, window_start in points)
     sets = {}
     for p, q, _ in points:
@@ -756,7 +724,7 @@ def _rational_defects(points) -> dict:
 
 
 def xi_coefficient_rational(p: int, q: int, window_start: int,
-                            passes: RationalPasses | None = None) -> RationalXi:
+                            series: np.ndarray | None = None) -> RationalXi:
     """Growth coefficient xi of F_Delta^(0) = (lam mu / J)^2 xi n at eta/pi = q/p.
 
     T and D are restricted to d = p - 1, the defect-sum slope xi_1 is
@@ -766,15 +734,21 @@ def xi_coefficient_rational(p: int, q: int, window_start: int,
     [sum_defect - (1/4) d^2 bracket / d eta^2]/n: at rational eta/pi the
     full Fisher information keeps a secular n^2 piece fed by paths
     dwelling on the absorbing state |p>, which the restriction removes.
-    The series comes from a pass of its own, or from the batched pass
-    ``passes`` shares along a scan line.
+    The defect series comes from a pass of its own, or is ``series``, the
+    point's row of a :func:`rational_defects` batch; one that ends before
+    2 window_start raises ValueError.
     """
     if window_start < 8:
         raise ValueError(f"need window_start >= 8 for a meaningful window, "
                          f"got {window_start}")
     _, delta, d = _rational_point(p, q)
     n = window_start
-    ys = (passes or RationalPasses([(p, q, n)]))(p, q, n)[n:2 * n + 1]
+    if series is None:
+        series = rational_defects([(p, q, n)])[p, q]
+    if series.size <= 2 * n:
+        raise ValueError(f"the defect series of (p, q) = {(p, q)} ends at n = "
+                         f"{series.size - 1}, before the window's end {2 * n}")
+    ys = series[n:2 * n + 1]
     A = np.vstack([np.arange(n, 2 * n + 1, dtype=float), np.ones(n + 1)]).T
     coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
     xi1 = float(coef[0])

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -421,6 +422,47 @@ def test_rational_line_rows_are_their_own_passes(tmp_path):
             repr(float(alone.xi)), repr(alone.xi1), repr(alone.chi_dd), repr(alone.fit_r2)]
         assert warned.pop((p, q), []) == [str(w.message) for w in caught]
     assert not warned  # every warning names a grid point of its own
+
+
+def test_the_rational_batch_runs_in_the_first_row(tmp_path, monkeypatch):
+    # the line's batch is built inside its first row's timed try: its time
+    # and its warnings are that row's, and it runs once
+    from xxz_metrology import cli, transfer
+    calls = []
+
+    def batch(points):
+        calls.append(points)
+        warnings.warn("the batch ran")
+        time.sleep(0.05)
+        return transfer.rational_defects(points)
+
+    monkeypatch.setattr(cli, "rational_defects", batch)
+    out = tmp_path / "xi.csv"
+    assert main(["scan", "xi-vs-eta-rational", "--p-max", "4", "--n-window", "8",
+                 "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((tmp_path / "xi.csv.manifest.json").read_text())
+    assert len(calls) == 1
+    assert [w["point"] for w in manifest["warnings"] if w["message"] == "the batch ran"] == [
+        {"p": 2, "q": 1, "delta": math.cos(math.pi / 2), "window_start": 8}]
+    assert manifest["wall_s"][0] >= 0.05
+
+
+def test_a_failed_rational_batch_fails_every_row_of_its_line(tmp_path, monkeypatch):
+    # a batch that raises is an error row at each (p, q) of the line, and
+    # the scan exits 2, not with the exception
+    def broken(points):
+        raise FloatingPointError("the batch broke")
+
+    monkeypatch.setattr("xxz_metrology.cli.rational_defects", broken)
+    out = tmp_path / "xi.csv"
+    assert main(["scan", "xi-vs-eta-rational", "--p-max", "5", "--out", str(out)]) == EXIT_PARTIAL
+    header, *rows = read_csv(out)
+    assert [(int(row[0]), int(row[1])) for row in rows] == [
+        (p, q) for p, q, _ in rational_grid(5)]
+    assert {row[header.index("error")] for row in rows} == {
+        "FloatingPointError: the batch broke"}
+    manifest = json.loads((tmp_path / "xi.csv.manifest.json").read_text())
+    assert manifest["failures"] == len(rows) == 9
 
 
 def _scan_lines(tmp_path, argv):

@@ -11,15 +11,16 @@ from xxz_metrology.fisher import qfi_parametric
 from xxz_metrology.lindblad import ness_perturbative
 from xxz_metrology.model import ChainParams, eta_from_delta
 from xxz_metrology.mpo import _log_threshold, hs_norm_sq_via_transfer, validity_threshold
-from xxz_metrology.transfer import (RationalPasses, SignedLog, _bands, _entries,
-                                    _jet_log, _jet_series, _split_eta, _stack_bands,
+from xxz_metrology.transfer import (SignedLog, _bands, _entries,
+                                    _jet_log, _jet_series, _overflow_column, _split_eta,
+                                    _stack_bands,
                                     bracket_LTnR,
                                     bracket_LTnR_log, bracket_log_at, bracket_series,
                                     build_transfer, check_single_path, chi_coefficient,
                                     chi_second_derivative, defect_series,
                                     f0_delta, f0_x,
                                     isotropic_bracket_series,
-                                    isotropic_f_delta, jordan_decompose,
+                                    isotropic_f_delta, jordan_decompose, rational_defects,
                                     second_eta_derivative_bracket, sum_defect,
                                     sum_defect_log, xi_coefficient,
                                     xi_coefficient_rational)
@@ -129,8 +130,8 @@ def test_rational_truncation_exactness():
     for (p, q) in ((2, 1), (3, 1), (5, 2)):
         eta = q * math.pi / p
         for n in (12, 25, 40):
-            full = bracket_LTnR(n, eta, d=n // 2)
-            trunc = bracket_LTnR(n, eta, d=p - 1)
+            full = bracket_series(n, eta, n // 2)[n]
+            trunc = bracket_series(n, eta, p - 1)[n]
             assert abs(full - trunc) <= 1e-12 * abs(full)
 
 
@@ -151,7 +152,7 @@ def brute_defect(n, eta, d):
 def test_defect_sum_vs_brute_force(delta, d):
     eta = eta_from_delta(delta)
     for n in (2, 5, 11, 20):
-        fast = sum_defect(n, eta, d=d)
+        fast = defect_series(n, eta, d)[n]
         brute = brute_defect(n, eta, d)
         assert np.isclose(fast, brute, rtol=1e-12, atol=1e-300)
 
@@ -590,16 +591,24 @@ def test_a_plus_inf_term_gives_nan_and_kills_the_column_a_step_later(eta):
 @pytest.mark.filterwarnings("ignore:defect-sum window fit")
 def test_rational_passes_share_one_batch_for_mixed_windows():
     points = [(2, 1, 100), (5, 2, 100), (7, 3, 120), (9, 8, 160)]
-    passes = RationalPasses(points)
+    batch = rational_defects(points)
+    assert list(batch) == [(p, q) for p, q, _ in points]
     for p, q, window in points:
         eta, d = q * math.pi / p, p - 1
-        series = passes(p, q, window)
+        series = batch[p, q]
         assert series.size == 2 * 160 + 1
         _assert_same_rows(series[:2 * window + 1], defect_series(2 * window, eta, d))
-        assert xi_coefficient_rational(p, q, window, passes) == \
+        assert xi_coefficient_rational(p, q, window, series) == \
             xi_coefficient_rational(p, q, window)
-    # a window past the batch runs a pass of its own
-    assert passes(2, 1, 500).size == 1001
+
+
+def test_a_rational_series_short_of_its_window_raises():
+    # the window [n, 2n] needs rows 0..2n of the series
+    series = rational_defects([(3, 1, 100)])[3, 1]
+    assert xi_coefficient_rational(3, 1, 100, series) == xi_coefficient_rational(3, 1, 100)
+    for short in (series[:200], series[:150], series[:1]):
+        with pytest.raises(ValueError, match="before the window's end 200"):
+            xi_coefficient_rational(3, 1, 100, short)
 
 
 def mp_f0_delta_bracket(n, delta, mp):
@@ -692,7 +701,7 @@ def test_isotropic_series_leading():
 
 def test_isotropic_series_vs_exact():
     val = isotropic_bracket_series(6, 0.01)
-    exact = bracket_LTnR(6, 0.01, d=3)
+    exact = bracket_series(6, 0.01, 3)[6]
     assert abs(val - exact) / exact < 1e-8
 
 
@@ -1080,15 +1089,29 @@ def test_single_path_is_one_path_of_the_bracket(delta):
     assert check_single_path(5, eta_from_delta(0.5), 0.0) is None
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_a_truncated_pass_is_not_held_to_the_single_path():
-    # d = 100 < n//2 cuts off the path's top, so the row lies below the path
-    # and is right: no band entry overflows at d = 100
-    eta, n, d = eta_from_delta(2.0), 600, 100
-    row = bracket_LTnR_log(n, eta, d)[n]
-    assert row.log < check_single_path(n, eta, math.inf)
-    assert bracket_LTnR(n, eta, d) == row
-    assert sum_defect(n, eta, d) == sum_defect_log(n, eta, d)
+@pytest.mark.parametrize("route", [bracket_LTnR_log, bracket_LTnR, sum_defect, sum_defect_log],
+                         ids=lambda route: route.__name__)
+def test_the_log_and_auto_routes_take_no_truncation(route):
+    # a log row of a pass truncated below n//2 may lie below the single
+    # path with no check to see it (Delta = 2, n = 600: 159 lower in the log
+    # at d = 271..299 than at d = 270), so these routes run the full pass only
+    eta = eta_from_delta(2.0)
+    with pytest.raises(TypeError):
+        route(20, eta, 10)
+    with pytest.raises(TypeError):
+        route(20, eta, d=10)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+@pytest.mark.parametrize("d", [271, 280, 299])
+def test_truncated_float_series_past_the_overflow_are_not_finite(d):
+    # the float series may keep their truncation: past the cosh^2 overflow
+    # (Delta = 2, n = 600; first overflowed column J = 271) their rows are
+    # visibly not finite
+    eta = eta_from_delta(2.0)
+    assert _overflow_column(eta, 300) == 271
+    assert not math.isfinite(bracket_series(600, eta, d)[600])
+    assert not math.isfinite(defect_series(600, eta, d)[600])
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
