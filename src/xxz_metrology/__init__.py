@@ -9,8 +9,7 @@ from .mpo import (AuxMatrices, build_aux_A, build_aux_B, contract_to_dense,
 from .lindblad import (Liouvillian, apply_liouvillian, build_liouvillian,
                        ness_mu1, ness_perturbative, steady_state_nullspace)
 from .fisher import FisherEstimate, qfi_dense, qfi_parametric, relative_error, sld
-from .transfer import (SignedLog, TransferSystem, bracket_LTnR,
-                       bracket_LTnR_log, bracket_log_at, build_transfer,
+from .transfer import (SignedLog, bracket_LTnR, bracket_LTnR_log,
                        chi_coefficient, f0_delta, f0_x,
                        isotropic_bracket_series, isotropic_f_delta, jordan_decompose,
                        sum_defect, xi_coefficient, xi_coefficient_rational)
@@ -23,8 +22,7 @@ __all__ = [
     "Liouvillian", "apply_liouvillian", "build_liouvillian",
     "ness_mu1", "ness_perturbative", "steady_state_nullspace",
     "FisherEstimate", "qfi_dense", "qfi_parametric", "relative_error", "sld",
-    "SignedLog", "TransferSystem", "bracket_LTnR",
-    "bracket_LTnR_log", "bracket_log_at", "build_transfer", "chi_coefficient",
+    "SignedLog", "bracket_LTnR", "bracket_LTnR_log", "chi_coefficient",
     "f0_delta", "f0_x", "isotropic_bracket_series",
     "isotropic_f_delta", "jordan_decompose", "sum_defect", "xi_coefficient",
     "xi_coefficient_rational",

@@ -43,7 +43,7 @@ from .model import ChainParams, eta_from_delta
 from .mpo import _log_threshold, hs_norm_sq_via_transfer
 from .fisher import qfi_parametric
 from .lindblad import ness_mu1
-from .transfer import (LinePasses, bracket_series, chi_coefficient, defect_series, f0_x,
+from .transfer import (LinePasses, bracket_LTnR, chi_coefficient, defect_series, f0_x,
                        isotropic_bracket_series, isotropic_f_delta, rational_defects,
                        second_eta_derivative_bracket, xi_coefficient, xi_coefficient_rational)
 
@@ -168,9 +168,9 @@ def _eval_validity(passes, delta, n, mu):
 def _eval_isotropic(passes, n):
     del passes  # a line of one point: its four propagations are its own
     eta_small = 1e-4
-    b0 = float(bracket_series(n, 0.0)[n])
+    b0 = bracket_LTnR(n, 0.0)
     formula = n * (n - 1) / 8
-    b_small = float(bracket_series(n, eta_small)[n])
+    b_small = bracket_LTnR(n, eta_small)
     series = isotropic_bracket_series(n, eta_small)
     params = ChainParams(n=n, j_coupling=1.0, delta=math.cos(eta_small),
                          lam=1.0, mu=1.0)

@@ -27,8 +27,8 @@ terms in the same order as the dense quadrant loop and the np.kron loop
 the test suite keeps as references: the results agree bit for bit.
 
 The norm ||Z||_HS^2 and the validity threshold come from the transfer
-bracket instead, as SignedLogs: both leave the double range for
-|Delta| > 1 at moderate n.
+bracket instead, as SignedLogs of its float or (|Delta| > 1) its log:
+both leave the double range for |Delta| > 1 at moderate n.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .model import _check_dense_cap
-from .transfer import LinePasses, SignedLog, bracket_log_at
+from .transfer import LinePasses, SignedLog, bracket_LTnR
 
 # the quadrants (row bit, column bit) where each slot's Pauli factor is 1
 SLOTS = (("identity", ((0, 0), (1, 1))), ("sigma_plus", ((0, 1),)),
@@ -263,12 +263,13 @@ def hs_norm_sq_via_transfer(n: int, eta: complex,
     """||Z||_HS^2 = 2**n <L|T^n|R> as a SignedLog, overflow-safe.
 
     Identity between the dense contraction of ``build_aux_A`` and the
-    transfer-matrix bracket, read by ``bracket_log_at`` (``passes`` shares
-    it along a scan line), so past the cosh^2 overflow it raises; the test
-    suite cross-checks it against hs_norm(contract_to_dense(...))**2 at small n.
+    transfer-matrix bracket of ``bracket_LTnR`` (``passes`` shares it along a
+    scan line), whose float or log it takes; past the cosh^2 overflow it
+    raises.  Checked against hs_norm(contract_to_dense(...))**2 at small n.
     """
-    val = bracket_log_at(n, eta, passes)
-    return SignedLog(val.sign, val.log + n * math.log(2.0))
+    bracket = bracket_LTnR(n, eta, passes=passes)
+    log_bracket = bracket.log if isinstance(bracket, SignedLog) else math.log(bracket)
+    return SignedLog(1.0, log_bracket + n * math.log(2.0))
 
 
 def _log_threshold(n: int, mu: float, log_norm_sq: float) -> float:
@@ -285,7 +286,8 @@ def validity_threshold(n: int, eta: complex, mu: float) -> SignedLog:
     """Largest lambda/J for which the perturbative expansion is controlled.
 
     sqrt(2**(n+1)) / (mu ||Z||_HS), as a SignedLog; above it the first
-    order overtakes the identity.  Vacuous at mu = 0; raises where
-    :func:`hs_norm_sq_via_transfer` does, past the cosh^2 overflow.
+    order overtakes the identity, from the bracket's float or log (see
+    :func:`hs_norm_sq_via_transfer`).  Vacuous at mu = 0; raises past the
+    cosh^2 overflow.
     """
     return SignedLog(1.0, _log_threshold(n, mu, hs_norm_sq_via_transfer(n, eta).log))

@@ -43,11 +43,12 @@ row of m's own pass (d = m//2) bit for bit, except next to a band entry
 that overflows (see :class:`LinePasses`, which shares passes between the
 rows of a scan line).  Truncated passes run only where their rows are
 exact or visibly non-finite: the float series (inf or NaN past an
-overflow) and :func:`rational_defects` at d = p - 1.  The log and auto
-routes take (n, eta) alone.  A single bracket or defect sum is a float
-where that is finite, else a SignedLog, and every log row is held to the
-single path: :func:`bracket_log_at` holds each bracket row it reads to
-:func:`check_single_path`, so past the cosh^2 overflow it raises.
+overflow) and :func:`rational_defects` at d = p - 1.  The log routes
+take (n, eta) alone.  A single bracket or defect sum runs the engine its
+phase picks: floats for |Delta| <= 1 (the bracket is at most n(n - 1)/8),
+logs for |Delta| > 1.  :func:`bracket_LTnR` reads every single bracket
+and holds each log row to :func:`check_single_path`: past the cosh^2
+overflow it raises.
 
 :func:`jordan_decompose` gives chi_1 in closed form, held to its own O(d)
 rounding bound; the dense T and D of :func:`build_transfer` only check
@@ -370,7 +371,7 @@ def defect_series(n: int, eta: complex, d: int | None = None) -> np.ndarray:
 
 def bracket_LTnR_log(n: int, eta: complex) -> list[SignedLog]:
     """<L|T^m|R> for m = 0..n as SignedLogs, in one log-domain pass;
-    overflow-safe for |Delta| > 1.  :func:`bracket_log_at` reads one row."""
+    overflow-safe for |Delta| > 1.  :func:`bracket_LTnR` reads one row."""
     return _jet_log(_bands(("T",), n, None, eta), n)
 
 
@@ -415,53 +416,44 @@ def _overflow_column(eta: complex, d: int) -> int:
     return int(overflowed[0]) + 1 if overflowed.size else 0
 
 
-def bracket_log_at(n: int, eta: complex, passes: LinePasses | None = None) -> SignedLog:
-    """<L|T^n|R> as a SignedLog: row n of the :func:`bracket_LTnR_log` jet
-    of (n, eta), from its own pass or one ``passes`` shares along a line.
+def bracket_LTnR(n: int, eta: complex, *, passes: LinePasses | None = None) -> float | SignedLog:
+    """<L|T^n|R>: row n of its own pass, or of one ``passes`` shares along a line.
 
-    The path R -> 1 -> L -> ... -> L alone weighs 1/4: a row that is not
+    The phase picks the engine: the float of :func:`bracket_series` for
+    |Delta| <= 1, the SignedLog of :func:`bracket_LTnR_log` for |Delta| > 1.
+    The path R -> 1 -> L -> ... -> L alone weighs 1/4: a log row that is not
     positive and finite (band overflow, |Delta| >~ 1e77) raises, and so does
     every row below its :func:`check_single_path` (past the cosh^2 overflow).
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    val = (passes or LinePasses())(bracket_LTnR_log, n, eta)[n]
+    passes = passes or LinePasses()
+    if not _split_eta(eta)[1]:
+        return float(passes(bracket_series, n, eta)[n])
+    val = passes(bracket_LTnR_log, n, eta)[n]
     if not (val.sign > 0 and math.isfinite(val.log)):
         raise ArithmeticError(f"<L|T^{n}|R> = {val} lost every path to band overflow")
     check_single_path(n, eta, val.log)
     return val
 
 
-def _float_or_log(series, log_fn, n: int, eta: complex):
-    """The float ``series(n, eta)[n]`` where finite, else ``log_fn``'s SignedLog."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    val = float(series(n, eta)[n])
-    return val if math.isfinite(val) else log_fn(n, eta)
-
-
-def bracket_LTnR(n: int, eta: complex) -> float | SignedLog:
-    """<L|T^n|R> by iterated banded matrix-vector products.
-
-    A float where it is finite, else the SignedLog of :func:`bracket_log_at`.
-    """
-    return _float_or_log(bracket_series, bracket_log_at, n, eta)
-
-
 def sum_defect_log(n: int, eta: complex) -> SignedLog:
     """Log-domain version of :func:`sum_defect` with exact sign tracking; for
-    |Delta| > 1 it raises where :func:`bracket_log_at` does."""
+    |Delta| > 1 it raises where :func:`bracket_LTnR` does."""
     if _split_eta(eta)[1]:
-        bracket_log_at(n, eta)
+        bracket_LTnR(n, eta)
     return _jet_log(_bands(("T", "D"), n, None, eta), n)[n]
 
 
 def sum_defect(n: int, eta: complex) -> float | SignedLog:
     """sum_{k=1}^n <L|T^{k-1} D T^{n-k}|R> on the light cone, in O(d) memory.
 
-    A float where it is finite, else a SignedLog (|Delta| > 1, large n).
+    The phase picks the engine: the float of :func:`defect_series` for
+    |Delta| <= 1, :func:`sum_defect_log` for |Delta| > 1.
     """
-    return _float_or_log(defect_series, sum_defect_log, n, eta)
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    return sum_defect_log(n, eta) if _split_eta(eta)[1] else float(defect_series(n, eta)[n])
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +472,10 @@ def f0_x(params, parameter: str, passes: LinePasses | None = None):
     """Leading-order Fisher information for x in {J, lambda, mu}.
 
     F_x^(0) = (d(lambda mu / J)/dx)^2 <L|T^n|R> / 2, the bracket read by
-    :func:`bracket_log_at` (``passes`` shares it along a scan line, and it
-    raises past the cosh^2 overflow).  Returns a FisherEstimate; for
-    |Delta| > 1 the value may only be representable through its ``log_value``.
+    :func:`bracket_LTnR` (``passes`` shares it along a scan line, and it
+    raises past the cosh^2 overflow).  Returns a FisherEstimate: F in floats
+    for |Delta| <= 1, else from the bracket's log, where the value may only
+    be representable through its ``log_value``.
     """
     if parameter not in _PREFACTOR_DERIVS:
         raise ValueError(
@@ -493,9 +486,15 @@ def f0_x(params, parameter: str, passes: LinePasses | None = None):
         return FisherEstimate(value=0.0, log_value=-math.inf,
                               method="leading-order", parameter=parameter,
                               params=params)
-    log_f = (2 * math.log(abs(pref)) + bracket_log_at(params.n, params.eta, passes).log
-             - math.log(2.0))
-    return FisherEstimate(value=SignedLog(1.0, log_f).value, log_value=log_f,
+    bracket = bracket_LTnR(params.n, params.eta, passes=passes)
+    if isinstance(bracket, SignedLog):
+        log_f = 2 * math.log(abs(pref)) + bracket.log - math.log(2.0)
+        value = SignedLog(1.0, log_f).value
+    else:
+        value = pref ** 2 * bracket / 2
+        log_f = (math.log(value) if 0 < value < math.inf  # else pref^2 left the double range
+                 else 2 * math.log(abs(pref)) + math.log(bracket / 2))
+    return FisherEstimate(value=value, log_value=log_f,
                           method="leading-order", parameter=parameter, params=params)
 
 
@@ -527,7 +526,7 @@ def f0_delta(params):
     |Delta| != 1.  For |Delta| < 1 the jet runs in floats.  For |Delta| > 1
     it runs in logs, and the value may only be held by ``log_value``; the
     jet runs on the bracket's |T| band, so it reads the bracket through
-    :func:`bracket_log_at` first: past the cosh^2 overflow, where the log
+    :func:`bracket_LTnR` first: past the cosh^2 overflow, where the log
     bands lose paths, it raises ArithmeticError.
     """
     delta, n = params.delta, params.n
@@ -542,7 +541,7 @@ def f0_delta(params):
         value = pref * float(_jet_series(bands, n)[n])
         log_value = math.log(value) if value > 0 else -math.inf
     else:
-        bracket_log_at(n, params.eta)
+        bracket_LTnR(n, params.eta)
         total = _jet_log(bands, n)[n]  # a negative total fails FisherEstimate's check
         log_value = total.log + math.log(pref) if pref > 0 else -math.inf
         value = SignedLog(total.sign, log_value).value

@@ -216,6 +216,16 @@ def test_flambda_leading_order_column(tmp_path):
     assert math.isclose(float(first[i_log]), math.log10(0.125))
 
 
+@pytest.mark.parametrize("delta", ["0.5", "-0.6", "0.0", "1.0"])
+def test_flambda_leading_order_is_exact_in_the_easy_plane(tmp_path, delta):
+    # |Delta| <= 1: F = bracket/2 in floats, with no round trip through its log
+    out = tmp_path / "f0.csv"
+    assert main(["scan", "f-lambda-nonpert", "--delta", delta, "--lambda-over-j", "0",
+                 "--n-range", "2", "2", "1", "--out", str(out)]) == EXIT_OK
+    header, row = read_csv(out)
+    assert dict(zip(header, row))["j2_f_lambda"] == "0.125"
+
+
 def test_flambda_log_only_when_overflowing(tmp_path):
     out = tmp_path / "f0big.csv"
     code = main(["scan", "f-lambda-nonpert", "--delta", "100.0",
@@ -472,7 +482,7 @@ def _scan_lines(tmp_path, argv):
 
 
 _LOG_LINES = [("2", (540, 600, 60)), ("2", (541, 600, 59)), ("1e80", (1, 8, 1)),
-              ("nan", (1, 3, 1)), ("-1.5", (1, 9, 1))]
+              ("nan", (1, 3, 1)), ("-1.5", (1, 9, 1)), ("0.37", (1, 601, 150))]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -502,6 +512,7 @@ def test_a_line_writes_the_bytes_of_its_rows_run_one_n_at_a_time(tmp_path, kind,
     # the lines run next to the first overflowed column (J = 271 at Delta = 2,
     # J = 2 at Delta = 1e80): from n = 2 on, exactly the registered rows fail
     assert rows[("1e+80", 1)].startswith("ValueError: need ")
+    assert rows[("0.37", 1)].startswith("ValueError: need ")  # the float phase alike
     assert all(bool(error) == (known_faults.fault_at(kind, delta=dl, lambda_over_j=0, n=n)
                                is not None)
                for (dl, n), error in rows.items() if dl != "nan" and n > 1)

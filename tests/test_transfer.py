@@ -9,13 +9,14 @@ import pytest
 import known_faults
 from xxz_metrology.fisher import qfi_parametric
 from xxz_metrology.lindblad import ness_perturbative
+from xxz_metrology import transfer
 from xxz_metrology.model import ChainParams, eta_from_delta
 from xxz_metrology.mpo import _log_threshold, hs_norm_sq_via_transfer, validity_threshold
 from xxz_metrology.transfer import (SignedLog, _bands, _entries,
                                     _jet_log, _jet_series, _overflow_column, _split_eta,
                                     _stack_bands,
                                     bracket_LTnR,
-                                    bracket_LTnR_log, bracket_log_at, bracket_series,
+                                    bracket_LTnR_log, bracket_series,
                                     build_transfer, check_single_path, chi_coefficient,
                                     chi_second_derivative, defect_series,
                                     f0_delta, f0_x,
@@ -63,8 +64,12 @@ def test_easy_axis_transfer_off_diagonals_negative():
 # --- brackets ---------------------------------------------------------------
 
 def test_bracket_n2_universal():
-    for delta in (-0.9, 0.0, 0.5, 1.0, 2.0, 10.0):
-        assert np.isclose(bracket_LTnR(2, eta_from_delta(delta)), 0.25)
+    # the float phase reads the one path R -> 1 -> L exactly; the log phase
+    # returns a SignedLog
+    for delta in (-0.9, 0.0, 0.5, 1.0):
+        assert bracket_LTnR(2, eta_from_delta(delta)) == 0.25
+    for delta in (2.0, 10.0):
+        assert np.isclose(bracket_LTnR(2, eta_from_delta(delta)).value, 0.25)
 
 
 def test_bracket_isotropic_values():
@@ -85,7 +90,8 @@ def test_bracket_matches_dense_matrix_power():
             v = np.zeros(ts.T.shape[0])
             v[1] = 1.0
             dense = (np.linalg.matrix_power(ts.T, n) @ v)[0]
-            assert np.isclose(bracket_LTnR(n, eta), dense, rtol=1e-12)
+            bracket = bracket_LTnR(n, eta)  # a SignedLog at Delta = 2
+            assert np.isclose(getattr(bracket, "value", bracket), dense, rtol=1e-12)
 
 
 def test_bracket_log_linear_agreement():
@@ -184,6 +190,21 @@ def test_f0_lambda_example():
     assert est.method == "leading-order"
 
 
+@pytest.mark.parametrize("delta", [0.5, -0.6, 0.0, 1.0])
+def test_f0_lambda_is_exact_in_the_easy_plane(delta):
+    # |Delta| <= 1 reads the float bracket 1/4: F = 1/8 with no log round trip
+    est = f0_x(ChainParams(n=2, delta=delta, lam=1, mu=1), "lambda")
+    assert est.value == 0.125
+    assert est.log_value == math.log(0.125)
+
+
+def test_f0_keeps_its_log_where_the_float_underflows():
+    # (lam/J)^2 = 1e-340 leaves the double range: F reads 0.0, its log does not
+    est = f0_x(ChainParams(n=2, delta=0.5, lam=1e-170, mu=1), "mu")
+    assert est.value == 0.0
+    assert math.isclose(est.log_value, 2 * math.log(1e-170) + math.log(0.125), rel_tol=1e-15)
+
+
 def test_f0_mu_nonzero_at_zero_bias():
     params = ChainParams(n=4, delta=0.5, lam=0.2, mu=0.0)
     assert f0_x(params, "mu").value > 0
@@ -235,7 +256,7 @@ def test_f0_delta_rejects_isotropic():
 def test_f0_delta_log_route_matches_float_route(delta):
     eta = eta_from_delta(delta)
     for n in range(2, 19):
-        lin = sum_defect(n, eta) + 0.25 * second_eta_derivative_bracket(n, eta)[n]
+        lin = defect_series(n, eta)[n] + 0.25 * second_eta_derivative_bracket(n, eta)[n]
         lg = _jet_log(_bands(("T", "dT", "F"), n, None, eta), n)[n]  # twice the bracket
         assert lg.sign == np.sign(lin)
         assert math.isclose(lg.value / 2, lin, rel_tol=1e-10)
@@ -1079,7 +1100,7 @@ def test_single_path_is_one_path_of_the_bracket(delta):
     # step cosh^2(t (n-1)/2) at the top; each lies under the bracket
     eta = eta_from_delta(delta)
     for n in range(4, 32):
-        log_bracket = bracket_log_at(n, eta).log
+        log_bracket = bracket_LTnR(n, eta).log
         log_path = check_single_path(n, eta, log_bracket)
         assert math.isclose(log_path, path_log_weight(n, eta), rel_tol=1e-13)
         assert log_path <= log_bracket
@@ -1100,6 +1121,28 @@ def test_the_log_and_auto_routes_take_no_truncation(route):
         route(20, eta, 10)
     with pytest.raises(TypeError):
         route(20, eta, d=10)
+
+
+def test_the_phase_picks_the_engine(monkeypatch):
+    # past the float overflow no float pass runs to be thrown away; in the
+    # easy plane the float row is read, and no log pass runs
+    calls = {"float": 0, "log": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+    monkeypatch.setattr(transfer, "_jet_series", counted("float", transfer._jet_series))
+    monkeypatch.setattr(transfer, "_jet_log", counted("log", transfer._jet_log))
+    eta = eta_from_delta(2.0)
+    assert isinstance(bracket_LTnR(500, eta), SignedLog)
+    assert isinstance(sum_defect(500, eta), SignedLog)
+    assert calls == {"float": 0, "log": 3}  # the bracket twice, the defect jet once
+    eta = eta_from_delta(0.37)
+    assert bracket_LTnR(500, eta) == bracket_series(500, eta)[500]
+    assert sum_defect(500, eta) == defect_series(500, eta)[500]
+    assert calls == {"float": 4, "log": 3}
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
@@ -1156,7 +1199,7 @@ def test_dead_log_columns_do_not_overflow_exp():
         row = bracket_LTnR_log(620, eta)[620]
     assert not [w for w in caught if "overflow encountered in exp" in str(w.message)]
     with known_faults.expect("validity-report", delta=2.0, n=620):
-        assert bracket_log_at(620, eta) == row
+        assert bracket_LTnR(620, eta) == row
 
 
 # --- Toeplitz ---------------------------------------------------------------
