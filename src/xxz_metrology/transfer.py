@@ -46,9 +46,9 @@ exact or visibly non-finite: the float series (inf or NaN past an
 overflow) and :func:`rational_defects` at d = p - 1.  The log routes
 take (n, eta) alone.  A single bracket or defect sum runs the engine its
 phase picks: floats for |Delta| <= 1 (the bracket is at most n(n - 1)/8),
-logs for |Delta| > 1.  :func:`bracket_LTnR` reads every single bracket
-and holds each log row to :func:`check_single_path`: past the cosh^2
-overflow it raises.
+logs for |Delta| > 1.  Every log jet's order 0 is the bracket bit for bit,
+so each single log row is held to :func:`check_single_path` through order 0
+of its own pass: past the cosh^2 overflow it raises.
 
 :func:`jordan_decompose` gives chi_1 in closed form, held to its own O(d)
 rounding bound; the dense T and D of :func:`build_transfer` only check
@@ -68,6 +68,7 @@ import numpy as np
 from .fisher import FisherEstimate
 
 _LOG_MAX = math.log(np.finfo(float).max)
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double
 
 
 class SignedLog(NamedTuple):
@@ -295,12 +296,13 @@ def _jet_series(bands: list[np.ndarray], n: int) -> np.ndarray:
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _jet_log(bands: list[np.ndarray], n: int) -> list[SignedLog]:
-    """<L|v_k> of :func:`_jet_series` after m = 0..n steps, as SignedLogs,
-    on the same light cone, two columns wide at least (NumPy would sum a
-    single column's rows pairwise, not in row order).  It keeps the plain
-    cone, with no support front: a log does not underflow, so the support
-    fills the cone, each column live from the first step a path reaches it.
+def _jet_log(bands: list[np.ndarray], n: int) -> list[list[SignedLog]]:
+    """<L|v_j> after m = 0..n steps, one list of SignedLogs per order j (order
+    0, |T| alone, is the bracket), on the light cone of :func:`_jet_series`,
+    two columns wide at least (NumPy would sum a single column's rows
+    pairwise, not in row order).  It keeps the plain cone, with no support
+    front: a log does not underflow, so the support fills the cone, each
+    column live from the first step a path reaches it.
 
     A jet with no negative band entry carries no signs: its rows read sign
     1 where the log is above -inf.  Column c of v_j' sums its term rows
@@ -346,14 +348,15 @@ def _jet_log(bands: list[np.ndarray], n: int) -> list[SignedLog]:
                     partial(np.add, m, t, out=new[0], where=lv)]
         return out
 
-    at_L = np.full((len(mats), n + 1), pads[:, :, 0, 0])  # logs, signs
+    at_L = np.full((len(mats), k, n + 1), pads[:, :, :, 0])  # logs, signs of every order
     for m in range(1, n + 1):
         w = max(min(-(-min(m, n - m) // _CONE_CHUNK) * _CONE_CHUNK, dim - 1), 1)
         for call in calls(m % 2, w + 1):
             call()
-        at_L[:, m] = gens[:, m % 2, k - 1, 1]
+        at_L[:, :, m] = gens[:, m % 2, :, 1]
     signs = at_L[-1] if signed else np.where(np.isnan(at_L[0]), np.nan, at_L[0] > -np.inf)
-    return [SignedLog(float(sign), float(log)) for sign, log in zip(signs, at_L[0])]
+    return [[SignedLog(*row) for row in zip(order_signs.tolist(), order_logs.tolist())]
+            for order_signs, order_logs in zip(signs, at_L[0])]
 
 
 def bracket_series(n: int, eta: complex, d: int | None = None) -> np.ndarray:
@@ -370,9 +373,21 @@ def defect_series(n: int, eta: complex, d: int | None = None) -> np.ndarray:
 
 
 def bracket_LTnR_log(n: int, eta: complex) -> list[SignedLog]:
-    """<L|T^m|R> for m = 0..n as SignedLogs, in one log-domain pass;
-    overflow-safe for |Delta| > 1.  :func:`bracket_LTnR` reads one row."""
-    return _jet_log(_bands(("T",), n, None, eta), n)
+    """<L|T^m|R> for m = 0..n as SignedLogs, in one log-domain pass (order 0 of
+    every log jet); overflow-safe for |Delta| > 1.  :func:`bracket_LTnR` reads one row."""
+    return _jet_log(_bands(("T",), n, None, eta), n)[0]
+
+
+def _checked_log_row(orders: list[list[SignedLog]], n: int, eta: complex) -> SignedLog:
+    """Row n of a log jet's top order, once its order 0, <L|T^n|R>, passes the
+    checks: the path R -> 1 -> L -> ... -> L alone weighs 1/4, so a bracket
+    that is not positive and finite (band overflow, |Delta| >~ 1e77) raises,
+    and so does one below its :func:`check_single_path`."""
+    bracket = orders[0][n]
+    if not (bracket.sign > 0 and math.isfinite(bracket.log)):
+        raise ArithmeticError(f"<L|T^{n}|R> = {bracket} lost every path to band overflow")
+    check_single_path(n, eta, bracket.log)
+    return orders[-1][n]
 
 
 class LinePasses:
@@ -420,29 +435,21 @@ def bracket_LTnR(n: int, eta: complex, *, passes: LinePasses | None = None) -> f
     """<L|T^n|R>: row n of its own pass, or of one ``passes`` shares along a line.
 
     The phase picks the engine: the float of :func:`bracket_series` for
-    |Delta| <= 1, the SignedLog of :func:`bracket_LTnR_log` for |Delta| > 1.
-    The path R -> 1 -> L -> ... -> L alone weighs 1/4: a log row that is not
-    positive and finite (band overflow, |Delta| >~ 1e77) raises, and so does
-    every row below its :func:`check_single_path` (past the cosh^2 overflow).
+    |Delta| <= 1, else the checked SignedLog of :func:`bracket_LTnR_log`.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     passes = passes or LinePasses()
     if not _split_eta(eta)[1]:
         return float(passes(bracket_series, n, eta)[n])
-    val = passes(bracket_LTnR_log, n, eta)[n]
-    if not (val.sign > 0 and math.isfinite(val.log)):
-        raise ArithmeticError(f"<L|T^{n}|R> = {val} lost every path to band overflow")
-    check_single_path(n, eta, val.log)
-    return val
+    return _checked_log_row([passes(bracket_LTnR_log, n, eta)], n, eta)
 
 
 def sum_defect_log(n: int, eta: complex) -> SignedLog:
-    """Log-domain version of :func:`sum_defect` with exact sign tracking; for
-    |Delta| > 1 it raises where :func:`bracket_LTnR` does."""
-    if _split_eta(eta)[1]:
-        bracket_LTnR(n, eta)
-    return _jet_log(_bands(("T", "D"), n, None, eta), n)[n]
+    """:func:`sum_defect` in logs, signs exact; raises where :func:`bracket_LTnR` does."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    return _checked_log_row(_jet_log(_bands(("T", "D"), n, None, eta), n), n, eta)
 
 
 def sum_defect(n: int, eta: complex) -> float | SignedLog:
@@ -468,34 +475,36 @@ _PREFACTOR_DERIVS = {
 }
 
 
-def f0_x(params, parameter: str, passes: LinePasses | None = None):
-    """Leading-order Fisher information for x in {J, lambda, mu}.
+def _leading_order(params, parameter: str, scale: float, const: float,
+                   row: float | SignedLog | None) -> FisherEstimate:
+    """F = scale^2 row const: in floats where the row is a float and F a normal
+    double, else from 2 log|scale| + log row + log const, so ``log_value`` is
+    finite wherever F > 0.  A zero scale gives 0, log -inf, and reads no row."""
+    value, log_f = 0.0, -math.inf
+    if scale and not isinstance(row, SignedLog):
+        value = scale ** 2 * row * const
+        row = SignedLog(float(np.sign(row)), math.log(abs(row)) if row else -math.inf)
+    if _TINY <= value < math.inf:
+        log_f = math.log(value)
+    elif scale:  # a SignedLog row, or F outside the normal doubles
+        log_f = 2 * math.log(abs(scale)) + row.log + math.log(const)
+        value = SignedLog(row.sign, log_f).value
+    return FisherEstimate(value=value, log_value=log_f,
+                          method="leading-order", parameter=parameter, params=params)
 
-    F_x^(0) = (d(lambda mu / J)/dx)^2 <L|T^n|R> / 2, the bracket read by
-    :func:`bracket_LTnR` (``passes`` shares it along a scan line, and it
-    raises past the cosh^2 overflow).  Returns a FisherEstimate: F in floats
-    for |Delta| <= 1, else from the bracket's log, where the value may only
-    be representable through its ``log_value``.
-    """
+
+def f0_x(params, parameter: str, passes: LinePasses | None = None):
+    """Leading-order F_x^(0) = (d(lambda mu / J)/dx)^2 <L|T^n|R> / 2 for x in
+    {J, lambda, mu}, built by :func:`_leading_order` from the bracket of
+    :func:`bracket_LTnR` (``passes`` shares it along a scan line; it raises
+    past the cosh^2 overflow), which a zero prefactor does not read."""
     if parameter not in _PREFACTOR_DERIVS:
         raise ValueError(
             f"parameter must be one of J, lambda, mu (got {parameter!r}); "
             "use f0_delta for the anisotropy")
     pref = _PREFACTOR_DERIVS[parameter](params.j_coupling, params.lam, params.mu)
-    if pref == 0.0:
-        return FisherEstimate(value=0.0, log_value=-math.inf,
-                              method="leading-order", parameter=parameter,
-                              params=params)
-    bracket = bracket_LTnR(params.n, params.eta, passes=passes)
-    if isinstance(bracket, SignedLog):
-        log_f = 2 * math.log(abs(pref)) + bracket.log - math.log(2.0)
-        value = SignedLog(1.0, log_f).value
-    else:
-        value = pref ** 2 * bracket / 2
-        log_f = (math.log(value) if 0 < value < math.inf  # else pref^2 left the double range
-                 else 2 * math.log(abs(pref)) + math.log(bracket / 2))
-    return FisherEstimate(value=value, log_value=log_f,
-                          method="leading-order", parameter=parameter, params=params)
+    bracket = bracket_LTnR(params.n, params.eta, passes=passes) if pref else None
+    return _leading_order(params, parameter, pref, 0.5, bracket)
 
 
 def second_eta_derivative_bracket(n: int, eta: complex, d: int | None = None) -> np.ndarray:
@@ -523,31 +532,20 @@ def f0_delta(params):
     on both sides of |Delta| = 1, where it raises.  The bracket is half the
     s^2 coefficient of the one jet (|T|, d|T|/dt, F), whose closed-form F
     entries cancel its two terms to O(eta^2) exactly: accurate for every
-    |Delta| != 1.  For |Delta| < 1 the jet runs in floats.  For |Delta| > 1
-    it runs in logs, and the value may only be held by ``log_value``; the
-    jet runs on the bracket's |T| band, so it reads the bracket through
-    :func:`bracket_LTnR` first: past the cosh^2 overflow, where the log
-    bands lose paths, it raises ArithmeticError.
+    |Delta| != 1.  The jet runs in floats for |Delta| < 1, in logs with its
+    order 0, the bracket, checked for |Delta| > 1 (past the cosh^2 overflow
+    it raises ArithmeticError); F is built by :func:`_leading_order`.
     """
-    delta, n = params.delta, params.n
+    delta, n, eta = params.delta, params.n, params.eta
     if abs(delta) == 1.0:
         raise ValueError("f0_delta is singular at the isotropic point |Delta| = 1; "
                          "use isotropic_f_delta there")
+    bands = _bands(("T", "dT", "F"), n, None, eta)
+    total = (float(_jet_series(bands, n)[n]) if abs(delta) < 1.0
+             else _checked_log_row(_jet_log(bands, n), n, eta))  # < 0 fails FisherEstimate
     # a quarter, not a half: the jet gives twice the bracket
-    pref = params.lam ** 2 * params.mu ** 2 / (
-        4 * params.j_coupling ** 2 * abs((1 - delta) * (1 + delta)))
-    bands = _bands(("T", "dT", "F"), n, None, params.eta)
-    if abs(delta) < 1.0:
-        value = pref * float(_jet_series(bands, n)[n])
-        log_value = math.log(value) if value > 0 else -math.inf
-    else:
-        bracket_LTnR(n, params.eta)
-        total = _jet_log(bands, n)[n]  # a negative total fails FisherEstimate's check
-        log_value = total.log + math.log(pref) if pref > 0 else -math.inf
-        value = SignedLog(total.sign, log_value).value
-    return FisherEstimate(value=value, log_value=log_value,
-                          method="leading-order", parameter="Delta",
-                          params=params)
+    return _leading_order(params, "Delta", params.lam * params.mu / params.j_coupling,
+                          1 / (4 * abs((1 - delta) * (1 + delta))), total)
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,14 @@ def test_defect_sum_small_n_values():
     assert np.isclose(sum_defect(3, eta_from_delta(0.0)), 1 / 8)
 
 
+@pytest.mark.parametrize("route", [bracket_LTnR, sum_defect, sum_defect_log],
+                         ids=lambda route: route.__name__)
+@pytest.mark.parametrize("delta", [0.5, 2.0])
+def test_single_rows_need_two_sites_in_both_phases(route, delta):
+    with pytest.raises(ValueError, match="need n >= 2"):
+        route(1, eta_from_delta(delta))
+
+
 def test_defect_sum_log_domain():
     for delta in (0.5, 2.0):
         eta = eta_from_delta(delta)
@@ -203,6 +211,13 @@ def test_f0_keeps_its_log_where_the_float_underflows():
     est = f0_x(ChainParams(n=2, delta=0.5, lam=1e-170, mu=1), "mu")
     assert est.value == 0.0
     assert math.isclose(est.log_value, 2 * math.log(1e-170) + math.log(0.125), rel_tol=1e-15)
+    # so does (lam mu/J)^2 of F_Delta, from the float jet of the easy plane
+    params = ChainParams(n=4, delta=0.5, lam=1e-170, mu=1)
+    est = f0_delta(params)
+    assert est.value == 0.0
+    assert math.isclose(est.log_value,
+                        2 * math.log(1e-170) + f0_delta(params.replace(lam=1.0)).log_value,
+                        rel_tol=1e-14)
 
 
 def test_f0_mu_nonzero_at_zero_bias():
@@ -257,7 +272,7 @@ def test_f0_delta_log_route_matches_float_route(delta):
     eta = eta_from_delta(delta)
     for n in range(2, 19):
         lin = defect_series(n, eta)[n] + 0.25 * second_eta_derivative_bracket(n, eta)[n]
-        lg = _jet_log(_bands(("T", "dT", "F"), n, None, eta), n)[n]  # twice the bracket
+        lg = _jet_log(_bands(("T", "dT", "F"), n, None, eta), n)[-1][n]  # twice the bracket
         assert lg.sign == np.sign(lin)
         assert math.isclose(lg.value / 2, lin, rel_tol=1e-10)
 
@@ -576,7 +591,7 @@ def test_log_engine_rows_are_the_reference_loop_bit_for_bit(names, eta):
         for d in (None, 1, 3, n):
             with np.errstate(over="ignore", invalid="ignore"):
                 bands = _bands(names, n, d, eta)
-            _assert_same_log_rows(_jet_log(bands, n), _reference_jet_log(bands, n))
+            _assert_same_log_rows(_jet_log(bands, n)[-1], _reference_jet_log(bands, n))
 
 
 @pytest.mark.parametrize("names, eta", [(("T",), math.acosh(2) * 1j), (("T", "D"), 1.3j),
@@ -588,9 +603,23 @@ def test_log_rows_do_not_depend_on_how_far_the_pass_runs(names, eta):
     with np.errstate(over="ignore"):
         for d in (3, 70, 200):
             bands = _bands(names, n_max, d, eta)
-            full = _jet_log(bands, n_max)
+            full = _jet_log(bands, n_max)[-1]
             for n in (31, 32, 33, 257):
-                _assert_same_log_rows(full[:n + 1], _jet_log(bands, n))
+                _assert_same_log_rows(full[:n + 1], _jet_log(bands, n)[-1])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("names", [("T", "D"), ("T", "dT", "F")])
+@pytest.mark.parametrize("delta", [1.1, 2.0, -1.5, 100.0, 1e80, 0.5])
+def test_order_zero_of_every_log_jet_is_the_bracket(names, delta):
+    # the premise of the bracket checks on a jet's own pass: its order 0
+    # propagates |T| alone, NaN rows past the overflow (Delta = 2, n = 601)
+    # and the signed (|T|, D) jet included
+    eta = eta_from_delta(delta)
+    for n in (2, 5, 37, 601):
+        orders = _jet_log(_bands(names, n, None, eta), n)
+        assert len(orders) == len(names)
+        _assert_same_log_rows(orders[0], bracket_LTnR_log(n, eta))
 
 
 @pytest.mark.parametrize("eta", [0.3, 1.3j])  # (|T|, D) without and with signs
@@ -602,7 +631,7 @@ def test_a_plus_inf_term_gives_nan_and_kills_the_column_a_step_later(eta):
     n = 12
     bands = _bands(("T", "D"), n, None, eta)
     bands[1][0, 0] = np.inf
-    rows = _jet_log(bands, n)
+    rows = _jet_log(bands, n)[-1]
     _assert_same_log_rows(rows, _reference_jet_log(bands, n))
     assert rows[2] == (0.0, -np.inf)
     assert math.isnan(rows[3].sign) and math.isnan(rows[3].log)
@@ -1138,7 +1167,10 @@ def test_the_phase_picks_the_engine(monkeypatch):
     eta = eta_from_delta(2.0)
     assert isinstance(bracket_LTnR(500, eta), SignedLog)
     assert isinstance(sum_defect(500, eta), SignedLog)
-    assert calls == {"float": 0, "log": 3}  # the bracket twice, the defect jet once
+    # one pass each: the defect jet checks the bracket through its own order 0
+    assert calls == {"float": 0, "log": 2}
+    assert math.isfinite(f0_delta(ChainParams(n=500, delta=2.0, lam=1.0, mu=1.0)).log_value)
+    assert calls == {"float": 0, "log": 3}
     eta = eta_from_delta(0.37)
     assert bracket_LTnR(500, eta) == bracket_series(500, eta)[500]
     assert sum_defect(500, eta) == defect_series(500, eta)[500]
@@ -1183,7 +1215,8 @@ def test_library_calls_raise_where_a_bracket_fault_starts(fault):
         assert hs_norm_sq_via_transfer(n - 1, eta).log == row + log_norm
         assert (validity_threshold(n - 1, eta, 1.0).log
                 == _log_threshold(n - 1, 1.0, row + log_norm))
-        log_f0 = _jet_log(_bands(("T", "dT", "F"), n - 1, None, eta), n - 1)[n - 1].log + math.log(
+        top = _jet_log(_bands(("T", "dT", "F"), n - 1, None, eta), n - 1)[-1][n - 1]
+        log_f0 = top.log + math.log(
             1 / (4 * abs((1 - delta) * (1 + delta))))  # the prefactor at lam = mu = J = 1
         assert f0_delta(below).log_value == log_f0
 
