@@ -157,7 +157,7 @@ def _eval_flambda(passes, delta, lambda_over_j, n):
 
 
 def _eval_validity(passes, delta, n, mu):
-    eta = eta_from_delta(delta)
+    eta = eta_from_delta(abs(delta))  # one t for +-Delta, bit for bit
     log_norm = hs_norm_sq_via_transfer(n, eta, passes).log
     log_thr = _log_threshold(n, mu, log_norm)
     thr_lin, thr_sign, thr_l10 = _log10_cols(1.0, log_thr)

@@ -57,6 +57,7 @@ the routes.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -66,6 +67,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fisher import FisherEstimate
+from .model import eta_from_delta
 
 _LOG_MAX = math.log(np.finfo(float).max)
 _TINY = float(np.finfo(float).tiny)  # the smallest normal double
@@ -482,7 +484,8 @@ def _leading_order(params, parameter: str, scale: float, const: float,
     finite wherever F > 0.  A zero scale gives 0, log -inf, and reads no row."""
     value, log_f = 0.0, -math.inf
     if scale and not isinstance(row, SignedLog):
-        value = scale ** 2 * row * const
+        with contextlib.suppress(OverflowError):  # scale^2 past the doubles: F from its log
+            value = scale ** 2 * row * const
         row = SignedLog(float(np.sign(row)), math.log(abs(row)) if row else -math.inf)
     if _TINY <= value < math.inf:
         log_f = math.log(value)
@@ -496,14 +499,16 @@ def _leading_order(params, parameter: str, scale: float, const: float,
 def f0_x(params, parameter: str, passes: LinePasses | None = None):
     """Leading-order F_x^(0) = (d(lambda mu / J)/dx)^2 <L|T^n|R> / 2 for x in
     {J, lambda, mu}, built by :func:`_leading_order` from the bracket of
-    :func:`bracket_LTnR` (``passes`` shares it along a scan line; it raises
-    past the cosh^2 overflow), which a zero prefactor does not read."""
+    :func:`bracket_LTnR` at |Delta|, so even in Delta bit for bit (``passes``
+    shares it along a scan line; it raises past the cosh^2 overflow), which
+    a zero prefactor does not read."""
     if parameter not in _PREFACTOR_DERIVS:
         raise ValueError(
             f"parameter must be one of J, lambda, mu (got {parameter!r}); "
             "use f0_delta for the anisotropy")
     pref = _PREFACTOR_DERIVS[parameter](params.j_coupling, params.lam, params.mu)
-    bracket = bracket_LTnR(params.n, params.eta, passes=passes) if pref else None
+    eta = eta_from_delta(abs(params.delta))
+    bracket = bracket_LTnR(params.n, eta, passes=passes) if pref else None
     return _leading_order(params, parameter, pref, 0.5, bracket)
 
 
@@ -528,15 +533,16 @@ def f0_delta(params):
     F_Delta^(0) = lam^2 mu^2 / (2 J^2 |1 - Delta^2|) *
                   [ sum_defect + (1/4) d^2/dt^2 <L|T^n|R> ],
 
-    on the full (d = n//2) matrices, t as in :func:`_split_eta`: positive
-    on both sides of |Delta| = 1, where it raises.  The bracket is half the
-    s^2 coefficient of the one jet (|T|, d|T|/dt, F), whose closed-form F
-    entries cancel its two terms to O(eta^2) exactly: accurate for every
-    |Delta| != 1.  The jet runs in floats for |Delta| < 1, in logs with its
-    order 0, the bracket, checked for |Delta| > 1 (past the cosh^2 overflow
-    it raises ArithmeticError); F is built by :func:`_leading_order`.
+    on the full (d = n//2) matrices at |Delta|, so even in Delta bit for
+    bit, t as in :func:`_split_eta`: positive on both sides of |Delta| = 1,
+    where it raises.  The bracket is half the s^2 coefficient of the one
+    jet (|T|, d|T|/dt, F), whose closed-form F entries cancel its two
+    terms to O(eta^2) exactly: accurate for every |Delta| != 1.  The jet
+    runs in floats for |Delta| < 1, in logs with its order 0, the bracket,
+    checked for |Delta| > 1 (past the cosh^2 overflow it raises
+    ArithmeticError); F is built by :func:`_leading_order`.
     """
-    delta, n, eta = params.delta, params.n, params.eta
+    delta, n, eta = params.delta, params.n, eta_from_delta(abs(params.delta))
     if abs(delta) == 1.0:
         raise ValueError("f0_delta is singular at the isotropic point |Delta| = 1; "
                          "use isotropic_f_delta there")

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 import time
@@ -332,32 +333,88 @@ def test_non_finite_inputs_are_error_rows(tmp_path, argv, finite_argv, column):
         assert good == read_csv(ref)[1:]
 
 
-def run_python(*argv):
-    """A fresh interpreter that finds this checkout's package first."""
+def run_python(*argv, env=(), cwd=None):
+    """A fresh interpreter that finds this checkout's package first, with
+    ``env`` added to its environment only."""
     src = str(pathlib.Path(xxz_metrology.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **dict(env), PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+    return subprocess.run([sys.executable, *argv], env=env, cwd=cwd, capture_output=True,
                           text=True, timeout=120)
 
 
-def test_module_entry_point_writes_the_scan(tmp_path):
+_SCRIPT = shutil.which("xxz-metrology")
+
+
+@pytest.mark.parametrize("launcher", [
+    pytest.param(["-m", "xxz_metrology.cli"], id="module"),
+    pytest.param([_SCRIPT], id="console-script", marks=pytest.mark.skipif(
+        _SCRIPT is None, reason="the xxz-metrology script is not installed")),
+])
+def test_entry_points_write_the_scan(tmp_path, launcher):
     out = tmp_path / "iso.csv"
-    proc = run_python("-m", "xxz_metrology.cli", "scan", "isotropic-check",
-                      "--n-range", "3", "10", "7", "--out", str(out))
+    proc = run_python(*launcher, "scan", "isotropic-check", "--n-range", "3", "10", "7",
+                      "--out", str(out))
     assert proc.returncode == EXIT_OK, proc.stderr
     assert len(read_csv(out)) == 3
     manifest = json.loads((tmp_path / "iso.csv.manifest.json").read_text())
     assert manifest["failures"] == 0
 
 
-def test_cli_runs_on_numpy_alone():
-    # scipy is a test dependency only: importing the CLI must not load it
-    proc = run_python("-c", "import json, sys, xxz_metrology.cli; "
-                            "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules})))")
+# one tiny grid per kind, and three at Delta < 0; f-lambda-nonpert takes one
+# exact-dense row, and one more at n = 9, where the mu = 1 contraction fills
+# every M_z block; the rational xi grid runs once more at its default windows
+# (100, 120, 140: mixed in one batched pass); chi1 runs its closed form and
+# rounding bound at d = 400; xi-n-vs-n runs to n = 4000, where the support
+# front, not the light cone, bounds the columns the float jets step
+_NUMPY_ALONE_SCANS = (
+    "isotropic-check --n-range 3 10 7",
+    "chi-vs-delta --p-max 3 --d-max 4 --delta-points 2",
+    "chi-vs-delta --p-max 3 --d-max 400 --delta-points 4",
+    "xi-vs-eta-rational --p-max 3 --n-window 8",
+    "xi-vs-eta-rational --p-max 8",
+    "xi-n-vs-n --delta 0.3 --n-range 4 12 4",
+    "xi-n-vs-n --delta 0.37 --n-range 4000 4000 1",
+    "f-lambda-nonpert --delta 2 --lambda-over-j 0 0.01 --n-range 3 3 1",
+    "validity-report --delta 0.5 2 --n-range 4 8 4",
+    "validity-report --delta -0.5 -2 --n-range 4 8 4",
+    "xi-n-vs-n --delta -0.3 --n-range 4 12 4",
+    "f-lambda-nonpert --delta -2 --lambda-over-j 0 0.01 --n-range 3 3 1",
+    "f-lambda-nonpert --delta 2 --lambda-over-j 0.01 --n-range 9 9 1",
+)
+
+
+_SCAN_EACH = """\
+import sys
+from xxz_metrology.cli import main
+codes = [main(["scan", *argv.split(), "--out", f"{i}.csv"]) for i, argv in enumerate(sys.argv[1:])]
+print(codes, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_runs_on_numpy_alone(tmp_path):
+    # scipy is a test dependency only: no scan loads it, at import or lazily
+    # on its path, and each runs with no failed row
+    proc = run_python("-c", _SCAN_EACH, *_NUMPY_ALONE_SCANS, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
-    assert "numpy" in loaded and "scipy" not in loaded
+    assert proc.stdout.splitlines()[-1] == f"{[EXIT_OK] * len(_NUMPY_ALONE_SCANS)} []"
+
+
+@pytest.mark.parametrize("argv", [
+    ["chi-vs-delta", "--p-max", "3", "--d-max", "400", "--delta-points", "4"],
+    # one batched pass of windows to n = 2000
+    ["xi-vs-eta-rational", "--p-max", "10", "--n-window", "1000"],
+])
+def test_data_are_the_same_bytes_at_one_and_two_blas_threads(tmp_path, argv):
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"{threads}.csv"
+        proc = run_python("-m", "xxz_metrology.cli", "scan", *argv, "--out", str(out),
+                          env={"OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == EXIT_OK, proc.stderr
+        digests.append(json.loads((tmp_path / f"{threads}.csv.manifest.json").read_text())
+                       ["data_sha256"])
+    assert digests[0] == digests[1]
 
 
 @pytest.mark.filterwarnings("ignore:defect-sum window fit")
@@ -532,6 +589,20 @@ def test_a_scan_fails_at_exactly_its_known_faults(tmp_path, fault):
         assert (row["error"].startswith("ArithmeticError: ") and here.error in row["error"]
                 and all(row[c] == "" for c in header if c not in point)
                 if here else row["error"] == "")
+
+
+@pytest.mark.parametrize("kind, extra", [("validity-report", []),
+                                         ("f-lambda-nonpert", ["--lambda-over-j", "0"])])
+def test_leading_order_rows_are_even_in_delta(tmp_path, kind, extra):
+    # the rows at -Delta are those at Delta bit for bit, their delta cell aside
+    def rows(*deltas):
+        out = tmp_path / "scan.csv"
+        main(["scan", kind, "--delta", *deltas, *extra, "--n-range", "2", "60", "1",
+              "--out", str(out)])
+        header, *cells = read_csv(out)
+        return [[c for c, name in zip(row, header) if name != "delta"] for row in cells]
+
+    assert rows("0.77", "0.5", "0.17", "2") == rows("-0.77", "-0.5", "-0.17", "-2")
 
 
 def test_linear_column_is_empty_past_the_double_range(tmp_path):

@@ -220,6 +220,17 @@ def test_f0_keeps_its_log_where_the_float_underflows():
                         rel_tol=1e-14)
 
 
+def test_f0_keeps_its_log_where_the_prefactor_squared_overflows():
+    # (lam/J)^2 = 1e360 leaves the double range: F reads inf, its log does not
+    params = ChainParams(n=10, delta=0.5, lam=1e170, mu=1, j_coupling=1e-10)
+    unit = params.replace(lam=1.0, j_coupling=1.0)
+    for f0 in (lambda p: f0_x(p, "mu"), f0_delta):
+        est = f0(params)
+        assert est.value == math.inf
+        assert math.isclose(est.log_value, 2 * math.log(1e170 / 1e-10) + f0(unit).log_value,
+                            rel_tol=1e-14)
+
+
 def test_f0_mu_nonzero_at_zero_bias():
     params = ChainParams(n=4, delta=0.5, lam=0.2, mu=0.0)
     assert f0_x(params, "mu").value > 0
@@ -302,12 +313,10 @@ def test_f0_delta_accurate_next_to_isotropic_point(n, x, side):
 
 @pytest.mark.parametrize("n", [4, 10, 50])
 def test_f0_delta_is_even_in_delta(n):
-    # one t for +-Delta: bit for bit where cos(acos(Delta)) rounds back to Delta
+    # one eta, that of |Delta|, for +-Delta: bit for bit
     f = lambda delta: f0_delta(ChainParams(n=n, delta=delta, lam=1.0, mu=1.0)).value
-    for x in (1e-9, 1e-12, 1e-14):
+    for x in (1e-14, 1e-12, 1e-9, 1e-3, 0.3, 0.5, 0.77):
         assert f(-1 + x) == f(1 - x)
-    for x in (1e-3, 0.3, 0.5, 0.77):
-        assert abs(f(-1 + x) - f(1 - x)) <= 1e-14 * f(1 - x)
 
 
 _N_MIRROR = 12
@@ -338,8 +347,8 @@ MIRRORED = {
 }
 
 
-# take t = acos|Delta| itself, so they are even bit for bit
-EVEN_BITS = {"chi_coefficient", "xi_coefficient"}
+# take t = acos|Delta| or eta of |Delta| itself, so they are even bit for bit
+EVEN_BITS = {"chi_coefficient", "xi_coefficient", "f0_delta", "f0_x"}
 
 
 @pytest.mark.parametrize("name", list(MIRRORED))
