@@ -31,7 +31,6 @@ import os
 import sys
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -313,6 +312,8 @@ def run_scan(spec: ScanSpec) -> dict:
     t0 = time.monotonic()
     guarded = _guard(kind.evaluate, kind.passes)
     if spec.workers > 1:
+        # imported here: it loads multiprocessing, which one worker never uses
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             done = list(pool.map(guarded, lines))
     else:

@@ -109,6 +109,17 @@ def qfi_dense(rho: np.ndarray, drho: np.ndarray) -> float:
                for _, _, dr, denom, mask in _eigen_blocks(rho, drho))
 
 
+def _divide(x: np.ndarray, c: float) -> None:
+    """x /= c in place, with the bits of NumPy's division in every nonzero
+    part.  NumPy's complex loop computes x / c as x * (1/c), so a complex x
+    takes that product, about 6x faster; a real x keeps the true division,
+    which 1/c would round differently."""
+    if np.iscomplexobj(x):
+        x *= 1 / c
+    else:
+        x /= c
+
+
 def qfi_parametric(params: ChainParams, parameter: str,
                    build: Callable[[ChainParams], np.ndarray]) -> FisherEstimate:
     """Exact dense QFI of the state ``build(params)`` with respect to one parameter.
@@ -122,7 +133,9 @@ def qfi_parametric(params: ChainParams, parameter: str,
 
     The differences are formed in place, in the arrays ``build`` returns:
     each call must return a new array (one array returned twice raises
-    ValueError, since its difference would read 0).
+    ValueError, since its difference would read 0).  Its divisions by the
+    real 2h and 3 run through ``_divide``, which multiplies a complex array
+    by 1/c: the bits of NumPy's division from its faster multiply loop.
     """
     if parameter not in _FIELDS:
         raise ValueError(f"unknown parameter label {parameter!r}")
@@ -138,7 +151,7 @@ def qfi_parametric(params: ChainParams, parameter: str,
             raise ValueError("build returned the same array for two states; "
                              "qfi_parametric needs a new array per call")
         rp -= rm
-        rp /= 2 * hh
+        _divide(rp, 2 * hh)
         return rp
 
     # Richardson levels (4 fine - coarse) / 3, each over its fine stencil,
@@ -147,10 +160,10 @@ def qfi_parametric(params: ChainParams, parameter: str,
     drho = central(h / 4)
     drho *= 4
     drho -= mid
-    drho /= 3
+    _divide(drho, 3)
     mid *= 4
     mid -= coarse
-    mid /= 3
+    _divide(mid, 3)
     del coarse
     scale = hs_norm(drho)
     gap = hs_norm(np.subtract(drho, mid, out=mid))

