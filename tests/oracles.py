@@ -1,12 +1,15 @@
 """Reference implementations the tests hold the program to.  No scan calls
-these: each is the plain form of a route the program computes another way,
-kept to check that the faster form gives the same bits or the same value.
+these.  Most are the plain form of a route the program computes another
+way, kept to check that the faster form gives the same bits or the same
+value.  ``fisher_cross`` is no second route: from ``fisher.sld`` it builds
+the Fisher matrix F_xy, whose off-diagonal the program never computes (its
+diagonal is ``qfi_dense``).
 """
 
 import numpy as np
 
 from xxz_metrology import fisher
-from xxz_metrology.fisher import qfi_dense
+from xxz_metrology.fisher import qfi_dense, sld
 from xxz_metrology.model import hs_norm
 from xxz_metrology.mpo import build_aux_B, contract_to_dense, popcount_sectors, solve_s
 
@@ -44,3 +47,10 @@ def qfi_parametric_before(params, parameter, build):
             "state derivative did not converge: Richardson estimates differ "
             f"by {hs_norm(rich[1] - rich[0]):.2e} vs scale {scale:.2e}")
     return qfi_dense(build(params), drho)
+
+
+def fisher_cross(rho, drho_x, drho_y):
+    """Quantum Fisher matrix element F_xy = Tr(rho {L_x, L_y})/2."""
+    Lx = sld(rho, drho_x)
+    Ly = sld(rho, drho_y)
+    return float(np.real(np.trace(rho @ (Lx @ Ly + Ly @ Lx))) / 2)

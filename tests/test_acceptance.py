@@ -23,7 +23,7 @@ from xxz_metrology.transfer import (bracket_series, f0_delta, f0_x,
                                     isotropic_bracket_series, isotropic_f_delta,
                                     xi_coefficient, xi_coefficient_rational)
 
-from test_fisher import fisher_cross
+from oracles import fisher_cross
 
 
 def report(num, desc, ok, elapsed, detail="", budget=None):

@@ -343,6 +343,15 @@ def run_python(*argv, env=(), cwd=None):
                           text=True, timeout=120)
 
 
+def test_children_import_the_package_the_tests_import(tmp_path):
+    # an installed package under test stays the one each child runs
+    proc = run_python("-c", "import xxz_metrology; print(xxz_metrology.__file__)",
+                      cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (pathlib.Path(proc.stdout.strip()).resolve()
+            == pathlib.Path(xxz_metrology.__file__).resolve())
+
+
 _SCRIPT = shutil.which("xxz-metrology")
 
 

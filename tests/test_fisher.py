@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import block_diag, sqrtm
 
 import known_faults
-from oracles import qfi_parametric_before
+from oracles import fisher_cross, qfi_parametric_before
 from xxz_metrology import fisher
 from xxz_metrology.model import ChainParams, hs_norm, magnetization_z, pauli
 from xxz_metrology.fisher import (SUPPORT_TOL, FisherEstimate, qfi_dense, qfi_parametric,
@@ -16,14 +16,7 @@ from xxz_metrology.mpo import build_aux_A, build_aux_B, contract_to_dense, solve
 from xxz_metrology.transfer import f0_x
 
 
-# oracles: no scan calls these; the tests below and criterion 14 do
-
-def fisher_cross(rho: np.ndarray, drho_x: np.ndarray, drho_y: np.ndarray) -> float:
-    """Quantum Fisher matrix element F_xy = Tr(rho {L_x, L_y})/2."""
-    Lx = sld(rho, drho_x)
-    Ly = sld(rho, drho_y)
-    return float(np.real(np.trace(rho @ (Lx @ Ly + Ly @ Lx))) / 2)
-
+# oracle: no scan calls it; the tests below do
 
 def optimal_estimator_variance(rho: np.ndarray, zeta: np.ndarray, m: int) -> float:
     """Variance of the m-sample mean of the observable zeta in state rho."""
