@@ -196,7 +196,11 @@ def _xi_n_grid(o):
     if o["n_range"] is not None:
         ns = _n_range(o)
     else:  # log-spaced over [10, 10^4]
-        ns = np.unique(np.round(np.logspace(1.0, 4.0, o["n_log_points"])).astype(int))
+        k = o["n_log_points"]
+        ns = np.unique(np.round(np.logspace(1.0, 4.0, k)).astype(int))
+        if ns.size < k:  # from K = 94 on, neighbours round to one n
+            raise UsageError(f"--n-log-points {k} rounds to only {ns.size} distinct n "
+                             "over [10, 10^4]")
     return [[{"delta": dl, "n": int(n)} for n in ns] for dl in o["delta"]]
 
 

@@ -21,7 +21,12 @@ obey v_j -> sum_i A_{j-i} v_i per step, and R (which never receives
 amplitude) feeds |1> of v_0 with weight 1/2.  With A_0 = |T| the jets
 (|T|), (|T|, D), (|T|, d|T|/dt, d^2|T|/dt^2 / 2) and (|T|, d|T|/dt, F)
 give the bracket, the defect sum, half the bracket's second t-derivative
-and twice the F_Delta bracket of :func:`f0_delta`.  The bands are
+and twice the F_Delta bracket of :func:`f0_delta`.  The float engine
+takes the recurrence as data, so it also runs the two-variable jet
+|T| + s D + r d|T|/dt + r^2 d^2|T|/dt^2 / 2 on the monomials 1, r, s, r^2:
+its s and r^2 coefficients are the defect sum and half the second
+derivative bit for bit, from one pass that steps |T| once
+(:func:`_xi_series`, the two brackets of a xi row).  The bands are
 tridiagonal over [L, 1, ..., d] and take O(d) memory, in floats or in
 logs of the same entries, as (sign, log) pairs for signed jets only (the
 bracket's has none).  Both engines update at step m only the light cone
@@ -37,11 +42,12 @@ one pass (the rational xi grid of a scan line), each with its own rows.
 
 A pass to n passes through every m <= n, so the propagators return
 series over m = 0..n: ``bracket_series``, ``defect_series`` and
-``second_eta_derivative_bracket`` as float arrays, ``bracket_LTnR_log``
-as a list of SignedLogs.  Row m of a pass truncated at d >= m//2 is the
-row of m's own pass (d = m//2) bit for bit, except next to a band entry
-that overflows (see :class:`LinePasses`, which shares passes between the
-rows of a scan line).  Truncated passes run only where their rows are
+``second_eta_derivative_bracket`` as float arrays (``_xi_series`` as a
+pair of them), ``bracket_LTnR_log`` as a list of SignedLogs.  Row m of a
+pass truncated at d >= m//2 is the row of m's own pass (d = m//2) bit
+for bit, except next to a band entry that overflows (see
+:class:`LinePasses`, which shares passes between the rows of a scan
+line).  Truncated passes run only where their rows are
 exact or visibly non-finite: the float series (inf or NaN past an
 overflow) and :func:`rational_defects` at d = p - 1.  The log routes
 take (n, eta) alone.  A single bracket or defect sum runs the engine its
@@ -213,41 +219,60 @@ def _stack_bands(sets: list[list[np.ndarray]]) -> list[np.ndarray]:
     return list(out)
 
 
-def _jet_series(bands: list[np.ndarray], n: int) -> np.ndarray:
-    """<L|v_k> of the jet (v_0..v_k) after m = 0..n steps, in floats.
+# (|T| + s D + r d|T|/dt + r^2 d^2|T|/dt^2 / 2)^m truncated to the monomials (1, r, s, r^2):
+# the s coefficient is that of the (|T|, D) jet, the r^2 one that of (|T|, dT, d2T/2),
+# each summed in its own jet's order.  The two rows read, s and r^2, come last
+_XI_BANDS = ("T", "D", "dT", "d2T/2")
+_XI_JET = (((0, 0),), ((0, 1), (2, 0)), ((0, 2), (1, 0)), ((0, 3), (2, 1), (3, 0)))
 
-    ``bands[j]`` is A_j as one (3, d + 1) band, giving an (n + 1,) series,
-    or as a batch of band sets (see :func:`_stack_bands`), giving one row
-    per set.  A set padded with zero bands gets the finite rows of its own
-    pass.  Step m updates columns 0..min(m, n - m, d, front) only: higher
-    columns are still empty, can no longer reach L by step n, or hold
-    exact zeros.  The cone is rounded up to _CONE_CHUNK columns, so the
-    views change only when it crosses a chunk; a stale value just past it
-    reaches L after step n.
+
+def _jet_series(bands: list[np.ndarray], n: int, jet: tuple | None = None) -> np.ndarray:
+    """<L|v_c> of the jet's read coefficients after m = 0..n steps, in floats.
+
+    ``jet`` is the recurrence as data, by default that of the univariate
+    jet of the bands: for each coefficient c, the (b, e) pairs of v_c' =
+    sum A_b v_e (band b, source coefficient e) in the order they are summed.
+    Coefficient 0 is |T| v_0, ((0, 0),), and R feeds its |1>.  The rows
+    read are those of the last coefficients, from the first that no other
+    coefficient sources: the top order of a univariate jet, the s and r^2
+    coefficients of _XI_JET; several get a leading axis.  ``bands[b]`` is
+    A_b as one (3, d + 1) band, giving an (n + 1,) row, or as a batch of
+    band sets (see :func:`_stack_bands`), giving one row per set.  A set
+    padded with zero bands gets the finite rows of its own pass.  Step m
+    updates columns 0..min(m, n - m, d, front) only: higher columns are
+    still empty, can no longer reach L by step n, or hold exact zeros.  The
+    cone is rounded up to _CONE_CHUNK columns, so the views change only
+    when it crosses a chunk; a stale value just past it reaches L after
+    step n.
 
     The support front starts one chunk up.  Every column above it is +0 in
-    both buffers, all orders and sets, since none was ever written.  Every
-    _CONE_CHUNK/2 steps, a nonzero (NaN and +-inf included) in its top 17
-    columns moves it up a chunk; a value moves one column per step, so no
+    both buffers, all coefficients and sets, since none was ever written.
+    Every _CONE_CHUNK/2 steps, a nonzero (NaN and +-inf included) in its top
+    17 columns moves it up a chunk; a value moves one column per step, so no
     nonzero comes within reach of the columns above it before the next
-    check.  The plain cone computes those columns as finite coefficients
-    times +-0: +-0.  Every other cell is formed by the same ufunc calls,
-    in the same order, from the same operands, but for a -0 operand read
-    as +0; x + (+-0) = x for x != 0, so every nonzero cell keeps its bits.
-    A non-finite coefficient makes NaN of the zeros it meets, so such
-    bands get no front (theirs starts at d).
+    check.  The plain cone computes those columns as finite band entries
+    times +-0: +-0.  Every other cell is formed by the same ufunc calls, in
+    the same order, from the same operands, but for a -0 operand read as
+    +0; x + (+-0) = x for x != 0, so every nonzero cell keeps its bits.  A
+    non-finite band entry makes NaN of the zeros it meets, so such bands
+    get no front (theirs starts at d).
 
-    Each element is computed in one fixed order: per band,
+    Each element is computed in one fixed order: per band product,
     (diag v + lower v_-) + upper v_+ (a + b and b + a are the same bits),
-    and the bands of v_j' summed b = 0..j (A_b on v_{j-b}).  The two
-    buffers of each order carry one zero column on each side, met by a
-    -0.0 coefficient, which adds exactly nothing.  So row m is the same
-    bits for every n >= m, every cone and every front.
+    and the products of v_c' summed in the order of ``jet``.  The two
+    buffers of each coefficient carry one zero column on each side, met by a
+    -0.0 entry, which adds exactly nothing.  So row m is the same bits for
+    every n >= m, every cone and every front, and a coefficient whose terms
+    (and theirs) are those of another jet has that jet's rows bit for bit.
     """
+    if jet is None:  # v_j' = sum_{b=0..j} A_b v_{j-b}
+        jet = tuple(tuple((b, j - b) for b in range(j + 1)) for j in range(len(bands)))
+    sources = {e for c, terms in enumerate(jet) for _, e in terms if e != c}
+    first = min(c for c in range(len(jet)) if c not in sources)
     single = bands[0].ndim == 2
-    k, nb, dim = len(bands), 1 if single else bands[0].shape[0], bands[0].shape[-1]
+    k, nb, dim = len(jet), 1 if single else bands[0].shape[0], bands[0].shape[-1]
     # (lower, diag, upper) of output column c against (v_-, v, v_+)
-    mats = np.zeros((k, 3, nb, dim))
+    mats = np.zeros((len(bands), 3, nb, dim))
     for band, mat in zip(bands, mats):
         band = band.reshape(nb, 3, dim)
         mat[0, :, 1:] = band[:, 1, 1:]
@@ -256,25 +281,25 @@ def _jet_series(bands: list[np.ndarray], n: int) -> np.ndarray:
     mats[:, 0, :, 0] = mats[:, 2, :, -1] = -0.0
     buf = np.zeros((2, k, nb, dim + 2))  # the jet after an even and an odd step
     col, row = buf.strides[-1], buf.strides[-2]
-    # (v_-, v, v_+) of every column as one view per buffer and order
-    shifted = [[np.lib.stride_tricks.as_strided(buf[p, j], (3, nb, dim), (col, row, col))
-                for j in range(k)] for p in (0, 1)]
+    # (v_-, v, v_+) of every column as one view per buffer and coefficient
+    shifted = [[np.lib.stride_tricks.as_strided(buf[p, c], (3, nb, dim), (col, row, col))
+                for c in range(k)] for p in (0, 1)]
     prod = np.empty((3, nb, dim))
     part = np.empty((nb, dim))
-    series = np.zeros((nb, n + 1))
-    tops = [buf[p, k - 1, :, 1] for p in (0, 1)]  # <L|v_k> after an even and an odd step
+    series = np.zeros((k - first, nb, n + 1))
+    tops = [buf[p, first:, :, 1] for p in (0, 1)]  # <L|v_c> read after an even and an odd step
 
     def calls(dst: int, w: int) -> list[tuple]:
         """The ufunc calls of one step into buf[dst], over columns 0..w."""
-        terms, out = prod[:, :, :w + 1], []
-        for j in range(k):
-            acc = buf[dst, j, :, 1:w + 2]
-            for b in range(j + 1):
-                into = acc if b == 0 else part[:, :w + 1]
-                source = shifted[1 - dst][j - b][:, :, :w + 1]
-                out += [(np.multiply, mats[b, :, :, :w + 1], source, terms),
-                        (np.add, terms[0], terms[1], into), (np.add, into, terms[2], into)]
-                if b:
+        prods, out = prod[:, :, :w + 1], []
+        for c, terms in enumerate(jet):
+            acc = buf[dst, c, :, 1:w + 2]
+            for i, (b, e) in enumerate(terms):
+                into = acc if i == 0 else part[:, :w + 1]
+                source = shifted[1 - dst][e][:, :, :w + 1]
+                out += [(np.multiply, mats[b, :, :, :w + 1], source, prods),
+                        (np.add, prods[0], prods[1], into), (np.add, into, prods[2], into)]
+                if i:
                     out.append((np.add, acc, into, acc))
         if w:  # R feeds |1> of v_0
             out.append((np.add, buf[dst, 0, :, 2], 0.5, buf[dst, 0, :, 2]))
@@ -288,13 +313,14 @@ def _jet_series(bands: list[np.ndarray], n: int) -> np.ndarray:
                 width, steps = w, [calls(dst, w) for dst in (0, 1)]
             dst = m % 2
             for ufunc, a, b, into in steps[dst]:
-                ufunc(a, b, out=into)
-            series[:, m] = tops[dst]
+                ufunc(a, b, into)
+            series[..., m] = tops[dst]
             # columns front - 16..front (buffer index = column + 1): a nonzero there could
             # pass front by the next check
             if m % (_CONE_CHUNK // 2) == 0 and buf[..., front - 15:front + 2].any():
                 front += _CONE_CHUNK
-    return series[0] if single else series
+    rows = series[:, 0] if single else series
+    return rows[0] if first == k - 1 else rows
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -397,7 +423,8 @@ class LinePasses:
     differ only in n).
 
     ``passes(jet, n, eta)`` returns the series of ``jet``, a propagator
-    of (n, eta) such as :func:`bracket_LTnR_log`, from a pass that
+    of (n, eta) such as :func:`bracket_LTnR_log` (or the pair of series
+    of :func:`_xi_series`, indexed [:, n]), from a pass that
     holds row n exactly as row n's own pass (d = n//2) would: the last
     pass of that jet at that eta if it does (see :func:`_overflow_column`),
     else a new pass at (n, n//2).  Rows asked from the largest n down so
@@ -525,6 +552,15 @@ def second_eta_derivative_bracket(n: int, eta: complex, d: int | None = None) ->
     two is exact only through the 'F' band of :func:`f0_delta`.
     """
     return 2 * _jet_series(_bands(("T", "dT", "d2T/2"), n, d, eta), n)
+
+
+def _xi_series(n: int, eta: complex, d: int | None = None) -> np.ndarray:
+    """(:func:`defect_series`, :func:`second_eta_derivative_bracket`) as the
+    rows of one (2, n + 1) array, bit for bit, from one pass of the
+    two-variable jet _XI_JET, which steps |T| once for both."""
+    rows = _jet_series(_bands(_XI_BANDS, n, d, eta), n, _XI_JET)
+    rows[1] *= 2  # the r^2 row is half the second derivative
+    return rows
 
 
 def f0_delta(params):
@@ -771,16 +807,17 @@ def xi_coefficient(delta: float, n: int, passes: LinePasses | None = None) -> Ir
 
     Its growth (piecewise powers between n^2 and n^5, and an initial n^2
     window close to rational points) is the quantity of interest.  The
-    two series come from row n's own passes, or from the ones ``passes``
-    shares along a scan line.
+    two brackets are the rows of :func:`defect_series` and
+    :func:`second_eta_derivative_bracket` bit for bit, read from one pass
+    of :func:`_xi_series`: row n's own, or the one ``passes`` shares along
+    a scan line.
     """
     if not abs(delta) < 1:
         raise ValueError("xi is defined for |Delta| < 1")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     eta, passes = math.acos(abs(delta)), passes or LinePasses()
-    sd = float(passes(defect_series, n, eta)[n])
-    d2 = float(passes(second_eta_derivative_bracket, n, eta)[n])
+    sd, d2 = map(float, passes(_xi_series, n, eta)[:, n])
     xi = (sd + 0.25 * d2) / (2 * abs(1 - delta ** 2) * n)
     return IrrationalXi(d=n // 2, xi=xi, xi_n=xi * n, sum_defect=sd, d2_bracket=d2)
 

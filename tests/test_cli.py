@@ -182,6 +182,7 @@ def test_bad_usage_exit_code(tmp_path):
                  ["isotropic-check", "--n-range", "10", "3", "1"],
                  ["f-lambda-nonpert", "--n-range", "10", "2", "1"],
                  ["xi-n-vs-n", "--n-log-points", "0"],
+                 ["xi-n-vs-n", "--n-log-points", "94"],
                  ["xi-n-vs-n", "--n-log-points", "5", "--n-range", "10", "20", "10"],
                  ["chi-vs-delta", "--p-max", "1"],
                  ["xi-vs-eta-rational", "--p-max", "1"],
@@ -199,6 +200,19 @@ def test_bad_usage_exit_code(tmp_path):
     assert main(["scan", "isotropic-check",
                  "--out", str(tmp_path / "missing" / "x.csv")]) == EXIT_USAGE
     assert list(tmp_path.iterdir()) == []
+
+
+def test_n_log_points_that_round_together_are_refused(tmp_path):
+    # K = 100 log-spaced n round to 99 distinct n, K = 1000 to 748: refused,
+    # not thinned; K = 93 is the largest K with K distinct n
+    out = str(tmp_path / "xi.csv")
+    for k, distinct in ((100, 99), (1000, 748)):
+        with pytest.raises(UsageError, match=f"--n-log-points {k} rounds to only "
+                                             f"{distinct} distinct n"):
+            run_scan(ScanSpec(kind="xi-n-vs-n", options={"n_log_points": k}, out=out))
+    assert list(tmp_path.iterdir()) == []
+    assert main(["scan", "xi-n-vs-n", "--n-log-points", "93", "--out", out]) == EXIT_OK
+    assert len(read_csv(out)) == 1 + 93
 
 
 def test_flambda_leading_order_column(tmp_path):

@@ -12,9 +12,10 @@ from xxz_metrology.lindblad import ness_perturbative
 from xxz_metrology import transfer
 from xxz_metrology.model import ChainParams, eta_from_delta
 from xxz_metrology.mpo import _log_threshold, hs_norm_sq_via_transfer, validity_threshold
+from xxz_metrology.cli import ScanSpec, run_scan
 from xxz_metrology.transfer import (SignedLog, _bands, _entries,
                                     _jet_log, _jet_series, _overflow_column, _split_eta,
-                                    _stack_bands,
+                                    _stack_bands, _xi_series,
                                     bracket_LTnR,
                                     bracket_LTnR_log, bracket_series,
                                     build_transfer, check_single_path, chi_coefficient,
@@ -430,6 +431,22 @@ def test_jet_engine_rows_are_the_reference_loop_bit_for_bit(names, eta):
             with np.errstate(over="ignore", invalid="ignore"):
                 bands = _bands(names, n, d, eta)
             _assert_same_rows(_jet_series(bands, n), _reference_jet_series(bands, n))
+
+
+@pytest.mark.parametrize("eta", [1e-4, 0.3, math.acos(0.37), 2.5, 0.5j, 1.3j,
+                                 math.pi + 1j])
+def test_the_xi_pass_keeps_the_rows_of_both_jets(eta):
+    # one pass steps |T| once for the defect sum and the second derivative;
+    # each keeps the rows of its own jet, past the cosh^2 overflow (1.3j at
+    # n = 1200) and, in the easy plane, past the support front (n = 4000)
+    cases = [(n, d) for n in (1, 2, 3, 7, 50, 201, 1200) for d in (None, 1, 3, n)]
+    if isinstance(eta, float):
+        cases.append((4000, None))
+    for n, d in cases:
+        with np.errstate(over="ignore", invalid="ignore"):
+            defects, d2 = _xi_series(n, eta, d)
+            _assert_same_rows(defects, defect_series(n, eta, d))
+            _assert_same_rows(d2, second_eta_derivative_bracket(n, eta, d))
 
 
 def test_batched_sets_get_the_rows_of_their_own_passes():
@@ -1161,9 +1178,8 @@ def test_the_log_and_auto_routes_take_no_truncation(route):
         route(20, eta, d=10)
 
 
-def test_the_phase_picks_the_engine(monkeypatch):
-    # past the float overflow no float pass runs to be thrown away; in the
-    # easy plane the float row is read, and no log pass runs
+def _counted_passes(monkeypatch) -> dict:
+    """{"float": _jet_series calls, "log": _jet_log calls} from here on."""
     calls = {"float": 0, "log": 0}
 
     def counted(name, fn):
@@ -1173,6 +1189,13 @@ def test_the_phase_picks_the_engine(monkeypatch):
         return wrapped
     monkeypatch.setattr(transfer, "_jet_series", counted("float", transfer._jet_series))
     monkeypatch.setattr(transfer, "_jet_log", counted("log", transfer._jet_log))
+    return calls
+
+
+def test_the_phase_picks_the_engine(monkeypatch):
+    # past the float overflow no float pass runs to be thrown away; in the
+    # easy plane the float row is read, and no log pass runs
+    calls = _counted_passes(monkeypatch)
     eta = eta_from_delta(2.0)
     assert isinstance(bracket_LTnR(500, eta), SignedLog)
     assert isinstance(sum_defect(500, eta), SignedLog)
@@ -1184,6 +1207,19 @@ def test_the_phase_picks_the_engine(monkeypatch):
     assert bracket_LTnR(500, eta) == bracket_series(500, eta)[500]
     assert sum_defect(500, eta) == defect_series(500, eta)[500]
     assert calls == {"float": 4, "log": 3}
+
+
+def test_a_xi_line_runs_one_float_pass_per_delta(monkeypatch, tmp_path):
+    # the defect sum and the second derivative come from one jet that steps
+    # |T| once: one pass per Delta for a line, and for a row asked alone
+    calls = _counted_passes(monkeypatch)
+    summary = run_scan(ScanSpec(kind="xi-n-vs-n", options={"delta": (0.37, -0.6),
+                                                           "n_range": (10, 400, 39)},
+                                out=str(tmp_path / "xi.csv")))
+    assert (summary["rows"], summary["failures"]) == (22, 0)
+    assert calls == {"float": 2, "log": 0}
+    xi_coefficient(0.37, 300)
+    assert calls == {"float": 3, "log": 0}
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
