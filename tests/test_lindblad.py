@@ -236,6 +236,25 @@ def test_nullspace_of_the_blocks_is_the_whole_block_gather_bit_for_bit(n, delta,
     assert rho.tobytes() == steady_state_nullspace(build_liouvillian_before(params)).tobytes()
 
 
+_RESIDUAL_GRID = [(0.6, 1.0, 0.0, 1e-3), (-0.8, -1.0, 0.3, 0.3), (1.7, 0.4, 0.7, 1e-2),
+                  (10.0, 1.0, 0.3, 1e-3), (-1.5, -0.6, 0.0, 0.3)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_sparse_residual_product_is_the_dense_clongdouble_product(n):
+    # the refinement's A x over the nonzeros of the q = 0 system, each row
+    # summed in column order, has the value of the dense clongdouble matmul;
+    # compared with ==, as an 80-bit long double carries 6 bytes of padding
+    d = 2 ** n
+    for delta, mu, omega, lam in _RESIDUAL_GRID:
+        params = ChainParams(n=n, delta=delta, lam=lam, mu=mu, omega=omega)
+        idx, block = build_liouvillian(params).sectors[0]
+        system = np.vstack([idx % d == idx // d, block[1:]])
+        x = np.linalg.inv(system)[:, 0]
+        dense = system.astype(np.clongdouble) @ x.astype(np.clongdouble)
+        assert np.array_equal(lindblad._matvec_ld(system, x), dense)
+
+
 def test_trace_functional_is_left_null_vector():
     params = ChainParams(n=3, delta=0.8, lam=0.4, mu=0.3, omega=0.2)
     matrix = assemble(build_liouvillian(params))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import embed_before
 from xxz_metrology.model import (ChainParams, embed, eta_from_delta,
                                  hamiltonian_xxz, hs_norm, lindblad_jump_ops,
                                  magnetization_z, pauli)
@@ -54,6 +55,22 @@ def test_embed_site_range():
 def test_embed_two_site_operator_is_product_of_single_sites():
     xz = np.kron(pauli("x"), pauli("z"))
     assert np.array_equal(embed(4, 2, xz), embed(4, 2, pauli("x")) @ embed(4, 3, pauli("z")))
+
+
+_BONDS = [np.array([[1, -2, 0, 0.5j], [-1j, 0, -3, 0], [0, 2 - 1j, -0.0, 1],
+                    [-1 - 1j, 0, 0, -4]]),
+          np.kron(pauli("y"), -pauli("z")),
+          sum(np.kron(pauli(ax), pauli(ax)) for ax in "xy") - 0.3 * np.kron(pauli("z"), pauli("z"))]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_embed_is_the_two_kron_embedding_bit_for_bit(n):
+    # zero signs included: kron(eye, kron(op, eye)) multiplies in the other
+    # order and gives -0 where this gives +0 on -sigma^z
+    for op in [pauli(ax) for ax in "xyz+-"] + [-pauli("z")] + _BONDS:
+        span = op.shape[0].bit_length() - 1
+        for site in range(1, n - span + 2):
+            assert embed(n, site, op).tobytes() == embed_before(n, site, op).tobytes()
 
 
 def test_embed_rejects_oversized_chain():
