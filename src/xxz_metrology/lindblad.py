@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (ChainParams, hamiltonian_xxz, hs_norm, lindblad_jump_ops,
-                    magnetization_z)
+from .model import ChainParams, hamiltonian_xxz, hs_norm, lindblad_jump_ops, magnetization_z
 from .mpo import (build_aux_A, build_aux_B, contract_to_dense, popcount_sectors, solve_s,
                   validity_threshold)
 
@@ -42,10 +41,13 @@ COND_CUT = 1 / np.finfo(float).eps  # steady states reach 6.6e14, a 2nd null vec
 class Liouvillian:
     """The generator on column-stacked density matrices, as its diagonal
     blocks: sectors[q] = (idx, block), the ascending column-stacked
-    indices of sector q and the generator's (idx, idx) block."""
+    indices of sector q and the generator's (idx, idx) block.  ``terms``
+    are K and the jumps that are not 0, as the blocks were built from them
+    (None: formed again from ``params`` where needed)."""
 
     params: ChainParams
     sectors: dict[int, tuple[np.ndarray, np.ndarray]]
+    terms: tuple[np.ndarray, list[np.ndarray]] | None = field(default=None, repr=False)
 
 
 def _jumps(params: ChainParams) -> list[np.ndarray]:
@@ -63,6 +65,13 @@ def _effective_hamiltonian(params: ChainParams) -> np.ndarray:
     for jump in _jumps(params):
         K = K - 0.5j * params.lam * (jump.conj().T @ jump)
     return K
+
+
+def _mz_diagonal(n: int) -> np.ndarray:
+    """The diagonal of magnetization_z(n), n - 2 popcount of each basis index: its
+    entries are sums of +-1, exact integers, so these are their bits."""
+    basis = np.arange(2 ** n)
+    return (n - 2 * sum((basis >> bit) & 1 for bit in range(n))).astype(float)
 
 
 def build_liouvillian(params: ChainParams) -> Liouvillian:
@@ -84,7 +93,7 @@ def build_liouvillian(params: ChainParams) -> Liouvillian:
     if n > LIOUVILLIAN_CAP:
         raise ValueError(f"dense Liouvillian capped at n <= {LIOUVILLIAN_CAP}, got {n}")
     K, jumps = _effective_hamiltonian(params), _jumps(params)
-    mz = np.diag(magnetization_z(n)).real
+    mz = _mz_diagonal(n)
     shift = mz[:, None] - mz[None, :]
     if np.any(K[shift != 0] != 0) or any(np.unique(shift[jump != 0]).size > 1
                                          for jump in jumps):
@@ -117,7 +126,15 @@ def build_liouvillian(params: ChainParams) -> Liouvillian:
         block = np.zeros((idx.size, idx.size), dtype=complex)
         block[pos[i[at]], pos[j[at]]] = value[at]
         sectors[sector] = (idx, block)
-    return Liouvillian(params=params, sectors=sectors)
+    return Liouvillian(params=params, sectors=sectors, terms=(K, jumps))
+
+
+def _apply(rho: np.ndarray, K: np.ndarray, jumps: list[np.ndarray], lam: float) -> np.ndarray:
+    """-i (K rho - rho K^dag) + lam sum_k L_k rho L_k^dag."""
+    out = -1j * (K @ rho - rho @ K.conj().T)
+    for jump in jumps:
+        out += lam * (jump @ rho @ jump.conj().T)
+    return out
 
 
 def apply_liouvillian(rho: np.ndarray, params: ChainParams) -> np.ndarray:
@@ -126,11 +143,7 @@ def apply_liouvillian(rho: np.ndarray, params: ChainParams) -> np.ndarray:
     Usable up to the dense-operator cap, past where the 4**n x 4**n
     matrix stops being practical.
     """
-    K = _effective_hamiltonian(params)
-    out = -1j * (K @ rho - rho @ K.conj().T)
-    for jump in _jumps(params):
-        out += params.lam * (jump @ rho @ jump.conj().T)
-    return out
+    return _apply(rho, _effective_hamiltonian(params), _jumps(params), params.lam)
 
 
 def _matvec_ld(A: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -184,7 +197,10 @@ def steady_state_nullspace(liouv: Liouvillian) -> np.ndarray:
             rho = np.zeros((d, d), dtype=complex)
             rho[idx % d, idx // d] = inv[:, 0] + inv @ r.astype(complex)
     rho = (rho + rho.conj().T) / (2 * np.trace(rho).real)
-    residual = hs_norm(apply_liouvillian(rho, liouv.params))
+    if liouv.terms is None:
+        residual = hs_norm(apply_liouvillian(rho, liouv.params))
+    else:  # the K and jumps of the blocks, not formed again
+        residual = hs_norm(_apply(rho, *liouv.terms, liouv.params.lam))
     if residual > 1e-10 * scale:
         raise ArithmeticError(f"steady-state residual {residual:.2e} too large")
     return rho

@@ -123,10 +123,14 @@ def embed(n: int, site: int, op: np.ndarray) -> np.ndarray:
     return ((left * op[None, :, None, None, :, None]) * right).reshape(2 ** n, 2 ** n)
 
 
+# the two-site terms of the XXZ bond, formed once: sx sx + sy sy, and sz sz
+_XY_BOND = sum(np.kron(pauli(ax), pauli(ax)) for ax in "xy")
+_ZZ_BOND = np.kron(pauli("z"), pauli("z"))
+
+
 def hamiltonian_xxz(params: ChainParams) -> np.ndarray:
     """Bare XXZ Hamiltonian sum_j (sx sx + sy sy + Delta sz sz); J multiplies elsewhere."""
-    bond = sum(np.kron(pauli(ax), pauli(ax)) for ax in "xy")
-    bond = bond + params.delta * np.kron(pauli("z"), pauli("z"))
+    bond = _XY_BOND + params.delta * _ZZ_BOND
     return sum(embed(params.n, j, bond) for j in range(1, params.n))
 
 

@@ -479,3 +479,24 @@ def test_ness_mu1_matches_nullspace_oracle():
     closed = ness_mu1(params, params.lam / params.j_coupling)
     oracle = steady_state_nullspace(build_liouvillian(params))
     assert hs_norm(closed - oracle) < 1e-9
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_the_mz_diagonal_is_that_of_the_dense_operator(n):
+    want = np.diag(magnetization_z(n)).real
+    assert np.array_equal(lindblad._mz_diagonal(n).view(np.int64), want.view(np.int64))
+
+
+def test_the_residual_check_reuses_the_operators_of_the_blocks(monkeypatch):
+    # K and the jumps are formed by build_liouvillian alone; the solve's
+    # residual check applies the ones the blocks were built from
+    params = ChainParams(n=4, delta=0.6, lam=0.7, mu=1.0, omega=0.3)
+    liouv = build_liouvillian(params)
+    rho = steady_state_nullspace(liouv)
+    for name in ("_effective_hamiltonian", "lindblad_jump_ops"):
+        monkeypatch.setattr(lindblad, name, None)
+    assert np.array_equal(steady_state_nullspace(liouv), rho)
+    K, jumps = liouv.terms
+    assert len(jumps) == 2
+    monkeypatch.undo()
+    assert np.array_equal(K, lindblad._effective_hamiltonian(params))

@@ -540,6 +540,58 @@ def test_a_non_finite_band_entry_is_not_hidden_behind_the_front():
         assert np.isfinite(rows[:40]).all() and np.isnan(rows[200:]).all()
 
 
+def _widest_step(monkeypatch, pass_):
+    """(rows of pass_(), the widest step it took, in columns)."""
+    widths, step_calls = [], transfer._step_calls
+    monkeypatch.setattr(transfer, "_step_calls",
+                        lambda *args: widths.append(args[-1]) or step_calls(*args))
+    return pass_(), max(widths)
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.37, 0.741])
+def test_the_balanced_front_keeps_the_rows_of_the_exact_zero_front(monkeypatch, delta):
+    # at n = 10^4 the balanced front steps under half the columns of the front
+    # that stops only at exact zeros (tau = 0), and every row keeps its bits;
+    # tau = 2^-20 moves rows of the xi pass at Delta = 0.741 by ~1e-15
+    n, eta = 10_000, math.acos(delta)
+    passes = (lambda: _xi_series(n, eta),
+              lambda: _jet_series(_bands(("T", "dT", "F"), n, None, eta), n))
+    for pass_ in passes:
+        rows, widest = _widest_step(monkeypatch, pass_)
+        with monkeypatch.context() as exact:
+            exact.setattr(transfer, "_FRONT_TAU", 0.0)
+            want, widest_exact = _widest_step(exact, pass_)
+        assert np.array_equal(rows.view(np.int64), want.view(np.int64))
+        assert widest <= widest_exact / 2
+
+
+def test_each_band_set_of_a_batch_keeps_its_own_scale(monkeypatch):
+    # coefficient 1 of set 0 is ~1e-250 of set 1's and spreads like |T| at
+    # Delta = 0.37, while both coefficients 0 and set 1's coefficient 1 stay
+    # below column 10; measured against a scale shared by the two sets (or
+    # by the two coefficients), set 0's front cells would never count, and
+    # its rows would stop at column 32
+    n = 2000
+    dim = n // 2 + 1
+    walk = np.zeros((3, dim))
+    walk[0, 1:], walk[1, 2:], walk[2, 1:-1] = 0.5, 1e-8, 1e-8
+    walk[0, 0], walk[2, 0] = 1.0, 0.5  # L -> L, 1 -> L
+    spread = _bands(("T",), n, None, math.acos(0.37))[0]
+    sets = []
+    for scale, propagator in ((1e-250, spread), (1.0, walk)):
+        source = np.zeros((3, dim))
+        source[0, 1:] = scale
+        sets.append([walk, propagator, source])
+    jet = (((0, 0),), ((1, 1), (2, 0)))  # v_1' = A_1 v_1 + A_2 v_0
+    batch = _jet_series(_stack_bands(sets), n, jet)
+    assert 1e-251 < batch[0, -1] / batch[1, -1] < 1e-249
+    for rows, bands in zip(batch, sets):
+        assert np.array_equal(rows.view(np.int64), _jet_series(bands, n, jet).view(np.int64))
+        with monkeypatch.context() as exact:
+            exact.setattr(transfer, "_FRONT_TAU", 0.0)
+            assert np.array_equal(rows.view(np.int64), _jet_series(bands, n, jet).view(np.int64))
+
+
 # --- the log jet engine against the all-column loop it replaced --------------
 
 def _reference_signed_lse(signs, logs):
