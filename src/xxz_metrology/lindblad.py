@@ -42,12 +42,11 @@ class Liouvillian:
     """The generator on column-stacked density matrices, as its diagonal
     blocks: sectors[q] = (idx, block), the ascending column-stacked
     indices of sector q and the generator's (idx, idx) block.  ``terms``
-    are K and the jumps that are not 0, as the blocks were built from them
-    (None: formed again from ``params`` where needed)."""
+    are K and the jumps the blocks were built from."""
 
     params: ChainParams
     sectors: dict[int, tuple[np.ndarray, np.ndarray]]
-    terms: tuple[np.ndarray, list[np.ndarray]] | None = field(default=None, repr=False)
+    terms: tuple[np.ndarray, list[np.ndarray]] = field(repr=False)
 
 
 def _jumps(params: ChainParams) -> list[np.ndarray]:
@@ -197,10 +196,7 @@ def steady_state_nullspace(liouv: Liouvillian) -> np.ndarray:
             rho = np.zeros((d, d), dtype=complex)
             rho[idx % d, idx // d] = inv[:, 0] + inv @ r.astype(complex)
     rho = (rho + rho.conj().T) / (2 * np.trace(rho).real)
-    if liouv.terms is None:
-        residual = hs_norm(apply_liouvillian(rho, liouv.params))
-    else:  # the K and jumps of the blocks, not formed again
-        residual = hs_norm(_apply(rho, *liouv.terms, liouv.params.lam))
+    residual = hs_norm(_apply(rho, *liouv.terms, liouv.params.lam))  # the blocks' K and jumps
     if residual > 1e-10 * scale:
         raise ArithmeticError(f"steady-state residual {residual:.2e} too large")
     return rho

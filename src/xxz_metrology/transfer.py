@@ -15,52 +15,44 @@ with cos^2/sin^2 understood as analytic squares, so for |Delta| > 1
 hence all path amplitudes -- and every quantity computed here -- stay
 positive; powers may therefore be taken with |T| elementwise.
 
-All propagation goes through one jet propagator: the Taylor
-coefficients (v_0, ..., v_k) in s of (A_0 + s A_1 + ... + s^k A_k)^m |R>
-obey v_j -> sum_i A_{j-i} v_i per step, and R (which never receives
+All propagation goes through one jet propagator, :func:`_jet_series`: the
+Taylor coefficients (v_0, ..., v_k) in s of (A_0 + s A_1 + ... + s^k A_k)^m
+|R> obey v_j -> sum_i A_{j-i} v_i per step, and R (which never receives
 amplitude) feeds |1> of v_0 with weight 1/2.  With A_0 = |T| the jets
 (|T|), (|T|, D), (|T|, d|T|/dt, d^2|T|/dt^2 / 2) and (|T|, d|T|/dt, F)
 give the bracket, the defect sum, half the bracket's second t-derivative
-and twice the F_Delta bracket of :func:`f0_delta`.  The float engine
-takes the recurrence as data, so it also runs the two-variable jet
-|T| + s D + r d|T|/dt + r^2 d^2|T|/dt^2 / 2 on the monomials 1, r, s, r^2:
-its s and r^2 coefficients are the defect sum and half the second
-derivative bit for bit, from one pass that steps |T| once
-(:func:`_xi_series`, the two brackets of a xi row).  The bands are
-tridiagonal over [L, 1, ..., d] and take O(d) memory, in floats or in
-logs of the same entries, as (sign, log) pairs for signed jets only (the
-bracket's has none).  Both engines update at step m only the light cone
-of columns 0..min(m, n - m, d) that can still reach L by step n: sum_m
-(min(m, n - m, d) + 1) ~ n^2/4 cells at d = n//2, half of n (d + 1).
-The float engine also stops at its support front: |T|'s bulk columns sum
-to at most 1, so for |Delta| < 1 the amplitudes spread like sqrt(m) and
-fall off steeply above that.  The front moves up only for a cell next to
-it that is not finite or whose balanced size is above tau = 2^-200 of the
-largest of its coefficient and set (:func:`_jet_series`, which proves the
-bound on what the cells left behind can move a row).  At n = 10^4, Delta =
-0.37 it steps 3.6 M of the cone's 25.2 M cells, against 9.4 M for a front
-that stops only at exact zeros (0.33 M against 0.65 M at Delta = 1/2,
-where eta = pi/3 leaks past |3> only through rounding).  That no row moves
-is measured, not proved: every scan keeps its bytes, and the rows keep
-their bits up to tau = 2^-30, while 2^-20 moves some by up to 2.5e-13.
-It also takes a batch axis: band sets zero-padded to one d propagate in
-one pass (the rational xi grid of a scan line), each with its own rows.
+and twice the F_Delta bracket of :func:`f0_delta`.  The recurrence is data:
+one pass of the two-variable jet |T| + s D + r d|T|/dt + r^2 d^2|T|/dt^2 / 2
+on the monomials 1, r, s, r^2 gives the defect sum and half the second
+derivative bit for bit, stepping |T| once (:func:`_xi_series`).  The bands
+are tridiagonal over [L, 1, ..., d] and take O(d) memory.  The one loop runs
+in two semirings, picked by the phase: (multiply, add) on floats for |Delta|
+<= 1 (the bracket is at most n(n - 1)/8), (add, logaddexp) on their logs for
+|Delta| > 1, where values leave the doubles at moderate n, on the columns
+below the first |T| entry past them (:func:`_live_bands`).  It carries no
+sign: D's diagonal, -k^2/2 for |Delta| > 1, is the one negative entry, so
+:func:`sum_defect_log` runs (|T|, D+, D-), D+ its moves and D- minus its
+diagonal, and subtracts the two rows once.  Each pass updates at step m only
+the light cone of columns 0..min(m, n - m, d) that can still reach L by step
+n: sum_m (min(m, n - m, d) + 1) ~ n^2/4 cells at d = n//2.
+A float pass also stops at its support front (for |Delta| < 1 amplitudes
+spread like sqrt(m)), moved up only for a cell next to it that is not finite
+or above 2^-200 of its coefficient's largest in balanced size: 3.6 M of the
+cone's 25.2 M cells at n = 10^4, Delta = 0.37 (:func:`_jet_series` bounds
+what it moves a row).  It takes a batch axis too: band sets zero-padded to
+one d (the rational xi grid of a scan line) propagate in one pass.
 
-A pass to n passes through every m <= n, so the propagators return
-series over m = 0..n: ``bracket_series``, ``defect_series`` and
-``second_eta_derivative_bracket`` as float arrays (``_xi_series`` as a
-pair of them), ``bracket_LTnR_log`` as a list of SignedLogs.  Row m of a
-pass truncated at d >= m//2 is the row of m's own pass (d = m//2) bit
-for bit, except next to a band entry that overflows (see
-:class:`LinePasses`, which shares passes between the rows of a scan
-line).  Truncated passes run only where their rows are
-exact or visibly non-finite: the float series (inf or NaN past an
-overflow) and :func:`rational_defects` at d = p - 1.  The log routes
-take (n, eta) alone.  A single bracket or defect sum runs the engine its
-phase picks: floats for |Delta| <= 1 (the bracket is at most n(n - 1)/8),
-logs for |Delta| > 1.  Every log jet's order 0 is the bracket bit for bit,
-so each single log row is held to :func:`check_single_path` through order 0
-of its own pass: past the cosh^2 overflow it raises.
+A pass to n passes through every m <= n, so the propagators return series
+over m = 0..n (``bracket_LTnR_log`` as a list of SignedLogs).  Row m of a
+pass truncated at d >= m//2 is the row of m's own pass (d = m//2) bit for
+bit, except next to a band overflow (see :class:`LinePasses`, which shares
+passes between the rows of a scan line).  Truncated passes run only where
+their rows are exact or visibly non-finite: the float series (inf or NaN
+past an overflow) and :func:`rational_defects` at d = p - 1.  The log routes
+take (n, eta) alone.  Every log jet's order 0 is the bracket bit for bit, so
+each log row is held to :func:`check_single_path` through order 0 of its own
+pass (past the cosh^2 overflow it raises), and a row that an overflowed dT
+or F entry reaches (NaN or +inf) raises too.
 
 :func:`jordan_decompose` gives chi_1 in closed form, held to its own O(d)
 rounding bound; the dense T and D of :func:`build_transfer` only check
@@ -73,7 +65,6 @@ import contextlib
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -144,7 +135,8 @@ def _entries(name: str, d: int, eta: complex) -> tuple[np.ndarray, np.ndarray]:
     off[j] weighs both moves out of |j>: the climb <j+1|.|j> and the
     descent <j-1|.|j>.  'T' is |T|, 'dT' its t-derivative, 'd2T/2' half
     its second t-derivative (t of :func:`_split_eta`, even in Delta), 'D'
-    the vertex matrix, with sign(1 - Delta^2) on its diagonal, and
+    the vertex matrix, with sign(1 - Delta^2) on its diagonal, split into
+    'D+' and 'D-' for the log semiring, and
     'F' = 'd2T/2' + 2 'D' in closed form, so its O(t^2) diagonal is exact.
     """
     t, easy_axis = _split_eta(eta)
@@ -161,6 +153,9 @@ def _entries(name: str, d: int, eta: complex) -> tuple[np.ndarray, np.ndarray]:
         return 2 * j ** 2 * s(t * j) ** 2, j ** 2 * c(t * j) ** 2
     if name == "D":
         return -sigma * j ** 2 / 2, j ** 2 / 4
+    if name in ("D+", "D-"):  # D's nonnegative entries, and minus its negative ones
+        diag, off = _entries("D", d, eta)
+        return (np.maximum(diag, 0.0), off) if name == "D+" else (np.maximum(-diag, 0.0), 0 * off)
     raise ValueError(f"unknown band {name!r}")
 
 
@@ -246,21 +241,27 @@ def _balance(a0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return weight, inv, ok
 
 
-def _step_calls(jet: tuple, mats: np.ndarray, buf: np.ndarray, shifted: list,
+# the semirings of :func:`_jet_series`: (times, plus, <1|T|R>, an empty cell, the band
+# entry met by a buffer's edge column), on band entries or on their logs
+_FLOATS = (np.multiply, np.add, 0.5, 0.0, -0.0)
+_LOGS = (np.add, np.logaddexp, math.log(0.5), -math.inf, -math.inf)
+
+
+def _step_calls(ring: tuple, jet: tuple, mats: np.ndarray, buf: np.ndarray, shifted: list,
                 prod: np.ndarray, part: np.ndarray, dst: int, w: int) -> list[tuple]:
     """The ufunc calls of one step of :func:`_jet_series` into buf[dst], over columns 0..w."""
-    prods, out = prod[:, :, :w + 1], []
+    (times, plus, half), prods, out = ring[:3], prod[:, :, :w + 1], []
     for c, terms in enumerate(jet):
         acc = buf[dst, c, :, 1:w + 2]
         for i, (b, e) in enumerate(terms):
             into = acc if i == 0 else part[:, :w + 1]
             source = shifted[1 - dst][e][:, :, :w + 1]
-            out += [(np.multiply, mats[b, :, :, :w + 1], source, prods),
-                    (np.add, prods[0], prods[1], into), (np.add, into, prods[2], into)]
+            out += [(times, mats[b, :, :, :w + 1], source, prods),
+                    (plus, prods[0], prods[1], into), (plus, into, prods[2], into)]
             if i:
-                out.append((np.add, acc, into, acc))
+                out.append((plus, acc, into, acc))
     if w:  # R feeds |1> of v_0
-        out.append((np.add, buf[dst, 0, :, 2], 0.5, buf[dst, 0, :, 2]))
+        out.append((plus, buf[dst, 0, :, 2], half, buf[dst, 0, :, 2]))
     return out
 
 
@@ -269,26 +270,32 @@ def _step_calls(jet: tuple, mats: np.ndarray, buf: np.ndarray, shifted: list,
 # each summed in its own jet's order.  The two rows read, s and r^2, come last
 _XI_BANDS = ("T", "D", "dT", "d2T/2")
 _XI_JET = (((0, 0),), ((0, 1), (2, 0)), ((0, 2), (1, 0)), ((0, 3), (2, 1), (3, 0)))
+# (|T|, D+, D-) in logs: v_1 and v_2 are the unsigned parts of the (|T|, D) jet's order 1
+_SPLIT_JET = (((0, 0),), ((0, 1), (1, 0)), ((0, 2), (2, 0)))
 
 
-def _jet_series(bands: list[np.ndarray], n: int, jet: tuple | None = None) -> np.ndarray:
-    """<L|v_c> of the jet's read coefficients after m = 0..n steps, in floats.
+def _jet_series(bands: list[np.ndarray], n: int, jet: tuple | None = None,
+                ring: tuple = _FLOATS) -> np.ndarray:
+    """<L|v_c> of the jet's read coefficients after m = 0..n steps.
 
-    ``jet`` is the recurrence as data, by default that of the univariate
-    jet of the bands: for each coefficient c, the (b, e) pairs of v_c' =
-    sum A_b v_e (band b, source coefficient e) in the order they are summed.
-    Coefficient 0 is |T| v_0, ((0, 0),), and R feeds its |1>.  The rows
-    read are those of the last coefficients, from the first that no other
-    coefficient sources: the top order of a univariate jet, the s and r^2
-    coefficients of _XI_JET; several get a leading axis.  ``bands[b]`` is
-    A_b as one (3, d + 1) band, giving an (n + 1,) row, or as a batch of
-    band sets (see :func:`_stack_bands`), giving one row per set.  A set
-    padded with zero bands gets the finite rows of its own pass.  Step m
-    updates columns 0..min(m, n - m, d, front) only: higher columns are
-    still empty, can no longer reach L by step n, or lie above the support
-    front.  The cone is rounded up to _CONE_CHUNK columns, so the views
-    change only when it crosses a chunk; a stale value just past it reaches
-    L after step n.
+    ``ring`` is _FLOATS, (multiply, add) on the band entries, or _LOGS,
+    (add, logaddexp) on the logs of :func:`_live_bands`, where an empty cell
+    is -inf and R feeds log 1/2.  ``jet`` is the recurrence as data, by
+    default that of the univariate jet of the bands: for each coefficient c,
+    the (b, e) pairs of v_c' = sum A_b v_e (band b, source coefficient e) in
+    the order they are summed.  Coefficient 0 is |T| v_0, ((0, 0),), and R
+    feeds its |1>.  The rows read are those of the last coefficients, from
+    the first that no other coefficient sources (the top order of a
+    univariate jet, the s and r^2 coefficients of _XI_JET), or of all in
+    logs, whose rows are checked by their order 0; several get a leading
+    axis.  ``bands[b]`` is A_b as one (3, d + 1) band, giving an (n + 1,)
+    row, or as a batch of band sets (see :func:`_stack_bands`), giving one
+    row per set.  A set padded with zero bands gets the finite rows of its
+    own pass.  Step m updates columns 0..min(m, n - m, d, front) only:
+    higher columns are still empty, can no longer reach L by step n, or lie
+    above the support front.  The cone is rounded up to _CONE_CHUNK columns,
+    so the views change only when it crosses a chunk; a stale value just
+    past it reaches L after step n.
 
     The support front starts one chunk up.  Every column above it is +0 in
     both buffers, all coefficients and sets, since none was ever written.
@@ -309,7 +316,7 @@ def _jet_series(bands: list[np.ndarray], n: int, jet: tuple | None = None) -> np
     from the same operands, but for a -0 operand read as +0; x + (+-0) = x
     for x != 0, so every nonzero cell keeps its bits.  A non-finite band
     entry makes NaN of the zeros it meets, so such bands get no front
-    (theirs starts at d).
+    (theirs starts at d), as do log bands, whose zeros are -inf.
 
     The bound, for the bands of :func:`_bands`.  Let B_b be A_b on the bulk
     columns 1..d and a_b the spectral norm of d B_b d^-1.  For |T| at |Delta|
@@ -338,19 +345,20 @@ def _jet_series(bands: list[np.ndarray], n: int, jet: tuple | None = None) -> np
     10^4, Delta = 0.37 the widest step is 480 columns against 1312.
 
     Each element is computed in one fixed order: per band product,
-    (diag v + lower v_-) + upper v_+ (a + b and b + a are the same bits),
-    and the products of v_c' summed in the order of ``jet``.  The two
-    buffers of each coefficient carry one zero column on each side, met by a
-    -0.0 entry, which adds exactly nothing.  So row m is the same bits for
-    every n >= m, every cone and every exact-zero front (and, as measured,
-    every balanced one), and a coefficient whose terms (and theirs) are
-    those of another jet has that jet's rows bit for bit.
+    (diag v + lower v_-) + upper v_+ (a + b and b + a are the same bits, in
+    add and in logaddexp), and the products of v_c' summed in ``jet``'s order.
+    The two buffers of each coefficient carry one empty column on each side,
+    met by a -0.0 entry (-inf in logs), which adds exactly nothing, as does
+    any empty cell.  So row m is the same bits for every n >= m, every cone
+    and every exact-zero front (and, as measured, every balanced one), and a
+    coefficient whose terms (and theirs) are those of another jet has that
+    jet's rows bit for bit.
     """
     if jet is None:  # v_j' = sum_{b=0..j} A_b v_{j-b}
         jet = tuple(tuple((b, j - b) for b in range(j + 1)) for j in range(len(bands)))
     sources = {e for c, terms in enumerate(jet) for _, e in terms if e != c}
-    first = min(c for c in range(len(jet)) if c not in sources)
-    single = bands[0].ndim == 2
+    first = 0 if ring is _LOGS else min(c for c in range(len(jet)) if c not in sources)
+    single, (*_, empty, pad) = bands[0].ndim == 2, ring
     k, nb, dim = len(jet), 1 if single else bands[0].shape[0], bands[0].shape[-1]
     # (lower, diag, upper) of output column c against (v_-, v, v_+)
     mats = np.zeros((len(bands), 3, nb, dim))
@@ -359,15 +367,15 @@ def _jet_series(bands: list[np.ndarray], n: int, jet: tuple | None = None) -> np
         mat[0, :, 1:] = band[:, 1, 1:]
         mat[1] = band[:, 0]
         mat[2, :, :-1] = band[:, 2, :-1]
-    mats[:, 0, :, 0] = mats[:, 2, :, -1] = -0.0
-    buf = np.zeros((2, k, nb, dim + 2))  # the jet after an even and an odd step
+    mats[:, 0, :, 0] = mats[:, 2, :, -1] = pad
+    buf = np.full((2, k, nb, dim + 2), empty)  # the jet after an even and an odd step
     col, row = buf.strides[-1], buf.strides[-2]
     # (v_-, v, v_+) of every column as one view per buffer and coefficient
     shifted = [[np.lib.stride_tricks.as_strided(buf[p, c], (3, nb, dim), (col, row, col))
                 for c in range(k)] for p in (0, 1)]
     prod = np.empty((3, nb, dim))
     part = np.empty((nb, dim))
-    series = np.zeros((k - first, nb, n + 1))
+    series = np.full((k - first, nb, n + 1), empty)
     tops = [buf[p, first:, :, 1] for p in (0, 1)]  # <L|v_c> read after an even and an odd step
 
     weight, inv, ok = _balance(mats[0])
@@ -378,7 +386,8 @@ def _jet_series(bands: list[np.ndarray], n: int, jet: tuple | None = None) -> np
             w = min(-(-min(m, n - m) // _CONE_CHUNK) * _CONE_CHUNK, front, dim - 1)
             if w != width:
                 width = w
-                steps = [_step_calls(jet, mats, buf, shifted, prod, part, dst, w) for dst in (0, 1)]
+                steps = [_step_calls(ring, jet, mats, buf, shifted, prod, part, dst, w)
+                         for dst in (0, 1)]
             dst = m % 2
             for ufunc, a, b, into in steps[dst]:
                 ufunc(a, b, into)
@@ -396,70 +405,6 @@ def _jet_series(bands: list[np.ndarray], n: int, jet: tuple | None = None) -> np
     return rows[0] if first == k - 1 else rows
 
 
-@np.errstate(divide="ignore", invalid="ignore")
-def _jet_log(bands: list[np.ndarray], n: int) -> list[list[SignedLog]]:
-    """<L|v_j> after m = 0..n steps, one list of SignedLogs per order j (order
-    0, |T| alone, is the bracket), on the light cone of :func:`_jet_series`,
-    two columns wide at least (NumPy would sum a single column's rows
-    pairwise, not in row order).  It keeps the plain cone, with no support
-    front: a log does not underflow, so the support fills the cone, each
-    column live from the first step a path reaches it.
-
-    A jet with no negative band entry carries no signs: its rows read sign
-    1 where the log is above -inf.  Column c of v_j' sums its term rows
-    (diag, climb, descent of A_b v_{j-b}, b = 0..j; then <1|T|R> for v_0):
-    with M their maximum, sign * exp(log - M) summed in row order gives
-    (sign, M + log|sum|).  M = -inf or NaN, or a sum of 0, gives (0, -inf);
-    M = +inf (a +inf band entry times a live amplitude) gives (NaN, NaN).
-    """
-    k, dim = len(bands), bands[0].shape[1]
-    signed = not all((band >= 0).all() for band in bands)
-    mats = [[np.log(np.abs(band)) for band in bands]] + (  # and the signs of a signed jet
-        [[np.sign(band) for band in bands]] if signed else [])
-    pads = np.array([-np.inf, 0.0][:len(mats)])[:, None, None, None]
-    gens = np.full((len(mats), 2, k, dim + 2), pads)  # v after an even and an odd step, padded
-    terms = np.full((len(mats), k, 3 * k + 1, dim), pads)  # the term rows of each v_j'
-    terms[:, 0, 3, 1] = [math.log(0.5), 1.0][:len(mats)]  # <1|T|R>
-    top, tot, live = np.empty(dim), np.empty(dim), np.empty(dim, bool)
-    scratch, col = np.empty((3 * k + 1) * dim), gens.strides[-1]
-
-    @lru_cache(2)  # the calls of one step into generation dst, columns 0..w - 1: one w kept
-    def calls(dst: int, w: int) -> list[partial]:
-        out = []
-        for j in range(k):
-            for ufunc, bmats, gen, into in zip((np.add, np.multiply), mats, gens, terms[:, j]):
-                for b in range(j + 1):  # A_b v_{j-b}: diag on v, (climb, descent) on (v_-, v_+)
-                    v = gen[1 - dst, j - b]
-                    out += [partial(ufunc, bmats[b][0, :w], v[1:w + 1], out=into[3 * b, :w]),
-                            partial(ufunc, bmats[b][1:, :w], np.lib.stride_tricks.as_strided(
-                                v, (2, w), (2 * col, col)), out=into[3 * b + 1:3 * b + 3, :w])]
-            rows = 3 * j + 3 + (j == 0)
-            logs, exps = terms[0, j, :rows, :w], scratch[:rows * w].reshape(rows, w)
-            m, t, lv, new = top[:w], tot[:w], live[:w], gens[:, dst, j, 1:w + 1]
-            out += [partial(np.maximum.reduce, logs, axis=0, out=m),
-                    partial(np.greater, m, -np.inf, out=lv),
-                    partial(np.subtract, logs, m, out=exps), partial(np.exp, exps, out=exps)]
-            if signed:
-                out.append(partial(np.multiply, exps, terms[1, j, :rows, :w], out=exps))
-            out.append(partial(np.add.reduce, exps, axis=0, out=t))
-            if signed:  # live &= sum != 0, NaN included
-                out += [partial(np.logical_and, lv, t, out=lv), partial(new[1].fill, 0.0),
-                        partial(np.sign, t, out=new[1], where=lv), partial(np.absolute, t, out=t)]
-            out += [partial(np.log, t, out=t), partial(new[0].fill, -np.inf),
-                    partial(np.add, m, t, out=new[0], where=lv)]
-        return out
-
-    at_L = np.full((len(mats), k, n + 1), pads[:, :, :, 0])  # logs, signs of every order
-    for m in range(1, n + 1):
-        w = max(min(-(-min(m, n - m) // _CONE_CHUNK) * _CONE_CHUNK, dim - 1), 1)
-        for call in calls(m % 2, w + 1):
-            call()
-        at_L[:, :, m] = gens[:, m % 2, :, 1]
-    signs = at_L[-1] if signed else np.where(np.isnan(at_L[0]), np.nan, at_L[0] > -np.inf)
-    return [[SignedLog(*row) for row in zip(order_signs.tolist(), order_logs.tolist())]
-            for order_signs, order_logs in zip(signs, at_L[0])]
-
-
 def bracket_series(n: int, eta: complex, d: int | None = None) -> np.ndarray:
     """<L|T^m|R> for m = 0..n in one linear-domain pass."""
     return _jet_series(_bands(("T",), n, d, eta), n)
@@ -473,36 +418,51 @@ def defect_series(n: int, eta: complex, d: int | None = None) -> np.ndarray:
     return _jet_series(_bands(("T", "D"), n, d, eta), n)
 
 
+def _live_bands(names: tuple[str, ...], n: int, eta: complex) -> list[np.ndarray]:
+    """Logs of the bands of ``names`` at d = n//2, cut below J, the first column
+    whose |T| entry is past the doubles (its +inf would meet -inf cells), and
+    below J - 1 where the descent from J is +inf too: only L where J <= 2
+    (|Delta| >~ 1e77).  An overflowed dT or F entry makes its rows NaN or +inf."""
+    d = max(n // 2, 1)
+    last = _overflow_column(eta, d)
+    with np.errstate(over="ignore", divide="ignore"):
+        if last:
+            d = last - 1 - (last > 1 and not math.isfinite(_entries("T", last, eta)[1][-1]))
+        return [np.log(band[:, :d + 1]) for band in _bands(names, n, max(d, 1), eta)]
+
+
 def bracket_LTnR_log(n: int, eta: complex) -> list[SignedLog]:
     """<L|T^m|R> for m = 0..n as SignedLogs, in one log-domain pass (order 0 of
     every log jet); overflow-safe for |Delta| > 1.  :func:`bracket_LTnR` reads one row."""
-    return _jet_log(_bands(("T",), n, None, eta), n)[0]
+    logs = _jet_series(_live_bands(("T",), n, eta), n, ring=_LOGS)  # no NaN: |T| has no +inf
+    return [SignedLog(float(log > -math.inf), log) for log in logs.tolist()]
 
 
-def _checked_log_row(orders: list[list[SignedLog]], n: int, eta: complex) -> SignedLog:
-    """Row n of a log jet's top order, once its order 0, <L|T^n|R>, passes the
-    checks: the path R -> 1 -> L -> ... -> L alone weighs 1/4, so a bracket
-    that is not positive and finite (band overflow, |Delta| >~ 1e77) raises,
-    and so does one below its :func:`check_single_path`."""
-    bracket = orders[0][n]
-    if not (bracket.sign > 0 and math.isfinite(bracket.log)):
-        raise ArithmeticError(f"<L|T^{n}|R> = {bracket} lost every path to band overflow")
-    check_single_path(n, eta, bracket.log)
-    return orders[-1][n]
+def _checked_log_row(logs, n: int, eta: complex):
+    """``logs``, row n of each coefficient of a log pass, once they pass the
+    checks: order 0 (first), <L|T^n|R>, must be finite (the path R -> 1 -> L
+    -> ... -> L alone weighs 1/4) and pass :func:`check_single_path`; then no
+    row may be NaN or +inf (an overflowed dT or F entry); -inf is an exact 0."""
+    if not math.isfinite(logs[0]):
+        raise ArithmeticError(f"log <L|T^{n}|R> = {logs[0]} lost every path to band overflow")
+    check_single_path(n, eta, logs[0])
+    if not all(log < math.inf for log in logs):
+        raise ArithmeticError(f"row {n} of a log jet reads {[float(x) for x in logs]}: "
+                              "a band entry past the double range reached it")
+    return logs
 
 
 class LinePasses:
     """The jet passes shared by the rows of one scan line (points that
     differ only in n).
 
-    ``passes(jet, n, eta)`` returns the series of ``jet``, a propagator
-    of (n, eta) such as :func:`bracket_LTnR_log` (or the pair of series
-    of :func:`_xi_series`, indexed [:, n]), from a pass that
-    holds row n exactly as row n's own pass (d = n//2) would: the last
-    pass of that jet at that eta if it does (see :func:`_overflow_column`),
-    else a new pass at (n, n//2).  Rows asked from the largest n down so
-    run one pass per jet, and one more below a band overflow; each pass
-    is what its first row ran alone.
+    ``passes(jet, n, eta)`` returns the series of ``jet``, a propagator of
+    (n, eta) such as :func:`bracket_LTnR_log` or :func:`_xi_series`, from the
+    last pass of that jet at that eta if it holds row n as row n's own pass
+    would, else from a new pass to n: a log pass keeps the live columns of
+    :func:`_live_bands`, fewer at d >= J than at d = J - 1, so only rows with
+    n//2 >= J (:func:`_overflow_column`) share it.  Rows asked from the
+    largest n down run one pass per jet, and one more below a band overflow.
     """
 
     def __init__(self):
@@ -519,13 +479,10 @@ class LinePasses:
 def _overflow_column(eta: complex, d: int) -> int:
     """The first column J <= d whose |T| entry is not a finite float, 0 if none.
 
-    Row m <= n of a pass to n (truncated at d) is row m of its own pass
-    (d = m//2) bit for bit when m//2 >= J: columns above m//2 reach L only
-    after step m, and the exact zeros they add before change no sum.  The
-    log bands add the +inf entries of column J to its -inf (empty) value,
-    and when the entry that descends from J is +inf as well, column J - 1
-    is lost from the first step on.  Rows with m//2 >= J lose it in their
-    own pass too; rows with m//2 < J take a pass truncated below J.
+    Row m <= n of a pass to n is row m of its own pass (d = m//2) bit for bit
+    when m//2 >= J: the columns above m//2 add only empty cells before step
+    m, and a log pass cuts both bands at J - 1 or J - 2 (:func:`_live_bands`).
+    Rows with m//2 < J keep columns that the pass to n cuts: they take their own.
     """
     with np.errstate(over="ignore"):
         diag, off = _entries("T", d, eta)
@@ -544,14 +501,22 @@ def bracket_LTnR(n: int, eta: complex, *, passes: LinePasses | None = None) -> f
     passes = passes or LinePasses()
     if not _split_eta(eta)[1]:
         return float(passes(bracket_series, n, eta)[n])
-    return _checked_log_row([passes(bracket_LTnR_log, n, eta)], n, eta)
+    row = passes(bracket_LTnR_log, n, eta)[n]
+    _checked_log_row([row.log], n, eta)
+    return row
 
 
 def sum_defect_log(n: int, eta: complex) -> SignedLog:
-    """:func:`sum_defect` in logs, signs exact; raises where :func:`bracket_LTnR` does."""
+    """:func:`sum_defect` in logs, signs exact, as the difference of the two
+    unsigned rows of one (|T|, D+, D-) pass; raises where :func:`bracket_LTnR` does."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    return _checked_log_row(_jet_log(_bands(("T", "D"), n, None, eta), n), n, eta)
+    bands = _live_bands(("T", "D+", "D-"), n, eta)
+    _, plus, minus = _checked_log_row(_jet_series(bands, n, _SPLIT_JET, _LOGS)[:, n], n, eta)
+    if plus == minus:  # both -inf included: D never bridges R to L at n = 2
+        return SignedLog(0.0, -math.inf)
+    sign, big, small = (1.0, plus, minus) if plus > minus else (-1.0, minus, plus)
+    return SignedLog(sign, float(big + math.log1p(-math.exp(small - big))))
 
 
 def sum_defect(n: int, eta: complex) -> float | SignedLog:
@@ -647,17 +612,21 @@ def f0_delta(params):
     where it raises.  The bracket is half the s^2 coefficient of the one
     jet (|T|, d|T|/dt, F), whose closed-form F entries cancel its two
     terms to O(eta^2) exactly: accurate for every |Delta| != 1.  The jet
-    runs in floats for |Delta| < 1, in logs with its order 0, the bracket,
-    checked for |Delta| > 1 (past the cosh^2 overflow it raises
-    ArithmeticError); F is built by :func:`_leading_order`.
+    runs in floats for |Delta| < 1, in logs for |Delta| > 1, checked through
+    :func:`_checked_log_row` (past the cosh^2 overflow, or the earlier one of
+    dT and F, it raises ArithmeticError); F is built by :func:`_leading_order`.
     """
     delta, n, eta = params.delta, params.n, eta_from_delta(abs(params.delta))
     if abs(delta) == 1.0:
         raise ValueError("f0_delta is singular at the isotropic point |Delta| = 1; "
                          "use isotropic_f_delta there")
-    bands = _bands(("T", "dT", "F"), n, None, eta)
-    total = (float(_jet_series(bands, n)[n]) if abs(delta) < 1.0
-             else _checked_log_row(_jet_log(bands, n), n, eta))  # < 0 fails FisherEstimate
+    names = ("T", "dT", "F")
+    if abs(delta) < 1.0:
+        total = float(_jet_series(_bands(names, n, None, eta), n)[n])  # < 0 fails FisherEstimate
+    else:
+        rows = _jet_series(_live_bands(names, n, eta), n, ring=_LOGS)[:, n]
+        log = float(_checked_log_row(rows, n, eta)[-1])
+        total = SignedLog(float(log > -math.inf), log)
     # a quarter, not a half: the jet gives twice the bracket
     return _leading_order(params, "Delta", params.lam * params.mu / params.j_coupling,
                           1 / (4 * abs((1 - delta) * (1 + delta))), total)

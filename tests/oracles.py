@@ -64,7 +64,7 @@ def build_liouvillian_before(params):
         for jump in jumps:
             block += params.lam * (jump.conj()[bras] * jump[kets])
         sectors[sector] = (idx, block)
-    return Liouvillian(params=params, sectors=sectors)
+    return Liouvillian(params=params, sectors=sectors, terms=(K, jumps))
 
 
 def qfi_parametric_before(params, parameter, build):

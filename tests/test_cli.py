@@ -489,12 +489,8 @@ def test_pool_workers_write_the_same_bytes_and_warnings(tmp_path):
             assert len(r2) == 1
             assert r2[0]["message"].startswith("defect-sum window fit not linear")
             assert r2[0]["point"]["window_start"] == 120
-        else:
-            # the Delta = 2 pass overflows cosh^2: its warnings sit on the
-            # row that ran it, the largest n
-            assert manifests[0]["warnings"]
-            assert {(w["point"]["delta"], w["point"]["n"])
-                    for w in manifests[0]["warnings"]} == {(2.0, 700)}
+        else:  # the Delta = 2 pass runs on bands cut below the cosh^2 overflow
+            assert manifests[0]["warnings"] == []
 
 
 def test_rational_line_rows_are_their_own_passes(tmp_path):
@@ -620,6 +616,23 @@ def test_a_scan_fails_at_exactly_its_known_faults(tmp_path, fault):
         assert (row["error"].startswith("ArithmeticError: ") and here.error in row["error"]
                 and all(row[c] == "" for c in header if c not in point)
                 if here else row["error"] == "")
+
+
+def test_rows_past_the_overflow_record_no_numpy_warning(tmp_path):
+    # the log passes run on bands cut below the cosh^2 overflow, so no band
+    # entry leaves the doubles: rows 600 and 700 fail as registered, and
+    # neither records a NumPy overflow in the manifest
+    out = tmp_path / "validity.csv"
+    assert main(["scan", "validity-report", "--delta", "2", "--mu", "1",
+                 "--n-range", "500", "700", "100", "--out", str(out)]) == EXIT_PARTIAL
+    assert json.loads((tmp_path / "validity.csv.manifest.json").read_text())["warnings"] == []
+    header, *cells = read_csv(out)
+    rows = [dict(zip(header, row)) for row in cells]
+    assert [row["n"] for row in rows] == ["500", "600", "700"] and rows[0]["error"] == ""
+    for row in rows[1:]:
+        fault = known_faults.fault_at("validity-report", **row)
+        assert fault.error == known_faults.SINGLE_PATH
+        assert row["error"].startswith("ArithmeticError: ") and fault.error in row["error"]
 
 
 @pytest.mark.parametrize("kind, extra", [("validity-report", []),

@@ -14,8 +14,8 @@ from xxz_metrology import transfer
 from xxz_metrology.model import ChainParams, eta_from_delta
 from xxz_metrology.mpo import _log_threshold, hs_norm_sq_via_transfer, validity_threshold
 from xxz_metrology.cli import ScanSpec, run_scan
-from xxz_metrology.transfer import (SignedLog, _bands, _entries,
-                                    _jet_log, _jet_series, _overflow_column, _split_eta,
+from xxz_metrology.transfer import (_LOGS, _SPLIT_JET, SignedLog, _bands, _entries,
+                                    _jet_series, _live_bands, _overflow_column, _split_eta,
                                     _stack_bands, _xi_series,
                                     bracket_LTnR,
                                     bracket_LTnR_log, bracket_series,
@@ -285,9 +285,9 @@ def test_f0_delta_log_route_matches_float_route(delta):
     eta = eta_from_delta(delta)
     for n in range(2, 19):
         lin = defect_series(n, eta)[n] + 0.25 * second_eta_derivative_bracket(n, eta)[n]
-        lg = _jet_log(_bands(("T", "dT", "F"), n, None, eta), n)[-1][n]  # twice the bracket
-        assert lg.sign == np.sign(lin)
-        assert math.isclose(lg.value / 2, lin, rel_tol=1e-10)
+        lg = _log_rows(_live_bands(("T", "dT", "F"), n, eta), n)[-1, n]  # twice the bracket
+        assert (lg > -math.inf) == (lin > 0)  # 0 at n = 2
+        assert math.isclose(math.exp(lg) / 2, lin, rel_tol=1e-10)
 
 
 @pytest.mark.parametrize("delta", [0.5, -0.3, 0.99, 1.01, 1.5, -2.0])
@@ -385,30 +385,37 @@ def test_negated_dT_band_leaves_the_s2_coefficient(last, delta):
     assert np.array_equal(_jet_series(flipped, n), _jet_series(bands, n))
 
 
-# --- the float jet engine against the one-set loop it replaced ---------------
+# --- the jet engine against the one-set loop it replaced ----------------------
 
-def _reference_jet_series(bands, n):
-    """The one-set float loop over every column at every step, kept verbatim."""
+# the arithmetic of each semiring: (times, plus, <1|T|R>, an empty cell)
+_RINGS = {"float": (np.multiply, np.add, 0.5, 0.0),
+          "log": (np.add, np.logaddexp, math.log(0.5), -np.inf)}
+
+
+def _reference_jet_series(bands, n, ring="float"):
+    """The one-set loop over every column at every step, kept verbatim but
+    for its arithmetic: floats, or logs on the logs of the bands."""
+    times, plus, half, zero = _RINGS[ring]
     rows = [(b[0], b[1, 1:], b[2, :-1]) for b in bands]
 
     def apply(band, v):
         diag, lower, upper = band
-        out = diag * v
-        out[1:] += lower * v[:-1]
-        out[:-1] += upper * v[1:]
+        out = times(diag, v)
+        out[1:] = plus(out[1:], times(lower, v[:-1]))
+        out[:-1] = plus(out[:-1], times(upper, v[1:]))
         return out
 
-    jet = [np.zeros(bands[0].shape[1]) for _ in bands]
-    series = np.zeros(n + 1)
+    jet = [np.full(bands[0].shape[1], zero) for _ in bands]
+    series = np.full(n + 1, zero)
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, n + 1):
             new = []
             for j in range(len(jet)):
                 acc = apply(rows[0], jet[j])
                 for i in range(j - 1, -1, -1):
-                    acc += apply(rows[j - i], jet[i])
+                    acc = plus(acc, apply(rows[j - i], jet[i]))
                 new.append(acc)
-            new[0][1] += 0.5
+            new[0][1:2] = plus(new[0][1:2], half)  # R feeds |1>, where the bands hold it
             jet = new
             series[m] = jet[-1][0]
     return series
@@ -592,7 +599,7 @@ def test_each_band_set_of_a_batch_keeps_its_own_scale(monkeypatch):
             _assert_same_rows(rows, _jet_series(bands, n, jet))
 
 
-# --- the log jet engine against the all-column loop it replaced --------------
+# --- the log semiring against the reference loop and the signed loop it replaced
 
 def _reference_signed_lse(signs, logs):
     """Column sums of sign * exp(log) as (sign, log).
@@ -658,63 +665,112 @@ def _assert_same_log_rows(got, want):
     assert np.array_equal(got[finite].view(np.int64), want[finite].view(np.int64))
 
 
-@pytest.mark.parametrize("names", [("T",), ("T", "D"), ("T", "dT", "d2T/2"),
-                                   ("T", "dT", "F")])
-@pytest.mark.parametrize("eta", [0.3, math.acos(0.37), 2.5, 0.5j, 1.3j, math.acosh(2) * 1j,
-                                 math.pi + 1.3j, math.acosh(1e80) * 1j])
+def _logs(bands):
+    with np.errstate(divide="ignore"):
+        return [np.log(band) for band in bands]
+
+
+def _log_rows(log_bands, n, jet=None):
+    """The rows of every coefficient of the log pass of ``log_bands``, from order 0 on."""
+    return np.atleast_2d(_jet_series(log_bands, n, jet, _LOGS))
+
+
+def _jet_of(names):
+    """The recurrence of the log pass of ``names``: sum_defect_log's for (|T|, D+, D-)."""
+    return _SPLIT_JET if "D+" in names else None
+
+
+_EASY_AXIS = [0.5j, 1.3j, math.acosh(2) * 1j, math.pi + 1.3j, math.acosh(1e80) * 1j]
+
+
+# every jet whose bands are nonnegative: dT and d2T/2 change sign in the easy plane
+@pytest.mark.parametrize("names, eta", [
+    (names, eta) for names in (("T",), ("T", "D+", "D-"))
+    for eta in [0.3, math.acos(0.37), 2.5] + _EASY_AXIS] + [
+    (names, eta) for names in (("T", "dT", "d2T/2"), ("T", "dT", "F")) for eta in _EASY_AXIS])
 def test_log_engine_rows_are_the_reference_loop_bit_for_bit(names, eta):
-    # the cosh^2 overflow (Delta = 2, cosh 1.3 and -cosh 1.3) is in range of
-    # the n = 1200 pass, run for the bracket only to keep the reference loop
-    # quick; at Delta = 1e80 every jet loses every path from the first step
+    # on the live bands of n's own pass (cut below the cosh^2 overflow of
+    # Delta = 2, cosh 1.3 and -cosh 1.3, in range of the n = 1200 pass, run
+    # for the bracket only; at Delta = 1e80 only L is left) and on bands
+    # truncated at d below it; (|T|, D+, D-) gives order 1 of (|T|, D+) and
+    # of (|T|, D-), each bit for bit
     for n in (1, 2, 3, 7, 50, 201) + ((1200,) if names == ("T",) else ()):
         for d in (None, 1, 3, n):
-            with np.errstate(over="ignore", invalid="ignore"):
-                bands = _bands(names, n, d, eta)
-            _assert_same_log_rows(_jet_log(bands, n)[-1], _reference_jet_log(bands, n))
+            with np.errstate(over="ignore"):
+                bands = (_live_bands(names, n, eta) if d is None
+                         else _logs(_bands(names, n, d, eta)))
+            if not all((band < np.inf).all() for band in bands):
+                continue  # past the overflow: the live bands alone are cut there
+            if "D+" in names:
+                got = _log_rows(bands, n, _SPLIT_JET)[1:]
+                want = [_reference_jet_series([bands[0], part], n, "log") for part in bands[1:]]
+            else:
+                got, want = _log_rows(bands, n)[-1:], [_reference_jet_series(bands, n, "log")]
+            for rows, reference in zip(got, want):
+                _assert_same_log_rows(rows, reference)
 
 
-@pytest.mark.parametrize("names, eta", [(("T",), math.acosh(2) * 1j), (("T", "D"), 1.3j),
-                                        (("T", "dT", "F"), 1.3j), (("T", "dT", "d2T/2"), 0.3)])
+def _assert_close_log_rows(got, want, rel=1e-14):
+    """Signs equal, logs finite in the same places and within rel of each other there."""
+    got, want = np.array(got, dtype=float), np.array(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got[..., 0], want[..., 0], equal_nan=True)
+    finite = np.isfinite(want[..., 1])
+    assert np.array_equal(np.isfinite(got[..., 1]), finite)
+    assert np.array_equal(got[..., 1][~finite], want[..., 1][~finite], equal_nan=True)
+    got, want = got[..., 1][finite], want[..., 1][finite]
+    assert np.all(np.abs(got - want) <= rel * np.abs(want))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("delta", sorted({point[0] for fault in known_faults.FAULTS
+                                          for point in fault.points}))
+def test_log_rows_are_the_signed_reference_loop_to_1e_14(delta):
+    # at every registered Delta, across the cosh^2 overflow (n = 541/542 at
+    # Delta = 2, 739/740 at -1.5): every row of each bracket pass, with the
+    # live and dead rows of the loop that kept the overflowed columns and
+    # took their NaN terms as unreachable, and the defect sum of its own pass
+    # where its bracket passes the checks, the difference of two unsigned rows
+    eta = eta_from_delta(delta)
+    for n in (2, 3, 4, 5, 37, 136, 238, 541, 542, 739, 740, 1200):
+        with np.errstate(over="ignore"):
+            bands = _bands(("T", "D"), n, None, eta)
+        _assert_close_log_rows(bracket_LTnR_log(n, eta), _reference_jet_log(bands[:1], n))
+        try:
+            row = sum_defect_log(n, eta)
+        except ArithmeticError:  # its bracket fails the checks, as bracket_LTnR's does
+            with pytest.raises(ArithmeticError):
+                bracket_LTnR(n, eta)
+            continue
+        _assert_close_log_rows([row], _reference_jet_log(bands, n)[n:])
+
+
+@pytest.mark.parametrize("names, eta", [(("T",), math.acosh(2) * 1j), (("T", "D+", "D-"), 1.3j),
+                                        (("T", "dT", "F"), 1.3j), (("T", "dT", "d2T/2"), 0.5j)])
 def test_log_rows_do_not_depend_on_how_far_the_pass_runs(names, eta):
     # the cone of a pass to n_max is not that of a pass to n <= n_max, nor
     # are its chunk edges: rows m <= n agree all the same
     n_max = 400
-    with np.errstate(over="ignore"):
-        for d in (3, 70, 200):
-            bands = _bands(names, n_max, d, eta)
-            full = _jet_log(bands, n_max)[-1]
-            for n in (31, 32, 33, 257):
-                _assert_same_log_rows(full[:n + 1], _jet_log(bands, n)[-1])
+    for d in (3, 70, 200):
+        bands = _logs(_bands(names, n_max, d, eta))
+        full = _log_rows(bands, n_max, _jet_of(names))
+        for n in (31, 32, 33, 257):
+            _assert_same_log_rows(full[:, :n + 1], _log_rows(bands, n, _jet_of(names)))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-@pytest.mark.parametrize("names", [("T", "D"), ("T", "dT", "F")])
-@pytest.mark.parametrize("delta", [1.1, 2.0, -1.5, 100.0, 1e80, 0.5])
+@pytest.mark.parametrize("names, delta", [
+    (names, delta) for names in (("T", "D+", "D-"), ("T", "dT", "F"))
+    for delta in (1.1, 2.0, -1.5, 100.0, 1e80)] + [(("T", "D+", "D-"), 0.5)])
 def test_order_zero_of_every_log_jet_is_the_bracket(names, delta):
     # the premise of the bracket checks on a jet's own pass: its order 0
-    # propagates |T| alone, NaN rows past the overflow (Delta = 2, n = 601)
-    # and the signed (|T|, D) jet included
+    # propagates |T| alone, past the overflow (Delta = 2, n = 601) and in
+    # the (|T|, D+, D-) pass of the defect sum included
     eta = eta_from_delta(delta)
     for n in (2, 5, 37, 601):
-        orders = _jet_log(_bands(names, n, None, eta), n)
+        orders = _log_rows(_live_bands(names, n, eta), n, _jet_of(names))
         assert len(orders) == len(names)
-        _assert_same_log_rows(orders[0], bracket_LTnR_log(n, eta))
-
-
-@pytest.mark.parametrize("eta", [0.3, 1.3j])  # (|T|, D) without and with signs
-def test_a_plus_inf_term_gives_nan_and_kills_the_column_a_step_later(eta):
-    # a +inf entry times a live amplitude (the cosh^2 overflow of a dT band)
-    # makes the column's maximum +inf: (NaN, NaN), not (0, -inf).  Here D's
-    # <L|D|L> is +inf: L of v_1 is dead while v_0 has not reached L, NaN at
-    # step 3, when v_0's L is live, and dead again a step later
-    n = 12
-    bands = _bands(("T", "D"), n, None, eta)
-    bands[1][0, 0] = np.inf
-    rows = _jet_log(bands, n)[-1]
-    _assert_same_log_rows(rows, _reference_jet_log(bands, n))
-    assert rows[2] == (0.0, -np.inf)
-    assert math.isnan(rows[3].sign) and math.isnan(rows[3].log)
-    assert rows[4] == (0.0, -np.inf)
+        _assert_same_log_rows(orders[0], [row.log for row in bracket_LTnR_log(n, eta)])
 
 
 @pytest.mark.filterwarnings("ignore:defect-sum window fit")
@@ -749,6 +805,28 @@ def test_f0_delta_log_route_matches_mpmath():
     assert est.value == math.inf  # past the double range: only log_value holds it
     assert est.log_value == pytest.approx(float(expected), rel=1e-13)
     assert f0_delta(est.params.replace(lam=0.0)).value == 0.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("delta, n", [(10.0, 235), (10.0, 236), (10.0, 237),
+                                      (100.0, 133), (100.0, 134), (100.0, 135)])
+def test_f0_delta_raises_or_is_exact_past_its_band_overflow(delta, n):
+    # the first dT or F column past the doubles is 118 at Delta = 10 and 67 at
+    # 100, one below |T|'s: from n//2 = 118 (67) on, the overflowed terms reach
+    # the row, and a row that dropped them would be low by ~1.44 in the log
+    mp = pytest.importorskip("mpmath")
+    params = ChainParams(n=n, delta=delta, lam=1.0, mu=1.0)
+    with mp.workdps(40):
+        expected = float(mp.log(mp_f0_delta_bracket(n, delta, mp)
+                                / (2 * (delta ** 2 - 1))))
+    try:
+        log_value = f0_delta(params).log_value
+    except ArithmeticError as exc:
+        assert "past the double range reached it" in str(exc)
+        assert n // 2 >= (118 if delta == 10.0 else 67)
+    else:
+        assert log_value == pytest.approx(expected, rel=1e-12)
+        assert n in (235, 133)  # the rows below the overflow give a value
 
 
 def central_second_eta_derivative(n, eta):
@@ -1155,16 +1233,13 @@ def test_the_log_and_auto_routes_take_no_truncation(route):
 
 
 def _counted_passes(monkeypatch) -> dict:
-    """{"float": _jet_series calls, "log": _jet_log calls} from here on."""
-    calls = {"float": 0, "log": 0}
+    """{"float": _jet_series calls in floats, "log": those in logs} from here on."""
+    calls, jet_series = {"float": 0, "log": 0}, transfer._jet_series
 
-    def counted(name, fn):
-        def wrapped(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapped
-    monkeypatch.setattr(transfer, "_jet_series", counted("float", transfer._jet_series))
-    monkeypatch.setattr(transfer, "_jet_log", counted("log", transfer._jet_log))
+    def counted(bands, n, jet=None, ring=transfer._FLOATS):
+        calls["log" if ring is _LOGS else "float"] += 1
+        return jet_series(bands, n, jet, ring)
+    monkeypatch.setattr(transfer, "_jet_series", counted)
     return calls
 
 
@@ -1217,8 +1292,11 @@ def test_library_calls_raise_where_a_bracket_fault_starts(fault):
     # f0_x, f0_delta, hs_norm_sq_via_transfer, validity_threshold and the
     # log branches of bracket_LTnR, sum_defect and sum_defect_log read the
     # bracket through the checks of a scan row: the first two registered rows
-    # at each signed Delta raise (odd n included), the row below keeps the
-    # log jet's bits
+    # at each signed Delta raise (odd n included); in the row below, the
+    # bracket keeps its bits, and f0_delta past the single path raises, as
+    # its dT and F bands overflow a few columns before |T| (n//2 = 266 at
+    # Delta = 2, 363 at -1.5, 118 at 10 and 67 at 100, each at or below that
+    # row's n//2)
     for delta in sorted({point[0] for point in fault.points}):
         n, eta = min(p[-1] for p in fault.points if p[0] == delta), eta_from_delta(delta)
         for m in (n, n + 1):
@@ -1236,24 +1314,13 @@ def test_library_calls_raise_where_a_bracket_fault_starts(fault):
         assert hs_norm_sq_via_transfer(n - 1, eta).log == row + log_norm
         assert (validity_threshold(n - 1, eta, 1.0).log
                 == _log_threshold(n - 1, 1.0, row + log_norm))
-        top = _jet_log(_bands(("T", "dT", "F"), n - 1, None, eta), n - 1)[-1][n - 1]
-        log_f0 = top.log + math.log(
-            1 / (4 * abs((1 - delta) * (1 + delta))))  # the prefactor at lam = mu = J = 1
-        assert f0_delta(below).log_value == log_f0
-
-
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_dead_log_columns_do_not_overflow_exp():
-    # past the cosh^2 overflow whole columns of the log bands turn NaN; their
-    # terms are shifted by +inf, so exp sees -inf, not a huge argument, and
-    # the row still fails as the known fault
-    eta = eta_from_delta(2.0)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        row = bracket_LTnR_log(620, eta)[620]
-    assert not [w for w in caught if "overflow encountered in exp" in str(w.message)]
-    with known_faults.expect("validity-report", delta=2.0, n=620):
-        assert bracket_LTnR(620, eta) == row
+        if fault.error == known_faults.LOST:  # n - 1 = 3, d = 1: no band entry overflows
+            top = _log_rows(_live_bands(("T", "dT", "F"), n - 1, eta), n - 1)[-1, n - 1]
+            assert f0_delta(below).log_value == top + math.log(
+                1 / (4 * abs((1 - delta) * (1 + delta))))  # the prefactor at lam = mu = J = 1
+        else:
+            with pytest.raises(ArithmeticError, match="past the double range reached it"):
+                f0_delta(below)
 
 
 # --- Toeplitz ---------------------------------------------------------------
