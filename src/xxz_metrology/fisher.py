@@ -31,14 +31,10 @@ class FisherEstimate:
     """A Fisher-information value tagged with how it was obtained."""
 
     value: float
+    log_value: float          # log(value), finite where value overflows a double
     method: str               # 'exact-dense' or 'leading-order'
-    parameter: str            # one of J, Delta, lambda, mu
-    params: ChainParams
-    log_value: float | None = None
 
     def __post_init__(self):
-        if self.parameter not in _FIELDS:
-            raise ValueError(f"unknown parameter label {self.parameter!r}")
         if self.method not in ("exact-dense", "leading-order"):
             raise ValueError(f"unknown method {self.method!r}")
         if not self.value >= 0:  # also rejects nan
@@ -174,8 +170,7 @@ def qfi_parametric(params: ChainParams, parameter: str,
             f"by {gap:.2e} vs scale {scale:.2e}")
     rho = build(params)
     value = qfi_dense(rho, drho)
-    return FisherEstimate(value=value, method="exact-dense", parameter=parameter,
-                          params=params,
+    return FisherEstimate(value=value, method="exact-dense",
                           log_value=math.log(value) if value > 0 else -math.inf)
 
 
@@ -185,6 +180,6 @@ def relative_error(x_value: float, fisher: FisherEstimate, m: int = 1) -> float:
         raise ValueError("relative error undefined at x = 0")
     if fisher.value <= 0:
         raise ValueError("zero Fisher information: estimation impossible here")
-    if math.isinf(fisher.value) and fisher.log_value is not None:
+    if math.isinf(fisher.value):
         return math.exp(-math.log(abs(x_value)) - 0.5 * (math.log(m) + fisher.log_value))
     return 1.0 / (abs(x_value) * math.sqrt(m * fisher.value))

@@ -14,11 +14,12 @@ symmetry: H commutes with M_z, and every jump operator flips one spin,
 so L_k rho L_k^dag moves ket and bra alike.  The generator is thus
 block diagonal over q = -n..n, with blocks of size C(2n, n+q).  It is
 built as those blocks alone, never as the 4**n x 4**n matrix, each
-scattered from the supports of its terms in K and the L_k that are not 0
-(a few percent of its entries: 2 ms to build at n = 5, 8 ms at n = 6),
+scattered from the supports of its terms in K and the L_k that are not 0,
 and the brute-force steady state is one regular solve in the q = 0 block
-(252 of 1024 rows at n = 5; a solve takes 9 ms at n = 5 and 0.19 s at
-n = 6, most of it in LAPACK's inverses of the q >= 0 blocks).
+(252 of 1024 rows at n = 5).  On a 2-core Intel Xeon, 1 BLAS thread, a
+build takes 0.4 ms at n = 4, 2 ms at n = 5 and 11 ms at n = 6, a solve
+12 ms at n = 5 and 0.3 s at n = 6, most of it in LAPACK's inverses of
+the q >= 0 blocks.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import ChainParams, hamiltonian_xxz, hs_norm, lindblad_jump_ops, magnetization_z
-from .mpo import (build_aux_A, build_aux_B, contract_to_dense, popcount_sectors, solve_s,
-                  validity_threshold)
+from .mpo import (_popcount, build_aux_A, build_aux_B, contract_to_dense, popcount_sectors,
+                  solve_s, validity_threshold)
 
 LIOUVILLIAN_CAP = 6  # the q = 0 block is 924 x 924 at n = 6
 COND_CUT = 1 / np.finfo(float).eps  # steady states reach 6.6e14, a 2nd null vector 1e18
@@ -49,28 +50,17 @@ class Liouvillian:
     terms: tuple[np.ndarray, list[np.ndarray]] = field(repr=False)
 
 
-def _jumps(params: ChainParams) -> list[np.ndarray]:
-    """The jump operators that are not 0: at mu = +-1 two of the four have
-    rate 0, and their terms in K and L are sums of zero products, which
-    change no nonzero bit."""
-    return [jump for jump in lindblad_jump_ops(params) if jump.any()]
-
-
-def _effective_hamiltonian(params: ChainParams) -> np.ndarray:
-    """K = J H + (omega/2) M_z - (i lam/2) sum_k L_k^dag L_k."""
+def _terms(params: ChainParams) -> tuple[np.ndarray, list[np.ndarray]]:
+    """K = J H + (omega/2) M_z - (i lam/2) sum_k L_k^dag L_k and the jumps
+    L_k that are not 0: at mu = +-1 two of the four have rate 0, and their
+    terms in K and L are sums of zero products, which change no nonzero bit."""
+    jumps = [jump for jump in lindblad_jump_ops(params) if jump.any()]
     K = params.j_coupling * hamiltonian_xxz(params)
     if params.omega != 0.0:
         K = K + params.omega / 2 * magnetization_z(params.n)
-    for jump in _jumps(params):
+    for jump in jumps:
         K = K - 0.5j * params.lam * (jump.conj().T @ jump)
-    return K
-
-
-def _mz_diagonal(n: int) -> np.ndarray:
-    """The diagonal of magnetization_z(n), n - 2 popcount of each basis index: its
-    entries are sums of +-1, exact integers, so these are their bits."""
-    basis = np.arange(2 ** n)
-    return (n - 2 * sum((basis >> bit) & 1 for bit in range(n))).astype(float)
+    return K, jumps
 
 
 def build_liouvillian(params: ChainParams) -> Liouvillian:
@@ -84,22 +74,22 @@ def build_liouvillian(params: ChainParams) -> Liouvillian:
     entries at n = 5 and 32,768 of 2,704,156 at n = 6, repeats counted.
     The terms are added at those entries alone, in the order of the whole
     matrix, and scattered into zeroed blocks; every other entry is a sum of
-    zero products, so +0.  A build takes 2 ms at n = 5 and 8 ms at n = 6.
-    The blocks hold every entry only if K keeps M_z and each L_k shifts it
-    by one constant: both checked.
+    zero products, so +0.  Entry ket + 2**n bra is in sector popcount(bra)
+    - popcount(ket), an exact integer.  The blocks hold every entry only if
+    K keeps M_z and each L_k shifts it by one constant: both checked.
     """
     n = params.n
     if n > LIOUVILLIAN_CAP:
         raise ValueError(f"dense Liouvillian capped at n <= {LIOUVILLIAN_CAP}, got {n}")
-    K, jumps = _effective_hamiltonian(params), _jumps(params)
-    mz = _mz_diagonal(n)
-    shift = mz[:, None] - mz[None, :]
+    K, jumps = _terms(params)
+    popcount = _popcount(n)
+    shift = popcount - popcount[:, None]  # (M_z(row) - M_z(col))/2
     if np.any(K[shift != 0] != 0) or any(np.unique(shift[jump != 0]).size > 1
                                          for jump in jumps):
         raise ArithmeticError("Liouvillian mixes M_z(ket) - M_z(bra) sectors")
     d = 2 ** n
     eye, Kc = np.eye(d, dtype=complex), K.conj()
-    q = np.rint(shift / 2).astype(int).flatten(order="F")
+    q = shift.flatten(order="F")
     # the entries (i, j), i = ket + d * bra, in the supports of kron(I, K),
     # kron(Kc, I) and each kron(Jc, J); the sector checks keep each pair in
     # one sector
@@ -142,7 +132,7 @@ def apply_liouvillian(rho: np.ndarray, params: ChainParams) -> np.ndarray:
     Usable up to the dense-operator cap, past where the 4**n x 4**n
     matrix stops being practical.
     """
-    return _apply(rho, _effective_hamiltonian(params), _jumps(params), params.lam)
+    return _apply(rho, *_terms(params), params.lam)
 
 
 def _matvec_ld(A: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -244,7 +234,8 @@ def ness_mu1(params: ChainParams, epsilon: float) -> np.ndarray:
     otherwise S is 0 wherever rho is, and rho is written over S, one
     2**n x 2**n array for both.  It is scaled by 1/Tr, not divided by Tr:
     NumPy divides a complex array by a real c as the product with 1/c, and
-    the multiply loop gives those bits about 6x faster.
+    the multiply loop gives those bits about 5x faster (0.16 against
+    0.77 ms at n = 9 on a 2-core Intel Xeon, 1 BLAS thread).
     ``fisher.qfi_dense`` finds the same blocks and diagonalizes them one
     by one, under one support cut relative to the largest eigenvalue of
     all blocks.
@@ -254,7 +245,7 @@ def ness_mu1(params: ChainParams, epsilon: float) -> np.ndarray:
     n = params.n
     s = solve_s(epsilon, params.eta)
     S = contract_to_dense(build_aux_B(n, params.eta, s), n)
-    sectors = [np.ix_(idx, idx) for idx in popcount_sectors(n)]
+    sectors = [(idx[:, None], idx) for idx in popcount_sectors(n)]
     blocks = [S[sector] for sector in sectors]
     # real and imaginary parts counted apart: on float views the count is faster
     if (np.count_nonzero(S.view(float))

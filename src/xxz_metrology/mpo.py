@@ -141,12 +141,19 @@ def solve_s(epsilon: float, eta: complex) -> complex:
 
 
 @lru_cache(maxsize=16)
+def _popcount(n: int) -> np.ndarray:
+    """The popcount of each basis index 0..2**n - 1, its number of spins down:
+    M_z = n - 2 popcount (read-only, cached per n)."""
+    popcount = sum((np.arange(2 ** n) >> bit) & 1 for bit in range(n))
+    popcount.flags.writeable = False
+    return popcount
+
+
+@lru_cache(maxsize=16)
 def popcount_sectors(n: int) -> tuple[np.ndarray, ...]:
     """The basis indices of popcount k = 0..n in ascending order: one M_z
     sector each (read-only, cached per n)."""
-    basis = np.arange(2 ** n)
-    popcount = sum((basis >> bit) & 1 for bit in range(n))
-    sectors = tuple(np.flatnonzero(popcount == k) for k in range(n + 1))
+    sectors = tuple(np.flatnonzero(_popcount(n) == k) for k in range(n + 1))
     for idx in sectors:
         idx.flags.writeable = False
     return sectors

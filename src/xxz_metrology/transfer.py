@@ -542,8 +542,7 @@ _PREFACTOR_DERIVS = {
 }
 
 
-def _leading_order(params, parameter: str, scale: float, const: float,
-                   row: float | SignedLog | None) -> FisherEstimate:
+def _leading_order(scale: float, const: float, row: float | SignedLog | None) -> FisherEstimate:
     """F = scale^2 row const: in floats where the row is a float and F a normal
     double, else from 2 log|scale| + log row + log const, so ``log_value`` is
     finite wherever F > 0.  A zero scale gives 0, log -inf, and reads no row."""
@@ -557,8 +556,7 @@ def _leading_order(params, parameter: str, scale: float, const: float,
     elif scale:  # a SignedLog row, or F outside the normal doubles
         log_f = 2 * math.log(abs(scale)) + row.log + math.log(const)
         value = SignedLog(row.sign, log_f).value
-    return FisherEstimate(value=value, log_value=log_f,
-                          method="leading-order", parameter=parameter, params=params)
+    return FisherEstimate(value=value, log_value=log_f, method="leading-order")
 
 
 def f0_x(params, parameter: str, passes: LinePasses | None = None):
@@ -574,7 +572,7 @@ def f0_x(params, parameter: str, passes: LinePasses | None = None):
     pref = _PREFACTOR_DERIVS[parameter](params.j_coupling, params.lam, params.mu)
     eta = eta_from_delta(abs(params.delta))
     bracket = bracket_LTnR(params.n, eta, passes=passes) if pref else None
-    return _leading_order(params, parameter, pref, 0.5, bracket)
+    return _leading_order(pref, 0.5, bracket)
 
 
 def second_eta_derivative_bracket(n: int, eta: complex, d: int | None = None) -> np.ndarray:
@@ -628,7 +626,7 @@ def f0_delta(params):
         log = float(_checked_log_row(rows, n, eta)[-1])
         total = SignedLog(float(log > -math.inf), log)
     # a quarter, not a half: the jet gives twice the bracket
-    return _leading_order(params, "Delta", params.lam * params.mu / params.j_coupling,
+    return _leading_order(params.lam * params.mu / params.j_coupling,
                           1 / (4 * abs((1 - delta) * (1 + delta))), total)
 
 

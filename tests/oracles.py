@@ -11,7 +11,7 @@ import numpy as np
 
 from xxz_metrology import fisher
 from xxz_metrology.fisher import qfi_dense, sld
-from xxz_metrology.lindblad import LIOUVILLIAN_CAP, Liouvillian, _effective_hamiltonian
+from xxz_metrology.lindblad import LIOUVILLIAN_CAP, Liouvillian, _terms
 from xxz_metrology.model import _check_dense_cap, hs_norm, lindblad_jump_ops, magnetization_z
 from xxz_metrology.mpo import build_aux_B, contract_to_dense, popcount_sectors, solve_s
 
@@ -43,11 +43,12 @@ def ness_mu1_before(params, epsilon):
 
 
 def build_liouvillian_before(params):
-    """Reference: every block gathered whole, a dozen operands per entry."""
+    """Reference: every block gathered whole, a dozen operands per entry,
+    with all four jumps, the zero-rate ones too, and float sector labels."""
     n = params.n
     if n > LIOUVILLIAN_CAP:
         raise ValueError(f"dense Liouvillian capped at n <= {LIOUVILLIAN_CAP}, got {n}")
-    K, jumps = _effective_hamiltonian(params), lindblad_jump_ops(params)
+    K, jumps = _terms(params)[0], lindblad_jump_ops(params)
     mz = np.diag(magnetization_z(n)).real
     shift = mz[:, None] - mz[None, :]
     if np.any(K[shift != 0] != 0) or any(np.unique(shift[jump != 0]).size > 1

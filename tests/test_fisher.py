@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -149,26 +150,31 @@ def test_zeta_observable_saturates_leading_order():
 def test_relative_error_arithmetic():
     est = qfi_parametric(ChainParams(n=3, delta=0.5, lam=1e-3, mu=1.0), "lambda",
                          ness_perturbative)
-    fake = est.__class__(value=1.0, method="exact-dense", parameter="lambda",
-                         params=est.params)
+    fake = est.__class__(value=1.0, log_value=0.0, method="exact-dense")
     assert relative_error(1.0, fake) == 1.0
-    fake100 = est.__class__(value=100.0, method="exact-dense",
-                            parameter="lambda", params=est.params)
+    fake100 = est.__class__(value=100.0, log_value=math.log(100.0), method="exact-dense")
     assert np.isclose(relative_error(0.5, fake100), 0.2)
 
 
 def test_fisher_estimate_rejects_nan_and_negative_values():
-    params = ChainParams(n=3, delta=0.5, lam=1e-3, mu=1.0)
     for bad in (float("nan"), -1e-300, -float("inf")):
         with pytest.raises(ValueError, match="must be >= 0"):
-            FisherEstimate(value=bad, method="exact-dense", parameter="lambda",
-                           params=params)
-    for good in (0.0, 2.5):
-        assert FisherEstimate(value=good, method="exact-dense", parameter="lambda",
-                              params=params).value == good
-    huge = FisherEstimate(value=float("inf"), log_value=2000.0,
-                          method="leading-order", parameter="lambda", params=params)
+            FisherEstimate(value=bad, log_value=math.nan, method="exact-dense")
+    for good, log_good in ((0.0, -math.inf), (2.5, math.log(2.5))):
+        assert FisherEstimate(value=good, log_value=log_good,
+                              method="exact-dense").value == good
+    huge = FisherEstimate(value=float("inf"), log_value=2000.0, method="leading-order")
     assert huge.log_value == 2000.0
+
+
+def test_unknown_parameter_labels_are_rejected():
+    # the estimate carries no label: the two entry points check theirs
+    params = ChainParams(n=3, delta=0.5, lam=1e-3, mu=1.0)
+    with pytest.raises(ValueError, match="unknown parameter label 'omega'"):
+        qfi_parametric(params, "omega", ness_perturbative)
+    for label in ("omega", "Delta"):
+        with pytest.raises(ValueError, match="parameter must be one of J, lambda, mu"):
+            f0_x(params, label)
 
 
 def test_relative_error_rejects_degenerate():

@@ -13,7 +13,7 @@ from xxz_metrology.model import (ChainParams, embed, hamiltonian_xxz, hs_norm,
 from xxz_metrology import lindblad
 from xxz_metrology.lindblad import (apply_liouvillian, build_liouvillian, ness_mu1,
                                     ness_perturbative, steady_state_nullspace)
-from xxz_metrology.mpo import build_aux_A, build_aux_B, contract_to_dense, solve_s
+from xxz_metrology.mpo import _popcount, build_aux_A, build_aux_B, contract_to_dense, solve_s
 
 
 def vec(rho):
@@ -166,11 +166,11 @@ def test_nullspace_matches_mu1_closed_form_far_from_isotropy(n, delta, lam, tol)
 def test_nullspace_rejects_sector_mixing(monkeypatch):
     # a sigma^x field on site 1 breaks M_z conservation, however weak
     params = ChainParams(n=3, delta=0.7, lam=0.2, mu=0.5)
-    effective = lindblad._effective_hamiltonian
+    terms = lindblad._terms
     for strength in (0.3, 1e-6):
         field = strength * embed(3, 1, pauli("x"))
-        monkeypatch.setattr(lindblad, "_effective_hamiltonian",
-                            lambda p, field=field: effective(p) + field)
+        monkeypatch.setattr(lindblad, "_terms",
+                            lambda p, field=field: (terms(p)[0] + field, terms(p)[1]))
         with pytest.raises(ArithmeticError, match="mixes"):
             steady_state_nullspace(build_liouvillian(params))
 
@@ -483,8 +483,44 @@ def test_ness_mu1_matches_nullspace_oracle():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_the_mz_diagonal_is_that_of_the_dense_operator(n):
+    # the sector labels come from the popcount: n - 2 popcount is M_z's diagonal
     want = np.diag(magnetization_z(n)).real
-    assert np.array_equal(lindblad._mz_diagonal(n).view(np.int64), want.view(np.int64))
+    got = (n - 2 * _popcount(n)).astype(float)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_each_sector_holds_the_indices_of_its_mz_difference(n):
+    # index ket + 2**n bra lies in sector q iff (M_z(ket) - M_z(bra))/2 = q
+    d = 2 ** n
+    mz = np.diag(magnetization_z(n)).real
+    index = np.arange(d * d)
+    q = (mz[index % d] - mz[index // d]) / 2
+    sectors = build_liouvillian(ChainParams(n=n, delta=0.6, lam=0.3, mu=0.4)).sectors
+    assert list(sectors) == list(range(-n, n + 1))
+    for sector, (idx, _) in sectors.items():
+        assert np.array_equal(idx, np.flatnonzero(q == sector))
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.3])
+def test_the_operators_are_formed_once_per_build_and_per_action(monkeypatch, omega):
+    calls = {"lindblad_jump_ops": 0, "hamiltonian_xxz": 0}
+
+    def counted(name):
+        inner = getattr(lindblad, name)
+
+        def wrapper(params):
+            calls[name] += 1
+            return inner(params)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(lindblad, name, counted(name))
+    params = ChainParams(n=3, delta=0.6, lam=0.3, mu=1.0, omega=omega)
+    build_liouvillian(params)
+    assert calls == {"lindblad_jump_ops": 1, "hamiltonian_xxz": 1}
+    apply_liouvillian(np.eye(8, dtype=complex) / 8, params)
+    assert calls == {"lindblad_jump_ops": 2, "hamiltonian_xxz": 2}
 
 
 def test_the_residual_check_reuses_the_operators_of_the_blocks(monkeypatch):
@@ -493,10 +529,12 @@ def test_the_residual_check_reuses_the_operators_of_the_blocks(monkeypatch):
     params = ChainParams(n=4, delta=0.6, lam=0.7, mu=1.0, omega=0.3)
     liouv = build_liouvillian(params)
     rho = steady_state_nullspace(liouv)
-    for name in ("_effective_hamiltonian", "lindblad_jump_ops"):
+    for name in ("_terms", "lindblad_jump_ops"):
         monkeypatch.setattr(lindblad, name, None)
     assert np.array_equal(steady_state_nullspace(liouv), rho)
     K, jumps = liouv.terms
     assert len(jumps) == 2
     monkeypatch.undo()
-    assert np.array_equal(K, lindblad._effective_hamiltonian(params))
+    K_again, jumps_again = lindblad._terms(params)
+    assert np.array_equal(K, K_again)
+    assert all(map(np.array_equal, jumps, jumps_again))

@@ -799,12 +799,13 @@ def test_a_rational_series_short_of_its_window_raises():
 def test_f0_delta_log_route_matches_mpmath():
     mp = pytest.importorskip("mpmath")
     n, delta = 200, 1.1
-    est = f0_delta(ChainParams(n=n, delta=delta, lam=1.0, mu=1.0))
+    params = ChainParams(n=n, delta=delta, lam=1.0, mu=1.0)
+    est = f0_delta(params)
     with mp.workdps(30):
         expected = mp.log(mp_f0_delta_bracket(n, delta, mp) / (2 * (delta ** 2 - 1)))
     assert est.value == math.inf  # past the double range: only log_value holds it
     assert est.log_value == pytest.approx(float(expected), rel=1e-13)
-    assert f0_delta(est.params.replace(lam=0.0)).value == 0.0
+    assert f0_delta(params.replace(lam=0.0)).value == 0.0
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
