@@ -17,7 +17,7 @@ built as those blocks alone, never as the 4**n x 4**n matrix, each
 scattered from the supports of its terms in K and the L_k that are not 0,
 and the brute-force steady state is one regular solve in the q = 0 block
 (252 of 1024 rows at n = 5).  On a 2-core Intel Xeon, 1 BLAS thread, a
-build takes 0.4 ms at n = 4, 2 ms at n = 5 and 11 ms at n = 6, a solve
+build takes 0.4 ms at n = 4, 2 ms at n = 5 and 13 ms at n = 6, a solve
 12 ms at n = 5 and 0.3 s at n = 6, most of it in LAPACK's inverses of
 the q >= 0 blocks.
 """

@@ -22,9 +22,13 @@ which the lindblad tests would catch immediately.
 The contraction works in blocks between basis states of given row and
 column popcounts (M_z values), so the zeros between them never form:
 at most C(2n, n) entries per auxiliary state instead of 4**n, and one
-2**n x 2**n array, the result, assembled at the end.  It adds the same
-terms in the same order as the dense quadrant loop and the np.kron loop
-the test suite keeps as references: the results agree bit for bit.
+2**n x 2**n array, the result, assembled at the end.  It follows a plan
+cached per nonzero pattern, right state and n: each site writes one flat
+buffer, the block moves from small source blocks as one gather, multiply
+and scatter per write layer, the large ones as slices of it.  It adds
+the same terms in the same order as the dense quadrant loop and the
+np.kron loop the test suite keeps as references: the results agree bit
+for bit.
 
 The norm ||Z||_HS^2 and the validity threshold come from the transfer
 bracket instead, as SignedLogs of its float or (|Delta| > 1) its log:
@@ -46,6 +50,7 @@ from .transfer import LinePasses, SignedLog, bracket_LTnR
 # the quadrants (row bit, column bit) where each slot's Pauli factor is 1
 SLOTS = (("identity", ((0, 0), (1, 1))), ("sigma_plus", ((0, 1),)),
          ("sigma_minus", ((1, 0),)))
+SMALL_BLOCK = 512  # source entries up to which a block move joins its site's index layers
 
 
 @dataclass
@@ -61,20 +66,31 @@ class AuxMatrices:
     dim_aux = property(lambda self: self.identity.shape[0])
 
     def __post_init__(self):
-        # a factor that is 1 in quadrant (i, j) moves the label by i - j
-        entries = [(name, a, b, quadrants[0][0] - quadrants[0][1])
-                   for name, quadrants in SLOTS
-                   for a, b in np.argwhere(getattr(self, name)).tolist()]
-        q, labelled = {self.right: 0}, 0
-        while len(q) > labelled:  # the pass that labels no state checks every entry
-            labelled = len(q)
-            for name, a, b, step in entries:
-                if b in q and q.setdefault(a, q[b] + step) != q[b] + step:
-                    raise ValueError(f"{name}[{a}, {b}] sets popcount label {q[b] + step} "
-                                     f"on state {a}, which has {q[a]}")
-        # an unreached state (A's |2>, ... at eta = 0) may carry any label:
-        # it counts as one level of depth more
-        self.depth = max(map(abs, q.values())) + self.dim_aux - len(q)
+        pattern = np.stack([getattr(self, name) != 0 for name, _ in SLOTS])
+        self.depth = _depth(pattern.tobytes(), self.dim_aux, self.right)
+
+
+@lru_cache(maxsize=64)
+def _depth(pattern: bytes, dim: int, right: int) -> int:
+    """The depth of an MPO from its slots' nonzero patterns (stacked in SLOTS
+    order) and its right state; ValueError on an entry against its label.
+    Cached, and lru_cache keeps no exception: a bad pattern raises at every
+    construction."""
+    nonzero = np.frombuffer(pattern, dtype=bool).reshape(len(SLOTS), dim, dim)
+    # a factor that is 1 in quadrant (i, j) moves the label by i - j
+    entries = [(name, a, b, quadrants[0][0] - quadrants[0][1])
+               for (name, quadrants), mask in zip(SLOTS, nonzero)
+               for a, b in np.argwhere(mask).tolist()]
+    q, labelled = {right: 0}, 0
+    while len(q) > labelled:  # the pass that labels no state checks every entry
+        labelled = len(q)
+        for name, a, b, step in entries:
+            if b in q and q.setdefault(a, q[b] + step) != q[b] + step:
+                raise ValueError(f"{name}[{a}, {b}] sets popcount label {q[b] + step} "
+                                 f"on state {a}, which has {q[a]}")
+    # an unreached state (A's |2>, ... at eta = 0) may carry any label:
+    # it counts as one level of depth more
+    return max(map(abs, q.values())) + dim - len(q)
 
 
 def build_aux_A(n: int, eta: complex) -> AuxMatrices:
@@ -163,21 +179,21 @@ def contract_to_dense(aux: AuxMatrices, n: int) -> np.ndarray:
     """Contract an MPO to the dense 2**n x 2**n operator.
 
     Propagates the right boundary vector through the site loop, carrying
-    a map from auxiliary indices to partial operators (never enumerating
-    the 3**n strings), each held as its blocks between basis states of
-    given row and column popcounts: a Pauli factor moves a block by at
-    most one popcount, so the zeros between other pairs never form.  A
-    site step writes ``mat[a, b] * block`` straight into the quadrants
-    where its Pauli factor is 1, at offset C(site, k) in the block of the
-    new popcount k, and keeps only the auxiliary states inside both light
-    cones: reachable from the right boundary in the steps taken and able
-    to reach the left boundary in the steps left.  Each auxiliary state
-    carries one popcount difference, its label, so its blocks hold
-    at most C(2 site, site) entries (48620 at 9 sites, against 4**9 =
-    262144 for a dense partial operator), and the work follows the
-    entries.  The operator conserves M_z and ends as n + 1 blocks, which
-    are written into the one 2**n x 2**n array at the end.  n is held to
-    the model's dense cap (ValueError past it).
+    the partial operators of the auxiliary states (never enumerating the
+    3**n strings), each held as its blocks between basis states of given
+    row and column popcounts: a Pauli factor moves a block by at most one
+    popcount, so the zeros between other pairs never form.  A site step
+    writes ``mat[a, b] * block`` into the quadrants where its Pauli factor
+    is 1, at offset C(site, k) in the block of the new popcount k, and
+    keeps only the auxiliary states inside both light cones: reachable
+    from the right boundary in the steps taken and able to reach the left
+    boundary in the steps left.  Each auxiliary state carries one popcount
+    difference, its label, so its blocks hold at most C(2 site, site)
+    entries (48620 at 9 sites, against 4**9 = 262144 for a dense partial
+    operator), and the work follows the entries.  The moves come from a
+    cached plan (see :func:`_block_plan`).  The operator conserves M_z and
+    ends as n + 1 blocks, which are written into the one 2**n x 2**n array
+    at the end.  n is held to the model's dense cap (ValueError past it).
     """
     _check_dense_cap(n)
     blocks = _contract_blocks(aux, n)
@@ -192,77 +208,107 @@ def _contract_blocks(aux: AuxMatrices, n: int) -> dict[tuple[int, int], np.ndarr
     """The popcount blocks of :func:`contract_to_dense`'s operator, keyed by
     (row popcount, column popcount); blocks that are zero are absent.
 
-    Every entry sums the terms of the dense quadrant loop in its order.
-    That loop also adds terms from outside these blocks, but they are
-    signed zeros, which change no sum; and it adds a quadrant's first
-    term to +0, where this loop writes it, so each -0 is turned into +0
-    at the end.  The entries agree bit for bit.
+    Each site's blocks are views of one flat buffer, written by the moves
+    of :func:`_block_plan`: per write layer one gather of coefficients and
+    source entries, one product and one scatter (the first layer writes,
+    the later ones add), then each large move as a slice product.  Every
+    entry sums the terms of the dense quadrant loop in its order.  That
+    loop also adds terms from outside these blocks, but they are signed
+    zeros, which change no sum; and it adds a quadrant's first term to +0,
+    where this loop writes it, so each -0 is turned into +0 at the end.
+    The entries agree bit for bit.
     """
     if aux.depth < n // 2:
         raise ValueError(f"auxiliary space of depth {aux.depth} too small for "
                          f"an {n}-site contraction (need >= {n // 2})")
-    # the terms a <- b in the order the dense loop adds them
-    terms = [(int(a), int(b), quadrants, getattr(aux, name)[a, b])
-             for name, quadrants in SLOTS
-             for a, b in zip(*np.nonzero(getattr(aux, name)))]
-    coeffs = [coeff for *_, coeff in terms]
-    sites, final = _block_moves(tuple(term[:3] for term in terms), aux.right, n)
-    blocks = [np.eye(1, dtype=complex)]
-    for shapes, moves in sites:
-        step = [np.zeros(shape, dtype=complex) for shape in shapes]
-        for t, src, dst, index, first in moves:
+    # the terms a <- b in the order the dense loop adds them: slot by slot, row-major
+    per_slot = aux.dim_aux ** 2
+    entries = np.concatenate([getattr(aux, name).ravel() for name, _ in SLOTS])
+    nonzero = np.flatnonzero(entries)
+    terms = tuple((*divmod(i % per_slot, aux.dim_aux), SLOTS[i // per_slot][1])
+                  for i in nonzero.tolist())
+    coeffs = entries[nonzero].astype(complex, copy=False)
+    sites, final = _block_plan(terms, aux.right, n)
+    prev = np.ones(1, dtype=complex)
+    for size, layers, large in sites:
+        buf = np.zeros(size, dtype=complex)
+        for layer, (into, src, term, count) in enumerate(layers):
+            values = np.repeat(coeffs[term], count)
+            values *= prev[src]
+            buf[into] = np.add(buf[into], values, out=values) if layer else values
+        for t, src, src_shape, dst, dst_shape, index, first in large:
+            view = buf[dst].reshape(dst_shape)[index]
             if first:
-                np.multiply(coeffs[t], blocks[src], out=step[dst][index])
+                np.multiply(coeffs[t], prev[src].reshape(src_shape), out=view)
             else:
-                view = step[dst][index]
-                view += coeffs[t] * blocks[src]
-        blocks = step
-    for _, i in final:
-        blocks[i] += 0.0
-    return {key: blocks[i] for key, i in final}
+                view += coeffs[t] * prev[src].reshape(src_shape)
+        prev = buf
+    prev += 0.0  # the last site holds the left state's blocks alone
+    return {key: prev[at:at + h * w].reshape(h, w) for key, (at, h, w) in final}
 
 
 @lru_cache(maxsize=64)
-def _block_moves(terms: tuple, right: int, n: int):
-    """The moves of an n-site block contraction, from the terms (a, b,
-    quadrants) alone: per site the shapes of the new blocks and the moves
-    (term, source block, new block, its quadrant's index, first write?),
-    then the left state's (state 0's) blocks as ((row, col), block) pairs.  Cached,
-    so a contraction repeated at another coefficient only multiplies and
-    adds.
+def _block_plan(terms: tuple, right: int, n: int):
+    """The plan of an n-site block contraction, from the terms (a, b,
+    quadrants) alone.  Cached, so a contraction repeated at another
+    coefficient only gathers, multiplies and adds.
+
+    Per site: the size of the flat buffer that holds its blocks, the
+    small moves as write layers (destination and source entries in the
+    flat buffers, then each move's term and entry count), and the large
+    moves (term, source slice and shape, destination slice and shape, its
+    quadrant's index, first write?).  Then the left state's (state 0's)
+    blocks as ((row, col), (offset, rows, cols)) in the last buffer.
 
     A new bit i in quadrant (i, j) takes the block (row, col) to (row + i,
     col + j), at offset C(site, row + i) below (and right of) the states
-    whose new bit is 0.  Only the states inside both light cones are kept:
-    reachable from the right boundary in the steps taken and able to reach
-    the left boundary in the steps left.
+    whose new bit is 0.  A move writes the whole of its region, the
+    quadrant of its new block, and every move into a region comes from a
+    block of the same shape.  So a region's moves are all small (up to
+    SMALL_BLOCK source entries) or all large, and its k-th move goes into
+    layer k: each entry takes its terms in the dense loop's order.  Only
+    the states inside both light cones are kept: reachable from the right
+    boundary in the steps taken and able to reach the left boundary in
+    the steps left.
     """
     reaches_left = [{0}]  # [r]: the states with a path of r steps to the left boundary
     for _ in range(n - 1):
         reaches_left.append({b for a, b, _ in terms if a in reaches_left[-1]})
-    partial = {right: {(0, 0): (0, (1, 1))}}  # state -> key -> (block, shape)
+    partial = {right: {(0, 0): (0, 1, 1)}}  # state -> key -> (offset, rows, cols)
     sites = []
     for site in range(n):
         keep = reaches_left[n - 1 - site]
-        step, shapes, moves, written = {}, [], [], set()
+        step, size, layers, large, writes = {}, 0, [], [], {}
         for t, (a, b, quadrants) in enumerate(terms):
             if a not in keep or b not in partial:
                 continue
             target = step.setdefault(a, {})
-            for (row, col), (src, (h, w)) in partial[b].items():
+            for (row, col), (src, h, w) in partial[b].items():
                 for i, j in quadrants:
                     key = (row + i, col + j)
                     if key not in target:
-                        target[key] = (len(shapes), (math.comb(site + 1, key[0]),
-                                                     math.comb(site + 1, key[1])))
-                        shapes.append(target[key][1])
+                        target[key] = (size, math.comb(site + 1, key[0]),
+                                       math.comb(site + 1, key[1]))
+                        size += target[key][1] * target[key][2]
+                    dst, height, width = target[key]
                     r, c = i * math.comb(site, key[0]), j * math.comb(site, key[1])
-                    moves.append((t, src, target[key][0], (slice(r, r + h), slice(c, c + w)),
-                                  (a, key, i, j) not in written))
-                    written.add((a, key, i, j))
+                    layer = writes.get((a, key, i, j), 0)
+                    writes[(a, key, i, j)] = layer + 1
+                    if h * w > SMALL_BLOCK:
+                        large.append((t, slice(src, src + h * w), (h, w),
+                                      slice(dst, dst + height * width), (height, width),
+                                      (slice(r, r + h), slice(c, c + w)), layer == 0))
+                        continue
+                    if layer == len(layers):
+                        layers.append([])
+                    into = dst + (r + np.arange(h))[:, None] * width + c + np.arange(w)
+                    layers[layer].append((into.ravel(), np.arange(src, src + h * w), t, h * w))
         partial = step
-        sites.append((tuple(shapes), tuple(moves)))
-    return tuple(sites), tuple((key, block) for key, (block, _) in partial.get(0, {}).items())
+        for k, moves in enumerate(layers):
+            into, src, term, count = zip(*moves)
+            layers[k] = (np.concatenate(into), np.concatenate(src), np.array(term), np.array(count))
+        sites.append((size, tuple(layers), tuple(large)))
+    return tuple(sites), tuple(partial.get(0, {}).items())
 
 
 def hs_norm_sq_via_transfer(n: int, eta: complex,

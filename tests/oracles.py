@@ -1,10 +1,12 @@
 """Reference implementations the tests hold the program to.  No scan calls
 these.  Most are the plain form of a route the program computes another
 way, kept to check that the faster form gives the same bits or the same
-value.  ``fisher_cross`` is no second route: from ``fisher.sld`` it builds
-the Fisher matrix F_xy, whose off-diagonal the program never computes (its
-diagonal is ``qfi_dense``).  ``mp_f0_delta_bracket`` and ``mp_chi1`` are the
-transfer-matrix quantities in mpmath, at a working precision the caller sets.
+value.  ``route_a_f_lambda`` is the exact mu = 1 F_lambda that the
+finite-difference rows are held to.  ``fisher_cross`` is no second route:
+from ``fisher.sld`` it builds the Fisher matrix F_xy, whose off-diagonal
+the program never computes (its diagonal is ``qfi_dense``).
+``mp_f0_delta_bracket`` and ``mp_chi1`` are the transfer-matrix quantities
+in mpmath, at a working precision the caller sets.
 """
 
 import numpy as np
@@ -12,8 +14,9 @@ import numpy as np
 from xxz_metrology import fisher
 from xxz_metrology.fisher import qfi_dense, sld
 from xxz_metrology.lindblad import LIOUVILLIAN_CAP, Liouvillian, _terms
-from xxz_metrology.model import _check_dense_cap, hs_norm, lindblad_jump_ops, magnetization_z
-from xxz_metrology.mpo import build_aux_B, contract_to_dense, popcount_sectors, solve_s
+from xxz_metrology.model import (_check_dense_cap, hs_norm, lindblad_jump_ops, magnetization_z,
+                                 pauli)
+from xxz_metrology.mpo import AuxMatrices, build_aux_B, contract_to_dense, popcount_sectors, solve_s
 
 
 def embed_before(n, site, op):
@@ -173,3 +176,90 @@ def mp_chi1(delta, d, mp):
     for i in range(d - 1, 0, -1):
         x = rhs[i] - upper[i] * x
     return x / (2 * psi_R)
+
+
+# the Pauli factor each slot of an MPO multiplies on a site
+SLOT_PAULIS = {"identity": np.eye(2, dtype=complex), "sigma_plus": pauli("+"),
+               "sigma_minus": pauli("-")}
+
+
+def doubled_B(n, eta, s):
+    """The MPO [[M, 0], [M', M]] of the B matrices M and M' = dM/ds, whose
+    contraction is dS/ds.  State k' is index 2k and state k index 2k + 1, so
+    the left boundary 0' is index 0 and the right boundary 0 is index 1; a
+    path from 0 to 0' takes exactly one M' entry."""
+    aux = build_aux_B(n, eta, s)
+    k = np.arange(aux.dim_aux)
+    derivatives = {"identity": np.diag(eta * np.cos(eta * (s - k))),
+                   "sigma_plus": np.diag(-2 * eta * np.cos(eta * (k[:-1] - 2 * s)), 1),
+                   "sigma_minus": np.zeros_like(aux.sigma_minus)}
+    doubled = {}
+    for name, derivative in derivatives.items():
+        doubled[name] = np.zeros((2 * aux.dim_aux,) * 2, dtype=complex)
+        doubled[name][0::2, 0::2] = doubled[name][1::2, 1::2] = getattr(aux, name)
+        doubled[name][0::2, 1::2] = derivative
+    return AuxMatrices(**doubled, right=1)
+
+
+def route_a_f_lambda(params):
+    """Route A: the mu = 1 F_lambda from S and its exact derivative.
+
+    dS/deps is the contraction of ``doubled_B`` times ds/deps =
+    i / (4 eta sin(eta) (1 - u**2)), u = eps / (4 sin eta), at eps = lam/J.
+    Per popcount block S = U diag(sigma) V+ (one SVD) and X = U+ dS V; with
+    N = sum sigma**2 and c = 2 Re sum sigma_k X_kk / N over all blocks,
+    F_eps = (2/N) sum |X_kl sigma_l + sigma_k conj(X_lk) - delta_kl sigma_k**2 c|**2
+    / (sigma_k**2 + sigma_l**2), and F_lambda = F_eps / J**2.  A pair with
+    sigma_k = sigma_l = 0 has numerator 0 and is left out: no small
+    eigenvalue divides anything.
+    """
+    n, eta, J = params.n, params.eta, params.j_coupling
+    epsilon = params.lam / J
+    s = solve_s(epsilon, eta)
+    u = epsilon / (4 * np.sin(eta))
+    S = contract_to_dense(build_aux_B(n, eta, s), n)
+    dS = contract_to_dense(doubled_B(n, eta, s), n) * (1j / (4 * eta * np.sin(eta) * (1 - u ** 2)))
+    blocks = []
+    for idx in popcount_sectors(n):
+        U, sigma, Vh = np.linalg.svd(S[idx[:, None], idx])
+        blocks.append((sigma, U.conj().T @ dS[idx[:, None], idx] @ Vh.conj().T))
+    norm = sum(np.sum(sigma ** 2) for sigma, _ in blocks)
+    c = 2 * sum(np.sum(sigma * np.diag(X)).real for sigma, X in blocks) / norm
+    total = 0.0
+    for sigma, X in blocks:
+        numerator = X * sigma + sigma[:, None] * X.conj().T - np.diag(sigma ** 2 * c)
+        denominator = sigma[:, None] ** 2 + sigma ** 2
+        pairs = denominator > 0
+        total += np.sum(np.abs(numerator[pairs]) ** 2 / denominator[pairs])
+    return 2 * total / norm / J ** 2
+
+
+def contract_by_quadrants(aux, n):
+    """Reference contraction: the dense quadrant loop, one 2**site x 2**site
+    block per auxiliary state and site."""
+    # the quadrants (row, col) where each slot's Pauli factor is 1
+    pairs = [(getattr(aux, name), tuple(zip(*np.nonzero(sigma))))
+             for name, sigma in SLOT_PAULIS.items()]
+    # reaches_left[r]: the states with a path of r steps to the left boundary
+    moves = sum(mat != 0 for mat, _ in pairs)
+    reaches_left = [np.arange(aux.dim_aux) == 0]
+    for _ in range(n - 1):
+        reaches_left.append(moves.T @ reaches_left[-1] > 0)
+    partial: dict[int, np.ndarray] = {aux.right: np.eye(1, dtype=complex)}
+    for site in range(n):
+        keep, half = reaches_left[n - 1 - site], 2 ** site
+        step: dict[int, np.ndarray] = {}
+        for mat, quadrants in pairs:
+            rows, cols = np.nonzero(mat)
+            for a, b in zip(rows, cols):
+                block = partial.get(b)
+                if block is None or not keep[a]:
+                    continue
+                if a not in step:
+                    step[a] = np.zeros((2 * half, 2 * half), dtype=complex)
+                contrib = mat[a, b] * block
+                for i, j in quadrants:
+                    step[a][i * half:(i + 1) * half, j * half:(j + 1) * half] += contrib
+        partial = step
+    dim = 2 ** n
+    return partial.get(0, np.zeros((dim, dim), dtype=complex))

@@ -4,7 +4,10 @@ import time
 import numpy as np
 import pytest
 
-from xxz_metrology.model import eta_from_delta, hs_norm, pauli
+from oracles import SLOT_PAULIS, contract_by_quadrants, doubled_B, route_a_f_lambda
+from xxz_metrology.fisher import qfi_parametric
+from xxz_metrology.lindblad import ness_mu1
+from xxz_metrology.model import ChainParams, eta_from_delta, hs_norm, pauli
 from xxz_metrology.mpo import (AuxMatrices, _contract_blocks, build_aux_A, build_aux_B,
                                contract_to_dense, hs_norm_sq_via_transfer,
                                popcount_sectors, solve_s, validity_threshold)
@@ -15,11 +18,6 @@ def kron_all(*ops):
     for op in ops:
         out = np.kron(out, op)
     return out
-
-
-# the Pauli factor each slot of an MPO multiplies on a site
-SLOT_PAULIS = {"identity": np.eye(2, dtype=complex), "sigma_plus": pauli("+"),
-               "sigma_minus": pauli("-")}
 
 
 def contract_by_kron(aux, n):
@@ -144,12 +142,42 @@ def test_aux_rejects_an_entry_against_its_popcount_label():
         AuxMatrices(identity=identity, sigma_plus=b.sigma_plus, sigma_minus=b.sigma_minus)
 
 
+def test_a_mislabelled_mpo_raises_at_every_construction():
+    # the labels are cached per nonzero pattern, but a raised error is not
+    eta = eta_from_delta(2.0)
+    b = build_aux_B(4, eta, solve_s(0.01, eta))
+    identity = b.identity.copy()
+    identity[0, 1] = 1.0
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as info:
+            AuxMatrices(identity=identity, sigma_plus=b.sigma_plus, sigma_minus=b.sigma_minus)
+        errors.append(str(info.value))
+    assert errors == ["identity[0, 1] sets popcount label 1 on state 0, which has 0"] * 2
+
+
+def test_one_pattern_takes_the_depth_of_its_right_state():
+    # B's labels are q(k) = k - right on the states k = 0..4
+    eta = eta_from_delta(2.0)
+    b = build_aux_B(8, eta, solve_s(0.01, eta))
+    depths = [AuxMatrices(identity=b.identity, sigma_plus=b.sigma_plus,
+                          sigma_minus=b.sigma_minus, right=right).depth for right in (0, 2, 0, 2)]
+    assert depths == [4, 2, 4, 2]
+
+
 def test_contract_rejects_a_too_shallow_mpo():
     eta = eta_from_delta(2.0)
     with pytest.raises(ValueError, match=r"depth 2 too small for an 9-site contraction"):
         contract_to_dense(build_aux_B(4, eta, solve_s(0.01, eta)), 9)
     with pytest.raises(ValueError, match=r"depth 1 too small for an 4-site contraction"):
         contract_to_dense(build_aux_A(2, 0.0), 4)
+
+
+def test_a_real_mpo_contracts_as_its_complex_copy():
+    aux = build_aux_A(5, 0.0)  # every entry real
+    real = AuxMatrices(identity=aux.identity.real, sigma_plus=aux.sigma_plus.real,
+                       sigma_minus=aux.sigma_minus.real, right=aux.right)
+    assert np.array_equal(contract_to_dense(real, 5), contract_to_dense(aux, 5))
 
 
 def test_contract_isotropic_structure():
@@ -193,24 +221,6 @@ def test_contract_B_equals_kron_reference(n, delta):
         assert np.array_equal(contract_to_dense(aux, n), contract_by_kron(aux, n))
 
 
-def doubled_B(n, eta, s):
-    """The MPO [[M, 0], [M', M]] of the B matrices M and M' = dM/ds, whose
-    contraction is dS/ds.  State k' is index 2k and state k index 2k + 1, so
-    the left boundary 0' is index 0 and the right boundary 0 is index 1; a
-    path from 0 to 0' takes exactly one M' entry."""
-    aux = build_aux_B(n, eta, s)
-    k = np.arange(aux.dim_aux)
-    derivatives = {"identity": np.diag(eta * np.cos(eta * (s - k))),
-                   "sigma_plus": np.diag(-2 * eta * np.cos(eta * (k[:-1] - 2 * s)), 1),
-                   "sigma_minus": np.zeros_like(aux.sigma_minus)}
-    doubled = {}
-    for name, derivative in derivatives.items():
-        doubled[name] = np.zeros((2 * aux.dim_aux,) * 2, dtype=complex)
-        doubled[name][0::2, 0::2] = doubled[name][1::2, 1::2] = getattr(aux, name)
-        doubled[name][0::2, 1::2] = derivative
-    return AuxMatrices(**doubled, right=1)
-
-
 @pytest.mark.parametrize("delta, epsilon, n", [(2.0, 1e-2, 6), (0.5, 1e-2, 8), (10.0, 1e-3, 9),
                                                (100.0, 1e-2, 5), (-0.6, 1e-3, 7)])
 def test_doubled_B_contracts_to_the_s_derivative(delta, epsilon, n):
@@ -229,41 +239,39 @@ def test_doubled_B_contracts_to_the_s_derivative(delta, epsilon, n):
     assert hs_norm(dS - richardson) <= 1e-10 * hs_norm(dS)
 
 
-def contract_by_quadrants(aux, n):
-    """Reference contraction: the dense quadrant loop, one 2**site x 2**site
-    block per auxiliary state and site."""
-    # the quadrants (row, col) where each slot's Pauli factor is 1
-    pairs = [(getattr(aux, name), tuple(zip(*np.nonzero(sigma))))
-             for name, sigma in SLOT_PAULIS.items()]
-    # reaches_left[r]: the states with a path of r steps to the left boundary
-    moves = sum(mat != 0 for mat, _ in pairs)
-    reaches_left = [np.arange(aux.dim_aux) == 0]
-    for _ in range(n - 1):
-        reaches_left.append(moves.T @ reaches_left[-1] > 0)
-    partial: dict[int, np.ndarray] = {aux.right: np.eye(1, dtype=complex)}
-    for site in range(n):
-        keep, half = reaches_left[n - 1 - site], 2 ** site
-        step: dict[int, np.ndarray] = {}
-        for mat, quadrants in pairs:
-            rows, cols = np.nonzero(mat)
-            for a, b in zip(rows, cols):
-                block = partial.get(b)
-                if block is None or not keep[a]:
-                    continue
-                if a not in step:
-                    step[a] = np.zeros((2 * half, 2 * half), dtype=complex)
-                contrib = mat[a, b] * block
-                for i, j in quadrants:
-                    step[a][i * half:(i + 1) * half, j * half:(j + 1) * half] += contrib
-        partial = step
-    dim = 2 ** n
-    return partial.get(0, np.zeros((dim, dim), dtype=complex))
+# route A at the six rows of the ROADMAP's table of exact F_lambda rows
+# that print wrong values, to the digits shown there
+@pytest.mark.parametrize("delta, lam, n, expected", [
+    (10.0, 1e-2, 6, 3.391394e-8), (2.0, 1e-3, 10, 2.725244e-6), (2.0, 1e-2, 9, 1.204271e-5),
+    (10.0, 1e-2, 7, 1.614348e-10), (2.0, 1e-2, 10, 2.412260e-6), (2.0, 1e-2, 8, 9.535960e-3)])
+def test_route_a_gives_the_table_values(delta, lam, n, expected):
+    value = route_a_f_lambda(ChainParams(n=n, delta=delta, lam=lam, mu=1.0))
+    assert float(f"{value:.6e}") == expected
+
+
+# the points of delta in {0.5, 2, 10}, n in {4, 6, 8} and lambda/J in
+# {1e-3, 1e-2} where the finite difference converges, less the table's
+# (10, 1e-2, 6) and (2, 1e-2, 8); the largest gap here is 1.3e-8
+@pytest.mark.parametrize("delta, lam, n", [
+    (0.5, 1e-3, 4), (0.5, 1e-2, 4), (0.5, 1e-3, 6), (0.5, 1e-2, 6), (0.5, 1e-3, 8),
+    (0.5, 1e-2, 8), (2.0, 1e-3, 4), (2.0, 1e-2, 4), (2.0, 1e-3, 6), (2.0, 1e-2, 6),
+    (10.0, 1e-3, 4), (10.0, 1e-2, 4)])
+def test_route_a_matches_the_finite_difference_where_it_converges(delta, lam, n):
+    params = ChainParams(n=n, delta=delta, lam=lam, mu=1.0)
+    exact = route_a_f_lambda(params)
+    finite = qfi_parametric(params, "lambda", lambda p: ness_mu1(p, p.lam / p.j_coupling))
+    assert abs(finite.value - exact) <= 1.3e-6 * exact
 
 
 def aux_mpos(n, delta):
+    """A, B at two couplings and, up to n = 9, the doubled B: twice the
+    auxiliary space, right state 1 and two terms into some blocks."""
     eta = eta_from_delta(delta)
-    return [build_aux_A(n, eta)] + [build_aux_B(n, eta, solve_s(epsilon, eta))
+    mpos = [build_aux_A(n, eta)] + [build_aux_B(n, eta, solve_s(epsilon, eta))
                                     for epsilon in (1e-3, 1e-2)]
+    if n <= 9:
+        mpos.append(doubled_B(n, eta, solve_s(1e-2, eta)))
+    return mpos
 
 
 # the same bits as the dense loop, signed zeros included, from M_z blocks only
