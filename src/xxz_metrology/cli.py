@@ -44,7 +44,8 @@ from .fisher import qfi_parametric
 from .lindblad import ness_mu1
 from .transfer import (LinePasses, bracket_LTnR, chi_coefficient, defect_series, f0_x,
                        isotropic_bracket_series, isotropic_f_delta, rational_defects,
-                       second_eta_derivative_bracket, xi_coefficient, xi_coefficient_rational)
+                       second_eta_derivative_bracket, xi_coefficient, xi_coefficient_rational,
+                       xi_from_brackets)
 
 EXIT_OK = 0
 EXIT_PARTIAL = 2
@@ -175,9 +176,8 @@ def _eval_isotropic(passes, n):
                          lam=1.0, mu=1.0)
     f_iso = isotropic_f_delta(params)
     # exact leading-order F_Delta at the same small eta, from the defect sum
-    sd = float(defect_series(n, eta_small)[n])
-    d2 = float(second_eta_derivative_bracket(n, eta_small)[n])
-    f_exact = (sd + 0.25 * d2) / (2 * abs(1 - params.delta ** 2))
+    f_exact = xi_from_brackets(defect_series(n, eta_small)[n],
+                               second_eta_derivative_bracket(n, eta_small)[n], params.delta, 1)
     return {"bracket_eta0": b0, "bracket_formula": formula,
             "bracket_small_eta": b_small, "series_small_eta": series,
             "rel_diff_bracket": abs(b_small - series) / abs(b_small),

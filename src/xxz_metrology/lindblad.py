@@ -244,19 +244,18 @@ def ness_mu1(params: ChainParams, epsilon: float) -> np.ndarray:
         raise ValueError("closed-form non-perturbative NESS requires mu = 1")
     n = params.n
     s = solve_s(epsilon, params.eta)
-    S = contract_to_dense(build_aux_B(n, params.eta, s), n)
-    sectors = [(idx[:, None], idx) for idx in popcount_sectors(n)]
-    blocks = [S[sector] for sector in sectors]
-    # real and imaginary parts counted apart: on float views the count is faster
-    if (np.count_nonzero(S.view(float))
-            != sum(np.count_nonzero(block.view(float)) for block in blocks)):
+    rho = contract_to_dense(build_aux_B(n, params.eta, s), n)  # S: sectors overwritten in turn
+    outside = np.count_nonzero(rho.view(float))  # real and imaginary apart: faster on floats
+    for idx in popcount_sectors(n):
+        sector = idx[:, None], idx
+        block = rho[sector]
+        outside -= np.count_nonzero(block.view(float))
+        rho[sector] = block @ block.conj().T
+    if outside:
         raise ArithmeticError("S mixes M_z sectors")
     # normalized by the trace of the whole diagonal, in index order, as the
     # dense product was: the finite-difference QFI rows sit close to their
     # Richardson bound, and a last-bit change in Tr moves some across it
-    rho = S
-    for sector, block in zip(sectors, blocks):
-        rho[sector] = block @ block.conj().T
     tr = np.trace(rho).real
     if tr <= 0:
         raise ArithmeticError("S S+ has non-positive trace; contraction degenerate")

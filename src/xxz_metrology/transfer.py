@@ -42,17 +42,16 @@ cone's 25.2 M cells at n = 10^4, Delta = 0.37 (:func:`_jet_series` bounds
 what it moves a row).  It takes a batch axis too: band sets zero-padded to
 one d (the rational xi grid of a scan line) propagate in one pass.
 
-A pass to n passes through every m <= n, so the propagators return series
-over m = 0..n (``bracket_LTnR_log`` as a list of SignedLogs).  Row m of a
-pass truncated at d >= m//2 is the row of m's own pass (d = m//2) bit for
-bit, except next to a band overflow (see :class:`LinePasses`, which shares
-passes between the rows of a scan line).  Truncated passes run only where
-their rows are exact or visibly non-finite: the float series (inf or NaN
-past an overflow) and :func:`rational_defects` at d = p - 1.  The log routes
-take (n, eta) alone.  Every log jet's order 0 is the bracket bit for bit, so
-each log row is held to :func:`check_single_path` through order 0 of its own
-pass (past the cosh^2 overflow it raises), and a row that an overflowed dT
-or F entry reaches (NaN or +inf) raises too.
+A pass to n passes through every m <= n, so the propagators take (n, eta),
+run at d = n//2 and return their series over m = 0..n as arrays (the logs,
+for ``bracket_LTnR_log``).  Row m of a pass truncated at d >= m//2 is the row
+of m's own pass (d = m//2) bit for bit, except next to a band overflow (see
+:class:`LinePasses`, which shares passes between the rows of a scan line);
+only :func:`rational_defects` truncates below, at d = p - 1, where its rows
+are exact.  Every log jet's order 0 is the bracket bit for bit, so each log
+row is held to :func:`check_single_path` through order 0 of its own pass
+(past the cosh^2 overflow it raises), and a row that an overflowed dT or F
+entry reaches (NaN or +inf) raises too.
 
 :func:`jordan_decompose` gives chi_1 in closed form, held to its own O(d)
 rounding bound; the dense T and D of :func:`build_transfer` only check
@@ -192,8 +191,6 @@ def _bands(names: tuple[str, ...], n: int, d: int | None,
     into v'[i]: descents, and 1 -> L for |T|).  A_0 is always |T|.
     """
     d = max(n // 2, 1) if d is None else d
-    if d < 1:
-        raise ValueError(f"truncation index must be >= 1, got d={d}")
     out = []
     for name in names:
         diag, off = _entries(name, d, eta)
@@ -405,17 +402,17 @@ def _jet_series(bands: list[np.ndarray], n: int, jet: tuple | None = None,
     return rows[0] if first == k - 1 else rows
 
 
-def bracket_series(n: int, eta: complex, d: int | None = None) -> np.ndarray:
+def bracket_series(n: int, eta: complex) -> np.ndarray:
     """<L|T^m|R> for m = 0..n in one linear-domain pass."""
-    return _jet_series(_bands(("T",), n, d, eta), n)
+    return _jet_series(_bands(("T",), n, None, eta), n)
 
 
-def defect_series(n: int, eta: complex, d: int | None = None) -> np.ndarray:
+def defect_series(n: int, eta: complex) -> np.ndarray:
     """sum_k <L|T^{k-1} D T^{m-k}|R> for m = 0..n.
 
     The first-order coefficient of (|T| + s D)^m in s.
     """
-    return _jet_series(_bands(("T", "D"), n, d, eta), n)
+    return _jet_series(_bands(("T", "D"), n, None, eta), n)
 
 
 def _live_bands(names: tuple[str, ...], n: int, eta: complex) -> list[np.ndarray]:
@@ -431,11 +428,10 @@ def _live_bands(names: tuple[str, ...], n: int, eta: complex) -> list[np.ndarray
         return [np.log(band[:, :d + 1]) for band in _bands(names, n, max(d, 1), eta)]
 
 
-def bracket_LTnR_log(n: int, eta: complex) -> list[SignedLog]:
-    """<L|T^m|R> for m = 0..n as SignedLogs, in one log-domain pass (order 0 of
-    every log jet); overflow-safe for |Delta| > 1.  :func:`bracket_LTnR` reads one row."""
-    logs = _jet_series(_live_bands(("T",), n, eta), n, ring=_LOGS)  # no NaN: |T| has no +inf
-    return [SignedLog(float(log > -math.inf), log) for log in logs.tolist()]
+def bracket_LTnR_log(n: int, eta: complex) -> np.ndarray:
+    """log <L|T^m|R> for m = 0..n (-inf for 0) in one log-domain pass (order 0 of every
+    log jet); overflow-safe for |Delta| > 1.  :func:`bracket_LTnR` reads one row."""
+    return _jet_series(_live_bands(("T",), n, eta), n, ring=_LOGS)  # no NaN: |T| has no +inf
 
 
 def _checked_log_row(logs, n: int, eta: complex):
@@ -494,16 +490,15 @@ def bracket_LTnR(n: int, eta: complex, *, passes: LinePasses | None = None) -> f
     """<L|T^n|R>: row n of its own pass, or of one ``passes`` shares along a line.
 
     The phase picks the engine: the float of :func:`bracket_series` for
-    |Delta| <= 1, else the checked SignedLog of :func:`bracket_LTnR_log`.
+    |Delta| <= 1, else a SignedLog of the checked row of :func:`bracket_LTnR_log`.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     passes = passes or LinePasses()
     if not _split_eta(eta)[1]:
         return float(passes(bracket_series, n, eta)[n])
-    row = passes(bracket_LTnR_log, n, eta)[n]
-    _checked_log_row([row.log], n, eta)
-    return row
+    row = float(passes(bracket_LTnR_log, n, eta)[n])
+    return SignedLog(1.0, *_checked_log_row([row], n, eta))  # finite once checked: sign 1
 
 
 def sum_defect_log(n: int, eta: complex) -> SignedLog:
@@ -575,7 +570,7 @@ def f0_x(params, parameter: str, passes: LinePasses | None = None):
     return _leading_order(pref, 0.5, bracket)
 
 
-def second_eta_derivative_bracket(n: int, eta: complex, d: int | None = None) -> np.ndarray:
+def second_eta_derivative_bracket(n: int, eta: complex) -> np.ndarray:
     """d^2/dt^2 of <L|T^m|R>, m = 0..n, along the real parametrization of eta.
 
     For |Delta| < 1 the derivative is in eta itself; for |Delta| > 1 it
@@ -587,14 +582,14 @@ def second_eta_derivative_bracket(n: int, eta: complex, d: int | None = None) ->
     this derivative nearly cancels against 4 sum_defect; the sum of the
     two is exact only through the 'F' band of :func:`f0_delta`.
     """
-    return 2 * _jet_series(_bands(("T", "dT", "d2T/2"), n, d, eta), n)
+    return 2 * _jet_series(_bands(("T", "dT", "d2T/2"), n, None, eta), n)
 
 
-def _xi_series(n: int, eta: complex, d: int | None = None) -> np.ndarray:
+def _xi_series(n: int, eta: complex) -> np.ndarray:
     """(:func:`defect_series`, :func:`second_eta_derivative_bracket`) as the
     rows of one (2, n + 1) array, bit for bit, from one pass of the
     two-variable jet _XI_JET, which steps |T| once for both."""
-    rows = _jet_series(_bands(_XI_BANDS, n, d, eta), n, _XI_JET)
+    rows = _jet_series(_bands(_XI_BANDS, n, None, eta), n, _XI_JET)
     rows[1] *= 2  # the r^2 row is half the second derivative
     return rows
 
@@ -858,8 +853,13 @@ def xi_coefficient(delta: float, n: int, passes: LinePasses | None = None) -> Ir
         raise ValueError(f"need n >= 2, got {n}")
     eta, passes = math.acos(abs(delta)), passes or LinePasses()
     sd, d2 = map(float, passes(_xi_series, n, eta)[:, n])
-    xi = (sd + 0.25 * d2) / (2 * abs(1 - delta ** 2) * n)
+    xi = xi_from_brackets(sd, d2, delta, n)
     return IrrationalXi(d=n // 2, xi=xi, xi_n=xi * n, sum_defect=sd, d2_bracket=d2)
+
+
+def xi_from_brackets(sd: float, d2: float, delta: float, n: int) -> float:
+    """xi(n) of :func:`xi_coefficient`, a float; at n = 1 (exact) F_Delta^(0) / (lam mu / J)^2."""
+    return float((sd + 0.25 * d2) / (2 * abs(1 - delta ** 2) * n))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,12 @@
 ArithmeticError and the ROADMAP Direction that fixes the cause.  test_cli.py
 holds each scan to exactly its entry; other tests read failing points through
 fault_at and expect, so a fix deletes its entries and they then expect values.
+
+WRONG_VALUES lists the rows that print a wrong value with no error: the scan,
+the grid point, the printed value and the arbiter's value (both to 7 digits)
+and the owning Directions.  test_mpo.py holds every other value row of its
+scans to the arbiter, and each listed row to its printed value and to a gap
+past the tolerance, so a fix deletes its entry.
 """
 
 import contextlib
@@ -66,3 +72,25 @@ def expect(kind: str, **point):
     fault = fault_at(kind, **point)
     return (contextlib.nullcontext() if fault is None
             else pytest.raises(ArithmeticError, match=re.escape(fault.error)))
+
+
+# the exact F_lambda rows of f-lambda-nonpert, held to route A
+# (oracles.route_a_f_lambda) to WRONG_TOL relative, at Delta 2 and 10 only: at
+# Delta = 100 routes A and B disagree (n = 6), and only mpmath can judge
+WrongValue = namedtuple("WrongValue", "args point printed arbiter directions")
+WRONG_TOL = 1e-6  # the finite difference's own convergence cut
+# the exact rows of the README f-lambda-nonpert grid, less Delta = 100
+README_EXACT = "--delta 2 10 --lambda-over-j 1e-3 1e-2 --n-range 2 10 1"
+LAMBDA_TENTH = "--delta 2 --lambda-over-j 0.1 --n-range 8 8 1"
+# qfi_dense drops the pairs with p_k + p_l <= 1e-12 p_max, and eigh of the
+# nearly low-rank mu = 1 state cannot resolve its small eigenvalues;
+# (2, 1e-2, 8), off by 1.31e-6, is registered rather than the tolerance widened
+WRONG_VALUES = (
+    WrongValue(README_EXACT, (10.0, 1e-2, 6), 5.815735e-9, 3.391394e-8, (17, 5)),  # -83%
+    WrongValue(README_EXACT, (2.0, 1e-3, 10), 2.421376e-6, 2.725244e-6, (17, 5)),  # -11%
+    WrongValue(README_EXACT, (2.0, 1e-2, 9), 1.098474e-5, 1.204271e-5, (17, 5)),  # -8.8%
+    WrongValue(README_EXACT, (10.0, 1e-2, 7), 1.614328e-10, 1.614348e-10, (17, 5)),  # -1.25e-5
+    WrongValue(README_EXACT, (2.0, 1e-2, 10), 2.412231e-6, 2.412260e-6, (17, 5)),  # -1.20e-5
+    WrongValue(README_EXACT, (2.0, 1e-2, 8), 9.535947e-3, 9.535960e-3, (17, 5)),  # -1.31e-6
+    WrongValue(LAMBDA_TENTH, (2.0, 0.1, 8), 3.496707e-5, 3.496821e-5, (17, 5)),  # -3.2e-5
+)

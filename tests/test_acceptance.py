@@ -19,7 +19,7 @@ from xxz_metrology.lindblad import (apply_liouvillian, build_liouvillian,
                                     ness_mu1, ness_perturbative,
                                     steady_state_nullspace)
 from xxz_metrology.fisher import qfi_dense, qfi_parametric, sld
-from xxz_metrology.transfer import (bracket_series, f0_delta, f0_x,
+from xxz_metrology.transfer import (_bands, _jet_series, bracket_series, f0_delta, f0_x,
                                     isotropic_bracket_series, isotropic_f_delta,
                                     xi_coefficient, xi_coefficient_rational)
 
@@ -188,7 +188,7 @@ def test_criterion_09_chi_slope():
         eta = q * math.pi / p
         delta = math.cos(eta)
         chi = (p - 1) / (2 * p) / (1 - delta ** 2)
-        series = bracket_series(200, eta, p - 1)
+        series = _jet_series(_bands(("T",), 200, p - 1, eta), 200)  # the bracket at d = p - 1
         ns = np.arange(100, 201, dtype=float)
         slope = np.polyfit(ns, series[100:], 1)[0]
         rel = abs(slope - chi) / chi

@@ -1,10 +1,13 @@
+import csv
 import math
 import time
 
 import numpy as np
 import pytest
 
+import known_faults
 from oracles import SLOT_PAULIS, contract_by_quadrants, doubled_B, route_a_f_lambda
+from xxz_metrology.cli import main
 from xxz_metrology.fisher import qfi_parametric
 from xxz_metrology.lindblad import ness_mu1
 from xxz_metrology.model import ChainParams, eta_from_delta, hs_norm, pauli
@@ -261,6 +264,36 @@ def test_route_a_matches_the_finite_difference_where_it_converges(delta, lam, n)
     exact = route_a_f_lambda(params)
     finite = qfi_parametric(params, "lambda", lambda p: ness_mu1(p, p.lam / p.j_coupling))
     assert abs(finite.value - exact) <= 1.3e-6 * exact
+
+
+@pytest.mark.parametrize("args", [known_faults.README_EXACT, known_faults.LAMBDA_TENTH],
+                         ids=["readme-exact", "lambda-tenth"])
+def test_exact_rows_are_route_a_or_registered_wrong_values(tmp_path, args):
+    # every value row of the scan lies within WRONG_TOL of route A, except the
+    # registered wrong values: those print their registered value and lie
+    # further off; the error rows are the finite difference's explicit ones
+    out = tmp_path / "scan.csv"
+    main(["scan", "f-lambda-nonpert", *args.split(), "--out", str(out)])
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    wrong = {entry.point: entry for entry in known_faults.WRONG_VALUES if entry.args == args}
+    seen = set()
+    for row in rows:
+        delta, lam, n = point = float(row["delta"]), float(row["lambda_over_j"]), int(row["n"])
+        if row["error"]:
+            assert known_faults.NOT_CONVERGED in row["error"] and point not in wrong
+            continue
+        printed = float(row["j2_f_lambda"])
+        exact = route_a_f_lambda(ChainParams(n=n, delta=delta, lam=lam, mu=1.0))
+        gap = abs(printed - exact) / exact
+        if point in wrong:
+            seen.add(point)
+            assert float(f"{printed:.6e}") == wrong[point].printed
+            assert float(f"{exact:.6e}") == wrong[point].arbiter
+            assert gap > known_faults.WRONG_TOL
+        else:
+            assert gap <= known_faults.WRONG_TOL, (point, printed, exact)
+    assert seen == set(wrong)
 
 
 def aux_mpos(n, delta):

@@ -14,7 +14,8 @@ from xxz_metrology import transfer
 from xxz_metrology.model import ChainParams, eta_from_delta
 from xxz_metrology.mpo import _log_threshold, hs_norm_sq_via_transfer, validity_threshold
 from xxz_metrology.cli import ScanSpec, run_scan
-from xxz_metrology.transfer import (_LOGS, _SPLIT_JET, SignedLog, _bands, _entries,
+from xxz_metrology.transfer import (_LOGS, _SPLIT_JET, _XI_BANDS, _XI_JET, SignedLog,
+                                    _bands, _entries,
                                     _jet_series, _live_bands, _overflow_column, _split_eta,
                                     _stack_bands, _xi_series,
                                     bracket_LTnR,
@@ -102,8 +103,8 @@ def test_bracket_log_linear_agreement():
         for n in (4, 10, 16):
             lin = bracket_series(n, eta)[n]
             lg = bracket_LTnR_log(n, eta)[n]
-            assert lg.sign == 1.0
-            assert np.isclose(math.exp(lg.log), lin, rtol=1e-12)
+            assert math.isfinite(lg)
+            assert np.isclose(math.exp(lg), lin, rtol=1e-12)
 
 
 def test_series_rows_are_the_rows_of_their_own_passes():
@@ -132,14 +133,19 @@ def test_signed_log_value_covers_every_finite_double():
     assert SignedLog(0.0, -math.inf).value == 0.0
 
 
+def truncated(names, n, eta, d, jet=None):
+    """The rows of the float pass of the bands of ``names`` truncated at d."""
+    return _jet_series(_bands(names, n, d, eta), n, jet)
+
+
 def test_rational_truncation_exactness():
     # eta = q pi / p kills the transitions through |p|, so d = p - 1
     # reproduces the full bracket exactly
     for (p, q) in ((2, 1), (3, 1), (5, 2)):
         eta = q * math.pi / p
         for n in (12, 25, 40):
-            full = bracket_series(n, eta, n // 2)[n]
-            trunc = bracket_series(n, eta, p - 1)[n]
+            full = bracket_series(n, eta)[n]
+            trunc = truncated(("T",), n, eta, p - 1)[n]
             assert abs(full - trunc) <= 1e-12 * abs(full)
 
 
@@ -160,7 +166,7 @@ def brute_defect(n, eta, d):
 def test_defect_sum_vs_brute_force(delta, d):
     eta = eta_from_delta(delta)
     for n in (2, 5, 11, 20):
-        fast = defect_series(n, eta, d)[n]
+        fast = truncated(("T", "D"), n, eta, d)[n]
         brute = brute_defect(n, eta, d)
         assert np.isclose(fast, brute, rtol=1e-12, atol=1e-300)
 
@@ -334,8 +340,7 @@ def _value_and_log(est):
 
 MIRRORED = {
     "bracket_series": lambda delta: bracket_series(_N_MIRROR, eta_from_delta(delta)),
-    "bracket_LTnR_log": lambda delta: [
-        x for row in bracket_LTnR_log(_N_MIRROR, eta_from_delta(delta)) for x in row],
+    "bracket_LTnR_log": lambda delta: bracket_LTnR_log(_N_MIRROR, eta_from_delta(delta)),
     "defect_series": lambda delta: defect_series(_N_MIRROR, eta_from_delta(delta)),
     "second_eta_derivative_bracket":
         lambda delta: second_eta_derivative_bracket(_N_MIRROR, eta_from_delta(delta)),
@@ -452,9 +457,13 @@ def test_the_xi_pass_keeps_the_rows_of_both_jets(eta):
         cases.append((4000, None))
     for n, d in cases:
         with np.errstate(over="ignore", invalid="ignore"):
-            defects, d2 = _xi_series(n, eta, d)
-            _assert_same_rows(defects, defect_series(n, eta, d))
-            _assert_same_rows(d2, second_eta_derivative_bracket(n, eta, d))
+            defects, half_d2 = truncated(_XI_BANDS, n, eta, d, _XI_JET)
+            _assert_same_rows(defects, truncated(("T", "D"), n, eta, d))
+            _assert_same_rows(half_d2, truncated(("T", "dT", "d2T/2"), n, eta, d))
+            if d is None:
+                defects, d2 = _xi_series(n, eta)
+                _assert_same_rows(defects, defect_series(n, eta))
+                _assert_same_rows(d2, second_eta_derivative_bracket(n, eta))
 
 
 def test_batched_sets_get_the_rows_of_their_own_passes():
@@ -735,7 +744,8 @@ def test_log_rows_are_the_signed_reference_loop_to_1e_14(delta):
     for n in (2, 3, 4, 5, 37, 136, 238, 541, 542, 739, 740, 1200):
         with np.errstate(over="ignore"):
             bands = _bands(("T", "D"), n, None, eta)
-        _assert_close_log_rows(bracket_LTnR_log(n, eta), _reference_jet_log(bands[:1], n))
+        _assert_close_log_rows([(float(log > -math.inf), log) for log in bracket_LTnR_log(n, eta)],
+                               _reference_jet_log(bands[:1], n))
         try:
             row = sum_defect_log(n, eta)
         except ArithmeticError:  # its bracket fails the checks, as bracket_LTnR's does
@@ -770,7 +780,7 @@ def test_order_zero_of_every_log_jet_is_the_bracket(names, delta):
     for n in (2, 5, 37, 601):
         orders = _log_rows(_live_bands(names, n, eta), n, _jet_of(names))
         assert len(orders) == len(names)
-        _assert_same_log_rows(orders[0], [row.log for row in bracket_LTnR_log(n, eta)])
+        _assert_same_log_rows(orders[0], bracket_LTnR_log(n, eta))
 
 
 @pytest.mark.filterwarnings("ignore:defect-sum window fit")
@@ -782,7 +792,7 @@ def test_rational_passes_share_one_batch_for_mixed_windows():
         eta, d = q * math.pi / p, p - 1
         series = batch[p, q]
         assert series.size == 2 * 160 + 1
-        _assert_same_rows(series[:2 * window + 1], defect_series(2 * window, eta, d))
+        _assert_same_rows(series[:2 * window + 1], truncated(("T", "D"), 2 * window, eta, d))
         assert xi_coefficient_rational(p, q, window, series) == \
             xi_coefficient_rational(p, q, window)
 
@@ -865,7 +875,7 @@ def test_isotropic_series_leading():
 
 def test_isotropic_series_vs_exact():
     val = isotropic_bracket_series(6, 0.01)
-    exact = bracket_series(6, 0.01, 3)[6]
+    exact = bracket_series(6, 0.01)[6]
     assert abs(val - exact) / exact < 1e-8
 
 
@@ -1027,7 +1037,7 @@ def rational_chi(p, q):
 
 
 def slope_oracle(eta, d, n_lo=100, n_hi=200):
-    series = bracket_series(n_hi, eta, d)
+    series = truncated(("T",), n_hi, eta, d)
     ns = np.arange(n_lo, n_hi + 1, dtype=float)
     return np.polyfit(ns, series[n_lo:], 1)[0]
 
@@ -1053,7 +1063,7 @@ def test_chi1_is_the_intercept_of_the_bracket(p, q, n):
     # <L|T^n|R> = chi n + chi1 + sum_j c_j tau_j^n on the exact truncation,
     # read off the propagated bracket once the bulk terms have decayed
     chi, chi1 = rational_chi(p, q)
-    series = bracket_series(n, q * math.pi / p, p - 1)
+    series = truncated(("T",), n, q * math.pi / p, p - 1)
     assert max(abs(bulk_eigenvalues(p - 1, q * math.pi / p))) ** n < 1e-16
     assert math.isclose(series[n] - chi * n, chi1, rel_tol=1e-10)
 
@@ -1220,12 +1230,15 @@ def test_single_path_is_one_path_of_the_bracket(delta):
     assert check_single_path(5, eta_from_delta(0.5), 0.0) is None
 
 
-@pytest.mark.parametrize("route", [bracket_LTnR_log, bracket_LTnR, sum_defect, sum_defect_log],
+@pytest.mark.parametrize("route", [bracket_LTnR_log, bracket_LTnR, sum_defect, sum_defect_log,
+                                   bracket_series, defect_series,
+                                   second_eta_derivative_bracket, _xi_series],
                          ids=lambda route: route.__name__)
 def test_the_log_and_auto_routes_take_no_truncation(route):
     # a log row of a pass truncated below n//2 may lie below the single
     # path with no check to see it (Delta = 2, n = 600: 159 lower in the log
-    # at d = 271..299 than at d = 270), so these routes run the full pass only
+    # at d = 271..299 than at d = 270), so these routes run the full pass
+    # only; so do the float series: every propagator takes (n, eta)
     eta = eta_from_delta(2.0)
     with pytest.raises(TypeError):
         route(20, eta, 10)
@@ -1277,13 +1290,12 @@ def test_a_xi_line_runs_one_float_pass_per_delta(monkeypatch, tmp_path):
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
 @pytest.mark.parametrize("d", [271, 280, 299])
 def test_truncated_float_series_past_the_overflow_are_not_finite(d):
-    # the float series may keep their truncation: past the cosh^2 overflow
-    # (Delta = 2, n = 600; first overflowed column J = 271) their rows are
-    # visibly not finite
+    # a float pass truncated past the cosh^2 overflow (Delta = 2, n = 600;
+    # first overflowed column J = 271) gives rows that are visibly not finite
     eta = eta_from_delta(2.0)
     assert _overflow_column(eta, 300) == 271
-    assert not math.isfinite(bracket_series(600, eta, d)[600])
-    assert not math.isfinite(defect_series(600, eta, d)[600])
+    assert not math.isfinite(truncated(("T",), 600, eta, d)[600])
+    assert not math.isfinite(truncated(("T", "D"), 600, eta, d)[600])
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -1310,7 +1322,7 @@ def test_library_calls_raise_where_a_bracket_fault_starts(fault):
                 with pytest.raises(ArithmeticError, match=re.escape(fault.error)):
                     call()
         below = params.replace(n=n - 1)
-        row, log_norm = bracket_LTnR_log(n - 1, eta)[n - 1].log, (n - 1) * math.log(2.0)
+        row, log_norm = float(bracket_LTnR_log(n - 1, eta)[n - 1]), (n - 1) * math.log(2.0)
         assert f0_x(below, "lambda").log_value == row - math.log(2.0)
         assert hs_norm_sq_via_transfer(n - 1, eta).log == row + log_norm
         assert (validity_threshold(n - 1, eta, 1.0).log
