@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import ChainParams, hamiltonian_xxz, hs_norm, lindblad_jump_ops, magnetization_z
-from .mpo import (_popcount, build_aux_A, build_aux_B, contract_to_dense, popcount_sectors,
-                  solve_s, validity_threshold)
+from .mpo import (_popcount, build_aux_A, build_aux_B, contract_to_dense, solve_s,
+                  validity_threshold)
 
 LIOUVILLIAN_CAP = 6  # the q = 0 block is 924 x 924 at n = 6
 COND_CUT = 1 / np.finfo(float).eps  # steady states reach 6.6e14, a 2nd null vector 1e18
@@ -227,32 +227,23 @@ def ness_mu1(params: ChainParams, epsilon: float) -> np.ndarray:
     and unit trace by construction.  It is the fixed point of the master
     equation above at epsilon = lam/J (Prosen, PRL 107, 137201 (2011)).
 
-    S conserves M_z, so S S+ is formed one sector at a time: the basis
-    states of one popcount k (one M_z value) give S_k = S[I_k, I_k] and
-    rho[I_k, I_k] = S_k S_k+, blocks of C(n, k), and rho is exactly 0
-    between sectors.  An S with a nonzero entry between sectors raises;
-    otherwise S is 0 wherever rho is, and rho is written over S, one
-    2**n x 2**n array for both.  It is scaled by 1/Tr, not divided by Tr:
-    NumPy divides a complex array by a real c as the product with 1/c, and
-    the multiply loop gives those bits about 5x faster (0.16 against
-    0.77 ms at n = 9 on a 2-core Intel Xeon, 1 BLAS thread).
-    ``fisher.qfi_dense`` finds the same blocks and diagonalizes them one
-    by one, under one support cut relative to the largest eigenvalue of
-    all blocks.
+    S conserves M_z, so S S+ is formed one sector at a time inside the
+    contraction (``contract_to_dense(..., gram=True)``): the block S_k of
+    S between the basis states of one popcount k (one M_z value) gives
+    rho's block S_k S_k+, of size C(n, k), and rho is exactly 0 between
+    sectors.  S is never assembled; a nonzero block of S between sectors
+    raises.  rho is scaled by 1/Tr, not divided by Tr: NumPy divides a
+    complex array by a real c as the product with 1/c, and the multiply
+    loop gives those bits about 5x faster (0.16 against 0.77 ms at n = 9
+    on a 2-core Intel Xeon, 1 BLAS thread).  ``fisher.qfi_dense`` finds
+    the same blocks and diagonalizes them one by one, under one support
+    cut relative to the largest eigenvalue of all blocks.
     """
     if params.mu != 1.0:
         raise ValueError("closed-form non-perturbative NESS requires mu = 1")
     n = params.n
     s = solve_s(epsilon, params.eta)
-    rho = contract_to_dense(build_aux_B(n, params.eta, s), n)  # S: sectors overwritten in turn
-    outside = np.count_nonzero(rho.view(float))  # real and imaginary apart: faster on floats
-    for idx in popcount_sectors(n):
-        sector = idx[:, None], idx
-        block = rho[sector]
-        outside -= np.count_nonzero(block.view(float))
-        rho[sector] = block @ block.conj().T
-    if outside:
-        raise ArithmeticError("S mixes M_z sectors")
+    rho = contract_to_dense(build_aux_B(n, params.eta, s), n, gram=True)
     # normalized by the trace of the whole diagonal, in index order, as the
     # dense product was: the finite-difference QFI rows sit close to their
     # Richardson bound, and a last-bit change in Tr moves some across it

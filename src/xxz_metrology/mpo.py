@@ -22,7 +22,9 @@ which the lindblad tests would catch immediately.
 The contraction works in blocks between basis states of given row and
 column popcounts (M_z values), so the zeros between them never form:
 at most C(2n, n) entries per auxiliary state instead of 4**n, and one
-2**n x 2**n array, the result, assembled at the end.  It follows a plan
+2**n x 2**n array, the result, assembled at the end (or, with ``gram``,
+the Gram matrix S S+ from each diagonal block times its adjoint: how
+``lindblad.ness_mu1`` forms its state without a dense S).  It follows a plan
 cached per nonzero pattern, right state and n: each site writes one flat
 buffer, the block moves from small source blocks as one gather, multiply
 and scatter per write layer, the large ones as slices of it.  It adds
@@ -175,8 +177,9 @@ def popcount_sectors(n: int) -> tuple[np.ndarray, ...]:
     return sectors
 
 
-def contract_to_dense(aux: AuxMatrices, n: int) -> np.ndarray:
-    """Contract an MPO to the dense 2**n x 2**n operator.
+def contract_to_dense(aux: AuxMatrices, n: int, *, gram: bool = False) -> np.ndarray:
+    """Contract an MPO to the dense 2**n x 2**n operator, or with ``gram``
+    to its Gram matrix S S+.
 
     Propagates the right boundary vector through the site loop, carrying
     the partial operators of the auxiliary states (never enumerating the
@@ -193,14 +196,23 @@ def contract_to_dense(aux: AuxMatrices, n: int) -> np.ndarray:
     operator), and the work follows the entries.  The moves come from a
     cached plan (see :func:`_block_plan`).  The operator conserves M_z and
     ends as n + 1 blocks, which are written into the one 2**n x 2**n array
-    at the end.  n is held to the model's dense cap (ValueError past it).
+    at the end.  With ``gram`` each diagonal block S_kk is written as
+    S_kk S_kk+, the block of S S+ when S conserves M_z; a nonzero block
+    between two popcounts raises ArithmeticError (``build_aux_B`` has
+    none: its boundary state 0 carries label 0), so S S+ is exactly 0
+    between sectors and S itself never forms.  n is held to the model's
+    dense cap (ValueError past it).
     """
     _check_dense_cap(n)
     blocks = _contract_blocks(aux, n)
     out = np.zeros((2 ** n, 2 ** n), dtype=complex)
     sectors = popcount_sectors(n)
     for (row, col), block in blocks.items():
-        out[sectors[row][:, None], sectors[col]] = block
+        if gram and row != col:
+            if block.any():
+                raise ArithmeticError(f"the popcount block ({row}, {col}) mixes M_z sectors")
+            continue
+        out[sectors[row][:, None], sectors[col]] = block @ block.conj().T if gram else block
     return out
 
 

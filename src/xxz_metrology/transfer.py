@@ -420,11 +420,8 @@ def _live_bands(names: tuple[str, ...], n: int, eta: complex) -> list[np.ndarray
     whose |T| entry is past the doubles (its +inf would meet -inf cells), and
     below J - 1 where the descent from J is +inf too: only L where J <= 2
     (|Delta| >~ 1e77).  An overflowed dT or F entry makes its rows NaN or +inf."""
-    d = max(n // 2, 1)
-    last = _overflow_column(eta, d)
+    d = _cut_columns(eta, max(n // 2, 1))[1]
     with np.errstate(over="ignore", divide="ignore"):
-        if last:
-            d = last - 1 - (last > 1 and not math.isfinite(_entries("T", last, eta)[1][-1]))
         return [np.log(band[:, :d + 1]) for band in _bands(names, n, max(d, 1), eta)]
 
 
@@ -455,10 +452,12 @@ class LinePasses:
     ``passes(jet, n, eta)`` returns the series of ``jet``, a propagator of
     (n, eta) such as :func:`bracket_LTnR_log` or :func:`_xi_series`, from the
     last pass of that jet at that eta if it holds row n as row n's own pass
-    would, else from a new pass to n: a log pass keeps the live columns of
-    :func:`_live_bands`, fewer at d >= J than at d = J - 1, so only rows with
-    n//2 >= J (:func:`_overflow_column`) share it.  Rows asked from the
-    largest n down run one pass per jet, and one more below a band overflow.
+    would, else from a new pass to n: a log pass keeps the columns up to c
+    of :func:`_cut_columns` (J - 1 or J - 2 past the first overflowed column
+    J, every column below it), so the rows with n//2 >= J or n//2 <= c
+    share it, and only those with c < n//2 < J take their own.  Rows asked
+    from the largest n down run one pass per jet, and one more for the one
+    or two values of n//2 between c and J.
     """
 
     def __init__(self):
@@ -466,24 +465,36 @@ class LinePasses:
 
     def __call__(self, jet, n: int, eta: complex):
         last = self._last.get((jet, eta))
-        if last is None or not (n <= last[0] and n // 2 >= last[1]):
-            last = self._last[jet, eta] = (n, _overflow_column(eta, max(n // 2, 1)),
-                                           jet(n, eta))
-        return last[2]
+        if last is None or n > last[0] or last[2] < n // 2 < last[1]:
+            last = self._last[jet, eta] = (n, *_cut_columns(eta, max(n // 2, 1)), jet(n, eta))
+        return last[3]
 
 
 def _overflow_column(eta: complex, d: int) -> int:
     """The first column J <= d whose |T| entry is not a finite float, 0 if none.
 
     Row m <= n of a pass to n is row m of its own pass (d = m//2) bit for bit
-    when m//2 >= J: the columns above m//2 add only empty cells before step
-    m, and a log pass cuts both bands at J - 1 or J - 2 (:func:`_live_bands`).
-    Rows with m//2 < J keep columns that the pass to n cuts: they take their own.
+    when m//2 >= J, where its own pass cuts both bands at the same column c
+    (J - 1 or J - 2, :func:`_cut_columns`), and when m//2 <= c, where it cuts
+    none: either way the columns above m//2 add only empty cells before step
+    m.  Rows with c < m//2 < J keep columns that the pass to n cuts: they
+    take their own.
     """
     with np.errstate(over="ignore"):
         diag, off = _entries("T", d, eta)
     overflowed = np.flatnonzero(~(np.isfinite(diag) & np.isfinite(off)))
     return int(overflowed[0]) + 1 if overflowed.size else 0
+
+
+def _cut_columns(eta: complex, d: int) -> tuple[int, int]:
+    """(J, c): the first overflowed column J <= d of :func:`_overflow_column`
+    (0 if none) and the last column c a log pass at d keeps: d if J = 0, else
+    J - 1, or J - 2 where the descent from J is +inf too (:func:`_live_bands`)."""
+    last = _overflow_column(eta, d)
+    if not last:
+        return 0, d
+    with np.errstate(over="ignore"):
+        return last, last - 1 - (last > 1 and not math.isfinite(_entries("T", last, eta)[1][-1]))
 
 
 def bracket_LTnR(n: int, eta: complex, *, passes: LinePasses | None = None) -> float | SignedLog:

@@ -75,13 +75,16 @@ def expect(kind: str, **point):
 
 
 # the exact F_lambda rows of f-lambda-nonpert, held to route A
-# (oracles.route_a_f_lambda) to WRONG_TOL relative, at Delta 2 and 10 only: at
-# Delta = 100 routes A and B disagree (n = 6), and only mpmath can judge
+# (oracles.route_a_f_lambda) to WRONG_TOL relative, at Delta 2 and 10, and at
+# Delta = 100 only at (100, 0.1, 4), where route B (oracles.route_b_f_lambda)
+# agrees with route A to 1.3e-11: at (100, 1e-2, 6) the two disagree, and
+# only mpmath can judge
 WrongValue = namedtuple("WrongValue", "args point printed arbiter directions")
 WRONG_TOL = 1e-6  # the finite difference's own convergence cut
 # the exact rows of the README f-lambda-nonpert grid, less Delta = 100
 README_EXACT = "--delta 2 10 --lambda-over-j 1e-3 1e-2 --n-range 2 10 1"
 LAMBDA_TENTH = "--delta 2 --lambda-over-j 0.1 --n-range 8 8 1"
+DELTA_100_TENTH = "--delta 100 --lambda-over-j 0.1 --n-range 4 4 1"
 # qfi_dense drops the pairs with p_k + p_l <= 1e-12 p_max, and eigh of the
 # nearly low-rank mu = 1 state cannot resolve its small eigenvalues;
 # (2, 1e-2, 8), off by 1.31e-6, is registered rather than the tolerance widened
@@ -93,4 +96,5 @@ WRONG_VALUES = (
     WrongValue(README_EXACT, (2.0, 1e-2, 10), 2.412231e-6, 2.412260e-6, (17, 5)),  # -1.20e-5
     WrongValue(README_EXACT, (2.0, 1e-2, 8), 9.535947e-3, 9.535960e-3, (17, 5)),  # -1.31e-6
     WrongValue(LAMBDA_TENTH, (2.0, 0.1, 8), 3.496707e-5, 3.496821e-5, (17, 5)),  # -3.2e-5
+    WrongValue(DELTA_100_TENTH, (100.0, 0.1, 4), 4.897415e-7, 4.897428e-7, (17, 5)),  # -2.6e-6
 )

@@ -2,9 +2,11 @@
 these.  Most are the plain form of a route the program computes another
 way, kept to check that the faster form gives the same bits or the same
 value.  ``route_a_f_lambda`` is the exact mu = 1 F_lambda that the
-finite-difference rows are held to.  ``fisher_cross`` is no second route:
-from ``fisher.sld`` it builds the Fisher matrix F_xy, whose off-diagonal
-the program never computes (its diagonal is ``qfi_dense``).
+finite-difference rows are held to, and ``route_b_f_lambda`` the same
+F_lambda from a state derivative taken by linear response instead.
+``fisher_cross`` is no second route: from ``fisher.sld`` it builds the
+Fisher matrix F_xy, whose off-diagonal the program never computes (its
+diagonal is ``qfi_dense``).
 ``mp_f0_delta_bracket`` and ``mp_chi1`` are the transfer-matrix quantities
 in mpmath, at a working precision the caller sets.
 """
@@ -13,7 +15,7 @@ import numpy as np
 
 from xxz_metrology import fisher
 from xxz_metrology.fisher import qfi_dense, sld
-from xxz_metrology.lindblad import LIOUVILLIAN_CAP, Liouvillian, _terms
+from xxz_metrology.lindblad import LIOUVILLIAN_CAP, Liouvillian, _terms, build_liouvillian
 from xxz_metrology.model import (_check_dense_cap, hs_norm, lindblad_jump_ops, magnetization_z,
                                  pauli)
 from xxz_metrology.mpo import AuxMatrices, build_aux_B, contract_to_dense, popcount_sectors, solve_s
@@ -232,6 +234,42 @@ def route_a_f_lambda(params):
         pairs = denominator > 0
         total += np.sum(np.abs(numerator[pairs]) ** 2 / denominator[pairs])
     return 2 * total / norm / J ** 2
+
+
+def route_b_f_lambda(params):
+    """Route B: the mu = 1 F_lambda from d rho / d lambda by linear response.
+
+    L(lam) rho = 0 with Tr rho = 1 gives L d rho = -(dL/dlam) rho with
+    Tr d rho = 0.  L is linear in lam, so dL/dlam is ``build_liouvillian``
+    at lam = 1 minus lam = 0, to rounding.  Both live in the q = 0 block,
+    which is solved with the trace row in place of its <0|.|0> row, as
+    ``steady_state_nullspace`` does; rho = S S+ / N is the closed form.
+    Per popcount block, rho = U diag(sigma**2 / N) U+ from one SVD of S
+    (small eigenvalues to relative accuracy, which eigh of rho lacks), and
+    F_lambda = 2 sum |(U+ d rho U)_kl|**2 / (p_k + p_l) over p_k + p_l > 0.
+    It shares S with route A, not dS: the two check each other's state
+    derivative.  The dense Liouvillian caps it at n <= 6.
+    """
+    n, lam, d = params.n, params.lam, 2 ** params.n
+    idx, block = build_liouvillian(params).sectors[0]
+    dL = (build_liouvillian(params.replace(lam=1.0)).sectors[0][1]
+          - build_liouvillian(params.replace(lam=0.0)).sectors[0][1])
+    S = contract_to_dense(build_aux_B(n, params.eta, solve_s(lam / params.j_coupling,
+                                                             params.eta)), n)
+    norm = np.sum(np.abs(S) ** 2)
+    rhs = -(dL @ (S @ S.conj().T / norm)[idx % d, idx // d])
+    rhs[0] = 0.0  # Tr d rho = 0
+    drho = np.zeros((d, d), dtype=complex)
+    drho[idx % d, idx // d] = np.linalg.solve(np.vstack([idx % d == idx // d, block[1:]]), rhs)
+    total = 0.0
+    for sector in popcount_sectors(n):
+        U, sigma, _ = np.linalg.svd(S[np.ix_(sector, sector)])
+        p = sigma ** 2 / norm
+        X = U.conj().T @ drho[np.ix_(sector, sector)] @ U
+        denominator = p[:, None] + p
+        pairs = denominator > 0
+        total += np.sum(np.abs(X[pairs]) ** 2 / denominator[pairs])
+    return 2 * total
 
 
 def contract_by_quadrants(aux, n):

@@ -5,12 +5,11 @@ import re
 
 import numpy as np
 import pytest
-from scipy.linalg import svd  # an oracle from a LAPACK build independent of numpy's
 
 from oracles import build_liouvillian_before, ness_mu1_before
 from xxz_metrology.model import (ChainParams, embed, hamiltonian_xxz, hs_norm,
                                  lindblad_jump_ops, magnetization_z, pauli)
-from xxz_metrology import lindblad
+from xxz_metrology import lindblad, mpo
 from xxz_metrology.lindblad import (apply_liouvillian, build_liouvillian, ness_mu1,
                                     ness_perturbative, steady_state_nullspace)
 from xxz_metrology.mpo import _popcount, build_aux_A, build_aux_B, contract_to_dense, solve_s
@@ -49,6 +48,8 @@ def assemble(liouv):
 def nullspace_by_full_svd(liouv):
     """One SVD of the whole 4**n x 4**n matrix: the steady state from its
     smallest right-singular vector, and every singular value."""
+    # an oracle from a LAPACK build independent of numpy's
+    svd = pytest.importorskip("scipy.linalg").svd
     d = 2 ** liouv.params.n
     _, s, vh = svd(assemble(liouv))
     rho = vh[-1].conj().reshape((d, d), order="F")
@@ -441,14 +442,14 @@ def test_ness_mu1_keeps_the_bits_of_dividing_by_the_trace(delta, n):
 def test_ness_mu1_rejects_an_amplitude_that_mixes_sectors(monkeypatch, entry):
     # one entry between the popcount 0 and 1 sectors, however small, real or imaginary
     params = ChainParams(n=3, delta=2.0, lam=1e-2, mu=1.0)
-    contract = lindblad.contract_to_dense
+    contract = mpo._contract_blocks
 
     def mixing(aux, n):
-        S = contract(aux, n)
-        S[0, 1] += entry
-        return S
+        blocks = contract(aux, n)
+        blocks[0, 1] = np.array([[entry, 0, 0]], dtype=complex)  # S[0, 1]
+        return blocks
 
-    monkeypatch.setattr(lindblad, "contract_to_dense", mixing)
+    monkeypatch.setattr(mpo, "_contract_blocks", mixing)
     with pytest.raises(ArithmeticError, match="mixes M_z sectors"):
         ness_mu1(params, 1e-2)
 

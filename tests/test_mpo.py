@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import known_faults
-from oracles import SLOT_PAULIS, contract_by_quadrants, doubled_B, route_a_f_lambda
+from oracles import (SLOT_PAULIS, contract_by_quadrants, doubled_B, route_a_f_lambda,
+                     route_b_f_lambda)
 from xxz_metrology.cli import main
 from xxz_metrology.fisher import qfi_parametric
+from xxz_metrology import mpo
 from xxz_metrology.lindblad import ness_mu1
 from xxz_metrology.model import ChainParams, eta_from_delta, hs_norm, pauli
 from xxz_metrology.mpo import (AuxMatrices, _contract_blocks, build_aux_A, build_aux_B,
@@ -266,8 +268,21 @@ def test_route_a_matches_the_finite_difference_where_it_converges(delta, lam, n)
     assert abs(finite.value - exact) <= 1.3e-6 * exact
 
 
-@pytest.mark.parametrize("args", [known_faults.README_EXACT, known_faults.LAMBDA_TENTH],
-                         ids=["readme-exact", "lambda-tenth"])
+# route B (linear response) against route A at the exact README points with
+# n <= 5 and at (100, 0.1, 4), a registered wrong value; the largest gap is
+# 3.8e-9, at (100, 1e-2, 5), and 1.3e-11 at (100, 0.1, 4)
+@pytest.mark.parametrize("delta", [2.0, 10.0, 100.0])
+def test_route_b_matches_route_a(delta):
+    points = [(lam, n) for lam in (1e-3, 1e-2) for n in range(2, 6)]
+    for lam, n in points + [(0.1, 4)] * (delta == 100.0):
+        params = ChainParams(n=n, delta=delta, lam=lam, mu=1.0)
+        exact = route_a_f_lambda(params)
+        assert abs(route_b_f_lambda(params) - exact) <= 1e-8 * exact, (delta, lam, n)
+
+
+@pytest.mark.parametrize("args", [known_faults.README_EXACT, known_faults.LAMBDA_TENTH,
+                                  known_faults.DELTA_100_TENTH],
+                         ids=["readme-exact", "lambda-tenth", "delta-100-tenth"])
 def test_exact_rows_are_route_a_or_registered_wrong_values(tmp_path, args):
     # every value row of the scan lies within WRONG_TOL of route A, except the
     # registered wrong values: those print their registered value and lie
@@ -321,6 +336,42 @@ def test_block_contraction_is_the_quadrant_loop_bit_for_bit(n, delta):
         assert sum(block.size for block in blocks.values()) <= math.comb(2 * n, n)
         for (k, _), block in blocks.items():
             assert np.array_equal(block, dense[np.ix_(sectors[k], sectors[k])])
+
+
+# S S+ formed per popcount block inside the contraction: the bits of the
+# Gram product of each diagonal block of the dense S, zeros between sectors
+@pytest.mark.parametrize("delta", [0.5, 2.0, -1.5])
+def test_gram_contraction_is_the_per_sector_product_bit_for_bit(delta):
+    eta = eta_from_delta(delta)
+    for n in range(2, 10):
+        for epsilon in (1e-3, 1e-2):
+            aux = build_aux_B(n, eta, solve_s(epsilon, eta))
+            S = contract_to_dense(aux, n)
+            expected = np.zeros_like(S)
+            for idx in popcount_sectors(n):
+                block = S[np.ix_(idx, idx)]
+                expected[np.ix_(idx, idx)] = block @ block.conj().T
+            assert np.array_equal(contract_to_dense(aux, n, gram=True).view(np.uint64),
+                                  expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("entry", [1e-300, 1e-300j])
+def test_gram_contraction_rejects_a_block_between_sectors(monkeypatch, entry):
+    # one entry between the popcount 0 and 1 sectors, however small, real or
+    # imaginary; the plain contraction writes it where it is
+    eta = eta_from_delta(2.0)
+    aux = build_aux_B(3, eta, solve_s(1e-2, eta))
+    contract = mpo._contract_blocks
+
+    def mixing(aux, n):
+        blocks = contract(aux, n)
+        blocks[0, 1] = np.array([[entry, 0, 0]], dtype=complex)
+        return blocks
+
+    monkeypatch.setattr(mpo, "_contract_blocks", mixing)
+    with pytest.raises(ArithmeticError, match="mixes M_z sectors"):
+        contract_to_dense(aux, 3, gram=True)
+    assert contract_to_dense(aux, 3)[0, 1] == entry
 
 
 def test_block_contraction_keeps_every_zero_positive():

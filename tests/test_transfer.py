@@ -14,9 +14,9 @@ from xxz_metrology import transfer
 from xxz_metrology.model import ChainParams, eta_from_delta
 from xxz_metrology.mpo import _log_threshold, hs_norm_sq_via_transfer, validity_threshold
 from xxz_metrology.cli import ScanSpec, run_scan
-from xxz_metrology.transfer import (_LOGS, _SPLIT_JET, _XI_BANDS, _XI_JET, SignedLog,
-                                    _bands, _entries,
-                                    _jet_series, _live_bands, _overflow_column, _split_eta,
+from xxz_metrology.transfer import (_LOGS, _SPLIT_JET, _XI_BANDS, _XI_JET, LinePasses,
+                                    SignedLog, _bands, _entries, _jet_series, _cut_columns,
+                                    _live_bands, _overflow_column, _split_eta,
                                     _stack_bands, _xi_series,
                                     bracket_LTnR,
                                     bracket_LTnR_log, bracket_series,
@@ -1285,6 +1285,23 @@ def test_a_xi_line_runs_one_float_pass_per_delta(monkeypatch, tmp_path):
     assert calls == {"float": 2, "log": 0}
     xi_coefficient(0.37, 300)
     assert calls == {"float": 3, "log": 0}
+
+
+def test_a_log_line_shares_its_pass_with_the_rows_below_the_cut(monkeypatch):
+    # Delta = 2: the first overflowed column is J = 271, and a pass to 1000
+    # cuts its bands at c = 269, so the rows with n//2 <= 269 share it as
+    # those with n//2 >= 271 do: one log pass for the line, each row the
+    # bits of its own pass; only n//2 = 270, between c and J, takes its own
+    eta = eta_from_delta(2.0)
+    assert _cut_columns(eta, 500) == (271, 269)
+    calls, passes = _counted_passes(monkeypatch), LinePasses()
+    rows = {n: passes(bracket_LTnR_log, n, eta)[n] for n in range(1000, 99, -100)}
+    assert calls == {"float": 0, "log": 1}
+    for n, row in rows.items():
+        assert row.tobytes() == bracket_LTnR_log(n, eta)[n].tobytes()
+    assert calls == {"float": 0, "log": 11}
+    passes(bracket_LTnR_log, 541, eta)
+    assert calls == {"float": 0, "log": 12}
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
