@@ -29,12 +29,12 @@ are tridiagonal over [L, 1, ..., d] and take O(d) memory.  The one loop runs
 in two semirings, picked by the phase: (multiply, add) on floats for |Delta|
 <= 1 (the bracket is at most n(n - 1)/8), (add, logaddexp) on their logs for
 |Delta| > 1, where values leave the doubles at moderate n, on the columns
-below the first |T| entry past them (:func:`_live_bands`).  It carries no
-sign: D's diagonal, -k^2/2 for |Delta| > 1, is the one negative entry, so
-:func:`sum_defect_log` runs (|T|, D+, D-), D+ its moves and D- minus its
-diagonal, and subtracts the two rows once.  Each pass updates at step m only
-the light cone of columns 0..min(m, n - m, d) that can still reach L by step
-n: sum_m (min(m, n - m, d) + 1) ~ n^2/4 cells at d = n//2.
+of :func:`_kept_columns`.  It carries no sign: D's diagonal, -k^2/2 for
+|Delta| > 1, is the one negative entry, so :func:`sum_defect_log` runs
+(|T|, D+, D-), D+ its moves and D- minus its diagonal, and subtracts the two
+rows once.  Each pass updates at step m only the light cone of columns
+0..min(m, n - m, d) that can still reach L by step n: sum_m (min(m, n - m,
+d) + 1) ~ n^2/4 cells at d = n//2.
 A float pass also stops at its support front (for |Delta| < 1 amplitudes
 spread like sqrt(m)), moved up only for a cell next to it that is not finite
 or above 2^-200 of its coefficient's largest in balanced size: 3.6 M of the
@@ -416,11 +416,10 @@ def defect_series(n: int, eta: complex) -> np.ndarray:
 
 
 def _live_bands(names: tuple[str, ...], n: int, eta: complex) -> list[np.ndarray]:
-    """Logs of the bands of ``names`` at d = n//2, cut below J, the first column
-    whose |T| entry is past the doubles (its +inf would meet -inf cells), and
-    below J - 1 where the descent from J is +inf too: only L where J <= 2
-    (|Delta| >~ 1e77).  An overflowed dT or F entry makes its rows NaN or +inf."""
-    d = _cut_columns(eta, max(n // 2, 1))[1]
+    """Logs of the bands of ``names`` at d = n//2, on the columns up to
+    :func:`_kept_columns`: only L where that is 0 (|Delta| >~ 1e77).  An
+    overflowed dT or F entry makes its rows NaN or +inf."""
+    d = _kept_columns(eta, max(n // 2, 1))
     with np.errstate(over="ignore", divide="ignore"):
         return [np.log(band[:, :d + 1]) for band in _bands(names, n, max(d, 1), eta)]
 
@@ -451,13 +450,12 @@ class LinePasses:
 
     ``passes(jet, n, eta)`` returns the series of ``jet``, a propagator of
     (n, eta) such as :func:`bracket_LTnR_log` or :func:`_xi_series`, from the
-    last pass of that jet at that eta if it holds row n as row n's own pass
-    would, else from a new pass to n: a log pass keeps the columns up to c
-    of :func:`_cut_columns` (J - 1 or J - 2 past the first overflowed column
-    J, every column below it), so the rows with n//2 >= J or n//2 <= c
-    share it, and only those with c < n//2 < J take their own.  Rows asked
-    from the largest n down run one pass per jet, and one more for the one
-    or two values of n//2 between c and J.
+    last pass of that jet at that eta, kept as (n, kept columns, rows), if
+    it holds row n as row n's own pass would, else from a new pass to n.
+    A row with n//2 at or below the kept columns shares it without reading
+    a band entry (the columns above add only empty cells before step n); so
+    does one whose own pass keeps the same columns (n//2 past the overflow),
+    and only the rows between the cut and the overflow take their own.
     """
 
     def __init__(self):
@@ -465,36 +463,23 @@ class LinePasses:
 
     def __call__(self, jet, n: int, eta: complex):
         last = self._last.get((jet, eta))
-        if last is None or n > last[0] or last[2] < n // 2 < last[1]:
-            last = self._last[jet, eta] = (n, *_cut_columns(eta, max(n // 2, 1)), jet(n, eta))
-        return last[3]
+        if last is None or n > last[0] or n // 2 > last[1] != _kept_columns(eta, n // 2):
+            last = self._last[jet, eta] = (n, _kept_columns(eta, max(n // 2, 1)), jet(n, eta))
+        return last[2]
 
 
-def _overflow_column(eta: complex, d: int) -> int:
-    """The first column J <= d whose |T| entry is not a finite float, 0 if none.
-
-    Row m <= n of a pass to n is row m of its own pass (d = m//2) bit for bit
-    when m//2 >= J, where its own pass cuts both bands at the same column c
-    (J - 1 or J - 2, :func:`_cut_columns`), and when m//2 <= c, where it cuts
-    none: either way the columns above m//2 add only empty cells before step
-    m.  Rows with c < m//2 < J keep columns that the pass to n cuts: they
-    take their own.
-    """
+def _kept_columns(eta: complex, d: int) -> int:
+    """The last column a log pass at d keeps (:func:`_live_bands`): d if every
+    |T| entry up to column d is finite, else J - 1, J the first column whose
+    diagonal or moves are not (their +inf would meet -inf cells), or J - 2
+    where the descent from J, stored at column J - 1, is +inf too."""
     with np.errstate(over="ignore"):
         diag, off = _entries("T", d, eta)
     overflowed = np.flatnonzero(~(np.isfinite(diag) & np.isfinite(off)))
-    return int(overflowed[0]) + 1 if overflowed.size else 0
-
-
-def _cut_columns(eta: complex, d: int) -> tuple[int, int]:
-    """(J, c): the first overflowed column J <= d of :func:`_overflow_column`
-    (0 if none) and the last column c a log pass at d keeps: d if J = 0, else
-    J - 1, or J - 2 where the descent from J is +inf too (:func:`_live_bands`)."""
-    last = _overflow_column(eta, d)
-    if not last:
-        return 0, d
-    with np.errstate(over="ignore"):
-        return last, last - 1 - (last > 1 and not math.isfinite(_entries("T", last, eta)[1][-1]))
+    if not overflowed.size:
+        return d
+    last = int(overflowed[0])  # J - 1: off[J - 1] is the descent from J
+    return last - (last > 0 and not math.isfinite(off[last]))
 
 
 def bracket_LTnR(n: int, eta: complex, *, passes: LinePasses | None = None) -> float | SignedLog:

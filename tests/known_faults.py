@@ -8,10 +8,12 @@ WRONG_VALUES lists the rows that print a wrong value with no error: the scan,
 the grid point, the printed value and the arbiter's value (both to 7 digits)
 and the owning Directions.  test_mpo.py holds every other value row of its
 scans to the arbiter, and each listed row to its printed value and to a gap
-past the tolerance, so a fix deletes its entry.
+past the tolerance, so a fix deletes its entry.  RATIONAL_XI_WRONG does the
+same for the columns of the default xi-vs-eta-rational scan (test_transfer.py).
 """
 
 import contextlib
+import math
 import re
 from collections import namedtuple
 
@@ -98,3 +100,15 @@ WRONG_VALUES = (
     WrongValue(LAMBDA_TENTH, (2.0, 0.1, 8), 3.496707e-5, 3.496821e-5, (17, 5)),  # -3.2e-5
     WrongValue(DELTA_100_TENTH, (100.0, 0.1, 4), 4.897415e-7, 4.897428e-7, (17, 5)),  # -2.6e-6
 )
+
+# the default xi-vs-eta-rational scan (p <= 30), held to the closed form
+# oracles.rational_xi1 to RATIONAL_XI_TOL relative; Direction 2 owns both
+# faults.  xi prints (xi1 - chi''/4)/(2(1 - Delta^2)) at every row, but the
+# F_Delta jet on the same d = p - 1 bands grows with slope (xi1 + chi''/4) /
+# (2(1 - Delta^2)): 0.5596708 printed against 1.1522634 at (3, 1).  xi1,
+# fitted over [w, 2w] with w = max(100, 20(p - 1)), is off by 6.1e-6 at
+# (5, 1) up to 0.96 at (30, 7), where transients have not decayed: every
+# p >= 5 (4.0e-10 at p = 4 is the largest gap of a row held)
+RATIONAL_XI_TOL = 1e-9
+_RATIONAL = frozenset((p, q) for p in range(2, 31) for q in range(1, p) if math.gcd(p, q) == 1)
+RATIONAL_XI_WRONG = {"xi": _RATIONAL, "xi1": frozenset(pq for pq in _RATIONAL if pq[0] >= 5)}

@@ -8,7 +8,8 @@ F_lambda from a state derivative taken by linear response instead.
 Fisher matrix F_xy, whose off-diagonal the program never computes (its
 diagonal is ``qfi_dense``).
 ``mp_f0_delta_bracket`` and ``mp_chi1`` are the transfer-matrix quantities
-in mpmath, at a working precision the caller sets.
+in mpmath, at a working precision the caller sets; ``rational_xi1`` is the
+rational defect-sum slope in closed form.
 """
 
 import numpy as np
@@ -178,6 +179,23 @@ def mp_chi1(delta, d, mp):
     for i in range(d - 1, 0, -1):
         x = rhs[i] - upper[i] * x
     return x / (2 * psi_R)
+
+
+def rational_xi1(p, q):
+    """The large-n slope xi_1 of the defect sum at eta = q pi/p on the d = p - 1
+    bands, in closed form: xi_1 = y^T D' x / 4 with x = (1 - T')^-1 e_1 and
+    y = (1 - T')^-T e_1 (T' the bulk of T), x_k = 2(d+1-k)/((d+1) sin^2(eta k))
+    and y_k = 2(d+1-k)/((d+1) sin^2 eta), and D' the d x d bulk of D: diagonal
+    k^2/2, moves out of |k> of weight k^2/4.  The 1/4 is <L|T|1> <1|T|R>.
+    """
+    eta, d = q * np.pi / p, p - 1
+    k = np.arange(1, d + 1, dtype=float)
+    x = 2 * (d + 1 - k) / ((d + 1) * np.sin(eta * k) ** 2)
+    y = 2 * (d + 1 - k) / ((d + 1) * np.sin(eta) ** 2)
+    dx = k ** 2 / 2 * x
+    dx[1:] += k[:-1] ** 2 / 4 * x[:-1]  # climbs k -> k + 1
+    dx[:-1] += k[1:] ** 2 / 4 * x[1:]  # descents k + 1 -> k
+    return float(y @ dx / 4)
 
 
 # the Pauli factor each slot of an MPO multiplies on a site

@@ -14,6 +14,7 @@ import pytest
 
 import known_faults
 import xxz_metrology
+from xxz_metrology import cli
 from xxz_metrology.cli import (EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, ScanSpec,
                                UsageError, main, rational_grid, run_scan)
 from xxz_metrology.transfer import xi_coefficient_rational
@@ -141,6 +142,15 @@ def test_manifest_environment_leaves_the_data_alone(tmp_path, monkeypatch):
     env = json.loads((tmp_path / "b.csv.manifest.json").read_text())["environment"]
     assert env["threads"]["OMP_NUM_THREADS"] == "3"
     assert env["threads"]["MKL_NUM_THREADS"] is None
+    # a NumPy that prints its configuration and returns no dicts (< 1.26): blas is null
+    monkeypatch.setattr(np, "show_config", lambda mode="stdout": None)
+    cli._blas.cache_clear()
+    try:
+        third = run_scan(ScanSpec(out=str(tmp_path / "c.csv"), **spec))
+    finally:
+        cli._blas.cache_clear()
+    assert third["digest"] == first["digest"]
+    assert json.loads((tmp_path / "c.csv.manifest.json").read_text())["environment"]["blas"] is None
 
 
 def test_partial_failure_exit_code(tmp_path):
@@ -312,7 +322,23 @@ def test_scan_spec_rejects_unknown_format(tmp_path):
     out = tmp_path / "grid.xml"
     with pytest.raises(UsageError, match="unknown format 'xml'"):
         ScanSpec(kind="isotropic-check", fmt="xml", out=str(out))
+    with pytest.raises(UsageError, match="unknown scan kind 'no-such-kind'"):
+        ScanSpec(kind="no-such-kind", out=str(out))
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_the_default_out_is_the_kind_and_format_in_the_working_directory(tmp_path, monkeypatch, fmt):
+    monkeypatch.chdir(tmp_path)
+    summary = run_scan(ScanSpec(kind="isotropic-check", options={"n_range": [3, 4, 1]}, fmt=fmt))
+    assert summary["out"] == f"isotropic-check.{fmt}"
+    assert (tmp_path / f"isotropic-check.{fmt}").is_file()
+    assert (tmp_path / f"isotropic-check.{fmt}.manifest.json").is_file()
+
+
+def test_an_exact_zero_has_no_log10_column():
+    assert cli._log10_cols(0.0, -math.inf) == ("0", "0", "")
+    assert cli._log10_cols(1.0, 0.0) == ("1.0", "1.0", "0.0")
 
 
 _F0 = ["--lambda-over-j", "0", "--n-range", "2", "3", "1"]
@@ -741,7 +767,7 @@ def test_xi_n_scan_takes_short_chains(tmp_path):
         (str(n), str(n // 2), "") for n in range(2, 11, 2)]
 
 
-def test_config_file_and_override(tmp_path):
+def test_config_file_and_override(tmp_path, capsys):
     cfg = tmp_path / "scan.ini"
     cfg.write_text("[global]\n"
                    "p_max = 3\n"
@@ -775,11 +801,18 @@ def test_config_file_and_override(tmp_path):
     assert code == EXIT_OK
     assert len(read_csv(out2)) == 1 + 3
     # the [kind] section is read in full: a key the kind does not read is bad
-    # usage, as is a file that INI cannot parse
-    for text in ("[validity-report]\np_max = 3\n", "mu = 0.5\n", "[validity-report]\nmu\n"):
+    # usage, as are a key that is no flag, a file that INI cannot parse and
+    # a file that is not there
+    for text in ("[validity-report]\np_max = 3\n", "[validity-report]\nno_such_flag = 1\n",
+                 "mu = 0.5\n", "[validity-report]\nmu\n"):
         cfg.write_text(text)
         assert main(["scan", "validity-report", "--config", str(cfg),
                      "--out", str(tmp_path / "never.csv")]) == EXIT_USAGE, text
+    assert "[validity-report] of" in capsys.readouterr().err
+    missing = str(tmp_path / "missing.ini")
+    assert main(["scan", "validity-report", "--config", missing]) == EXIT_USAGE
+    assert f"config file {missing!r} not found" in capsys.readouterr().err
+    assert not (tmp_path / "never.csv").exists()
 
 
 def test_chi_scan_rational_vs_irrational_overlap(tmp_path):

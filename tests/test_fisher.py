@@ -3,7 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag, sqrtm
 
 import known_faults
 from oracles import fisher_cross, qfi_parametric_before
@@ -40,6 +39,16 @@ def random_direction(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h = a + a.conj().T
     return h - np.trace(h) / dim * np.eye(dim)
+
+
+def block_diag(*blocks):
+    """The square ``blocks`` on the diagonal of one zero matrix."""
+    out = np.zeros((sum(len(b) for b in blocks),) * 2, dtype=np.result_type(*blocks))
+    at = 0
+    for b in blocks:
+        out[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    return out
 
 
 def qubit_family(theta):
@@ -154,6 +163,9 @@ def test_relative_error_arithmetic():
     assert relative_error(1.0, fake) == 1.0
     fake100 = est.__class__(value=100.0, log_value=math.log(100.0), method="exact-dense")
     assert np.isclose(relative_error(0.5, fake100), 0.2)
+    # F past the doubles: 1/(x sqrt(m F)) from log F, e^-500 at x = 1/2, m = 4, F = e^1000
+    huge = FisherEstimate(value=math.inf, log_value=1000.0, method="leading-order")
+    assert math.isclose(relative_error(0.5, huge, m=4), math.exp(-500.0), rel_tol=1e-12)
 
 
 def test_fisher_estimate_rejects_nan_and_negative_values():
@@ -165,6 +177,8 @@ def test_fisher_estimate_rejects_nan_and_negative_values():
                               method="exact-dense").value == good
     huge = FisherEstimate(value=float("inf"), log_value=2000.0, method="leading-order")
     assert huge.log_value == 2000.0
+    with pytest.raises(ValueError, match="unknown method 'guess'"):
+        FisherEstimate(value=1.0, log_value=0.0, method="guess")
 
 
 def test_unknown_parameter_labels_are_rejected():
@@ -182,6 +196,9 @@ def test_relative_error_rejects_degenerate():
     est = qfi_parametric(params, "lambda", ness_perturbative)
     with pytest.raises(ValueError):
         relative_error(0.0, est)
+    zero = FisherEstimate(value=0.0, log_value=-math.inf, method="exact-dense")
+    with pytest.raises(ValueError, match="zero Fisher information"):
+        relative_error(1.0, zero)
 
 
 # --- the block route --------------------------------------------------------
@@ -427,6 +444,7 @@ def test_zero_derivative_zero_fisher():
 
 
 def fidelity(rho, sigma):
+    sqrtm = pytest.importorskip("scipy.linalg").sqrtm  # an independent oracle
     root = sqrtm(rho)
     inner = sqrtm(root @ sigma @ root)
     return np.real(np.trace(inner)) ** 2

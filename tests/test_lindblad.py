@@ -176,6 +176,15 @@ def test_nullspace_rejects_sector_mixing(monkeypatch):
             steady_state_nullspace(build_liouvillian(params))
 
 
+def test_nullspace_raises_on_a_steady_state_residual(monkeypatch):
+    # the solve passes its checks, but the terms applied to rho leave a
+    # residual far above 1e-10 of the Liouvillian's scale
+    liouv = build_liouvillian(ChainParams(n=3, delta=0.7, lam=0.2, mu=0.5))
+    monkeypatch.setattr(lindblad, "_apply", lambda rho, K, jumps, lam: np.ones_like(rho))
+    with pytest.raises(ArithmeticError, match="steady-state residual .* too large"):
+        steady_state_nullspace(liouv)
+
+
 def test_nullspace_rejects_a_jump_that_mixes_sectors(monkeypatch):
     # sigma^x on site 1 moves M_z by +2 and by -2; sigma^x sigma^x = 1
     # keeps K itself block diagonal, so only the jump check can see it
@@ -451,6 +460,16 @@ def test_ness_mu1_rejects_an_amplitude_that_mixes_sectors(monkeypatch, entry):
 
     monkeypatch.setattr(mpo, "_contract_blocks", mixing)
     with pytest.raises(ArithmeticError, match="mixes M_z sectors"):
+        ness_mu1(params, 1e-2)
+
+
+def test_ness_mu1_rejects_a_state_of_zero_trace(monkeypatch):
+    # an amplitude S whose every block is 0 leaves S S+ with trace 0
+    params = ChainParams(n=3, delta=2.0, lam=1e-2, mu=1.0)
+    contract = mpo._contract_blocks
+    monkeypatch.setattr(mpo, "_contract_blocks",
+                        lambda aux, n: {key: 0 * block for key, block in contract(aux, n).items()})
+    with pytest.raises(ArithmeticError, match="non-positive trace"):
         ness_mu1(params, 1e-2)
 
 

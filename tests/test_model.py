@@ -125,6 +125,8 @@ def test_hamiltonian_hermitian():
 def test_magnetization_values():
     assert np.array_equal(magnetization_z(1), np.diag([1, -1]))
     assert np.array_equal(magnetization_z(2), np.diag([2, 0, 0, -2]))
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        magnetization_z(0)
 
 
 def test_u1_symmetry():

@@ -70,6 +70,16 @@ def test_aux_B_entries():
 def test_aux_B_rejects_isotropic():
     with pytest.raises(ValueError):
         build_aux_B(4, 0.0, 1.0)
+    for eta in (0.0, np.pi):  # sin eta = 0: no s
+        with pytest.raises(ValueError, match="s is undefined at the isotropic point"):
+            solve_s(1e-2, eta)
+
+
+def test_aux_builders_need_two_sites():
+    eta = eta_from_delta(2.0)
+    for build in (lambda: build_aux_A(1, eta), lambda: build_aux_B(1, eta, solve_s(1e-2, eta))):
+        with pytest.raises(ValueError, match="need n >= 2"):
+            build()
 
 
 def test_solve_s_small_epsilon_limit():
@@ -269,11 +279,14 @@ def test_route_a_matches_the_finite_difference_where_it_converges(delta, lam, n)
 
 
 # route B (linear response) against route A at the exact README points with
-# n <= 5 and at (100, 0.1, 4), a registered wrong value; the largest gap is
-# 3.8e-9, at (100, 1e-2, 5), and 1.3e-11 at (100, 0.1, 4)
+# n <= 5, at n = 6 for Delta in {2, 10} and at (100, 0.1, 4), a registered
+# wrong value; the largest gap is 3.8e-9, at (100, 1e-2, 5), 3.6e-9 at the
+# registered (10, 1e-2, 6), and 1.3e-11 at (100, 0.1, 4).  Delta = 100 at
+# n = 6 stays out: there the two routes differ by factors of 1.8e3
+# (lambda/J = 1e-3) and 1.2e2 (1e-2).  Route B takes 0.1-0.2 s a point at n = 6
 @pytest.mark.parametrize("delta", [2.0, 10.0, 100.0])
 def test_route_b_matches_route_a(delta):
-    points = [(lam, n) for lam in (1e-3, 1e-2) for n in range(2, 6)]
+    points = [(lam, n) for lam in (1e-3, 1e-2) for n in range(2, 6 + (delta != 100.0))]
     for lam, n in points + [(0.1, 4)] * (delta == 100.0):
         params = ChainParams(n=n, delta=delta, lam=lam, mu=1.0)
         exact = route_a_f_lambda(params)
@@ -355,13 +368,14 @@ def test_gram_contraction_is_the_per_sector_product_bit_for_bit(delta):
                                   expected.view(np.uint64))
 
 
-@pytest.mark.parametrize("entry", [1e-300, 1e-300j])
+@pytest.mark.parametrize("entry", [1e-300, 1e-300j, 0.0])
 def test_gram_contraction_rejects_a_block_between_sectors(monkeypatch, entry):
     # one entry between the popcount 0 and 1 sectors, however small, real or
-    # imaginary; the plain contraction writes it where it is
+    # imaginary; an all-zero block there is skipped; the plain contraction
+    # writes it where it is
     eta = eta_from_delta(2.0)
     aux = build_aux_B(3, eta, solve_s(1e-2, eta))
-    contract = mpo._contract_blocks
+    contract, gram = mpo._contract_blocks, contract_to_dense(aux, 3, gram=True)
 
     def mixing(aux, n):
         blocks = contract(aux, n)
@@ -369,8 +383,12 @@ def test_gram_contraction_rejects_a_block_between_sectors(monkeypatch, entry):
         return blocks
 
     monkeypatch.setattr(mpo, "_contract_blocks", mixing)
-    with pytest.raises(ArithmeticError, match="mixes M_z sectors"):
-        contract_to_dense(aux, 3, gram=True)
+    if entry:
+        with pytest.raises(ArithmeticError, match="mixes M_z sectors"):
+            contract_to_dense(aux, 3, gram=True)
+    else:
+        assert np.array_equal(contract_to_dense(aux, 3, gram=True).view(np.uint64),
+                              gram.view(np.uint64))
     assert contract_to_dense(aux, 3)[0, 1] == entry
 
 

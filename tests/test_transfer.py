@@ -1,3 +1,4 @@
+import csv
 import math
 import re
 import warnings
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import known_faults
-from oracles import mp_chi1, mp_f0_delta_bracket
+from oracles import mp_chi1, mp_f0_delta_bracket, rational_xi1
 from xxz_metrology.fisher import qfi_parametric
 from xxz_metrology.lindblad import ness_perturbative
 from xxz_metrology import transfer
@@ -15,8 +16,8 @@ from xxz_metrology.model import ChainParams, eta_from_delta
 from xxz_metrology.mpo import _log_threshold, hs_norm_sq_via_transfer, validity_threshold
 from xxz_metrology.cli import ScanSpec, run_scan
 from xxz_metrology.transfer import (_LOGS, _SPLIT_JET, _XI_BANDS, _XI_JET, LinePasses,
-                                    SignedLog, _bands, _entries, _jet_series, _cut_columns,
-                                    _live_bands, _overflow_column, _split_eta,
+                                    SignedLog, _bands, _entries, _jet_series, _kept_columns,
+                                    _live_bands, _split_eta,
                                     _stack_bands, _xi_series,
                                     bracket_LTnR,
                                     bracket_LTnR_log, bracket_series,
@@ -31,6 +32,13 @@ from xxz_metrology.transfer import (_LOGS, _SPLIT_JET, _XI_BANDS, _XI_JET, LineP
 
 
 # --- construction -----------------------------------------------------------
+
+@pytest.mark.parametrize("eta", [1 + 1j, 0.5 + 1e-3j, math.pi / 2 + 1j])
+def test_split_eta_rejects_an_eta_off_both_phases(eta):
+    # eta is real (easy plane), i t or pi + i t (easy axis); nothing else
+    with pytest.raises(ValueError, match="eta must be real, i\\*t or pi \\+ i\\*t"):
+        _split_eta(eta)
+
 
 def test_transfer_entries():
     ts = build_transfer(3, eta_from_delta(0.5))
@@ -178,7 +186,8 @@ def test_defect_sum_small_n_values():
     assert np.isclose(sum_defect(3, eta_from_delta(0.0)), 1 / 8)
 
 
-@pytest.mark.parametrize("route", [bracket_LTnR, sum_defect, sum_defect_log],
+@pytest.mark.parametrize("route", [bracket_LTnR, sum_defect, sum_defect_log,
+                                   isotropic_bracket_series],
                          ids=lambda route: route.__name__)
 @pytest.mark.parametrize("delta", [0.5, 2.0])
 def test_single_rows_need_two_sites_in_both_phases(route, delta):
@@ -1077,19 +1086,29 @@ def test_chi_positivity_window():
 
 
 def test_xi_validates_rational_input():
-    # not coprime, q outside (0, p), p < 2
+    # not coprime, q outside (0, p), p < 2; a window that starts below 8
     for p, q in ((4, 2), (3, 3), (5, 0), (1, 1)):
         with pytest.raises(ValueError):
             xi_coefficient_rational(p, q, 100)
+    with pytest.raises(ValueError, match="window_start >= 8"):
+        xi_coefficient_rational(3, 1, 7)
 
 
 @pytest.mark.parametrize("d", [0, -5])
 def test_chi_rejects_a_bad_truncation(d):
-    # an error, not a row with chi1 = nan and a warning
+    # an error, not a row with chi1 = nan and a warning; the dense T and D alike
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="truncation index"):
             chi_coefficient(0.3, d)
+    with pytest.raises(ValueError, match="truncation index"):
+        build_transfer(d, eta_from_delta(0.3))
+
+
+@pytest.mark.parametrize("delta", [1.0, -1.0, 2.0])
+def test_chi_is_defined_in_the_easy_plane_only(delta):
+    with pytest.raises(ValueError, match=re.escape("chi is defined for |Delta| < 1")):
+        chi_coefficient(delta, 5)
 
 
 def test_chi_second_derivative_closed_form():
@@ -1121,6 +1140,47 @@ def test_xi_rational_agrees_with_full_matrix_limit():
     d2 = second_eta_derivative_bracket(n, eta)[n]
     xi_full = (sd - 0.25 * d2) / (2 * (1 - 0.5 ** 2) * n)
     assert abs(xi_full - xi_restricted) / abs(xi_restricted) < 0.05
+
+
+@pytest.mark.parametrize("p, q", [(3, 1), (5, 2), (6, 1), (7, 2), (8, 3)])
+def test_rational_xi1_is_the_slope_of_a_long_window(p, q):
+    # the closed form against the program's fit over [4000, 8000], where the
+    # transients have decayed (the largest gap is 3.4e-13, at (7, 2))
+    assert xi_coefficient_rational(p, q, 4000).xi1 == pytest.approx(rational_xi1(p, q), rel=1e-12)
+
+
+@pytest.mark.parametrize("p, q, plus", [(3, 1, 1.152263374), (5, 2, 5.985140099),
+                                        (7, 2, 51.10796116)])
+def test_the_f_delta_jet_grows_with_the_plus_form_of_rational_xi(p, q, plus):
+    # on the d = p - 1 bands the (|T|, dT, F) jet, twice the F_Delta bracket,
+    # grows with slope 4 (1 - Delta^2) (xi1 + chi''/4) / (2 (1 - Delta^2))
+    eta, delta, d = q * math.pi / p, math.cos(q * math.pi / p), p - 1
+    rows = _jet_series(_bands(("T", "dT", "F"), 4000, d, eta), 4000)
+    slope = (rows[4000] - rows[2000]) / 2000 / (4 * (1 - delta ** 2))
+    right = (rational_xi1(p, q) + chi_second_derivative(delta, d) / 4) / (2 * (1 - delta ** 2))
+    assert slope == pytest.approx(right, rel=1e-12)
+    assert right == pytest.approx(plus, rel=1e-9)
+
+
+def test_rational_xi_rows_are_the_arbiter_or_registered_wrong(tmp_path):
+    # the default scan (0.25 s): each xi1 against oracles.rational_xi1, each
+    # xi against the "+" form above; a registered column must read wrong, and
+    # xi must be the printed "-" form, so a fix deletes its entries
+    out = tmp_path / "xi.csv"
+    run_scan(ScanSpec(kind="xi-vs-eta-rational", options={}, out=str(out)))
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    tol, wrong = known_faults.RATIONAL_XI_TOL, known_faults.RATIONAL_XI_WRONG
+    assert sorted((int(row["p"]), int(row["q"])) for row in rows) == sorted(wrong["xi"])
+    for row in rows:
+        pq = int(row["p"]), int(row["q"])
+        xi, xi1, chi_dd, delta = (float(row[c]) for c in ("xi", "xi1", "chi_dd", "delta"))
+        arbiter = rational_xi1(*pq)
+        right = {"xi": (arbiter + chi_dd / 4) / (2 * (1 - delta ** 2)), "xi1": arbiter}
+        for column, value in (("xi", xi), ("xi1", xi1)):
+            held = abs(value - right[column]) <= tol * abs(right[column])
+            assert held == (pq not in wrong[column]), (column, pq, value, right[column])
+        assert xi == (xi1 - chi_dd / 4) / (2 * (1 - delta ** 2))
 
 
 def test_xi_irrational_route_is_f0_delta_per_site():
@@ -1293,7 +1353,7 @@ def test_a_log_line_shares_its_pass_with_the_rows_below_the_cut(monkeypatch):
     # those with n//2 >= 271 do: one log pass for the line, each row the
     # bits of its own pass; only n//2 = 270, between c and J, takes its own
     eta = eta_from_delta(2.0)
-    assert _cut_columns(eta, 500) == (271, 269)
+    assert [_kept_columns(eta, d) for d in (270, 271, 500)] == [270, 269, 269]
     calls, passes = _counted_passes(monkeypatch), LinePasses()
     rows = {n: passes(bracket_LTnR_log, n, eta)[n] for n in range(1000, 99, -100)}
     assert calls == {"float": 0, "log": 1}
@@ -1304,13 +1364,30 @@ def test_a_log_line_shares_its_pass_with_the_rows_below_the_cut(monkeypatch):
     assert calls == {"float": 0, "log": 12}
 
 
+@pytest.mark.parametrize("delta, first, kept", [(2.0, 271, 269), (-1.5, 370, 368),
+                                                (100.0, 68, 66), (10.0, 119, 117)])
+def test_rows_around_the_cut_are_those_of_their_own_passes(monkeypatch, delta, first, kept):
+    # J = first, the first overflowed column, and the columns a log pass past
+    # it keeps; asked from the largest n down, the rows with n//2 at or below
+    # the cut or at or past J share the line's pass, and n//2 = J - 1 takes
+    # the one more pass, which the rows below it share
+    eta = eta_from_delta(delta)
+    assert [_kept_columns(eta, d) for d in (first - 1, first, 500)] == [first - 1, kept, kept]
+    halves = (kept - 1, kept, kept + 1, first - 1, first, first + 1, 500)
+    calls, passes = _counted_passes(monkeypatch), LinePasses()
+    rows = {2 * m: passes(bracket_LTnR_log, 2 * m, eta)[2 * m] for m in sorted(halves, reverse=True)}
+    assert calls == {"float": 0, "log": 2}
+    for n, row in rows.items():
+        assert row.tobytes() == bracket_LTnR_log(n, eta)[n].tobytes()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
 @pytest.mark.parametrize("d", [271, 280, 299])
 def test_truncated_float_series_past_the_overflow_are_not_finite(d):
     # a float pass truncated past the cosh^2 overflow (Delta = 2, n = 600;
     # first overflowed column J = 271) gives rows that are visibly not finite
     eta = eta_from_delta(2.0)
-    assert _overflow_column(eta, 300) == 271
+    assert (_kept_columns(eta, 270), _kept_columns(eta, 271)) == (270, 269)
     assert not math.isfinite(truncated(("T",), 600, eta, d)[600])
     assert not math.isfinite(truncated(("T", "D"), 600, eta, d)[600])
 
